@@ -378,6 +378,11 @@ impl Elaborator {
     /// Returns the first parse or elaboration error.
     pub fn elab_expr_source(&mut self, src: &str) -> EResult<(RExpr, RCon)> {
         let se = ur_syntax::parse_expr(src).map_err(parse_to_elab)?;
+        // Every expression gets the whole budget, as every declaration
+        // does: a long-lived session (REPL, server) must not pile up
+        // earlier expressions' steps until an innocent one hits E0900.
+        self.reset_transient();
+        self.cx.fuel.reset();
         let out = self.elab_expr_parsed(&se);
         if out.is_err() {
             self.reset_transient();

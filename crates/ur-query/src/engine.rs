@@ -20,32 +20,81 @@
 //!
 //! A rebuild walks declarations in source order. A declaration is
 //! **green** when all of its dependencies are green *and* its key has a
-//! decodable cached outcome (memory first, then the on-disk layer in
+//! cached outcome (memory first, then the on-disk layer in
 //! [`crate::disk`]); green declarations are *seeded* — their recorded
 //! outcome is installed verbatim, re-running none of the hnf/defeq/unify
 //! machinery and charging no fuel. Everything else is **red** and
 //! re-elaborates through the ordinary engine, in parallel when a thread
 //! pool is available ([`elab_program_all_incremental`] composes with the
-//! PR-3 scheduler: seeded outcomes ship to workers exactly like
-//! completed tasks). After the run, every red outcome is linked
-//! ([`crate::link`]) and written back to both cache layers.
+//! batch scheduler: seeded outcomes ship to workers exactly like
+//! completed tasks).
 //!
-//! The green requirement on dependencies is what makes seeding sound
-//! with direct symbol linking: a green declaration's payload references
-//! its dependencies by fingerprint, and those have already been resolved
-//! (they are green, in source order) by the time the payload decodes.
+//! ## The two layers
+//!
+//! The **memory layer** holds *live* outcomes — arena ids and syms of
+//! this process — so seeding a green declaration from it clones ids:
+//! nothing is decoded and nothing is re-interned, and a long-lived
+//! session's rebuilds do not grow the shared intern arena. The **disk
+//! layer** holds the linked, process-independent form ([`crate::link`]);
+//! a disk hit is decoded once, against the syms this rebuild has
+//! installed so far, and then lives in the memory layer. Red outcomes
+//! are written to the disk layer (the link codec runs only when it is
+//! enabled) and, under the invariant below, to the memory layer.
+//!
+//! ## Why seeding live outcomes is sound
+//!
+//! A live outcome names its dependencies' syms directly, so seeding it
+//! is only right if every such sym is one this rebuild installs. The
+//! engine keeps this invariant:
+//!
+//! > For every memory entry `K` and every dependency key `D` of `K`,
+//! > the memory entry for `D`, when present, holds exactly the outcome
+//! > `K` was elaborated against.
+//!
+//! Seeding then needs nothing more: `K` is green only if each of its
+//! dependencies is green, and a green dependency is seeded from its own
+//! entry — the one `K` names. The invariant holds because an entry is
+//! written only by a red declaration whose dependencies are all *live*
+//! (seeded this rebuild, or red and written this rebuild), and is never
+//! overwritten. Nothing needs overwriting: input fingerprints are
+//! transitive, so a present key has its whole dependency cone present
+//! and its first occurrence comes back green; a first occurrence is red
+//! only while its key is absent, and a red recomputation makes every
+//! dependent in the same rebuild red too.
+//!
+//! Verbatim duplicate declarations (same text, same dependency keys)
+//! share one key, yet cold each copy binds syms of its own, and the
+//! evaluator keys top-level values by sym: seeding both copies from one
+//! entry would let a failed effect in the second copy leave the first
+//! copy's value visible under the shared sym. So a key is seeded at
+//! most once per rebuild. A later copy is always red; its outcome is
+//! never written (the key is taken), so it is never live, and its
+//! dependents are not written either — they re-elaborate against it on
+//! every rebuild.
+//!
+//! Base syms come from the session's restored base snapshot, not from
+//! any dependency, so the layer also records the base bindings it was
+//! filled against and is cleared when a run's base differs (a fresh
+//! [`Elaborator`], another session).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 use ur_core::fingerprint::{hash_str, mix, Fnv64};
 use ur_core::sym::Sym;
-use ur_infer::{elab_program_all_incremental, DepGraph, Elaborator, Seed};
+use ur_infer::{elab_program_all_incremental, DepGraph, Elaborator, Outcome, Seed};
 use ur_infer::{Code, Diagnostic, Diagnostics, ElabDecl};
 use ur_syntax::pretty::decl_to_string;
 use ur_syntax::{parse_program, Span};
 
 use crate::disk;
 use crate::link::{self, LinkTable, RelDiag, ResolveTable};
+
+/// Age past which a temporary file in the cache directory is taken to
+/// belong to a writer that died mid-store (a live store takes
+/// milliseconds).
+const STALE_TMP_AGE: Duration = Duration::from_secs(60);
 
 /// Engine construction parameters.
 #[derive(Clone, Debug, Default)]
@@ -78,16 +127,26 @@ pub struct RunReport {
     pub disk_store_errs: u64,
 }
 
+/// One memory-layer entry: a live outcome and its diagnostic in
+/// declaration-relative form (replayed at the declaration's current
+/// position when seeded).
+struct Live {
+    outcome: Outcome,
+    diag: Option<RelDiag>,
+}
+
 /// A red-green incremental elaboration engine with a two-layer
 /// (memory + disk) outcome cache. One engine instance tracks one base
 /// environment; reuse it across rebuilds of the same session.
 pub struct Engine {
     cache_dir: Option<PathBuf>,
     base_tag: u64,
-    /// Linked payloads by input fingerprint. Entries are
-    /// process-independent (see [`crate::link`]), so surviving a base
-    /// re-seed between rebuilds is safe.
-    memory: HashMap<u64, Vec<u8>>,
+    /// Live outcomes by input fingerprint (see the module doc for the
+    /// invariant that makes seeding them sound).
+    memory: HashMap<u64, Live>,
+    /// The base constructor and value bindings `memory` was filled
+    /// against, in sym-id order.
+    memory_base: (Vec<Sym>, Vec<Sym>),
     /// Whether this engine already warned about disk-store failures;
     /// one warning per engine (≈ per session), not one per entry.
     warned_store_err: bool,
@@ -95,10 +154,15 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(cfg: EngineConfig) -> Engine {
+        let cache_dir = disk::resolve_cache_dir(cfg.cache_dir);
+        if let Some(dir) = &cache_dir {
+            disk::remove_stale_tmp(dir, STALE_TMP_AGE);
+        }
         Engine {
-            cache_dir: disk::resolve_cache_dir(cfg.cache_dir),
+            cache_dir,
             base_tag: cfg.base_tag,
             memory: HashMap::new(),
+            memory_base: (Vec::new(), Vec::new()),
             warned_store_err: false,
         }
     }
@@ -108,7 +172,7 @@ impl Engine {
         self.cache_dir.as_deref()
     }
 
-    /// Number of linked payloads in the in-memory layer.
+    /// Number of live outcomes in the in-memory layer.
     pub fn memory_entries(&self) -> usize {
         self.memory.len()
     }
@@ -141,6 +205,12 @@ impl Engine {
         let mut base_vals: Vec<Sym> = elab.genv.vals().map(|(s, _)| *s).collect();
         base_vals.sort_by_key(|s| s.id());
         let env_fp = env_fingerprint(elab, self.base_tag, &base_cons, &base_vals);
+        if self.memory_base.0 != base_cons || self.memory_base.1 != base_vals {
+            // Live outcomes name base syms directly; another base's are
+            // not this one's.
+            self.memory.clear();
+            self.memory_base = (base_cons.clone(), base_vals.clone());
+        }
 
         // Fingerprints. Dependencies always point at earlier
         // declarations or form cycles the scheduler reports; for
@@ -158,83 +228,86 @@ impl Engine {
         }
 
         // Green detection + seeding, in source order so every green
-        // declaration's dependencies are already in the resolve table.
+        // declaration's dependencies are installed (and in the resolve
+        // table a disk entry decodes against) before it.
+        // A key is seeded at most once: a later verbatim copy is red, so
+        // it binds syms of its own, as it does cold.
         let mut resolve = ResolveTable::new(base_cons.clone(), base_vals.clone());
         let mut green = vec![false; n];
+        let mut seeded: HashSet<u64> = HashSet::new();
         let mut seeds: Vec<Option<Seed>> = (0..n).map(|_| None).collect();
         let mut disk_hits = 0u64;
         let mut disk_rejections = 0u64;
         for i in 0..n {
-            if !graph.deps(i).iter().all(|&d| d < i && green[d]) {
+            let key = input_fp[i];
+            if seeded.contains(&key) || !graph.deps(i).iter().all(|&d| d < i && green[d]) {
                 continue;
             }
-            let key = input_fp[i];
-            let mut from_disk = false;
-            let payload = match self.memory.get(&key) {
-                Some(p) => Some(p.clone()),
-                None => match &self.cache_dir {
-                    Some(dir) => match disk::load(dir, key, env_fp) {
-                        disk::LoadResult::Hit(p) => {
-                            from_disk = true;
-                            Some(p)
-                        }
-                        disk::LoadResult::Rejected => {
-                            disk_rejections = disk_rejections.saturating_add(1);
-                            None
-                        }
-                        disk::LoadResult::Miss => None,
-                    },
-                    None => None,
-                },
-            };
-            let Some(bytes) = payload else { continue };
-            match link::decode_entry(&bytes, &resolve) {
-                Some((outcome, rel)) => {
-                    if from_disk {
-                        disk_hits = disk_hits.saturating_add(1);
-                        self.memory.insert(key, bytes);
-                    }
-                    let diag = rel.map(|rd| replay_diag(&rd, prog.decls[i].span()));
-                    resolve.add_decl(key, &outcome);
-                    seeds[i] = Some(Seed { outcome, diag });
-                    green[i] = true;
-                }
-                None => {
-                    // Undecodable payload: drop it and recompute.
-                    self.memory.remove(&key);
-                    if from_disk {
+            let live = match self.memory.entry(key) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(slot) => {
+                    let Some(dir) = &self.cache_dir else { continue };
+                    let decoded = match disk::load(dir, key, env_fp) {
+                        disk::LoadResult::Hit(bytes) => link::decode_entry(&bytes, &resolve),
+                        disk::LoadResult::Rejected => None,
+                        disk::LoadResult::Miss => continue,
+                    };
+                    let Some((outcome, diag)) = decoded else {
+                        // Unverifiable or undecodable entry: recompute.
                         disk_rejections = disk_rejections.saturating_add(1);
-                    }
+                        continue;
+                    };
+                    disk_hits = disk_hits.saturating_add(1);
+                    slot.insert(Live { outcome, diag })
                 }
-            }
+            };
+            resolve.add_decl(key, &live.outcome);
+            seeds[i] = Some(Seed {
+                outcome: live.outcome.clone(),
+                diag: live.diag.as_ref().map(|rd| replay_diag(rd, prog.decls[i].span())),
+            });
+            green[i] = true;
+            seeded.insert(key);
         }
         let greens = green.iter().filter(|&&g| g).count();
 
         let (decls, diags, records) =
             elab_program_all_incremental(elab, &prog, threads, &graph, seeds);
 
-        // Write back every red outcome in linked form. Green outcomes
-        // are only (re-)registered in the link table so later red
-        // declarations can reference their contributions.
+        // Write back red outcomes: linked onto disk, live into memory
+        // when every dependency is live (seeded, or written here) and
+        // the key is new — the two conditions the module-doc invariant
+        // rests on. Every outcome is registered in the link table so
+        // later red declarations can reference its contributions.
         let mut disk_store_errs = 0u64;
         if records.len() == n {
+            let mut live = green.clone();
             let mut ltab = LinkTable::new(&base_cons, &base_vals);
             for (i, rec) in records.iter().enumerate() {
+                let key = input_fp[i];
                 if !green[i] {
                     let rel = rec
                         .diag
                         .as_ref()
                         .map(|d| rebase_diag(d, prog.decls[i].span()));
-                    if let Some(bytes) = link::encode_entry(&rec.outcome, rel.as_ref(), &ltab) {
-                        if let Some(dir) = &self.cache_dir {
-                            if !disk::store(dir, input_fp[i], env_fp, &bytes) {
+                    if let Some(dir) = &self.cache_dir {
+                        if let Some(bytes) = link::encode_entry(&rec.outcome, rel.as_ref(), &ltab) {
+                            if !disk::store(dir, key, env_fp, &bytes) {
                                 disk_store_errs = disk_store_errs.saturating_add(1);
                             }
                         }
-                        self.memory.insert(input_fp[i], bytes);
+                    }
+                    if graph.deps(i).iter().all(|&d| d < i && live[d]) {
+                        if let Entry::Vacant(slot) = self.memory.entry(key) {
+                            slot.insert(Live {
+                                outcome: rec.outcome.clone(),
+                                diag: rel,
+                            });
+                            live[i] = true;
+                        }
                     }
                 }
-                ltab.add_decl(input_fp[i], &rec.outcome);
+                ltab.add_decl(key, &rec.outcome);
             }
         }
         if disk_store_errs > 0 && !self.warned_store_err {
@@ -472,6 +545,38 @@ mod tests {
         assert_eq!(r.red, 3);
         assert_eq!(r.disk_store_errs, 3, "{r:?}");
         assert_eq!(e.cx.stats.disk_store_errs, 3);
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn memory_layer_is_dropped_when_the_base_changes() {
+        // Two bases that bind the same name to different syms. The disk
+        // layer is off in effect (its directory cannot be created), so
+        // any reuse in the second run would come from memory.
+        let file = std::env::temp_dir().join(format!("ur-query-eng-base-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let mut eng = Engine::new(EngineConfig {
+            cache_dir: Some(file.join("cache")),
+            base_tag: 7,
+        });
+        let based = || {
+            let mut e = Elaborator::new();
+            e.elab_source("val p = 1").unwrap();
+            e
+        };
+        let mut e1 = based();
+        let _ = eng.run(&mut e1, "val q = p", 1);
+        let mut e2 = based();
+        let (d2, diags, r) = eng.run(&mut e2, "val q = p", 1);
+        assert!(diags.is_empty(), "{diags:?}");
+        assert_eq!(r.red, 1, "another base's outcome was seeded: {r:?}");
+        let ElabDecl::Val { body: Some(body), .. } = &d2[0] else {
+            panic!("{d2:?}")
+        };
+        assert!(
+            ur_core::typing::type_of(&e2.genv, &mut e2.cx, body).is_ok(),
+            "q must name the second base's p"
+        );
         let _ = std::fs::remove_file(&file);
     }
 

@@ -7,9 +7,10 @@
 //! A salsa-style red-green query engine over the batch elaborator:
 //! every declaration is a query keyed by a content fingerprint mixed
 //! with the fingerprints of its dependency cone ([`engine`]), cached
-//! outcomes are stored in a process-independent linked form ([`link`])
-//! in memory and on disk ([`disk`]), and machine-readable output for
-//! editors and CI shares one JSON encoder ([`json`]).
+//! outcomes live in memory as this process's own terms and on disk
+//! ([`disk`]) in a process-independent linked form ([`link`]), and
+//! machine-readable output for editors and CI shares one JSON encoder
+//! ([`json`]).
 //!
 //! The contract, checked by `tests/incremental.rs`: a rebuild through
 //! the engine is observably **byte-identical** to a cold sequential

@@ -3,10 +3,11 @@
 //! A cached outcome ([`ur_infer::Outcome`]) is full of [`Sym`] ids, and
 //! sym ids come from a process-global counter — an id persisted by one
 //! `urc` run aliases a completely unrelated symbol in the next. Before
-//! an outcome can live in the on-disk cache (or even in the in-memory
-//! cache across rebuilds, where the base environment is re-seeded), every
-//! sym occurrence must be rewritten into a *linked* form ([`LSym`]) that
-//! names symbols by role rather than by id:
+//! an outcome can live in the on-disk cache, every sym occurrence must
+//! be rewritten into a *linked* form ([`LSym`]) that names symbols by
+//! role rather than by id. This codec serves only the disk layer: the
+//! engine's memory layer keeps live outcomes, whose ids are valid for
+//! the process's lifetime (see [`crate::engine`]). The linked forms:
 //!
 //! * [`LSym::BaseCon`]/[`LSym::BaseVal`] — the *ord*-th constructor/value
 //!   binding of the base (post-prelude) environment, enumerated in sym-id

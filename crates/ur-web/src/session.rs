@@ -1507,6 +1507,36 @@ mod recovery_tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Fuel is per expression, as it is per declaration: a session with
+    /// no per-request budget (REPL, `urc --serve`) evaluates a cheap
+    /// expression any number of times under a tight limit, and one
+    /// expression that alone needs more than the limit still degrades
+    /// to E0900.
+    #[test]
+    fn expression_fuel_does_not_leak_across_evals() {
+        let mut sess = Session::new().unwrap();
+        sess.elab.cx.fuel.limits.max_norm_steps = 20_000;
+        let fold = "foldList (fn x acc => x + acc) 0 (cons 1 (cons 2 nil))";
+        for i in 0..1_000 {
+            match sess.eval(fold) {
+                Ok(v) => assert_eq!(v.to_string(), "3"),
+                Err(e) => panic!("eval #{i} failed: {e}"),
+            }
+        }
+        // ~114 steps per field: 250 fields need ~28,500 steps.
+        let fields: Vec<String> = (0..250).map(|i| format!("F{i} = {fold}")).collect();
+        let err = sess
+            .eval(&format!("{{{}}}.F0", fields.join(", ")))
+            .expect_err("an over-budget expression must fail");
+        let SessionError::Elab(e) = &err else {
+            panic!("expected an elaboration error, got {err}");
+        };
+        assert_eq!(e.code().as_str(), "E0900", "{err}");
+        assert!(e.message.contains("max_norm_steps"), "{err}");
+        // And the session keeps answering afterwards.
+        assert_eq!(sess.eval(fold).unwrap().to_string(), "3");
+    }
+
     /// A healthy session reports a closed breaker and zeroed healing
     /// counters.
     #[test]

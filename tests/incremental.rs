@@ -11,15 +11,25 @@
 //!    Figure-5 batch re-runs *zero* declaration elaborations, and a
 //!    single-declaration edit re-elaborates only that declaration plus
 //!    its true transitive dependents;
-//! 2. random edit scripts (mutate / insert / delete / swap) replayed
-//!    against a cold per-step baseline at 1, 2, and 4 worker threads;
+//! 2. random edit scripts (mutate / insert / delete / swap / duplicate /
+//!    revert, over groups that reference earlier groups' bindings)
+//!    replayed against a cold per-step baseline at 1, 2, and 4 worker
+//!    threads;
 //! 3. the adversarial corpus — error outcomes cache and replay too;
 //! 4. on-disk cache corruption — every damaged entry degrades to a
 //!    recompute, never to a wrong answer;
 //! 5. the fuel ledger — green reuse charges no normalization steps.
+//!
+//! Every warm rebuild is also re-checked under the Figure-4 judgment
+//! (`type_of` + `defeq`, as `tests/core_recheck.rs` does): green
+//! declarations are seeded from live outcomes, and a seeded body that
+//! named a symbol this rebuild did not install would print the same
+//! after `#N` stripping but fail to type-check.
 
 use std::path::PathBuf;
-use ur::infer::Diagnostics;
+use ur::core::defeq::defeq;
+use ur::core::typing::type_of;
+use ur::infer::{Diagnostics, ElabDecl};
 use ur::Session;
 use ur_testutil::Rng;
 
@@ -109,6 +119,7 @@ impl Warm {
 
     fn rebuild(&mut self, src: &str) -> (Observed, ur::query::RunReport) {
         let (vals, diags) = self.sess.reelaborate(src);
+        recheck(&self.sess, self.base_len, src);
         let obs = normalize(&self.sess.elab.decls[self.base_len..], &vals, &diags);
         let report = self
             .sess
@@ -116,6 +127,32 @@ impl Warm {
             .cloned()
             .expect("reelaborate sets a report");
         (obs, report)
+    }
+}
+
+/// Re-checks every value declaration the last rebuild installed under
+/// the core judgment, against the environment that rebuild built. Runs
+/// on a copy of the session's context, so the check charges the
+/// session no fuel.
+fn recheck(sess: &Session, base_len: usize, src: &str) {
+    let env = &sess.elab.genv;
+    let mut cx = sess.elab.cx.clone();
+    for d in &sess.elab.decls[base_len..] {
+        if let ElabDecl::Val {
+            name,
+            ty,
+            body: Some(body),
+            ..
+        } = d
+        {
+            let got = type_of(env, &mut cx, body).unwrap_or_else(|e| {
+                panic!("core re-check of {name} failed: {e}\nterm: {body}\nsource:\n{src}")
+            });
+            assert!(
+                defeq(env, &mut cx, &got, ty),
+                "{name}: core says {got}, inference said {ty}\nsource:\n{src}"
+            );
+        }
     }
 }
 
@@ -213,25 +250,68 @@ fn independent_decl_edit_leaves_the_rest_green() {
 // 2. Random edit scripts vs cold baseline, at several thread counts
 // ---------------------------------------------------------------------
 
-/// A pool of independent well-formed declaration groups; any subset in
-/// any order is a valid program. `salt` keeps names unique across
-/// insertions so deletes/inserts never collide.
-fn gen_group(rng: &mut Rng, salt: usize) -> String {
+/// A binding a generated group defines, for later groups to reference.
+enum Bound {
+    /// `val NAME = <int>`.
+    Int(String),
+    /// `val NAME = {FIELD = <int>, …}`.
+    Rec(String, String),
+    /// `fun NAME [t :: Type] (x : t) = x`.
+    Fun(String),
+    /// `con NAME :: Type = int`.
+    Ty(String),
+}
+
+/// One declaration group. Half the time it stands alone; otherwise it
+/// references a binding some earlier group defined (which a later
+/// delete, swap, or revert may have removed or moved after it — the
+/// resulting errors must replay exactly as a cold run reports them).
+/// `salt` keeps names unique; every binding a group defines joins
+/// `bound`.
+fn gen_group(rng: &mut Rng, salt: usize, bound: &mut Vec<Bound>) -> String {
+    if !bound.is_empty() && rng.bool_() {
+        let k = rng.range_i64(0, 50);
+        let group = match rng.pick(bound) {
+            Bound::Int(n) => format!("val ref{salt} = {n} + {k}"),
+            Bound::Rec(n, f) => format!("val ref{salt} = {n}.{f} + {k}"),
+            Bound::Fun(n) => format!("val ref{salt} = {n} {k}"),
+            Bound::Ty(n) => format!("val ref{salt} : {n} = {k}"),
+        };
+        bound.push(Bound::Int(format!("ref{salt}")));
+        return group;
+    }
     match rng.below(5) {
-        0 => format!("val int{salt} = {}", rng.range_i64(0, 1000)),
-        1 => format!(
-            "val rec{salt} = {{A{salt} = {}, B{salt} = \"s{salt}\"}}",
-            rng.range_i64(0, 100)
-        ),
-        2 => format!(
-            "con ty{salt} :: Type = int\nval use{salt} : ty{salt} = {}",
-            rng.range_i64(0, 50)
-        ),
-        3 => format!(
-            "fun f{salt} [t :: Type] (x : t) = x\nval app{salt} = f{salt} {}",
-            rng.range_i64(0, 9)
-        ),
-        _ => format!("val sum{salt} = {} + {}", rng.below(100), rng.below(100)),
+        0 => {
+            bound.push(Bound::Int(format!("int{salt}")));
+            format!("val int{salt} = {}", rng.range_i64(0, 1000))
+        }
+        1 => {
+            bound.push(Bound::Rec(format!("rec{salt}"), format!("A{salt}")));
+            format!(
+                "val rec{salt} = {{A{salt} = {}, B{salt} = \"s{salt}\"}}",
+                rng.range_i64(0, 100)
+            )
+        }
+        2 => {
+            bound.push(Bound::Ty(format!("ty{salt}")));
+            bound.push(Bound::Int(format!("use{salt}")));
+            format!(
+                "con ty{salt} :: Type = int\nval use{salt} : ty{salt} = {}",
+                rng.range_i64(0, 50)
+            )
+        }
+        3 => {
+            bound.push(Bound::Fun(format!("f{salt}")));
+            bound.push(Bound::Int(format!("app{salt}")));
+            format!(
+                "fun f{salt} [t :: Type] (x : t) = x\nval app{salt} = f{salt} {}",
+                rng.range_i64(0, 9)
+            )
+        }
+        _ => {
+            bound.push(Bound::Int(format!("sum{salt}")));
+            format!("val sum{salt} = {} + {}", rng.below(100), rng.below(100))
+        }
     }
 }
 
@@ -240,23 +320,39 @@ fn random_edit_scripts_match_the_cold_baseline_at_every_thread_count() {
     for &t in THREADS {
         let mut rng = Rng::new(0x1ec4_ed17 + t as u64);
         let mut salt = 0usize;
-        let fresh = |rng: &mut Rng, salt: &mut usize| {
-            *salt += 1;
-            gen_group(rng, *salt)
+        let mut bound = Vec::new();
+        let mut fresh = |rng: &mut Rng| {
+            salt += 1;
+            gen_group(rng, salt, &mut bound)
         };
-        let mut groups: Vec<String> = (0..8).map(|_| fresh(&mut rng, &mut salt)).collect();
+        let mut groups: Vec<String> = (0..8).map(|_| fresh(&mut rng)).collect();
+        let mut history: Vec<Vec<String>> = Vec::new();
         let mut warm = Warm::new(&format!("script-t{t}"), t);
-        for step in 0..10 {
-            match rng.below(4) {
+        for step in 0..16 {
+            history.push(groups.clone());
+            match rng.below(6) {
                 0 => {
                     // Mutate: regenerate one group in place.
                     let i = rng.below(groups.len());
-                    groups[i] = fresh(&mut rng, &mut salt);
+                    groups[i] = fresh(&mut rng);
                 }
-                1 => groups.push(fresh(&mut rng, &mut salt)),
+                1 => groups.push(fresh(&mut rng)),
                 2 if groups.len() > 3 => {
                     let i = rng.below(groups.len());
                     groups.remove(i);
+                }
+                3 => {
+                    // Duplicate: an identical copy (same text, and the
+                    // same dependency keys when nothing in between
+                    // rebinds its names) shadows the original.
+                    let i = rng.below(groups.len());
+                    let j = rng.below(groups.len() + 1);
+                    groups.insert(j, groups[i].clone());
+                }
+                4 => {
+                    // Revert to an earlier program: its declarations
+                    // come back green from whatever rebuild cached them.
+                    groups = rng.pick(&history).clone();
                 }
                 _ => {
                     let i = rng.below(groups.len());
@@ -276,6 +372,40 @@ fn random_edit_scripts_match_the_cold_baseline_at_every_thread_count() {
                 r.green + r.red,
                 "step {step} at {t} threads: {r:?}"
             );
+        }
+    }
+}
+
+/// A declaration duplicated verbatim has one input fingerprint for both
+/// copies. Each copy must bind symbols of its own, as it does cold, and
+/// dependents of either copy must come back green only against the
+/// outcome the copy they name was seeded with — never pointing at a
+/// symbol an earlier rebuild minted for the other copy. The effectful
+/// steps tell the copies apart at run time: the second `createTable`
+/// fails, so `r` must see no value for the second `t` rather than the
+/// first copy's table.
+#[test]
+fn duplicate_declarations_seed_consistent_dependents() {
+    let table = "val t = createTable \"t\" {A = sqlInt}";
+    let effectful = format!("{table}\n{table}\nval r = t");
+    let steps = [
+        "val a = 1\nval b = a + 1\nval a = 1\nval c = a + 2",
+        "val a = 1\nval c = a + 2",
+        "val a = 1\nval b = a + 1",
+        "val a = 1\nval b = a + 1\nval a = 1\nval c = a + 2",
+        "val a = 1\nval a = 1\nval b = a + 1\nval c = a + 2",
+        &effectful,
+        &effectful,
+        "val t = createTable \"t\" {A = sqlInt}\nval r = t",
+        &effectful,
+    ];
+    for &t in &[1, 4] {
+        let mut warm = Warm::new(&format!("dup-t{t}"), t);
+        for _ in 0..2 {
+            for (k, src) in steps.iter().enumerate() {
+                let (obs, _) = warm.rebuild(src);
+                assert_eq!(obs, cold(src), "step {k} at {t} threads diverges from cold");
+            }
         }
     }
 }
