@@ -438,34 +438,48 @@ fn run_once(
     (ms, decl_fps, diag_fps, injected)
 }
 
-/// One chaos pass through the incremental engine: build under a faulty
-/// store layer, then rebuild with a fresh engine under a faulty load
-/// layer. Corrupted entries are rejected and recomputed; the rebuild's
+/// One build's declarations and diagnostics, printed without symbol ids.
+type Observed = (Vec<String>, Vec<String>);
+
+/// One chaos pass through the incremental engine: a cold build, then
+/// three rebuilds, each by a fresh engine over the same directory, all
+/// under a faulty store and load layer. A rebuild writes at most one
+/// pack and reads each pack once, so it consults each cache site once;
+/// the three fresh-engine rebuilds give both sites draws enough to
+/// fire. Corrupted packs are rejected and recomputed; every build's
 /// declarations and diagnostics must still match the clean baseline.
-fn run_once_cache(src: &str, cfg: FpConfig) -> (f64, Vec<String>, Vec<String>, FpCounters) {
+/// Returns each build's observations.
+fn run_once_cache(src: &str, cfg: FpConfig) -> (f64, Vec<Observed>, FpCounters) {
     use ur_query::{Engine, EngineConfig};
     let dir = std::env::temp_dir().join(format!("ur-chaos-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut sess = Session::new().expect("session");
     let base = sess.elab.snapshot();
     let base_tag = ur_core::fingerprint::hash_str(ur_web::PRELUDE);
-    let mk = || Engine::new(EngineConfig { cache_dir: Some(dir.clone()), base_tag });
     let _ = failpoint::take_counters();
     failpoint::install(Some(cfg));
     let start = Instant::now();
-    mk().run(&mut sess.elab, src, 1);
-    sess.elab.restore(base);
-    let (decls, diags, _report) = mk().run(&mut sess.elab, src, 1);
+    let builds: Vec<_> = (0..4)
+        .map(|_| {
+            sess.elab.restore(base.clone());
+            let mut engine = Engine::new(EngineConfig {
+                cache_dir: Some(dir.clone()),
+                base_tag,
+            });
+            let (decls, diags, _report) = engine.run(&mut sess.elab, src, 1);
+            let decl_fps = decls
+                .iter()
+                .map(|d| strip_sym_ids(&format!("{d:?}")))
+                .collect();
+            let diag_fps = diags.iter().map(|d| d.to_string()).collect();
+            (decl_fps, diag_fps)
+        })
+        .collect();
     let ms = start.elapsed().as_secs_f64() * 1000.0;
     failpoint::install(None);
     let injected = failpoint::take_counters();
     let _ = std::fs::remove_dir_all(&dir);
-    let decl_fps = decls
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    let diag_fps = diags.iter().map(|d| d.to_string()).collect();
-    (ms, decl_fps, diag_fps, injected)
+    (ms, builds, injected)
 }
 
 struct RunRecord {
@@ -548,7 +562,7 @@ fn main() {
         let cfg = cache_havoc(0xCAC4E + corpus_ix as u64);
         let (name, src) = corpora[corpus_ix];
         let (base_decls, base_diags) = &baselines[corpus_ix];
-        let (ms, decls, diags, injected) = run_once_cache(src, cfg);
+        let (ms, builds, injected) = run_once_cache(src, cfg);
         totals.absorb(&injected);
         rows.push(RunRecord {
             corpus: name,
@@ -558,7 +572,9 @@ fn main() {
             ms,
             injected: injected.total_injected(),
             rejections: injected.integrity_rejections,
-            diverged: decls != *base_decls || diags != *base_diags,
+            diverged: builds
+                .iter()
+                .any(|(decls, diags)| decls != base_decls || diags != base_diags),
         });
     }
     // Durability-layer havoc against the WAL + snapshot store: failed

@@ -63,11 +63,12 @@ pub enum Site {
     /// Fuel accounting mischarges a burst of phantom steps; a resulting
     /// spurious exhaustion is healed by the bounded declaration retry.
     FuelCharge,
-    /// Loading an on-disk incremental-cache entry observes corruption;
-    /// the integrity tag must reject it and the declaration recomputes.
+    /// Reading an on-disk incremental-cache pack observes corruption;
+    /// the pack is rejected whole and deleted, and its declarations
+    /// recompute.
     CacheLoad,
-    /// Storing an on-disk incremental-cache entry corrupts it in flight
-    /// (detected by a later load's integrity check).
+    /// Writing an on-disk incremental-cache pack corrupts its integrity
+    /// tag in flight (detected by a later reader's check).
     CacheStore,
     /// Appending a record to the `ur-db` write-ahead log fails (simulated
     /// `write(2)` error, or a mid-record crash under `UR_DB_CRASH=abort`).

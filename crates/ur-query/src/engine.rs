@@ -35,11 +35,12 @@
 //! this process — so seeding a green declaration from it clones ids:
 //! nothing is decoded and nothing is re-interned, and a long-lived
 //! session's rebuilds do not grow the shared intern arena. The **disk
-//! layer** holds the linked, process-independent form ([`crate::link`]);
-//! a disk hit is decoded once, against the syms this rebuild has
-//! installed so far, and then lives in the memory layer. Red outcomes
-//! are written to the disk layer (the link codec runs only when it is
-//! enabled) and, under the invariant below, to the memory layer.
+//! layer** holds the linked, process-independent form ([`crate::link`])
+//! in packs ([`crate::disk`]); a disk hit is decoded once, against the
+//! syms this rebuild has installed so far, and then lives in the memory
+//! layer. Red outcomes are written to the disk layer as one pack per
+//! rebuild (the link codec runs only when it is enabled) and, under the
+//! invariant below, to the memory layer.
 //!
 //! ## Why seeding live outcomes is sound
 //!
@@ -80,7 +81,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use ur_core::fingerprint::{hash_str, mix, Fnv64};
 use ur_core::sym::Sym;
 use ur_infer::{elab_program_all_incremental, DepGraph, Elaborator, Outcome, Seed};
@@ -90,11 +90,6 @@ use ur_syntax::{parse_program, Span};
 
 use crate::disk;
 use crate::link::{self, LinkTable, RelDiag, ResolveTable};
-
-/// Age past which a temporary file in the cache directory is taken to
-/// belong to a writer that died mid-store (a live store takes
-/// milliseconds).
-const STALE_TMP_AGE: Duration = Duration::from_secs(60);
 
 /// Engine construction parameters.
 #[derive(Clone, Debug, Default)]
@@ -119,11 +114,14 @@ pub struct RunReport {
     pub red: usize,
     /// Verified entries loaded from the disk layer this run.
     pub disk_hits: u64,
-    /// Disk entries that existed but failed verification or decoding.
+    /// Packs read this run that failed their check (each rejected
+    /// whole, and deleted), plus entries of checked packs that failed
+    /// to decode. A pack that has vanished is a miss, not a rejection.
     pub disk_rejections: u64,
-    /// Write-back attempts the disk layer could not persist this run
-    /// (full disk, bad permissions, …). The run is still correct — the
-    /// cache just stays cold for those entries.
+    /// Red entries the disk layer could not persist this run (full
+    /// disk, bad permissions, …): all of a pack's entries when its
+    /// write fails. The run is still correct — the cache just stays
+    /// cold for those entries.
     pub disk_store_errs: u64,
 }
 
@@ -139,7 +137,8 @@ struct Live {
 /// (memory + disk) outcome cache. One engine instance tracks one base
 /// environment; reuse it across rebuilds of the same session.
 pub struct Engine {
-    cache_dir: Option<PathBuf>,
+    /// The disk layer, when enabled.
+    disk: Option<disk::Index>,
     base_tag: u64,
     /// Live outcomes by input fingerprint (see the module doc for the
     /// invariant that makes seeding them sound).
@@ -154,12 +153,8 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(cfg: EngineConfig) -> Engine {
-        let cache_dir = disk::resolve_cache_dir(cfg.cache_dir);
-        if let Some(dir) = &cache_dir {
-            disk::remove_stale_tmp(dir, STALE_TMP_AGE);
-        }
         Engine {
-            cache_dir,
+            disk: disk::resolve_cache_dir(cfg.cache_dir).map(disk::Index::open),
             base_tag: cfg.base_tag,
             memory: HashMap::new(),
             memory_base: (Vec::new(), Vec::new()),
@@ -169,7 +164,7 @@ impl Engine {
 
     /// The resolved disk-cache directory, if the disk layer is enabled.
     pub fn cache_dir(&self) -> Option<&Path> {
-        self.cache_dir.as_deref()
+        self.disk.as_ref().map(disk::Index::dir)
     }
 
     /// Number of live outcomes in the in-memory layer.
@@ -236,6 +231,7 @@ impl Engine {
         let mut green = vec![false; n];
         let mut seeded: HashSet<u64> = HashSet::new();
         let mut seeds: Vec<Option<Seed>> = (0..n).map(|_| None).collect();
+        let mut reader = self.disk.as_mut().map(|ix| ix.reader(env_fp));
         let mut disk_hits = 0u64;
         let mut disk_rejections = 0u64;
         for i in 0..n {
@@ -246,14 +242,11 @@ impl Engine {
             let live = match self.memory.entry(key) {
                 Entry::Occupied(entry) => entry.into_mut(),
                 Entry::Vacant(slot) => {
-                    let Some(dir) = &self.cache_dir else { continue };
-                    let decoded = match disk::load(dir, key, env_fp) {
-                        disk::LoadResult::Hit(bytes) => link::decode_entry(&bytes, &resolve),
-                        disk::LoadResult::Rejected => None,
-                        disk::LoadResult::Miss => continue,
+                    let Some(bytes) = reader.as_mut().and_then(|r| r.get(key)) else {
+                        continue;
                     };
-                    let Some((outcome, diag)) = decoded else {
-                        // Unverifiable or undecodable entry: recompute.
+                    let Some((outcome, diag)) = link::decode_entry(bytes, &resolve) else {
+                        // Undecodable entry: recompute.
                         disk_rejections = disk_rejections.saturating_add(1);
                         continue;
                     };
@@ -269,17 +262,21 @@ impl Engine {
             green[i] = true;
             seeded.insert(key);
         }
+        if let Some(r) = &reader {
+            disk_rejections = disk_rejections.saturating_add(r.rejected());
+        }
         let greens = green.iter().filter(|&&g| g).count();
 
         let (decls, diags, records) =
             elab_program_all_incremental(elab, &prog, threads, &graph, seeds);
 
-        // Write back red outcomes: linked onto disk, live into memory
-        // when every dependency is live (seeded, or written here) and
-        // the key is new — the two conditions the module-doc invariant
-        // rests on. Every outcome is registered in the link table so
-        // later red declarations can reference its contributions.
-        let mut disk_store_errs = 0u64;
+        // Write back red outcomes: linked into the run's disk pack, live
+        // into memory when every dependency is live (seeded, or written
+        // here) and the key is new — the two conditions the module-doc
+        // invariant rests on. Every outcome is registered in the link
+        // table so later red declarations can reference its
+        // contributions.
+        let mut pack: Vec<(u64, Vec<u8>)> = Vec::new();
         if records.len() == n {
             let mut live = green.clone();
             let mut ltab = LinkTable::new(&base_cons, &base_vals);
@@ -290,11 +287,9 @@ impl Engine {
                         .diag
                         .as_ref()
                         .map(|d| rebase_diag(d, prog.decls[i].span()));
-                    if let Some(dir) = &self.cache_dir {
+                    if reader.is_some() {
                         if let Some(bytes) = link::encode_entry(&rec.outcome, rel.as_ref(), &ltab) {
-                            if !disk::store(dir, key, env_fp, &bytes) {
-                                disk_store_errs = disk_store_errs.saturating_add(1);
-                            }
+                            pack.push((key, bytes));
                         }
                     }
                     if graph.deps(i).iter().all(|&d| d < i && live[d]) {
@@ -310,12 +305,19 @@ impl Engine {
                 ltab.add_decl(key, &rec.outcome);
             }
         }
+        let mut disk_store_errs = 0u64;
+        if let Some(r) = reader {
+            let entries = pack.len() as u64;
+            if !r.finish(pack) {
+                disk_store_errs = entries;
+            }
+        }
         if disk_store_errs > 0 && !self.warned_store_err {
             self.warned_store_err = true;
             eprintln!(
-                "warning: ur-query disk cache: {disk_store_errs} store failure(s) in {:?}; \
+                "warning: ur-query disk cache: {disk_store_errs} entries not stored in {:?}; \
                  cache stays cold (check disk space/permissions)",
-                self.cache_dir
+                self.cache_dir()
             );
         }
 

@@ -8,7 +8,8 @@
 //! every declaration is a query keyed by a content fingerprint mixed
 //! with the fingerprints of its dependency cone ([`engine`]), cached
 //! outcomes live in memory as this process's own terms and on disk
-//! ([`disk`]) in a process-independent linked form ([`link`]), and
+//! ([`disk`], one pack per rebuild) in a process-independent linked
+//! form ([`link`]), and
 //! machine-readable output for editors and CI shares one JSON encoder
 //! ([`json`]).
 //!

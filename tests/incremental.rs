@@ -16,7 +16,8 @@
 //!    replayed against a cold per-step baseline at 1, 2, and 4 worker
 //!    threads;
 //! 3. the adversarial corpus — error outcomes cache and replay too;
-//! 4. on-disk cache corruption — every damaged entry degrades to a
+//! 4. the on-disk cache — a cold load writes one pack, packs other
+//!    engines write are found, and every damaged pack degrades to a
 //!    recompute, never to a wrong answer;
 //! 5. the fuel ledger — green reuse charges no normalization steps.
 //!
@@ -513,57 +514,177 @@ fn cached_diagnostics_replay_at_shifted_spans() {
 }
 
 // ---------------------------------------------------------------------
-// 4. Disk-cache corruption degrades to recompute
+// 4. The disk cache: one pack per load, found by later engines, and
+//    corruption degrades to recompute
 // ---------------------------------------------------------------------
 
 #[test]
 fn corrupt_cache_entries_fall_back_to_recompute_with_identical_results() {
     let src = "con t :: Type = int\nval one : int = 1\nval two : t = one\n";
     let baseline = cold(src);
-    let dir = test_dir("corrupt");
-    cleanup(&dir);
-
-    // Populate the disk cache, then damage every entry a different way.
-    {
+    let session = |dir: &PathBuf| {
         let mut sess = Session::new().expect("session");
         sess.cache_dir = Some(dir.clone());
-        sess.reelaborate(src);
-    }
-    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("cache dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
-    assert!(!entries.is_empty(), "nothing was cached");
-    for (i, path) in entries.iter().enumerate() {
-        let mut bytes = std::fs::read(path).expect("read entry");
-        match i % 3 {
-            0 => bytes.truncate(bytes.len() / 2),
-            1 => {
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0xff;
-            }
-            _ => bytes.clear(),
+        sess
+    };
+    type Damage = fn(&mut Vec<u8>);
+    let damages: [(&str, Damage); 3] = [
+        ("truncate", |b| b.truncate(b.len() / 2)),
+        ("flip", |b| {
+            let mid = b.len() / 2;
+            b[mid] ^= 0xff;
+        }),
+        ("empty", |b| b.clear()),
+    ];
+    // One load writes one pack, so each damage mode gets a freshly
+    // written cache directory of its own.
+    for (mode, damage) in damages {
+        let dir = test_dir(&format!("corrupt-{mode}"));
+        cleanup(&dir);
+        session(&dir).reelaborate(src);
+        let packs: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .collect();
+        assert!(!packs.is_empty(), "{mode}: nothing was cached");
+        for path in &packs {
+            let mut bytes = std::fs::read(path).expect("read pack");
+            damage(&mut bytes);
+            std::fs::write(path, bytes).expect("write damaged pack");
         }
-        std::fs::write(path, bytes).expect("write corrupted entry");
+
+        // A fresh session over the damaged cache must recompute
+        // everything and still agree with the cold baseline — then
+        // repair the cache.
+        let mut sess = session(&dir);
+        let base_len = sess.elab.decls.len();
+        let (vals, diags) = sess.reelaborate(src);
+        let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
+        assert_eq!(obs, baseline, "{mode}: damaged cache changed results");
+        let r = sess.last_incr_report().cloned().expect("report");
+        assert_eq!(
+            r.red, r.decls_total,
+            "{mode}: damaged entries were trusted: {r:?}"
+        );
+        assert!(r.disk_rejections >= 1, "{mode}: {r:?}");
+
+        let (vals, diags) = sess.reelaborate(src);
+        let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
+        assert_eq!(obs, baseline, "{mode}");
+        let r = sess.last_incr_report().cloned().expect("report");
+        assert_eq!(r.red, 0, "{mode}: recompute was not kept: {r:?}");
+
+        let mut fresh = session(&dir);
+        let (vals, diags) = fresh.reelaborate(src);
+        let obs = normalize(&fresh.elab.decls[base_len..], &vals, &diags);
+        assert_eq!(obs, baseline, "{mode}");
+        let r = fresh.last_incr_report().cloned().expect("report");
+        assert_eq!(r.red, 0, "{mode}: cache was not repaired on disk: {r:?}");
+        assert_eq!(r.disk_hits, r.decls_total as u64, "{mode}: {r:?}");
+        cleanup(&dir);
     }
+}
 
-    // A fresh session over the damaged cache must recompute everything
-    // and still agree with the cold baseline — then repair the cache.
-    let mut sess = Session::new().expect("session");
-    sess.cache_dir = Some(dir.clone());
-    let base_len = sess.elab.decls.len();
-    let (vals, diags) = sess.reelaborate(src);
-    let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
-    assert_eq!(obs, baseline, "corrupted cache changed results");
-    let r = sess.last_incr_report().cloned().expect("report");
-    assert_eq!(r.red, r.decls_total, "corrupt entries were trusted: {r:?}");
-    assert!(r.disk_rejections >= 1, "{r:?}");
+/// Names of the files in a cache directory.
+fn cache_files(dir: &PathBuf) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("cache dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
 
-    let (vals, diags) = sess.reelaborate(src);
-    let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
-    assert_eq!(obs, baseline);
-    let r = sess.last_incr_report().cloned().expect("report");
-    assert_eq!(r.red, 0, "cache was not repaired after recompute: {r:?}");
+#[test]
+fn a_cold_load_writes_one_pack_and_no_temp_file() {
+    let src = combined_figure5_batch();
+    let mut warm = Warm::new("one-pack", 1);
+    let (_, r) = warm.rebuild(&src);
+    assert!(r.decls_total > 50, "{r:?}");
+    assert_eq!(r.red, r.decls_total, "{r:?}");
+    assert_eq!(r.disk_store_errs, 0, "{r:?}");
+    let files = cache_files(&warm.dir);
+    assert_eq!(
+        files.len(),
+        1,
+        "one create, fsync and rename per rebuild: {files:?}"
+    );
+    assert!(files[0].ends_with(".urp"), "{files:?}");
+    // A fully green rebuild writes nothing.
+    let (_, r) = warm.rebuild(&src);
+    assert_eq!(r.red, 0, "{r:?}");
+    assert_eq!(cache_files(&warm.dir), files);
+}
+
+#[test]
+fn an_engine_that_has_run_finds_packs_written_after_it() {
+    let first = "val a = 1\nval b = a + 1\n";
+    let later = "val x = 10\nval y = x * 2\nval z = y + x\n";
+    let dir = test_dir("relist");
+    cleanup(&dir);
+    let session = || {
+        let mut sess = Session::new().expect("session");
+        sess.cache_dir = Some(dir.clone());
+        sess
+    };
+    let mut early = session();
+    let base_len = early.elab.decls.len();
+    early.reelaborate(first);
+    // Another engine over the same directory writes `later`'s pack
+    // after `early` has already listed it.
+    session().reelaborate(later);
+    let (vals, diags) = early.reelaborate(later);
+    let r = early.last_incr_report().cloned().expect("report");
+    assert_eq!(r.red, 0, "the later pack was not found: {r:?}");
+    assert_eq!(r.disk_hits, 3, "{r:?}");
+    let obs = normalize(&early.elab.decls[base_len..], &vals, &diags);
+    assert_eq!(obs, cold(later));
+    cleanup(&dir);
+}
+
+#[test]
+fn a_fresh_engine_folds_the_packs_that_edits_left() {
+    let version = |k: usize| format!("val a = {k}\nval b = a + 1\nval c = 7\nval d = c * b\n");
+    let dir = test_dir("fold");
+    cleanup(&dir);
+    let session = || {
+        let mut sess = Session::new().expect("session");
+        sess.cache_dir = Some(dir.clone());
+        sess
+    };
+    // A live session's edits each leave a pack of their own.
+    let mut live = session();
+    for k in 0..6 {
+        live.reelaborate(&version(k));
+    }
+    assert_eq!(cache_files(&dir).len(), 6, "{:?}", cache_files(&dir));
+    // A fresh engine's first listing reads all six, so its run folds
+    // them into one pack, and later engines open one file.
+    let mut fresh = session();
+    let base_len = fresh.elab.decls.len();
+    let (vals, diags) = fresh.reelaborate(&version(5));
+    let r = fresh.last_incr_report().cloned().expect("report");
+    assert_eq!((r.red, r.disk_hits), (0, 4), "{r:?}");
+    let obs = normalize(&fresh.elab.decls[base_len..], &vals, &diags);
+    assert_eq!(obs, cold(&version(5)));
+    let files = cache_files(&dir);
+    assert_eq!(files.len(), 1, "{files:?}");
+    // Folding dropped nothing: every earlier version still loads from
+    // disk, and reading one pack folds nothing more.
+    for k in 0..6 {
+        let mut sess = session();
+        let (vals, diags) = sess.reelaborate(&version(k));
+        let r = sess.last_incr_report().cloned().expect("report");
+        assert_eq!((r.red, r.disk_rejections), (0, 0), "version {k}: {r:?}");
+        let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
+        assert_eq!(obs, cold(&version(k)), "version {k}");
+    }
+    assert_eq!(cache_files(&dir), files);
     cleanup(&dir);
 }
 

@@ -172,6 +172,51 @@ fn serve_flushes_final_stats_on_quit_and_eof() {
     assert!(child.wait().unwrap().success(), "EOF must exit 0");
 }
 
+/// Two `--serve` processes over one cache directory load the same
+/// program in turn: the second is served entirely from the pack the
+/// first one wrote, re-elaborating nothing.
+#[test]
+fn a_second_serve_process_loads_from_the_first_ones_pack() {
+    let cache = tmpdir("pack-cache");
+    let load = || {
+        let mut child = spawn_serve(&["--cache-dir", cache.to_str().unwrap()]);
+        let mut stdin = child.stdin.take().unwrap();
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        stdin
+            .write_all(
+                b"{\"cmd\":\"load\",\"source\":\"val a = 1\\nval b = a + 1\\nval c = b * a\"}\n\
+                  {\"cmd\":\"quit\"}\n",
+            )
+            .unwrap();
+        stdin.flush().unwrap();
+        let resp = lines.next().unwrap().unwrap();
+        assert!(child.wait().unwrap().success());
+        resp
+    };
+    let count = |resp: &str, key: &str| -> u64 {
+        let at = resp
+            .find(&format!("\"{key}\":"))
+            .unwrap_or_else(|| panic!("{key}: {resp}"));
+        let digits: String = resp[at + key.len() + 3..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    let first = load();
+    assert!(first.contains("\"ok\":true"), "{first}");
+    assert_eq!(count(&first, "red"), 3, "{first}");
+    let second = load();
+    assert!(second.contains("\"ok\":true"), "{second}");
+    assert_eq!(count(&second, "red"), 0, "{second}");
+    assert_eq!(
+        count(&second, "disk_hits"),
+        count(&second, "decls"),
+        "{second}"
+    );
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
 /// Satellite: deadline budgets degrade structurally (E0900 in the
 /// response diagnostics) instead of hanging or crashing the process —
 /// at 1 and at 4 elaborator threads. The cache dir is test-private:
