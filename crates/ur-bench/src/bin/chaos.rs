@@ -1,8 +1,7 @@
 //! Chaos differential benchmark: the combined Figure-5 batch and an
 //! adversarial mixed-error batch, elaborated under seeded fault
-//! schedules (`ur_core::failpoint`) at 1, 2, 4, and 8 worker threads,
-//! compared declaration-by-declaration against a clean sequential
-//! baseline. Dedicated schedules additionally storm the durability
+//! schedules (`ur_core::failpoint`), compared declaration-by-declaration
+//! against a clean baseline. Dedicated schedules additionally storm the durability
 //! layer (`wal_havoc`) and the supervised TCP serving layer
 //! (`serve_havoc`), where the invariant is answer-correctness rather
 //! than decl equality: degradation may shed, tear, or expire requests,
@@ -12,7 +11,7 @@
 //!
 //! * **zero divergence** — elaborated declarations (up to fresh symbol
 //!   ids) and diagnostics under every fault schedule must equal the
-//!   clean sequential run's. Faults may cost retries and recomputation;
+//!   clean run's. Faults may cost retries and recomputation;
 //!   they must never change results.
 //! * **full site coverage** — every named fault site must actually fire
 //!   at least once across the bench, so none of the recovery paths is
@@ -30,46 +29,21 @@ use ur_studies::{studies, study, Study};
 use ur_web::Session;
 
 const MATRIX_SEEDS: &[u64] = &[0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
-const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
-/// Independent wide `mkTable` clients appended to the Figure-5 batch so
-/// the dependency graph has parallel width (same shape as the parallel
-/// benchmark, slightly smaller — chaos runs the batch many times).
+/// Independent wide `mkTable` clients appended to the Figure-5 batch
+/// (few and narrow: chaos runs the batch many times).
 const CLIENT_FAN: usize = 4;
 const CLIENT_WIDTH: usize = 8;
 
-/// A fault schedule touching every site at moderate rates. Faults per
-/// site are capped *below* every retry budget (task re-dispatch and
-/// declaration retry both allow 3+ attempts), so self-healing always
-/// converges to the clean result.
+/// A fault schedule touching every elaboration site at moderate rates.
+/// Faults per site are capped *below* the declaration retry budget (3+
+/// attempts), so self-healing always converges to the clean result.
 fn balanced(seed: u64) -> FpConfig {
     FpConfig::new(seed)
         .with_max_per_site(2)
-        .with_rate(Site::WorkerSpawn, 120)
-        .with_rate(Site::WorkerExec, 180)
-        .with_rate(Site::WorkerSend, 180)
-        .with_rate(Site::WorkerStall, 120)
         .with_rate(Site::MemoLoad, 60)
         .with_rate(Site::MemoStore, 60)
         .with_rate(Site::InternGrow, 40)
         .with_rate(Site::FuelCharge, 4)
-}
-
-/// Every spawn fails (capped): the pool comes up short-handed and the
-/// merge loop's sequential fallback covers the difference.
-fn spawn_storm(seed: u64) -> FpConfig {
-    FpConfig::new(seed)
-        .with_max_per_site(2)
-        .with_rate(Site::WorkerSpawn, 1000)
-}
-
-/// Worker-lifecycle havoc: deaths, lost results, and stalls at high
-/// rates, exercising watchdog, re-dispatch, and the duplicate guard.
-fn worker_havoc(seed: u64) -> FpConfig {
-    FpConfig::new(seed)
-        .with_max_per_site(2)
-        .with_rate(Site::WorkerExec, 800)
-        .with_rate(Site::WorkerSend, 800)
-        .with_rate(Site::WorkerStall, 400)
 }
 
 /// State-layer havoc: memo corruption, intern-table rehash, and phantom
@@ -162,7 +136,6 @@ fn run_serve_havoc(cfg: FpConfig) -> (f64, FpCounters, bool) {
         workers: 2,
         deadline_ms: 250,
         watchdog_ms: 50,
-        threads: Some(1),
         cache_dir: Some(cache.clone()),
         fp: Some(cfg),
         ..ServeConfig::default()
@@ -381,7 +354,7 @@ fn combined_source() -> String {
 
 /// Mixed-error batch: the multi-error contract (every bad declaration
 /// diagnosed, every good one elaborated) must hold identically under
-/// faults at every thread count.
+/// faults.
 fn adversarial_source() -> String {
     "val ok1 = 1 + 2\n\
      val bad_type : int = \"nope\"\n\
@@ -417,16 +390,12 @@ fn strip_sym_ids(s: &str) -> String {
 /// prelude does not consume the per-site fault caps, and uninstalled
 /// before returning. Returns (ms, decl fingerprints, diag fingerprints,
 /// faults injected during the run).
-fn run_once(
-    src: &str,
-    threads: usize,
-    cfg: Option<FpConfig>,
-) -> (f64, Vec<String>, Vec<String>, FpCounters) {
+fn run_once(src: &str, cfg: Option<FpConfig>) -> (f64, Vec<String>, Vec<String>, FpCounters) {
     let mut sess = Session::new().expect("session");
     let _ = failpoint::take_counters();
     failpoint::install(cfg);
     let start = Instant::now();
-    let (decls, diags) = sess.elab.elab_source_all_threads(src, threads);
+    let (decls, diags) = sess.elab.elab_source_all(src);
     let ms = start.elapsed().as_secs_f64() * 1000.0;
     failpoint::install(None);
     let injected = failpoint::take_counters();
@@ -486,7 +455,6 @@ struct RunRecord {
     corpus: &'static str,
     schedule: &'static str,
     seed: u64,
-    threads: usize,
     ms: f64,
     injected: u64,
     rejections: u64,
@@ -494,25 +462,19 @@ struct RunRecord {
 }
 
 fn main() {
-    // Short watchdog so injected stalls cost milliseconds, not seconds.
-    // Spurious trips only cause (dup-guarded) re-dispatches.
-    if std::env::var_os("UR_WATCHDOG_MS").is_none() {
-        std::env::set_var("UR_WATCHDOG_MS", "50");
-    }
-
     let fig5 = combined_source();
     let adv = adversarial_source();
     let corpora: [(&'static str, &str); 2] = [("figure5", &fig5), ("adversarial", &adv)];
 
-    println!("Chaos differential benchmark — seeded fault schedules vs clean sequential");
+    println!("Chaos differential benchmark — seeded fault schedules vs clean runs");
     println!();
 
     let mut baselines: Vec<(Vec<String>, Vec<String>)> = Vec::new();
     for (name, src) in &corpora {
-        let (_, decls, diags, injected) = run_once(src, 1, None);
+        let (_, decls, diags, injected) = run_once(src, None);
         assert_eq!(injected, FpCounters::default(), "baseline must be fault-free");
         println!(
-            "baseline [{name}]: {} decls, {} diagnostics (clean, sequential)",
+            "baseline [{name}]: {} decls, {} diagnostics (clean)",
             decls.len(),
             diags.len()
         );
@@ -525,18 +487,16 @@ fn main() {
     let chaos = |corpus_ix: usize,
                      schedule: &'static str,
                      cfg: FpConfig,
-                     threads: usize,
                      rows: &mut Vec<RunRecord>,
                      totals: &mut FpCounters| {
         let (name, src) = corpora[corpus_ix];
         let (base_decls, base_diags) = &baselines[corpus_ix];
-        let (ms, decls, diags, injected) = run_once(src, threads, Some(cfg));
+        let (ms, decls, diags, injected) = run_once(src, Some(cfg));
         totals.absorb(&injected);
         rows.push(RunRecord {
             corpus: name,
             schedule,
             seed: cfg.seed,
-            threads,
             ms,
             injected: injected.total_injected(),
             rejections: injected.integrity_rejections,
@@ -545,18 +505,27 @@ fn main() {
     };
 
     for &seed in MATRIX_SEEDS {
-        for &t in THREAD_COUNTS {
-            for corpus_ix in 0..corpora.len() {
-                chaos(corpus_ix, "balanced", balanced(seed), t, &mut rows, &mut totals);
-            }
+        for corpus_ix in 0..corpora.len() {
+            chaos(
+                corpus_ix,
+                "balanced",
+                balanced(seed),
+                &mut rows,
+                &mut totals,
+            );
         }
     }
     // Targeted schedules: make each recovery path certain to run at
     // least once regardless of how the balanced draws land.
-    chaos(0, "spawn_storm", spawn_storm(0xD00D), 4, &mut rows, &mut totals);
-    chaos(0, "worker_havoc", worker_havoc(0xBAD), 4, &mut rows, &mut totals);
-    chaos(0, "state_havoc", state_havoc(0xC0DE), 1, &mut rows, &mut totals);
-    chaos(1, "state_havoc", state_havoc(0xC0DE), 4, &mut rows, &mut totals);
+    for corpus_ix in 0..corpora.len() {
+        chaos(
+            corpus_ix,
+            "state_havoc",
+            state_havoc(0xC0DE),
+            &mut rows,
+            &mut totals,
+        );
+    }
     // Incremental-engine cache corruption, against both corpora.
     for corpus_ix in 0..corpora.len() {
         let cfg = cache_havoc(0xCAC4E + corpus_ix as u64);
@@ -568,7 +537,6 @@ fn main() {
             corpus: name,
             schedule: "cache_havoc",
             seed: cfg.seed,
-            threads: 1,
             ms,
             injected: injected.total_injected(),
             rejections: injected.integrity_rejections,
@@ -588,7 +556,6 @@ fn main() {
             corpus: "ur-db",
             schedule: "wal_havoc",
             seed: cfg.seed,
-            threads: 1,
             ms,
             injected: injected.total_injected(),
             rejections: injected.integrity_rejections,
@@ -606,7 +573,6 @@ fn main() {
             corpus: "ur-serve",
             schedule: "serve_havoc",
             seed: cfg.seed,
-            threads: 2,
             ms,
             injected: injected.total_injected(),
             rejections: injected.integrity_rejections,
@@ -615,13 +581,13 @@ fn main() {
     }
 
     println!(
-        "{:>12} {:>12} {:>10} {:>8} {:>9} {:>9} {:>8} {:>9}",
-        "corpus", "schedule", "seed", "threads", "ms", "injected", "rejects", "diverged"
+        "{:>12} {:>12} {:>10} {:>9} {:>9} {:>8} {:>9}",
+        "corpus", "schedule", "seed", "ms", "injected", "rejects", "diverged"
     );
     for r in &rows {
         println!(
-            "{:>12} {:>12} {:>10} {:>8} {:>9.1} {:>9} {:>8} {:>9}",
-            r.corpus, r.schedule, r.seed, r.threads, r.ms, r.injected, r.rejections, r.diverged
+            "{:>12} {:>12} {:>10} {:>9.1} {:>9} {:>8} {:>9}",
+            r.corpus, r.schedule, r.seed, r.ms, r.injected, r.rejections, r.diverged
         );
     }
     println!();
@@ -643,16 +609,15 @@ fn main() {
 
     let mut json = format!(
         "{{\n  \"benchmark\": \"chaos\",\n  \"metric\": \"divergence\",\n  \
-         \"matrix_seeds\": {MATRIX_SEEDS:?},\n  \"thread_counts\": {THREAD_COUNTS:?},\n  \
-         \"runs\": [\n"
+         \"matrix_seeds\": {MATRIX_SEEDS:?},\n  \"runs\": [\n"
     );
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             json,
             "    {{\"corpus\": \"{}\", \"schedule\": \"{}\", \"seed\": {}, \
-             \"threads\": {}, \"ms\": {:.2}, \"injected\": {}, \
-             \"integrity_rejections\": {}, \"diverged\": {}}}",
-            r.corpus, r.schedule, r.seed, r.threads, r.ms, r.injected, r.rejections, r.diverged
+             \"ms\": {:.2}, \"injected\": {}, \"integrity_rejections\": {}, \
+             \"diverged\": {}}}",
+            r.corpus, r.schedule, r.seed, r.ms, r.injected, r.rejections, r.diverged
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -679,7 +644,7 @@ fn main() {
     // Hard gate 1: faults never change results.
     assert_eq!(
         divergences, 0,
-        "chaos runs diverged from the clean sequential baseline"
+        "chaos runs diverged from the clean baseline"
     );
     // Hard gate 2: every recovery path actually ran.
     assert_eq!(

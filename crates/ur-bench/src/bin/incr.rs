@@ -77,7 +77,7 @@ fn strip_sym_ids(s: &str) -> String {
 /// Cold sequential oracle for one source: fresh session, one thread.
 fn cold_baseline(src: &str) -> (Vec<String>, Vec<String>) {
     let mut sess = Session::new().expect("session");
-    let (decls, diags) = sess.elab.elab_source_all_threads(src, 1);
+    let (decls, diags) = sess.elab.elab_source_all(src);
     (
         decls.iter().map(|d| strip_sym_ids(&format!("{d:?}"))).collect(),
         diags.iter().map(|d| d.to_string()).collect(),

@@ -153,7 +153,6 @@ fn phase_nominal() -> NominalResult {
     let cache = tmp_dir("nominal");
     let server = Server::start(ServeConfig {
         workers: 4,
-        threads: Some(1),
         cache_dir: Some(cache.clone()),
         ..ServeConfig::default()
     })
@@ -279,7 +278,6 @@ fn phase_fault_storm(base_seed: u64) -> StormResult {
         workers: 2,
         deadline_ms: 400,
         watchdog_ms: 100,
-        threads: Some(1),
         cache_dir: Some(cache.clone()),
         fp: Some(fp),
         ..ServeConfig::default()
@@ -392,7 +390,6 @@ fn phase_durable_kill(base_seed: u64) -> DurableResult {
     let server = Server::start(ServeConfig {
         deadline_ms: 500,
         watchdog_ms: 50,
-        threads: Some(1),
         db_dir: Some(db_dir.clone()),
         cache_dir: Some(cache.clone()),
         fp: Some(
@@ -481,7 +478,6 @@ fn phase_overload() -> OverloadResult {
         deadline_ms: DEADLINE_MS,
         watchdog_ms: 100,
         retry_after_ms: 5,
-        threads: Some(1),
         ..ServeConfig::default()
     })
     .expect("serve bind");
@@ -574,7 +570,6 @@ fn phase_read_fanout() -> ReadFanoutResult {
         let server = Server::start(ServeConfig {
             workers,
             deadline_ms: 2_000,
-            threads: Some(1),
             db_dir: Some(db_dir.clone()),
             cache_dir: Some(cache.clone()),
             ..ServeConfig::default()

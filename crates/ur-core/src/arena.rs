@@ -6,9 +6,8 @@
 //!
 //! * `==` on handles *is* structural equality (hash-consing gives each
 //!   shallow key exactly one id), replacing the `Rc::ptr_eq` fast paths;
-//! * terms cross threads freely — the parallel batch scheduler in
-//!   `ur-infer` ships elaborated declarations between workers directly,
-//!   with no per-worker re-interning and no portable mirror layer;
+//! * terms cross threads freely — `ur-serve`'s pool workers share one
+//!   arena, with no per-worker re-interning and no portable mirror layer;
 //! * memo tables can be shared process-wide, because a `ConId` means the
 //!   same term on every thread.
 //!

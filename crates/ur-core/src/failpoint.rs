@@ -1,14 +1,13 @@
 //! Deterministic fault injection ("failpoints").
 //!
-//! Production-grade recovery paths — the dead-worker fallback in the
-//! parallel scheduler, memo-entry integrity rejection, fuel-accounting
-//! audits — are unreachable from well-behaved inputs, so nothing in an
-//! ordinary test run ever executes them. This module provides *named
-//! fault sites* that the fragile layers consult, plus a seeded PRNG
-//! schedule deciding which consultations actually inject a fault:
+//! Production-grade recovery paths — memo-entry integrity rejection,
+//! fuel-accounting audits, WAL and cache corruption handling — are
+//! unreachable from well-behaved inputs, so nothing in an ordinary test
+//! run ever executes them. This module provides *named fault sites* that
+//! the fragile layers consult, plus a seeded PRNG schedule deciding which
+//! consultations actually inject a fault:
 //!
-//! * **Named sites** ([`Site`]): worker spawn/execution/send/stall in
-//!   `ur-infer::batch`, memo-table load/store in [`crate::memo`],
+//! * **Named sites** ([`Site`]): memo-table load/store in [`crate::memo`],
 //!   intern-table growth in [`crate::intern`], fuel accounting in
 //!   [`crate::limits`], incremental-cache load/store in `ur-query`,
 //!   WAL append/sync/corrupt/rotate + snapshot write in `ur-db`'s
@@ -27,31 +26,21 @@
 //!   call site folds away; the memo integrity fields are not even
 //!   compiled. Release builds ship with the feature off.
 //!
-//! Configuration is per-thread ([`install`]); the batch scheduler ships
-//! the coordinator's config to its workers so one [`FpConfig`] governs a
-//! whole parallel elaboration. The `UR_FAILPOINTS` environment variable
-//! (`seed=42;max=3;worker_exec=500;memo_load=250`, rates in permille)
-//! configures binaries without code changes ([`FpConfig::from_env`]).
+//! Configuration is per-thread ([`install`]); `ur-serve` installs its
+//! configured schedule on every serve thread. The `UR_FAILPOINTS`
+//! environment variable (`seed=42;max=3;fuel_charge=500;memo_load=250`,
+//! rates in permille) configures binaries without code changes
+//! ([`FpConfig::from_env`]); a malformed value is an error naming the bad
+//! entry.
 
 use std::fmt;
 
 /// Number of named sites (length of [`Site::ALL`]).
-pub const NSITES: usize = 19;
+pub const NSITES: usize = 15;
 
 /// A named fault-injection site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// Worker-thread spawn in the batch scheduler fails; the pool runs
-    /// smaller (possibly empty, degrading to sequential elaboration).
-    WorkerSpawn,
-    /// A worker dies mid-task (announces the death, sends no outcome).
-    WorkerExec,
-    /// A worker finishes a task but the outcome is lost in transit; the
-    /// coordinator's watchdog must notice and re-dispatch.
-    WorkerSend,
-    /// A worker stalls briefly before responding, exercising the
-    /// watchdog's patience without losing the result.
-    WorkerStall,
     /// A memo-table load observes a corrupt entry; the per-entry
     /// integrity check must reject it and recompute.
     MemoLoad,
@@ -109,10 +98,6 @@ pub enum Site {
 impl Site {
     /// Every site, in stable order (indexes into [`FpCounters::injected`]).
     pub const ALL: [Site; NSITES] = [
-        Site::WorkerSpawn,
-        Site::WorkerExec,
-        Site::WorkerSend,
-        Site::WorkerStall,
         Site::MemoLoad,
         Site::MemoStore,
         Site::InternGrow,
@@ -133,35 +118,27 @@ impl Site {
     /// Stable index of this site.
     pub fn index(self) -> usize {
         match self {
-            Site::WorkerSpawn => 0,
-            Site::WorkerExec => 1,
-            Site::WorkerSend => 2,
-            Site::WorkerStall => 3,
-            Site::MemoLoad => 4,
-            Site::MemoStore => 5,
-            Site::InternGrow => 6,
-            Site::FuelCharge => 7,
-            Site::CacheLoad => 8,
-            Site::CacheStore => 9,
-            Site::WalAppend => 10,
-            Site::WalSync => 11,
-            Site::SnapshotWrite => 12,
-            Site::WalCorrupt => 13,
-            Site::WalRotate => 14,
-            Site::ServeAccept => 15,
-            Site::ServeRead => 16,
-            Site::ServeWrite => 17,
-            Site::ServeWedge => 18,
+            Site::MemoLoad => 0,
+            Site::MemoStore => 1,
+            Site::InternGrow => 2,
+            Site::FuelCharge => 3,
+            Site::CacheLoad => 4,
+            Site::CacheStore => 5,
+            Site::WalAppend => 6,
+            Site::WalSync => 7,
+            Site::SnapshotWrite => 8,
+            Site::WalCorrupt => 9,
+            Site::WalRotate => 10,
+            Site::ServeAccept => 11,
+            Site::ServeRead => 12,
+            Site::ServeWrite => 13,
+            Site::ServeWedge => 14,
         }
     }
 
     /// The configuration/reporting name of this site.
     pub fn name(self) -> &'static str {
         match self {
-            Site::WorkerSpawn => "worker_spawn",
-            Site::WorkerExec => "worker_exec",
-            Site::WorkerSend => "worker_send",
-            Site::WorkerStall => "worker_stall",
             Site::MemoLoad => "memo_load",
             Site::MemoStore => "memo_store",
             Site::InternGrow => "intern_grow",
@@ -195,16 +172,16 @@ impl fmt::Display for Site {
 /// A deterministic fault schedule: a seed, a per-site activation rate in
 /// permille (0..=1000), and a per-site cap on total fires.
 ///
-/// `Copy + Send` so the batch scheduler can ship the coordinator's
-/// schedule to worker threads inside its base snapshot.
+/// `Copy + Send` so `ur-serve` can install one schedule on each of its
+/// threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FpConfig {
     /// Seed of the activation PRNG. Printed by the chaos harnesses so
     /// any failure reproduces exactly.
     pub seed: u64,
     /// Cap on fires per site. Keep this *below* the retry budgets
-    /// (`MAX_DECL_RETRIES`, the scheduler's task-retry cap) to guarantee
-    /// the self-healing layers converge to the clean result.
+    /// (`MAX_DECL_RETRIES`) to guarantee the self-healing layers converge
+    /// to the clean result.
     pub max_per_site: u32,
     rates: [u16; NSITES],
 }
@@ -243,39 +220,59 @@ impl FpConfig {
     }
 
     /// Parses `seed=N;max=N;<site>=permille;...` (any order, `;` or `,`
-    /// separated). Unknown keys and malformed entries yield `None` so a
-    /// typo in `UR_FAILPOINTS` is loud, not silently ignored.
-    pub fn parse(spec: &str) -> Option<FpConfig> {
+    /// separated). An unknown key or a malformed entry is an error that
+    /// names the entry, so a typo in `UR_FAILPOINTS` is loud, not
+    /// silently ignored.
+    pub fn parse(spec: &str) -> Result<FpConfig, String> {
         let mut cfg = FpConfig::new(0);
         for part in spec.split([';', ',']) {
             let part = part.trim();
             if part.is_empty() {
                 continue;
             }
-            let (key, value) = part.split_once('=')?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "seed" => cfg.seed = value.parse().ok()?,
-                "max" => cfg.max_per_site = value.parse().ok()?,
-                _ => {
-                    let site = Site::from_name(key)?;
-                    cfg.rates[site.index()] = value.parse::<u16>().ok()?.min(1000);
-                }
+            if cfg.parse_entry(part).is_none() {
+                let sites: Vec<&str> = Site::ALL.iter().map(|s| s.name()).collect();
+                return Err(format!(
+                    "bad failpoint entry `{part}`: expected seed=N, max=N or SITE=PERMILLE \
+                     with SITE one of {}",
+                    sites.join(", ")
+                ));
             }
         }
-        Some(cfg)
+        Ok(cfg)
     }
 
-    /// The schedule named by the `UR_FAILPOINTS` environment variable,
-    /// if any ([`FpConfig::parse`] format).
-    pub fn from_env() -> Option<FpConfig> {
-        let spec = std::env::var("UR_FAILPOINTS").ok()?;
-        FpConfig::parse(&spec)
+    /// Applies one `key=value` entry; `None` when it is malformed.
+    fn parse_entry(&mut self, part: &str) -> Option<()> {
+        let (key, value) = part.split_once('=')?;
+        let (key, value) = (key.trim(), value.trim());
+        match key {
+            "seed" => self.seed = value.parse().ok()?,
+            "max" => self.max_per_site = value.parse().ok()?,
+            _ => {
+                let site = Site::from_name(key)?;
+                self.rates[site.index()] = value.parse::<u16>().ok()?.min(1000);
+            }
+        }
+        Some(())
+    }
+
+    /// The schedule named by the `UR_FAILPOINTS` environment variable:
+    /// `Ok(None)` when it is unset, an error naming the bad entry when it
+    /// is malformed ([`FpConfig::parse`] format).
+    pub fn from_env() -> Result<Option<FpConfig>, String> {
+        match std::env::var("UR_FAILPOINTS") {
+            Ok(spec) => FpConfig::parse(&spec)
+                .map(Some)
+                .map_err(|e| format!("UR_FAILPOINTS: {e}")),
+            Err(std::env::VarError::NotPresent) => Ok(None),
+            Err(e) => Err(format!("UR_FAILPOINTS: {e}")),
+        }
     }
 }
 
-/// Per-thread fault-injection counters, merged across workers by the
-/// batch coordinator with saturating arithmetic.
+/// Per-thread fault-injection counters, merged across serve threads with
+/// saturating arithmetic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FpCounters {
     /// Faults injected per site ([`Site::index`] order).
@@ -346,11 +343,6 @@ mod imp {
         });
     }
 
-    /// This thread's installed schedule, if any.
-    pub fn config() -> Option<FpConfig> {
-        STATE.with(|s| s.borrow().config)
-    }
-
     /// True when a schedule with at least one nonzero rate is installed.
     pub fn active() -> bool {
         STATE.with(|s| s.borrow().config.is_some_and(|c| c.any_active()))
@@ -384,21 +376,15 @@ mod imp {
         })
     }
 
-    /// This thread's counters (injected faults, integrity rejections),
-    /// including any worker counters absorbed via [`absorb_counters`].
+    /// This thread's counters (injected faults, integrity rejections).
     pub fn counters() -> FpCounters {
         STATE.with(|s| s.borrow().counters)
     }
 
-    /// Reads and clears this thread's counters (used by batch workers to
-    /// ship per-task deltas to the coordinator).
+    /// Reads and clears this thread's counters (used by serve threads to
+    /// ship their faults home before they exit).
     pub fn take_counters() -> FpCounters {
         STATE.with(|s| std::mem::take(&mut s.borrow_mut().counters))
-    }
-
-    /// Folds a worker's shipped counters into this thread's.
-    pub fn absorb_counters(other: &FpCounters) {
-        STATE.with(|s| s.borrow_mut().counters.absorb(other));
     }
 
     /// Records a memo-entry integrity rejection (called by [`crate::memo`]).
@@ -432,11 +418,6 @@ mod imp {
     pub fn install(_config: Option<FpConfig>) {}
 
     #[inline(always)]
-    pub fn config() -> Option<FpConfig> {
-        None
-    }
-
-    #[inline(always)]
     pub fn active() -> bool {
         false
     }
@@ -457,9 +438,6 @@ mod imp {
     }
 
     #[inline(always)]
-    pub fn absorb_counters(_other: &FpCounters) {}
-
-    #[inline(always)]
     pub fn note_integrity_rejection() {}
 
     #[inline(always)]
@@ -472,8 +450,7 @@ mod imp {
 }
 
 pub use imp::{
-    absorb_counters, active, config, counters, fire, injected_at, install,
-    note_integrity_rejection, take_counters, ENABLED,
+    active, counters, fire, injected_at, install, note_integrity_rejection, take_counters, ENABLED,
 };
 
 #[cfg(test)]
@@ -482,11 +459,11 @@ mod tests {
 
     #[test]
     fn parse_round_trips_sites_and_meta_keys() {
-        let cfg = FpConfig::parse("seed=42; max=5; worker_exec=500, memo_load=250")
+        let cfg = FpConfig::parse("seed=42; max=5; serve_read=500, memo_load=250")
             .expect("valid spec");
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_per_site, 5);
-        assert_eq!(cfg.rate(Site::WorkerExec), 500);
+        assert_eq!(cfg.rate(Site::ServeRead), 500);
         assert_eq!(cfg.rate(Site::MemoLoad), 250);
         assert_eq!(cfg.rate(Site::FuelCharge), 0);
         assert!(cfg.any_active());
@@ -494,9 +471,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_keys_and_garbage() {
-        assert!(FpConfig::parse("bogus_site=10").is_none());
-        assert!(FpConfig::parse("worker_exec").is_none());
-        assert!(FpConfig::parse("seed=notanumber").is_none());
+        for bad in [
+            "bogus_site=10",
+            "memo_load",
+            "seed=notanumber",
+            "worker_exec=500",
+        ] {
+            let err = FpConfig::parse(&format!("seed=1;{bad}")).expect_err(bad);
+            assert!(err.contains(&format!("`{bad}`")), "{err}");
+        }
         // Empty spec is a valid (inert) schedule.
         let cfg = FpConfig::parse("").expect("empty is fine");
         assert!(!cfg.any_active());

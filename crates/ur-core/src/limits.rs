@@ -216,9 +216,8 @@ impl Fuel {
             return false;
         }
         self.norm_steps += 1;
-        // Saturating: the lifetime counter is merged across worker
-        // threads by the parallel scheduler, where wrap-around would
-        // silently corrupt the whole-run metric.
+        // Saturating: a long-lived session's whole-run metric pins at
+        // `u64::MAX` instead of wrapping back through small values.
         self.lifetime_norm_steps = self.lifetime_norm_steps.saturating_add(1);
         true
     }
@@ -251,15 +250,6 @@ impl Fuel {
     /// across [`Fuel::reset`]s.
     pub fn lifetime_norm_steps(&self) -> u64 {
         self.lifetime_norm_steps
-    }
-
-    /// Folds `steps` lifetime normalization steps charged elsewhere (a
-    /// worker thread's fuel) into this fuel's whole-run metric.
-    /// Saturates instead of wrapping so merging many workers near the
-    /// `u64` ceiling pins the metric at `u64::MAX` rather than cycling
-    /// back through small values.
-    pub fn absorb_lifetime(&mut self, steps: u64) {
-        self.lifetime_norm_steps = self.lifetime_norm_steps.saturating_add(steps);
     }
 
     /// Clears exhaustion and all counters — called by the elaborator at
@@ -337,28 +327,16 @@ mod tests {
         let mut f = Fuel::new(Limits::default());
         assert!(f.step());
         assert_eq!(f.lifetime_norm_steps(), 1);
-        // Merging a worker that itself saturated must not wrap to 0.
-        f.absorb_lifetime(u64::MAX);
-        assert_eq!(f.lifetime_norm_steps(), u64::MAX);
-        f.absorb_lifetime(17);
-        assert_eq!(f.lifetime_norm_steps(), u64::MAX);
-        // step() on a saturated counter stays pinned too.
+        // A counter already at the ceiling must not wrap to 0.
+        f.lifetime_norm_steps = u64::MAX;
+        // step() on a saturated counter stays pinned.
         assert!(f.step());
         assert_eq!(f.lifetime_norm_steps(), u64::MAX);
         // reset() never clears the lifetime metric.
         f.reset();
         assert_eq!(f.lifetime_norm_steps(), u64::MAX);
-    }
-
-    #[test]
-    fn lifetime_merge_accumulates_normally_below_ceiling() {
-        let mut a = Fuel::new(Limits::default());
-        let mut b = Fuel::new(Limits::default());
-        assert!(a.step());
-        assert!(b.step());
-        assert!(b.step());
-        a.absorb_lifetime(b.lifetime_norm_steps());
-        assert_eq!(a.lifetime_norm_steps(), 3);
+        assert!(f.step());
+        assert_eq!(f.lifetime_norm_steps(), u64::MAX);
     }
 
     #[test]

@@ -68,21 +68,13 @@ pub struct Stats {
     /// [`Stats::capture_intern`].
     pub gmemo_hits: u64,
     pub gmemo_misses: u64,
-    /// Parallel batches elaborated (scheduler invocations that actually
-    /// fanned out to workers; see `ur_infer::batch`).
-    pub par_batches: u64,
-    /// Declarations elaborated on worker threads.
+    /// Always 0 (elaboration is sequential); kept only because the
+    /// repository benchmark reads it.
     pub par_decls: u64,
-    /// Worker threads spawned across all parallel batches.
+    /// Always 0 (elaboration is sequential); kept only because the
+    /// repository benchmark reads it.
     pub par_workers: u64,
-    /// Tasks re-dispatched after a watchdog timeout or worker death.
-    pub par_retries: u64,
-    /// Worker threads observed dead (announced or vanished) mid-batch.
-    pub par_worker_deaths: u64,
-    /// Watchdog deadline expirations (each triggers requeue/fallback).
-    pub watchdog_trips: u64,
-    /// Circuit-breaker activations in `Session` (degrade parallel →
-    /// sequential and/or memo off).
+    /// Circuit-breaker activations in `Session` (memo off).
     pub breaker_trips: u64,
     /// Batches that ran degraded because the breaker was open.
     pub breaker_degraded_batches: u64,
@@ -162,9 +154,8 @@ impl Stats {
     }
 
     /// Adds every counter of `other` into `self`, saturating at
-    /// `u64::MAX`. The parallel scheduler folds per-worker deltas into the
-    /// coordinator's stats, so wrap-around here would corrupt whole-run
-    /// metrics the same way it would in [`crate::limits::Fuel`].
+    /// `u64::MAX`, so folding many deltas pins a whole-run metric instead
+    /// of wrapping it, as [`crate::limits::Fuel`] does.
     pub fn absorb(&mut self, other: &Stats) {
         macro_rules! add {
             ($($field:ident),+ $(,)?) => {
@@ -199,12 +190,8 @@ impl Stats {
             arena_contention,
             gmemo_hits,
             gmemo_misses,
-            par_batches,
             par_decls,
             par_workers,
-            par_retries,
-            par_worker_deaths,
-            watchdog_trips,
             breaker_trips,
             breaker_degraded_batches,
             decl_retries,
@@ -313,14 +300,8 @@ impl Stats {
             arena_contention: self.arena_contention.saturating_sub(earlier.arena_contention),
             gmemo_hits: self.gmemo_hits.saturating_sub(earlier.gmemo_hits),
             gmemo_misses: self.gmemo_misses.saturating_sub(earlier.gmemo_misses),
-            par_batches: self.par_batches.saturating_sub(earlier.par_batches),
             par_decls: self.par_decls.saturating_sub(earlier.par_decls),
             par_workers: self.par_workers.saturating_sub(earlier.par_workers),
-            par_retries: self.par_retries.saturating_sub(earlier.par_retries),
-            par_worker_deaths: self
-                .par_worker_deaths
-                .saturating_sub(earlier.par_worker_deaths),
-            watchdog_trips: self.watchdog_trips.saturating_sub(earlier.watchdog_trips),
             breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
             breaker_degraded_batches: self
                 .breaker_degraded_batches
@@ -429,18 +410,8 @@ impl fmt::Display for Stats {
         )?;
         write!(
             f,
-            " par[batches={} decls={} workers={}]",
-            self.par_batches, self.par_decls, self.par_workers,
-        )?;
-        write!(
-            f,
-            " heal[retries={} deaths={} watchdog={} decl_retries={} breaker={}/{}]",
-            self.par_retries,
-            self.par_worker_deaths,
-            self.watchdog_trips,
-            self.decl_retries,
-            self.breaker_trips,
-            self.breaker_degraded_batches,
+            " heal[decl_retries={} breaker={}/{}]",
+            self.decl_retries, self.breaker_trips, self.breaker_degraded_batches,
         )?;
         write!(
             f,
@@ -561,21 +532,10 @@ mod tests {
     }
 
     #[test]
-    fn display_mentions_parallel_counters() {
-        let s = Stats::new().to_string();
-        for key in ["par[batches=", "decls=", "workers="] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
-    }
-
-    #[test]
     fn display_mentions_healing_and_fault_counters() {
         let s = Stats::new().to_string();
         for key in [
-            "heal[retries=",
-            "deaths=",
-            "watchdog=",
-            "decl_retries=",
+            "heal[decl_retries=",
             "breaker=",
             "faults[injected=",
             "memo_rejected=",
@@ -587,32 +547,26 @@ mod tests {
     #[test]
     fn absorb_and_since_cover_healing_counters() {
         let mut a = Stats::new();
-        a.par_retries = 2;
-        a.watchdog_trips = u64::MAX - 1;
+        a.decl_retries = 2;
+        a.breaker_degraded_batches = u64::MAX - 1;
         let mut b = Stats::new();
-        b.par_retries = 3;
-        b.watchdog_trips = 10;
-        b.par_worker_deaths = 1;
+        b.decl_retries = 3;
+        b.breaker_degraded_batches = 10;
         b.breaker_trips = 1;
-        b.breaker_degraded_batches = 4;
-        b.decl_retries = 5;
         b.fp_faults_injected = 6;
         b.fp_memo_rejections = 7;
         a.absorb(&b);
-        assert_eq!(a.par_retries, 5);
-        assert_eq!(a.watchdog_trips, u64::MAX, "saturating add");
-        assert_eq!(a.par_worker_deaths, 1);
-        assert_eq!(a.breaker_trips, 1);
-        assert_eq!(a.breaker_degraded_batches, 4);
         assert_eq!(a.decl_retries, 5);
+        assert_eq!(a.breaker_degraded_batches, u64::MAX, "saturating add");
+        assert_eq!(a.breaker_trips, 1);
         assert_eq!(a.fp_faults_injected, 6);
         assert_eq!(a.fp_memo_rejections, 7);
 
         let d = a.since(&b);
-        assert_eq!(d.par_retries, 2);
+        assert_eq!(d.decl_retries, 2);
         assert_eq!(d.fp_faults_injected, 0);
         let d2 = b.since(&a);
-        assert_eq!(d2.par_retries, 0, "saturating sub");
+        assert_eq!(d2.decl_retries, 0, "saturating sub");
     }
 
     #[test]

@@ -162,9 +162,8 @@ impl Elaborator {
         let start = self.decls.len();
         for d in &prog.decls {
             // Per-declaration budget: resource outcomes must not depend on
-            // how much fuel earlier declarations happened to burn, so the
-            // sequential path matches the parallel scheduler (where every
-            // worker task starts on a fresh budget).
+            // how much fuel earlier declarations happened to burn, so an
+            // incremental rebuild that skips them matches a cold run.
             self.cx.fuel.reset();
             if let Err(e) = self.elab_top_decl(d) {
                 self.reset_transient();
@@ -214,45 +213,15 @@ impl Elaborator {
         (self.decls[start..].to_vec(), diags)
     }
 
-    /// Parses and elaborates a whole program on `threads` worker threads
-    /// (see [`crate::batch`]), collecting every diagnostic. Produces
-    /// results identical to [`elab_source_all`](Self::elab_source_all):
-    /// same declarations, same span-sorted diagnostics, same error
-    /// recovery. `threads <= 1` simply runs the sequential path.
-    pub fn elab_source_all_threads(
-        &mut self,
-        src: &str,
-        threads: usize,
-    ) -> (Vec<ElabDecl>, ur_syntax::Diagnostics) {
-        match ur_syntax::parse_program(src) {
-            Err(e) => (Vec::new(), vec![e.into()]),
-            Ok(prog) => self.elab_program_all_threads(&prog, threads),
-        }
-    }
-
-    /// Elaborates a parsed program on `threads` worker threads (see
-    /// [`crate::batch`]); `threads <= 1` runs sequentially.
-    pub fn elab_program_all_threads(
-        &mut self,
-        prog: &Program,
-        threads: usize,
-    ) -> (Vec<ElabDecl>, ur_syntax::Diagnostics) {
-        if threads <= 1 || prog.decls.len() < 2 {
-            self.elab_program_all(prog)
-        } else {
-            crate::batch::run_parallel(self, prog, threads)
-        }
-    }
-
     /// Elaborates one top-level declaration with error recovery: on
     /// failure the declaration's transient state (queued constraints,
     /// folder holes) is discarded, the fuel is reset, and the error is
     /// returned as a diagnostic; the elaborator stays usable either way.
     ///
     /// Every declaration starts on a fresh fuel budget (the lifetime
-    /// counter is preserved), so resource outcomes are independent of
-    /// elaboration order — the invariant the parallel scheduler's
-    /// determinism guarantee rests on.
+    /// counter is preserved), so resource outcomes do not depend on which
+    /// earlier declarations were elaborated rather than reused from the
+    /// incremental cache.
     ///
     /// Under an active failpoint schedule, a resource exhaustion that
     /// coincides with injected `fuel_charge` faults is *suspect*: the
@@ -336,9 +305,9 @@ impl Elaborator {
         self.holes.clear();
     }
 
-    /// Installs an already-elaborated declaration (produced by a worker
-    /// thread and re-interned locally): records its global binding, its
-    /// scope entry, and the declaration itself, exactly as
+    /// Installs an already-elaborated declaration (an incremental-cache
+    /// outcome): records its global binding, its scope entry, and the
+    /// declaration itself, exactly as
     /// [`elab_top_decl`](Self::elab_top_decl) would have.
     pub(crate) fn install_elab_decl(&mut self, d: ElabDecl) {
         match &d {
@@ -2091,9 +2060,7 @@ fn param_desc(p: &SParam) -> String {
 }
 
 /// Sorts a diagnostic batch by source span. `sort_by_key` is stable, so
-/// diagnostics sharing a span keep their declaration order — the same
-/// final order whether the batch was produced sequentially or merged from
-/// parallel workers.
+/// diagnostics sharing a span keep their declaration order.
 pub(crate) fn sort_diags(diags: &mut ur_syntax::Diagnostics) {
     diags.sort_by_key(|d| d.span);
 }

@@ -63,10 +63,9 @@ fn classify(message: &str) -> Code {
 /// many metavariables the context happened to allocate earlier.
 ///
 /// Metavariable indices are per-`MetaCx` allocation order, which depends
-/// on elaboration *schedule* — the one piece of diagnostic text that
-/// would otherwise differ between sequential and parallel runs of the
-/// same program. Everything else in a message (symbols display by name
-/// only, types are zonked) is schedule-independent.
+/// on which earlier declarations were elaborated — an incremental rebuild
+/// that reuses them allocates none. Everything else in a message (symbols
+/// display by name only, types are zonked) is independent of that.
 pub(crate) fn canon_meta_numerals(msg: &str) -> String {
     let mut out = String::with_capacity(msg.len());
     let mut con_ids: Vec<String> = Vec::new();

@@ -1,14 +1,8 @@
-//! Dependency-graph coverage for the parallel batch scheduler
-//! (`ur_infer::batch`): forward references, shadowing, unknown names,
-//! and — via explicit edge lists — cycles, which name resolution over
-//! source can never produce but the scheduler must still reject with a
-//! coded diagnostic instead of deadlocking.
+//! Dependency-graph coverage (`ur_infer::batch::DepGraph`): the edges
+//! the incremental engine keys invalidation on, under forward
+//! references, shadowing, unknown names and local binders.
 
-use std::sync::mpsc;
-use std::time::Duration;
-
-use ur_infer::batch::{cycle_diagnostics, elab_program_all_with_graph};
-use ur_infer::{Code, DepGraph, Elaborator};
+use ur_infer::DepGraph;
 use ur_syntax::parse_program;
 
 fn graph_of(src: &str) -> DepGraph {
@@ -23,7 +17,6 @@ fn references_draw_edges_to_the_binding_declaration() {
     let g = graph_of("val x = 1\nval y = x");
     assert_eq!(g.deps(0), &[] as &[usize]);
     assert_eq!(g.deps(1), &[0]);
-    assert_eq!(g.dependents(0), &[1]);
 }
 
 #[test]
@@ -34,7 +27,6 @@ fn forward_references_get_no_edge() {
     let g = graph_of("val a = laterName\nval laterName = 2\nval b = laterName");
     assert_eq!(g.deps(0), &[] as &[usize], "no forward edge");
     assert_eq!(g.deps(2), &[1], "later use binds to the declaration");
-    assert_eq!(g.dependents(1), &[2]);
 }
 
 #[test]
@@ -61,27 +53,6 @@ fn let_local_binders_do_not_leak_into_the_graph() {
 }
 
 #[test]
-fn unknown_names_fail_identically_under_the_scheduler() {
-    let src = "val a = nowhere\nval b = 1";
-    let mut seq = Elaborator::new();
-    let (seq_decls, seq_diags) = seq.elab_source_all_threads(src, 1);
-    let mut par = Elaborator::new();
-    let (par_decls, par_diags) = par.elab_source_all_threads(src, 4);
-    assert_eq!(seq_decls.len(), 1, "only b elaborates");
-    assert_eq!(par_decls.len(), 1);
-    assert_eq!(seq_diags, par_diags);
-    assert!(seq_diags[0].message.contains("unbound"), "{}", seq_diags[0]);
-}
-
-// ---------------- scheduling ----------------
-
-#[test]
-fn diamond_dependencies_schedule_lowest_index_first() {
-    let g = graph_of("val a = 1\nval b = a\nval c = a\nval d = c");
-    assert_eq!(g.topo_order().expect("acyclic"), vec![0, 1, 2, 3]);
-}
-
-#[test]
 fn graphs_built_from_source_are_always_acyclic() {
     // Shadowing, self-reference, forward reference: none of these can
     // produce a cycle, because edges only ever point to earlier indices.
@@ -91,73 +62,12 @@ fn graphs_built_from_source_are_always_acyclic() {
         "val a = b\nval b = a",
     ] {
         let g = graph_of(src);
-        assert!(g.topo_order().is_ok(), "source {src:?} produced a cycle");
+        for i in 0..g.len() {
+            assert!(
+                g.deps(i).iter().all(|&d| d < i),
+                "source {src:?}: declaration {i} depends on {:?}",
+                g.deps(i)
+            );
+        }
     }
-}
-
-#[test]
-fn long_chains_complete_at_high_thread_counts() {
-    // Depth 20 with 8 workers: most workers are starved most of the
-    // time, which is exactly where a buggy dispatch loop would deadlock.
-    let mut src = String::from("val c0 = 1\n");
-    for i in 1..20 {
-        src.push_str(&format!("val c{i} = c{}\n", i - 1));
-    }
-    let mut elab = Elaborator::new();
-    let (decls, diags) = elab.elab_source_all_threads(&src, 8);
-    assert_eq!(decls.len(), 20);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------- cycles ----------------
-
-#[test]
-fn explicit_cycles_are_detected_by_topo_order() {
-    let g = DepGraph::from_edges(3, &[(0, 1), (1, 0)]);
-    assert_eq!(g.topo_order(), Err(vec![0, 1]), "node 2 stays schedulable");
-}
-
-#[test]
-fn nodes_downstream_of_a_cycle_are_reported_too() {
-    let g = DepGraph::from_edges(4, &[(0, 1), (1, 0), (2, 1)]);
-    assert_eq!(g.topo_order(), Err(vec![0, 1, 2]));
-}
-
-#[test]
-fn cycle_diagnostics_carry_the_e0700_code_and_name_the_ring() {
-    let prog = parse_program("val a = 1\nval b = 2").expect("parse");
-    let diags = cycle_diagnostics(&prog, &[0, 1]);
-    assert_eq!(diags.len(), 2);
-    for d in &diags {
-        assert_eq!(d.code, Code::DependencyCycle);
-        assert_eq!(d.code.as_str(), "E0700");
-        assert!(
-            d.notes.iter().any(|n| n.contains("a") && n.contains("b")),
-            "note must name the ring: {d}"
-        );
-    }
-    assert!(diags.windows(2).all(|w| w[0].span <= w[1].span));
-}
-
-#[test]
-fn cyclic_graph_rejects_the_batch_without_hanging() {
-    // Run the scheduler itself on a cyclic graph, under a watchdog: a
-    // deadlocked dispatch loop fails this test in five seconds instead of
-    // wedging the whole suite.
-    let (tx, rx) = mpsc::channel();
-    let worker = std::thread::spawn(move || {
-        let prog = parse_program("val a = 1\nval b = 2\nval c = 3").expect("parse");
-        let graph = DepGraph::from_edges(3, &[(0, 1), (1, 0)]);
-        let mut elab = Elaborator::new();
-        // ElabDecl is deliberately !Send, so ship only a summary back.
-        let (decls, diags) = elab_program_all_with_graph(&mut elab, &prog, 4, &graph);
-        tx.send((decls.len(), diags)).ok();
-    });
-    let (n_decls, diags) = rx
-        .recv_timeout(Duration::from_secs(5))
-        .expect("scheduler hung on a cyclic graph");
-    worker.join().expect("join");
-    assert_eq!(n_decls, 0, "a cyclic batch elaborates nothing");
-    assert_eq!(diags.len(), 2);
-    assert!(diags.iter().all(|d| d.code == Code::DependencyCycle));
 }

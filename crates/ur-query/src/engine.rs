@@ -24,10 +24,8 @@
 //! [`crate::disk`]); green declarations are *seeded* — their recorded
 //! outcome is installed verbatim, re-running none of the hnf/defeq/unify
 //! machinery and charging no fuel. Everything else is **red** and
-//! re-elaborates through the ordinary engine, in parallel when a thread
-//! pool is available ([`elab_program_all_incremental`] composes with the
-//! batch scheduler: seeded outcomes ship to workers exactly like
-//! completed tasks).
+//! re-elaborates in place through the ordinary engine
+//! ([`elab_program_all_incremental`]).
 //!
 //! ## The two layers
 //!
@@ -178,13 +176,16 @@ impl Engine {
     /// diagnostics in source order, and a [`RunReport`].
     ///
     /// Semantics are identical to a cold
-    /// [`elab_source_all_threads`](ur_infer::elab::Elaborator) run —
-    /// the cache changes how much work happens, never the result.
+    /// [`elab_source_all`](ur_infer::elab::Elaborator::elab_source_all)
+    /// run — the cache changes how much work happens, never the result.
+    ///
+    /// `_threads` has no effect; it stays only because the repository
+    /// benchmark passes it.
     pub fn run(
         &mut self,
         elab: &mut Elaborator,
         src: &str,
-        threads: usize,
+        _threads: usize,
     ) -> (Vec<ElabDecl>, Diagnostics, RunReport) {
         let prog = match parse_program(src) {
             Ok(p) => p,
@@ -208,9 +209,8 @@ impl Engine {
         }
 
         // Fingerprints. Dependencies always point at earlier
-        // declarations or form cycles the scheduler reports; for
-        // robustness a forward edge contributes a fixed tag instead of
-        // an (uncomputed) fingerprint.
+        // declarations; for robustness a forward edge contributes a
+        // fixed tag instead of an (uncomputed) fingerprint.
         let graph = DepGraph::build(&prog.decls);
         let mut input_fp = vec![0u64; n];
         for i in 0..n {
@@ -267,8 +267,7 @@ impl Engine {
         }
         let greens = green.iter().filter(|&&g| g).count();
 
-        let (decls, diags, records) =
-            elab_program_all_incremental(elab, &prog, threads, &graph, seeds);
+        let (decls, diags, records) = elab_program_all_incremental(elab, &prog, seeds);
 
         // Write back red outcomes: linked into the run's disk pack, live
         // into memory when every dependency is live (seeded, or written
@@ -404,7 +403,7 @@ mod tests {
 
     fn run_cold(src: &str) -> (Vec<ElabDecl>, Diagnostics) {
         let mut elab = Elaborator::new();
-        elab.elab_source_all_threads(src, 1)
+        elab.elab_source_all(src)
     }
 
     fn strip(decls: &[ElabDecl]) -> Vec<String> {

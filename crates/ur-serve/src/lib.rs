@@ -32,7 +32,10 @@
 //! `serve_write`, `serve_wedge`) make the whole front door part of the
 //! deterministic chaos surface.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod counters;
 pub mod pool;
@@ -84,9 +87,6 @@ pub struct ServeConfig {
     /// Incremental disk-cache directory for sessions (`None` defers to
     /// `UR_CACHE_DIR` / `.ur-cache`, exactly like `urc`).
     pub cache_dir: Option<PathBuf>,
-    /// Elaborator worker threads per session (`None` = session
-    /// default, i.e. `UR_TEST_THREADS` / available parallelism).
-    pub threads: Option<usize>,
     /// Evaluation engine override for sessions.
     pub engine: Option<EvalEngine>,
     /// Deterministic fault injection, installed in every serve thread
@@ -109,7 +109,6 @@ impl Default for ServeConfig {
             drain_ms: 2_000,
             db_dir: None,
             cache_dir: None,
-            threads: None,
             engine: None,
             fp: None,
         }

@@ -543,9 +543,6 @@ fn build_session(
     key: u64,
 ) -> Result<Slot, String> {
     let mut sess = Session::new().map_err(|e| e.to_string())?;
-    if let Some(t) = shared.cfg.threads {
-        sess.threads = t;
-    }
     if let Some(e) = shared.cfg.engine {
         sess.engine = e;
     }

@@ -62,7 +62,6 @@ fn quick_cfg() -> ServeConfig {
     ServeConfig {
         deadline_ms: 5_000,
         watchdog_ms: 200,
-        threads: Some(1),
         cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     }
@@ -128,7 +127,6 @@ fn overload_sheds_with_structured_retry_hint() {
         workers: 1,
         queue_depth: 1,
         deadline_ms: 10_000,
-        threads: Some(1),
         cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     };
@@ -212,7 +210,6 @@ fn durable_mode_snapshot_readers_see_acked_state() {
         workers: 4,
         db_dir: Some(db_dir.clone()),
         deadline_ms: 10_000,
-        threads: Some(1),
         cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     };
@@ -248,41 +245,35 @@ fn durable_mode_snapshot_readers_see_acked_state() {
 }
 
 #[test]
-fn tiny_deadline_degrades_structurally_at_1_and_4_threads() {
-    for threads in [1_usize, 4] {
-        let cfg = ServeConfig {
-            threads: Some(threads),
-            cache_dir: Some(tmp_cache()),
-            ..ServeConfig::default()
-        };
-        let server = Server::start(cfg).expect("start");
-        let mut c = Client::connect(server.addr());
-        let fields = |prefix: &str, n: usize| {
-            (0..n)
-                .map(|i| format!("{prefix}{i} = {i}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let src = format!(
-            "val wide = {{{}}} ++ {{{}}}",
-            fields("A", 150),
-            fields("B", 150)
-        );
-        let resp = c.roundtrip(&format!(
-            "{{\"cmd\":\"load\",\"source\":\"{src}\",\"deadline_ms\":1}}"
-        ));
-        assert!(resp.contains("\"ok\":true"), "threads={threads}: {resp}");
-        assert!(resp.contains("E0900"), "threads={threads}: {resp}");
-        // The ceiling was per-request: the same session elaborates the
-        // same program fine without the deadline.
-        let resp = c.roundtrip(&format!("{{\"cmd\":\"load\",\"source\":\"{src}\"}}"));
-        assert!(
-            resp.contains("\"diagnostics\":[]"),
-            "threads={threads}: {resp}"
-        );
-        server.start_drain();
-        server.wait();
-    }
+fn tiny_deadline_degrades_structurally() {
+    let cfg = ServeConfig {
+        cache_dir: Some(tmp_cache()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).expect("start");
+    let mut c = Client::connect(server.addr());
+    let fields = |prefix: &str, n: usize| {
+        (0..n)
+            .map(|i| format!("{prefix}{i} = {i}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let src = format!(
+        "val wide = {{{}}} ++ {{{}}}",
+        fields("A", 150),
+        fields("B", 150)
+    );
+    let resp = c.roundtrip(&format!(
+        "{{\"cmd\":\"load\",\"source\":\"{src}\",\"deadline_ms\":1}}"
+    ));
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    assert!(resp.contains("E0900"), "{resp}");
+    // The ceiling was per-request: the same session elaborates the
+    // same program fine without the deadline.
+    let resp = c.roundtrip(&format!("{{\"cmd\":\"load\",\"source\":\"{src}\"}}"));
+    assert!(resp.contains("\"diagnostics\":[]"), "{resp}");
+    server.start_drain();
+    server.wait();
 }
 
 #[cfg(feature = "failpoints")]
@@ -294,7 +285,7 @@ mod faulted {
     fn wedged_worker_is_replaced_and_request_replayed() {
         // The fault schedule is deterministic per (seed, site, consult
         // index) and every worker thread starts its consult count at
-        // zero. Seed 5 at 350‰ draws [pass, FIRE, …] for serve_wedge,
+        // zero. Seed 9 at 350‰ draws [pass, FIRE, …] for serve_wedge,
         // so the original worker serves the load (consult 0), wedges on
         // the eval (consult 1), and the replacement serves the replayed
         // eval cleanly on *its* consult 0. A schedule that fires on
@@ -304,9 +295,8 @@ mod faulted {
             workers: 1,
             deadline_ms: 400,
             watchdog_ms: 100,
-            threads: Some(1),
             cache_dir: Some(tmp_cache()),
-            fp: Some(FpConfig::new(5).with_rate(Site::ServeWedge, 350)),
+            fp: Some(FpConfig::new(9).with_rate(Site::ServeWedge, 350)),
             ..ServeConfig::default()
         };
         let server = Server::start(cfg).expect("start");
@@ -327,7 +317,7 @@ mod faulted {
 
     #[test]
     fn accept_and_read_faults_tear_connections_not_the_server() {
-        // Seed 25: the acceptor (one thread, consult count persists
+        // Seed 43: the acceptor (one thread, consult count persists
         // across accepts) drops connections intermittently at 500‰;
         // each connection handler (fresh thread, fresh consult count)
         // serves three reads and tears on the fourth at 300‰. A client
@@ -335,10 +325,9 @@ mod faulted {
         // answers — faults tear *connections*, never the server.
         let cfg = ServeConfig {
             deadline_ms: 5_000,
-            threads: Some(1),
             cache_dir: Some(tmp_cache()),
             fp: Some(
-                FpConfig::new(25)
+                FpConfig::new(43)
                     .with_rate(Site::ServeAccept, 500)
                     .with_rate(Site::ServeRead, 300)
                     .with_max_per_site(8),

@@ -42,9 +42,6 @@ pub enum Code {
     Disjoint,
     /// E0600: evaluation error.
     Eval,
-    /// E0700: the declaration dependency graph contains a cycle, so the
-    /// batch scheduler cannot order the involved declarations.
-    DependencyCycle,
     /// E0900: a resource limit was exhausted during inference.
     ResourceExhausted,
     /// E0999: uncategorized.
@@ -64,14 +61,13 @@ impl Code {
             Code::Unresolved => "E0402",
             Code::Disjoint => "E0500",
             Code::Eval => "E0600",
-            Code::DependencyCycle => "E0700",
             Code::ResourceExhausted => "E0900",
             Code::Other => "E0999",
         }
     }
 
     /// Every code, in `as_str` order (used to invert the mapping).
-    pub const ALL: [Code; 13] = [
+    pub const ALL: [Code; 12] = [
         Code::Lex,
         Code::LexUnterminated,
         Code::Parse,
@@ -82,7 +78,6 @@ impl Code {
         Code::Unresolved,
         Code::Disjoint,
         Code::Eval,
-        Code::DependencyCycle,
         Code::ResourceExhausted,
         Code::Other,
     ];

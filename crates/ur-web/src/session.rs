@@ -25,6 +25,8 @@ pub enum SessionError {
     Eval(EvalError),
     /// A prelude primitive without an implementation (an internal error).
     MissingBuiltin(String),
+    /// A malformed configuration environment variable (`UR_FAILPOINTS`).
+    Config(String),
 }
 
 impl fmt::Display for SessionError {
@@ -35,6 +37,7 @@ impl fmt::Display for SessionError {
             SessionError::MissingBuiltin(n) => {
                 write!(f, "internal error: no implementation for builtin {n}")
             }
+            SessionError::Config(msg) => f.write_str(msg),
         }
     }
 }
@@ -61,8 +64,6 @@ pub struct BreakerConfig {
     pub window: usize,
     /// Total faults across the window at which the breaker opens.
     pub threshold: u64,
-    /// When open: force sequential elaboration (`threads = 1`).
-    pub degrade_parallelism: bool,
     /// When open: switch the judgment memo tables off, so a corrupting
     /// cache cannot keep feeding the elaborator bad entries.
     pub disable_memo: bool,
@@ -73,7 +74,6 @@ impl Default for BreakerConfig {
         BreakerConfig {
             window: 4,
             threshold: 8,
-            degrade_parallelism: true,
             disable_memo: true,
         }
     }
@@ -82,12 +82,11 @@ impl Default for BreakerConfig {
 /// A sticky circuit breaker over per-batch fault counts.
 ///
 /// After every [`Session::run_all`] batch the session records the number
-/// of faults the batch survived (worker deaths, watchdog trips, task and
-/// declaration retries, memo integrity rejections). When the total over
-/// the last [`BreakerConfig::window`] batches reaches
-/// [`BreakerConfig::threshold`], the breaker opens and stays open until
-/// [`Breaker::reset`]: subsequent batches run degraded (sequential
-/// and/or memo off), trading throughput for blast-radius containment.
+/// of faults the batch survived (declaration retries, memo integrity
+/// rejections). When the total over the last [`BreakerConfig::window`]
+/// batches reaches [`BreakerConfig::threshold`], the breaker opens and
+/// stays open until [`Breaker::reset`]: subsequent batches run degraded
+/// (memo off), trading throughput for blast-radius containment.
 #[derive(Clone, Debug)]
 pub struct Breaker {
     /// Tunable thresholds; adjust before the first batch.
@@ -148,7 +147,7 @@ impl Breaker {
     }
 
     /// Closes the breaker and clears the window (operator reset; the
-    /// memo switch and thread count recover on the next healthy batch).
+    /// memo switch recovers on the next healthy batch).
     pub fn reset(&mut self) {
         self.open = false;
         self.recent.clear();
@@ -199,11 +198,8 @@ pub struct Session {
     pub elab: Elaborator,
     /// Runtime world: database and debug output.
     pub world: World,
-    /// Worker threads for batch elaboration ([`Session::run_all`]).
-    /// Defaults to [`ur_infer::default_threads`] (the `UR_TEST_THREADS`
-    /// environment variable when set, else the machine's available
-    /// parallelism); `<= 1` elaborates sequentially. Evaluation always
-    /// runs on the calling thread in source order.
+    /// Has no effect (elaboration is sequential); kept only because the
+    /// repository benchmark reads it.
     pub threads: usize,
     /// Self-healing circuit breaker fed by per-batch fault counts (see
     /// [`Breaker`]). Open ⇒ [`Session::run_all`] runs degraded.
@@ -277,7 +273,7 @@ impl Session {
         // the bounded fault budget is spent on user code, not stdlib
         // loading — the same convention the chaos harness uses.
         #[cfg(feature = "failpoints")]
-        if let Some(cfg) = ur_core::failpoint::FpConfig::from_env() {
+        if let Some(cfg) = ur_core::failpoint::FpConfig::from_env().map_err(SessionError::Config)? {
             ur_core::failpoint::install(Some(cfg));
         }
         let impls = builtins::registry();
@@ -301,7 +297,7 @@ impl Session {
         Ok(Session {
             elab,
             world: World::new(),
-            threads: ur_infer::default_threads(),
+            threads: 1,
             breaker: Breaker::default(),
             cache_dir: None,
             engine: std::env::var("UR_EVAL")
@@ -418,37 +414,27 @@ impl Session {
     /// hostile the input was.
     ///
     /// Every batch also feeds the [`Breaker`]: the fault delta the batch
-    /// survived (worker deaths, watchdog trips, task/declaration
-    /// retries, memo integrity rejections) is recorded, and while the
-    /// breaker is open the batch runs degraded — sequentially and/or
-    /// with memoization off, per [`BreakerConfig`] — with the
-    /// degradation counted in [`Session::stats`].
+    /// survived (declaration retries, memo integrity rejections) is
+    /// recorded, and while the breaker is open the batch runs degraded —
+    /// with memoization off, per [`BreakerConfig`] — with the degradation
+    /// counted in [`Session::stats`].
     pub fn run_all(
         &mut self,
         src: &str,
     ) -> (Vec<(String, Value)>, ur_syntax::Diagnostics) {
         self.elab.cx.stats.capture_failpoints();
         let before = self.elab.cx.stats.clone();
-        let mut threads = self.threads;
         if self.breaker.is_open() {
-            if self.breaker.config.degrade_parallelism {
-                threads = 1;
-            }
             if self.breaker.config.disable_memo {
                 self.elab.cx.memo.enabled = false;
             }
             self.elab.cx.stats.breaker_degraded_batches =
                 self.elab.cx.stats.breaker_degraded_batches.saturating_add(1);
         }
-        let (decls, mut diags) = self.elab.elab_source_all_threads(src, threads);
+        let (decls, mut diags) = self.elab.elab_source_all(src);
         self.elab.cx.stats.capture_failpoints();
         let delta = self.elab.cx.stats.since(&before);
-        let faults = delta
-            .par_worker_deaths
-            .saturating_add(delta.watchdog_trips)
-            .saturating_add(delta.par_retries)
-            .saturating_add(delta.decl_retries)
-            .saturating_add(delta.fp_memo_rejections);
+        let faults = delta.decl_retries.saturating_add(delta.fp_memo_rejections);
         if self.breaker.record(faults) {
             self.elab.cx.stats.breaker_trips =
                 self.elab.cx.stats.breaker_trips.saturating_add(1);
@@ -546,27 +532,18 @@ impl Session {
 
         self.elab.cx.stats.capture_failpoints();
         let before = self.elab.cx.stats.clone();
-        let mut threads = self.threads;
         if self.breaker.is_open() {
-            if self.breaker.config.degrade_parallelism {
-                threads = 1;
-            }
             if self.breaker.config.disable_memo {
                 self.elab.cx.memo.enabled = false;
             }
             self.elab.cx.stats.breaker_degraded_batches =
                 self.elab.cx.stats.breaker_degraded_batches.saturating_add(1);
         }
-        let (decls, mut diags, report) = incr.engine.run(&mut self.elab, src, threads);
+        let (decls, mut diags, report) = incr.engine.run(&mut self.elab, src, 1);
         incr.last_report = report;
         self.elab.cx.stats.capture_failpoints();
         let delta = self.elab.cx.stats.since(&before);
-        let faults = delta
-            .par_worker_deaths
-            .saturating_add(delta.watchdog_trips)
-            .saturating_add(delta.par_retries)
-            .saturating_add(delta.decl_retries)
-            .saturating_add(delta.fp_memo_rejections);
+        let faults = delta.decl_retries.saturating_add(delta.fp_memo_rejections);
         if self.breaker.record(faults) {
             self.elab.cx.stats.breaker_trips =
                 self.elab.cx.stats.breaker_trips.saturating_add(1);
@@ -601,8 +578,7 @@ impl Session {
     /// [`Session::reelaborate`] under a one-rebuild fuel ceiling:
     /// over-budget declarations degrade to structured E0900
     /// diagnostics instead of running to completion. The ceiling covers
-    /// exactly this rebuild — sequential or parallel (batch workers
-    /// inherit the coordinator's limits) — and the session's standing
+    /// exactly this rebuild, and the session's standing
     /// limits are reinstated afterwards, so later rebuilds and
     /// evaluations are unaffected. This is the deadline-budget hook the
     /// serving layer uses (`deadline_ms` → fuel via
@@ -832,23 +808,12 @@ impl Session {
             self.breaker.config.window,
             self.breaker.config.threshold,
         );
-        let degraded_threads = self.breaker.is_open() && self.breaker.config.degrade_parallelism;
-        let _ = writeln!(
-            out,
-            "  threads: {}{}",
-            self.threads,
-            if degraded_threads { " (degraded to 1 while open)" } else { "" },
-        );
         let _ = writeln!(
             out,
             "  memoization: {}",
             if self.elab.cx.memo.enabled { "on" } else { "off (breaker)" },
         );
-        let _ = writeln!(
-            out,
-            "  self-healing: task_retries={} worker_deaths={} watchdog_trips={} decl_retries={}",
-            s.par_retries, s.par_worker_deaths, s.watchdog_trips, s.decl_retries,
-        );
+        let _ = writeln!(out, "  self-healing: decl_retries={}", s.decl_retries);
         let _ = writeln!(
             out,
             "  breaker history: trips={} degraded_batches={}",
@@ -1359,12 +1324,11 @@ mod recovery_tests {
         assert!(!b.is_open());
     }
 
-    /// While the breaker is open, `run_all` degrades (sequential + memo
-    /// off), counts the degradation, and still produces correct values.
+    /// While the breaker is open, `run_all` degrades (memo off), counts
+    /// the degradation, and still produces correct values.
     #[test]
     fn open_breaker_degrades_run_all_but_stays_correct() {
         let mut sess = Session::new().unwrap();
-        sess.threads = 4;
         // Trip the breaker by hand (fault injection does it for real in
         // the chaos suite).
         sess.breaker.record(BreakerConfig::default().threshold);
@@ -1376,7 +1340,6 @@ mod recovery_tests {
         assert_eq!(sess.get_int("z").unwrap(), 42);
         assert_eq!(sess.stats().breaker_degraded_batches, 1);
         assert!(!sess.elab.cx.memo.enabled, "memo not switched off");
-        assert_eq!(sess.threads, 4, "configured thread count must survive");
 
         let report = sess.health_report();
         assert!(report.contains("OPEN (degraded)"), "{report}");

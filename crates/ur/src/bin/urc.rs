@@ -10,7 +10,7 @@
 //!   --print            print every top-level value as it is defined
 //!   --stats            print inference statistics (the Figure 5 counters)
 //!   --health           print the self-healing report (circuit breaker,
-//!                      watchdog/retry counters, fault injection totals)
+//!                      retry counters, fault injection totals)
 //!   --core NAME        dump the elaborated core term of value NAME
 //!   --type NAME        print the inferred type of value NAME
 //!   --eval EXPR        evaluate EXPR after loading the files
@@ -18,8 +18,6 @@
 //!                      the tree-walking interpreter (the differential
 //!                      oracle; also: UR_EVAL env var)
 //!   --sql-log          print the SQL statements the program issued
-//!   --jobs N           elaborate on N worker threads (default: available
-//!                      parallelism; 1 = sequential)
 //!   --no-identity      disable the map-identity law   (ablation)
 //!   --no-distrib       disable map-distributivity     (ablation)
 //!   --no-fusion        disable map-fusion             (ablation)
@@ -67,6 +65,9 @@
 //!   --deadline-ms N    default per-request budget for --listen
 //!                      (default 2000; requests can only tighten it)
 //!   --help             this message
+//!
+//! A malformed UR_FAILPOINTS value (fault injection) is rejected with
+//! exit code 2, naming the bad entry.
 //! ```
 
 use std::process::ExitCode;
@@ -82,7 +83,6 @@ struct Options {
     types: Vec<String>,
     evals: Vec<String>,
     sql_log: bool,
-    jobs: Option<usize>,
     no_identity: bool,
     no_distrib: bool,
     no_fusion: bool,
@@ -97,11 +97,14 @@ struct Options {
     max_conns: Option<usize>,
     deadline_ms: Option<u64>,
     engine: Option<ur::eval::EvalEngine>,
+    /// Fault-injection schedule from `UR_FAILPOINTS` (for `--listen`;
+    /// sessions read the variable themselves).
+    fp: Option<ur::core::failpoint::FpConfig>,
 }
 
 fn usage() -> &'static str {
     "usage: urc [--print] [--stats] [--health] [--core NAME] [--type NAME] [--eval EXPR]\n\
-     \x20          [--eval=vm|interp] [--sql-log] [--jobs N] [--no-identity] [--no-distrib]\n\
+     \x20          [--eval=vm|interp] [--sql-log] [--no-identity] [--no-distrib]\n\
      \x20          [--no-fusion] [--emit-json] [--cache-dir DIR] [--db-dir DIR] [--watch]\n\
      \x20          [--serve] [--listen ADDR] [--pool N] [--queue-depth N] [--max-conns N]\n\
      \x20          [--deadline-ms N] FILE...\n\
@@ -125,7 +128,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         types: Vec::new(),
         evals: Vec::new(),
         sql_log: false,
-        jobs: None,
         no_identity: false,
         no_distrib: false,
         no_fusion: false,
@@ -140,6 +142,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         max_conns: None,
         deadline_ms: None,
         engine: None,
+        fp: None,
     };
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -200,13 +203,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--eval" => opts
                 .evals
                 .push(args.next().ok_or("--eval needs an expression")?),
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a thread count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--jobs: not a thread count: {v}"))?;
-                opts.jobs = Some(n.max(1));
-            }
             other if other.starts_with("--eval=") => {
                 let name = &other["--eval=".len()..];
                 opts.engine = Some(
@@ -226,6 +222,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
     if opts.files.is_empty() && opts.evals.is_empty() && !opts.serve && opts.listen.is_none() {
         return Err(format!("no input files\n{}", usage()));
     }
+    opts.fp = ur::core::failpoint::FpConfig::from_env()?;
     Ok(opts)
 }
 
@@ -242,9 +239,6 @@ fn run(opts: &Options) -> Result<(), String> {
         return listen(opts, addr);
     }
     let mut sess = Session::new().map_err(|e| e.to_string())?;
-    if let Some(jobs) = opts.jobs {
-        sess.threads = jobs;
-    }
     sess.elab.cx.laws.identity = !opts.no_identity;
     sess.elab.cx.laws.distrib = !opts.no_distrib;
     sess.elab.cx.laws.fusion = !opts.no_fusion;
@@ -463,7 +457,6 @@ fn listen(opts: &Options, addr: &str) -> Result<(), String> {
     use std::io::Write;
     let mut cfg = ur::serve::ServeConfig {
         addr: addr.to_string(),
-        threads: opts.jobs,
         engine: opts.engine,
         cache_dir: opts.cache_dir.as_ref().map(std::path::PathBuf::from),
         db_dir: opts
@@ -471,7 +464,7 @@ fn listen(opts: &Options, addr: &str) -> Result<(), String> {
             .as_deref()
             .filter(|d| !d.is_empty())
             .map(std::path::PathBuf::from),
-        fp: ur::core::failpoint::FpConfig::from_env(),
+        fp: opts.fp,
         ..ur::serve::ServeConfig::default()
     };
     if let Some(n) = opts.pool {

@@ -1,11 +1,11 @@
 //! Chaos differential suite: seeded fault injection against the
 //! self-healing elaboration pipeline (`ur_core::failpoint`,
-//! `ur_infer::batch`, `ur_web::Session`).
+//! `ur_web::Session`).
 //!
 //! The contract under test: **faults cost retries and recomputation,
 //! never results.** Every test elaborates a batch under a deterministic
 //! fault schedule and compares declarations (up to fresh symbol ids) and
-//! diagnostics against the clean sequential run, while asserting that
+//! diagnostics against the clean run, while asserting that
 //! the intended recovery path actually ran (via the healing counters in
 //! `Stats` and the per-site injection counters).
 //!
@@ -24,15 +24,7 @@ use ur::infer::Elaborator;
 use ur::web::BreakerConfig;
 use ur::Session;
 
-const THREADS: &[usize] = &[1, 2, 4, 8];
 const MATRIX_SEEDS: &[u64] = &[0xA11CE, 0xB0B, 0xC4A05];
-
-/// Shrinks the coordinator's watchdog so injected stalls and lost
-/// results cost tens of milliseconds instead of seconds. Spurious trips
-/// only cause dup-guarded re-dispatches, so this never affects results.
-fn short_watchdog() {
-    std::env::set_var("UR_WATCHDOG_MS", "50");
-}
 
 /// Erases gensym counters (`foo#123` -> `foo#`) so runs drawing
 /// different fresh-symbol numbers compare structurally.
@@ -50,8 +42,8 @@ fn strip_sym_ids(s: &str) -> String {
     out
 }
 
-/// A metaprogramming batch with parallel width: a record metaprogram,
-/// then independent clients (each a root of the dependency graph).
+/// A metaprogramming batch: a record metaprogram, then independent
+/// clients.
 fn corpus() -> String {
     use std::fmt::Write as _;
     let mut src = String::from(
@@ -70,15 +62,11 @@ fn corpus() -> String {
     src
 }
 
-/// A fault schedule touching every site at moderate rates, capped below
-/// the retry budgets so healing always converges.
+/// A fault schedule touching every elaboration site at moderate rates,
+/// capped below the retry budget so healing always converges.
 fn balanced(seed: u64) -> FpConfig {
     FpConfig::new(seed)
         .with_max_per_site(2)
-        .with_rate(Site::WorkerSpawn, 120)
-        .with_rate(Site::WorkerExec, 180)
-        .with_rate(Site::WorkerSend, 120)
-        .with_rate(Site::WorkerStall, 60)
         .with_rate(Site::MemoLoad, 60)
         .with_rate(Site::MemoStore, 60)
         .with_rate(Site::InternGrow, 40)
@@ -88,15 +76,11 @@ fn balanced(seed: u64) -> FpConfig {
 /// Elaborates `src` once in a fresh session under `cfg` (clean when
 /// `None`; the schedule starts after the prelude is installed). Returns
 /// (decl fingerprints, diag fingerprints, stats, faults injected).
-fn run_batch(
-    src: &str,
-    threads: usize,
-    cfg: Option<FpConfig>,
-) -> (Vec<String>, Vec<String>, Stats, FpCounters) {
+fn run_batch(src: &str, cfg: Option<FpConfig>) -> (Vec<String>, Vec<String>, Stats, FpCounters) {
     let mut sess = Session::new().expect("session");
     let _ = failpoint::take_counters();
     failpoint::install(cfg);
-    let (decls, diags) = sess.elab.elab_source_all_threads(src, threads);
+    let (decls, diags) = sess.elab.elab_source_all(src);
     failpoint::install(None);
     let fp = failpoint::take_counters();
     let decl_fps = decls
@@ -109,13 +93,12 @@ fn run_batch(
 
 // ---------------- the differential matrix ----------------
 
-/// Fixed seeds x thread counts, all sites active: results must equal
-/// the clean sequential baseline, always.
+/// Fixed seeds, all elaboration sites active: results must equal the
+/// clean baseline, always.
 #[test]
 fn seeded_chaos_matrix_never_diverges() {
-    short_watchdog();
     let src = corpus();
-    let (base_decls, base_diags, _, fp) = run_batch(&src, 1, None);
+    let (base_decls, base_diags, _, fp) = run_batch(&src, None);
     assert_eq!(fp, FpCounters::default(), "baseline must be fault-free");
     assert!(base_diags.is_empty(), "corpus must be clean: {base_diags:?}");
 
@@ -128,17 +111,15 @@ fn seeded_chaos_matrix_never_diverges() {
         seeds.push(s);
     }
     for seed in seeds {
-        for &t in THREADS {
-            let (decls, diags, _, _) = run_batch(&src, t, Some(balanced(seed)));
-            assert_eq!(
-                decls, base_decls,
-                "declarations diverged under chaos: UR_CHAOS_SEED={seed} threads={t}"
-            );
-            assert_eq!(
-                diags, base_diags,
-                "diagnostics diverged under chaos: UR_CHAOS_SEED={seed} threads={t}"
-            );
-        }
+        let (decls, diags, _, _) = run_batch(&src, Some(balanced(seed)));
+        assert_eq!(
+            decls, base_decls,
+            "declarations diverged under chaos: UR_CHAOS_SEED={seed}"
+        );
+        assert_eq!(
+            diags, base_diags,
+            "diagnostics diverged under chaos: UR_CHAOS_SEED={seed}"
+        );
     }
 }
 
@@ -147,7 +128,6 @@ fn seeded_chaos_matrix_never_diverges() {
 /// so any failure reproduces with `UR_CHAOS_SEED=<seed>`.
 #[test]
 fn randomized_seed_run_embeds_its_seed_in_failures() {
-    short_watchdog();
     let seed: u64 = std::env::var("UR_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -160,8 +140,8 @@ fn randomized_seed_run_embeds_its_seed_in_failures() {
         });
     println!("chaos randomized seed: UR_CHAOS_SEED={seed}");
     let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let (decls, diags, _, _) = run_batch(&src, 4, Some(balanced(seed)));
+    let (base_decls, base_diags, _, _) = run_batch(&src, None);
+    let (decls, diags, _, _) = run_batch(&src, Some(balanced(seed)));
     assert_eq!(
         decls, base_decls,
         "diverged — reproduce with UR_CHAOS_SEED={seed}"
@@ -174,58 +154,18 @@ fn randomized_seed_run_embeds_its_seed_in_failures() {
 
 // ---------------- per-site recovery paths ----------------
 
-/// Satellite: the scheduler's "missing outcomes" fallback. Every worker
-/// dies on its first task; the merge loop must elaborate the entire
-/// batch sequentially at the coordinator, with identical results.
-#[test]
-fn all_workers_dying_falls_back_to_sequential_merge() {
-    short_watchdog();
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let cfg = FpConfig::new(7)
-        .with_max_per_site(64)
-        .with_rate(Site::WorkerExec, 1000);
-    let (decls, diags, stats, fp) = run_batch(&src, 4, Some(cfg));
-    assert_eq!(decls, base_decls, "fallback changed declarations");
-    assert_eq!(diags, base_diags, "fallback changed diagnostics");
-    assert!(fp.injected[Site::WorkerExec.index()] >= 1, "{fp:?}");
-    assert!(stats.par_worker_deaths >= 1, "{stats:?}");
-    // Nobody survived to produce an outcome: everything came from the
-    // sequential fallback.
-    assert_eq!(stats.par_decls, 0, "{stats:?}");
-}
-
-/// A worker finishing a task but losing the result must trip the
-/// watchdog; the task is re-dispatched (or falls back), and the batch
-/// still matches the clean run.
-#[test]
-fn lost_results_trip_the_watchdog_and_heal() {
-    short_watchdog();
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
-    let cfg = FpConfig::new(11)
-        .with_max_per_site(1)
-        .with_rate(Site::WorkerSend, 1000);
-    let (decls, diags, stats, fp) = run_batch(&src, 4, Some(cfg));
-    assert_eq!(decls, base_decls, "lost-result recovery changed declarations");
-    assert_eq!(diags, base_diags, "lost-result recovery changed diagnostics");
-    assert!(fp.injected[Site::WorkerSend.index()] >= 1, "{fp:?}");
-    assert!(stats.watchdog_trips >= 1, "{stats:?}");
-    assert!(stats.par_retries >= 1, "{stats:?}");
-}
-
 /// Corrupt memo entries (at store or load time) must be caught by the
 /// per-entry integrity check, evicted, and recomputed — results equal,
 /// rejections counted.
 #[test]
 fn memo_corruption_is_rejected_and_recomputed() {
     let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
+    let (base_decls, base_diags, _, _) = run_batch(&src, None);
     let cfg = FpConfig::new(13)
         .with_max_per_site(64)
         .with_rate(Site::MemoLoad, 500)
         .with_rate(Site::MemoStore, 500);
-    let (decls, diags, _, fp) = run_batch(&src, 1, Some(cfg));
+    let (decls, diags, _, fp) = run_batch(&src, Some(cfg));
     assert_eq!(decls, base_decls, "memo corruption leaked into results");
     assert_eq!(diags, base_diags, "memo corruption leaked into diagnostics");
     assert!(
@@ -266,7 +206,7 @@ fn phantom_fuel_exhaustion_is_retried_to_the_clean_result() {
             .with_max_per_site(3)
             .with_rate(Site::FuelCharge, 1000),
     ));
-    let (decls2, diags) = el.elab_source_all_threads(src, 1);
+    let (decls2, diags) = el.elab_source_all(src);
     failpoint::install(None);
     let fp = failpoint::take_counters();
     let fps2: Vec<String> = decls2
@@ -287,11 +227,11 @@ fn phantom_fuel_exhaustion_is_retried_to_the_clean_result() {
 #[test]
 fn intern_growth_faults_are_invisible() {
     let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, 1, None);
+    let (base_decls, base_diags, _, _) = run_batch(&src, None);
     let cfg = FpConfig::new(19)
         .with_max_per_site(64)
         .with_rate(Site::InternGrow, 1000);
-    let (decls, diags, _, fp) = run_batch(&src, 1, Some(cfg));
+    let (decls, diags, _, fp) = run_batch(&src, Some(cfg));
     assert_eq!(decls, base_decls);
     assert_eq!(diags, base_diags);
     assert!(fp.injected[Site::InternGrow.index()] >= 1, "{fp:?}");
@@ -304,9 +244,7 @@ fn intern_growth_faults_are_invisible() {
 /// all return to the pre-batch snapshot.
 #[test]
 fn chaos_batch_rolls_back_to_prebatch_state() {
-    short_watchdog();
     let mut sess = Session::new().expect("session");
-    sess.threads = 4;
     sess.run("val base = 10").expect("base decl");
     let stats_before = sess.stats().clone();
     let snap = sess.snapshot();
@@ -339,13 +277,11 @@ fn chaos_batch_rolls_back_to_prebatch_state() {
     assert_eq!(sess.get_int("after").expect("after"), 42);
 }
 
-/// Sustained worker deaths must trip the session's circuit breaker; the
-/// next batch runs degraded (sequential, memo off) and still correct.
+/// Sustained memo corruption must trip the session's circuit breaker;
+/// the next batch runs degraded (memo off) and still correct.
 #[test]
 fn sustained_faults_trip_the_breaker_and_degrade() {
-    short_watchdog();
     let mut sess = Session::new().expect("session");
-    sess.threads = 4;
     sess.breaker.config = BreakerConfig {
         window: 2,
         threshold: 1,
@@ -356,20 +292,21 @@ fn sustained_faults_trip_the_breaker_and_degrade() {
     failpoint::install(Some(
         FpConfig::new(29)
             .with_max_per_site(64)
-            .with_rate(Site::WorkerExec, 1000),
+            .with_rate(Site::MemoStore, 1000)
+            .with_rate(Site::MemoLoad, 1000),
     ));
-    let (defs, diags) = sess.run_all("val a1 = 1\nval a2 = 2\nval a3 = 3\nval a4 = 4");
+    let (defs, diags) = sess.run_all(&corpus());
     assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(defs.len(), 4);
+    assert_eq!(defs.len(), 14);
     assert!(
         sess.breaker.is_open(),
-        "worker deaths must trip the breaker:\n{}",
+        "memo rejections must trip the breaker:\n{}",
         sess.health_report()
     );
     assert_eq!(sess.stats().breaker_trips, 1);
 
-    // Degraded batch: sequential, so the worker-death schedule (still
-    // installed) has nothing to bite — and memoization is off.
+    // Degraded batch: memoization is off, so the memo-corruption
+    // schedule (still installed) has nothing to bite.
     let (defs2, diags2) = sess.run_all("val b1 = 5\nval b2 = 6");
     failpoint::install(None);
     let _ = failpoint::take_counters();
@@ -381,7 +318,22 @@ fn sustained_faults_trip_the_breaker_and_degrade() {
 
     let report = sess.health_report();
     assert!(report.contains("OPEN (degraded)"), "{report}");
-    assert!(report.contains("worker_deaths"), "{report}");
+    assert!(report.contains("trips=1"), "{report}");
+}
+
+/// A malformed `UR_FAILPOINTS` is an error, not a silently empty
+/// schedule: `urc` exits 2 and names the bad entry (here a site name
+/// that no longer exists).
+#[test]
+fn malformed_failpoint_spec_is_rejected_by_urc() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_urc"))
+        .args(["--eval", "1 + 1"])
+        .env("UR_FAILPOINTS", "seed=1;worker_exec=500")
+        .output()
+        .expect("run urc");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("`worker_exec=500`"), "{err}");
 }
 
 /// The failpoint counters surface end to end: `Stats` display (the

@@ -13,8 +13,7 @@
 //!    its true transitive dependents;
 //! 2. random edit scripts (mutate / insert / delete / swap / duplicate /
 //!    revert, over groups that reference earlier groups' bindings)
-//!    replayed against a cold per-step baseline at 1, 2, and 4 worker
-//!    threads;
+//!    replayed against a cold per-step baseline;
 //! 3. the adversarial corpus — error outcomes cache and replay too;
 //! 4. the on-disk cache — a cold load writes one pack, packs other
 //!    engines write are found, and every damaged pack degrades to a
@@ -33,8 +32,6 @@ use ur::core::typing::type_of;
 use ur::infer::{Diagnostics, ElabDecl};
 use ur::Session;
 use ur_testutil::Rng;
-
-const THREADS: &[usize] = &[1, 2, 4];
 
 /// Erases gensym counters (`foo#123` -> `foo#`) so runs that draw
 /// different fresh-symbol numbers from the process-global counter
@@ -90,10 +87,9 @@ fn normalize(
     }
 }
 
-/// Cold baseline: a fresh session, the sequential path, full evaluation.
+/// Cold baseline: a fresh session, full evaluation.
 fn cold(src: &str) -> Observed {
     let mut sess = Session::new().expect("session");
-    sess.threads = 1;
     let base_len = sess.elab.decls.len();
     let (vals, diags) = sess.run_all(src);
     normalize(&sess.elab.decls[base_len..], &vals, &diags)
@@ -108,11 +104,10 @@ struct Warm {
 }
 
 impl Warm {
-    fn new(tag: &str, threads: usize) -> Self {
+    fn new(tag: &str) -> Self {
         let dir = test_dir(tag);
         cleanup(&dir);
         let mut sess = Session::new().expect("session");
-        sess.threads = threads;
         sess.cache_dir = Some(dir.clone());
         let base_len = sess.elab.decls.len();
         Warm { sess, base_len, dir }
@@ -184,7 +179,7 @@ fn combined_figure5_batch() -> String {
 fn noop_rebuild_of_combined_figure5_batch_reruns_zero_elaborations() {
     let src = combined_figure5_batch();
     let baseline = cold(&src);
-    let mut warm = Warm::new("accept-noop", 1);
+    let mut warm = Warm::new("accept-noop");
 
     let (first, r1) = warm.rebuild(&src);
     assert_eq!(first, baseline, "cold incremental run diverges");
@@ -204,7 +199,7 @@ fn whitespace_and_comment_edits_stay_fully_green() {
     // goes through the span-erasing pretty-printer, so this is a no-op.
     let reformatted =
         "(* a comment *)\ncon t :: Type =   int\n\n\nval one : int = 1\nval two : t = one";
-    let mut warm = Warm::new("accept-ws", 1);
+    let mut warm = Warm::new("accept-ws");
     let (first, _) = warm.rebuild(src);
     let (second, r2) = warm.rebuild(reformatted);
     assert_eq!(r2.red, 0, "reformatting recomputed declarations: {r2:?}");
@@ -221,7 +216,7 @@ fn single_decl_edit_recomputes_only_the_dependent_cone() {
                   val one : int = 7\n\
                   val two : t = one\n\
                   val solo = 42\n";
-    let mut warm = Warm::new("accept-edit", 1);
+    let mut warm = Warm::new("accept-edit");
     warm.rebuild(base);
     let (obs, r) = warm.rebuild(edited);
     // `one` changed; `two` depends on it. `t` and `solo` are untouched.
@@ -238,7 +233,7 @@ fn single_decl_edit_recomputes_only_the_dependent_cone() {
 fn independent_decl_edit_leaves_the_rest_green() {
     let base = "val a = 1\nval b = a + 1\nval c = 10\nval d = c + 1\n";
     let edited = "val a = 1\nval b = a + 1\nval c = 20\nval d = c + 1\n";
-    let mut warm = Warm::new("accept-indep", 1);
+    let mut warm = Warm::new("accept-indep");
     warm.rebuild(base);
     let (obs, r) = warm.rebuild(edited);
     // Only the `c` cone (c, d) re-runs; the `a` cone stays green.
@@ -248,7 +243,7 @@ fn independent_decl_edit_leaves_the_rest_green() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Random edit scripts vs cold baseline, at several thread counts
+// 2. Random edit scripts vs cold baseline
 // ---------------------------------------------------------------------
 
 /// A binding a generated group defines, for later groups to reference.
@@ -317,63 +312,53 @@ fn gen_group(rng: &mut Rng, salt: usize, bound: &mut Vec<Bound>) -> String {
 }
 
 #[test]
-fn random_edit_scripts_match_the_cold_baseline_at_every_thread_count() {
-    for &t in THREADS {
-        let mut rng = Rng::new(0x1ec4_ed17 + t as u64);
-        let mut salt = 0usize;
-        let mut bound = Vec::new();
-        let mut fresh = |rng: &mut Rng| {
-            salt += 1;
-            gen_group(rng, salt, &mut bound)
-        };
-        let mut groups: Vec<String> = (0..8).map(|_| fresh(&mut rng)).collect();
-        let mut history: Vec<Vec<String>> = Vec::new();
-        let mut warm = Warm::new(&format!("script-t{t}"), t);
-        for step in 0..16 {
-            history.push(groups.clone());
-            match rng.below(6) {
-                0 => {
-                    // Mutate: regenerate one group in place.
-                    let i = rng.below(groups.len());
-                    groups[i] = fresh(&mut rng);
-                }
-                1 => groups.push(fresh(&mut rng)),
-                2 if groups.len() > 3 => {
-                    let i = rng.below(groups.len());
-                    groups.remove(i);
-                }
-                3 => {
-                    // Duplicate: an identical copy (same text, and the
-                    // same dependency keys when nothing in between
-                    // rebinds its names) shadows the original.
-                    let i = rng.below(groups.len());
-                    let j = rng.below(groups.len() + 1);
-                    groups.insert(j, groups[i].clone());
-                }
-                4 => {
-                    // Revert to an earlier program: its declarations
-                    // come back green from whatever rebuild cached them.
-                    groups = rng.pick(&history).clone();
-                }
-                _ => {
-                    let i = rng.below(groups.len());
-                    let j = rng.below(groups.len());
-                    groups.swap(i, j);
-                }
+fn random_edit_scripts_match_the_cold_baseline() {
+    let mut rng = Rng::new(0x1ec4_ed18);
+    let mut salt = 0usize;
+    let mut bound = Vec::new();
+    let mut fresh = |rng: &mut Rng| {
+        salt += 1;
+        gen_group(rng, salt, &mut bound)
+    };
+    let mut groups: Vec<String> = (0..8).map(|_| fresh(&mut rng)).collect();
+    let mut history: Vec<Vec<String>> = Vec::new();
+    let mut warm = Warm::new("script");
+    for step in 0..16 {
+        history.push(groups.clone());
+        match rng.below(6) {
+            0 => {
+                // Mutate: regenerate one group in place.
+                let i = rng.below(groups.len());
+                groups[i] = fresh(&mut rng);
             }
-            let src = groups.join("\n");
-            let (obs, r) = warm.rebuild(&src);
-            assert_eq!(
-                obs,
-                cold(&src),
-                "step {step} at {t} threads diverges from cold"
-            );
-            assert_eq!(
-                r.decls_total,
-                r.green + r.red,
-                "step {step} at {t} threads: {r:?}"
-            );
+            1 => groups.push(fresh(&mut rng)),
+            2 if groups.len() > 3 => {
+                let i = rng.below(groups.len());
+                groups.remove(i);
+            }
+            3 => {
+                // Duplicate: an identical copy (same text, and the
+                // same dependency keys when nothing in between
+                // rebinds its names) shadows the original.
+                let i = rng.below(groups.len());
+                let j = rng.below(groups.len() + 1);
+                groups.insert(j, groups[i].clone());
+            }
+            4 => {
+                // Revert to an earlier program: its declarations
+                // come back green from whatever rebuild cached them.
+                groups = rng.pick(&history).clone();
+            }
+            _ => {
+                let i = rng.below(groups.len());
+                let j = rng.below(groups.len());
+                groups.swap(i, j);
+            }
         }
+        let src = groups.join("\n");
+        let (obs, r) = warm.rebuild(&src);
+        assert_eq!(obs, cold(&src), "step {step} diverges from cold");
+        assert_eq!(r.decls_total, r.green + r.red, "step {step}: {r:?}");
     }
 }
 
@@ -400,20 +385,18 @@ fn duplicate_declarations_seed_consistent_dependents() {
         "val t = createTable \"t\" {A = sqlInt}\nval r = t",
         &effectful,
     ];
-    for &t in &[1, 4] {
-        let mut warm = Warm::new(&format!("dup-t{t}"), t);
-        for _ in 0..2 {
-            for (k, src) in steps.iter().enumerate() {
-                let (obs, _) = warm.rebuild(src);
-                assert_eq!(obs, cold(src), "step {k} at {t} threads diverges from cold");
-            }
+    let mut warm = Warm::new("dup");
+    for _ in 0..2 {
+        for (k, src) in steps.iter().enumerate() {
+            let (obs, _) = warm.rebuild(src);
+            assert_eq!(obs, cold(src), "step {k} diverges from cold");
         }
     }
 }
 
 #[test]
 fn dependency_chain_edits_propagate_redness_transitively() {
-    let mut warm = Warm::new("chain", 1);
+    let mut warm = Warm::new("chain");
     let base = "val base = 1\n\
                 val c1 = base + 1\n\
                 val c2 = c1 + 1\n\
@@ -481,7 +464,7 @@ const ADVERSARIAL: &[(&str, &str)] = &[
 fn adversarial_corpus_round_trips_through_the_incremental_engine() {
     for (i, (name, src)) in ADVERSARIAL.iter().enumerate() {
         let baseline = cold(src);
-        let mut warm = Warm::new(&format!("adv-{i}"), 1);
+        let mut warm = Warm::new(&format!("adv-{i}"));
         let (first, _) = warm.rebuild(src);
         assert_eq!(first, baseline, "{name}: cold incremental diverges");
         // Failed declarations cache their diagnostics, so a repeat is
@@ -495,7 +478,7 @@ fn adversarial_corpus_round_trips_through_the_incremental_engine() {
 #[test]
 fn cached_diagnostics_replay_at_shifted_spans() {
     let base = "val a = 1\nval bad = missingName\n";
-    let mut warm = Warm::new("shift", 1);
+    let mut warm = Warm::new("shift");
     let (first, _) = warm.rebuild(base);
     let line_of = |obs: &Observed| {
         assert_eq!(obs.diags.len(), 1, "{obs:?}");
@@ -603,7 +586,7 @@ fn cache_files(dir: &PathBuf) -> Vec<String> {
 #[test]
 fn a_cold_load_writes_one_pack_and_no_temp_file() {
     let src = combined_figure5_batch();
-    let mut warm = Warm::new("one-pack", 1);
+    let mut warm = Warm::new("one-pack");
     let (_, r) = warm.rebuild(&src);
     assert!(r.decls_total > 50, "{r:?}");
     assert_eq!(r.red, r.decls_total, "{r:?}");
@@ -718,7 +701,7 @@ fn a_second_session_seeds_from_disk() {
 #[test]
 fn green_reuse_charges_no_elaboration_fuel() {
     let src = combined_figure5_batch();
-    let mut warm = Warm::new("fuel", 1);
+    let mut warm = Warm::new("fuel");
     let steps_at_base = warm.sess.elab.cx.fuel.lifetime_norm_steps();
     warm.rebuild(&src);
     let steps_cold = warm.sess.elab.cx.fuel.lifetime_norm_steps();

@@ -406,8 +406,8 @@ fn repeated_wide_disjoint_queries_are_stable() {
 fn studies_elaborate_identically_cached_and_uncached() {
     let mut total_cached = ur::core::stats::Stats::new();
     for s in ur::studies::studies() {
-        let cached = run_study_with_memo(&s, true, 1);
-        let uncached = run_study_with_memo(&s, false, 1);
+        let cached = run_study_with_memo(&s, true);
+        let uncached = run_study_with_memo(&s, false);
         assert_eq!(
             cached.0, uncached.0,
             "study {} must produce identical usage values",
@@ -425,50 +425,52 @@ fn studies_elaborate_identically_cached_and_uncached() {
     assert!(total_cached.disjoint_memo_hits > 0, "{total_cached}");
 }
 
-/// Memo transparency must survive the parallel scheduler: each worker
-/// owns its *own* (initially cold) memo tables, so hit patterns differ
-/// completely from the sequential warm-table run — while every
-/// observable result stays identical.
+/// Memo transparency must survive concurrent elaboration: sessions on
+/// separate threads share the sharded arena and the global memo layer
+/// (as `ur-serve`'s pool workers do), so hit patterns differ completely
+/// from a lone sequential run — while every observable result stays
+/// identical, memo on or off.
 #[test]
 fn studies_elaborate_identically_cached_and_uncached_in_parallel() {
     for s in ur::studies::studies() {
-        let sequential = run_study_with_memo(&s, true, 1);
+        let sequential = run_study_with_memo(&s, true);
         for threads in [2, 4] {
-            let cached = run_study_with_memo(&s, true, threads);
-            let uncached = run_study_with_memo(&s, false, threads);
-            assert_eq!(
-                cached.0, uncached.0,
-                "study {} values diverge cached/uncached at {threads} threads",
-                s.id
-            );
-            assert_eq!(
-                cached.1, uncached.1,
-                "study {} types diverge cached/uncached at {threads} threads",
-                s.id
-            );
-            assert_eq!(
-                sequential.0, cached.0,
-                "study {} values diverge sequential/parallel",
-                s.id
-            );
-            assert_eq!(
-                sequential.1, cached.1,
-                "study {} types diverge sequential/parallel",
-                s.id
-            );
+            let runs: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let s = &s;
+                        scope.spawn(move || run_study_with_memo(s, t % 2 == 0))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("study thread must not panic"))
+                    .collect()
+            });
+            for (t, run) in runs.iter().enumerate() {
+                let memo = if t % 2 == 0 { "cached" } else { "uncached" };
+                assert_eq!(
+                    sequential.0, run.0,
+                    "study {} values diverge: sequential vs {memo} thread {t} of {threads}",
+                    s.id
+                );
+                assert_eq!(
+                    sequential.1, run.1,
+                    "study {} types diverge: sequential vs {memo} thread {t} of {threads}",
+                    s.id
+                );
+            }
         }
     }
 }
 
 /// Runs a study (dependencies, implementation, usage demo) in a fresh
-/// session with the memo tables forced on or off and the given
-/// elaboration thread count. Returns the usage values, the
-/// pretty-printed types of all elaborated declarations, and the
-/// session's final stats.
+/// session with the memo tables forced on or off. Returns the usage
+/// values, the pretty-printed types of all elaborated declarations, and
+/// the session's final stats.
 fn run_study_with_memo(
     s: &ur::studies::Study,
     enabled: bool,
-    threads: usize,
 ) -> (Vec<(String, String)>, Vec<String>, ur::core::stats::Stats) {
     fn load(sess: &mut ur::Session, src: &str, what: &str) -> Vec<(String, ur::Value)> {
         let (vals, diags) = sess.run_all(src);
@@ -484,7 +486,6 @@ fn run_study_with_memo(
     }
     let mut sess = ur::Session::new().expect("session");
     sess.elab.cx.memo.enabled = enabled;
-    sess.threads = threads;
     load_deps(&mut sess, s);
     load(&mut sess, s.implementation(), s.id);
     let values: Vec<(String, String)> = load(&mut sess, s.usage, "usage")

@@ -218,42 +218,39 @@ fn a_second_serve_process_loads_from_the_first_ones_pack() {
 }
 
 /// Satellite: deadline budgets degrade structurally (E0900 in the
-/// response diagnostics) instead of hanging or crashing the process —
-/// at 1 and at 4 elaborator threads. The cache dir is test-private:
-/// a shared disk cache would satisfy the rebuild without burning fuel.
+/// response diagnostics) instead of hanging or crashing the process.
+/// The cache dir is test-private: a shared disk cache would satisfy the
+/// rebuild without burning fuel.
 #[test]
-fn serve_deadline_degrades_to_e0900_at_1_and_4_threads() {
-    for jobs in ["1", "4"] {
-        let cache = tmpdir(&format!("deadline-cache-{jobs}"));
-        let mut child = spawn_serve(&["--jobs", jobs, "--cache-dir", cache.to_str().unwrap()]);
-        let mut stdin = child.stdin.take().unwrap();
-        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
-        let fields = |prefix: &str| {
-            (0..150)
-                .map(|i| format!("{prefix}{i} = {i}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let src = format!("val wide = {{{}}} ++ {{{}}}", fields("A"), fields("B"));
-        let req =
-            format!("{{\"cmd\":\"load\",\"source\":\"{src}\",\"deadline_ms\":1}}\n");
-        stdin.write_all(req.as_bytes()).unwrap();
-        stdin.flush().unwrap();
-        let resp = lines.next().unwrap().unwrap();
-        assert!(resp.contains("\"ok\":true"), "jobs={jobs}: {resp}");
-        assert!(resp.contains("E0900"), "jobs={jobs}: {resp}");
-        // The ceiling was per-request: the same source elaborates clean
-        // without the deadline, in the same session.
-        let req = format!("{{\"cmd\":\"load\",\"source\":\"{src}\"}}\n");
-        stdin.write_all(req.as_bytes()).unwrap();
-        stdin.flush().unwrap();
-        let resp = lines.next().unwrap().unwrap();
-        assert!(resp.contains("\"diagnostics\":[]"), "jobs={jobs}: {resp}");
-        stdin.write_all(b"{\"cmd\":\"quit\"}\n").unwrap();
-        stdin.flush().unwrap();
-        assert!(child.wait().unwrap().success());
-        let _ = std::fs::remove_dir_all(&cache);
-    }
+fn serve_deadline_degrades_to_e0900() {
+    let cache = tmpdir("deadline-cache");
+    let mut child = spawn_serve(&["--cache-dir", cache.to_str().unwrap()]);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let fields = |prefix: &str| {
+        (0..150)
+            .map(|i| format!("{prefix}{i} = {i}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let src = format!("val wide = {{{}}} ++ {{{}}}", fields("A"), fields("B"));
+    let req = format!("{{\"cmd\":\"load\",\"source\":\"{src}\",\"deadline_ms\":1}}\n");
+    stdin.write_all(req.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    let resp = lines.next().unwrap().unwrap();
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    assert!(resp.contains("E0900"), "{resp}");
+    // The ceiling was per-request: the same source elaborates clean
+    // without the deadline, in the same session.
+    let req = format!("{{\"cmd\":\"load\",\"source\":\"{src}\"}}\n");
+    stdin.write_all(req.as_bytes()).unwrap();
+    stdin.flush().unwrap();
+    let resp = lines.next().unwrap().unwrap();
+    assert!(resp.contains("\"diagnostics\":[]"), "{resp}");
+    stdin.write_all(b"{\"cmd\":\"quit\"}\n").unwrap();
+    stdin.flush().unwrap();
+    assert!(child.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&cache);
 }
 
 /// Satellite: `DbError::Locked` contention from a *child process* is
