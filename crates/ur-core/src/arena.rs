@@ -7,9 +7,7 @@
 //! * `==` on handles *is* structural equality (hash-consing gives each
 //!   shallow key exactly one id), replacing the `Rc::ptr_eq` fast paths;
 //! * terms cross threads freely — `ur-serve`'s pool workers share one
-//!   arena, with no per-worker re-interning and no portable mirror layer;
-//! * memo tables can be shared process-wide, because a `ConId` means the
-//!   same term on every thread.
+//!   arena, with no per-worker re-interning and no portable mirror layer.
 //!
 //! ## Sharding and lock discipline
 //!
@@ -47,7 +45,7 @@ use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// Number of shards; must be a power of two.
 pub const NUM_SHARDS: usize = 16;
@@ -550,9 +548,6 @@ struct Arena {
     strs: StrStore,
     generation: AtomicU64,
     leases: AtomicUsize,
-    /// Hooks run (under quiescence) by [`try_reset`] so dependent global
-    /// caches — e.g. the shared memo table — drain with the arena.
-    reset_hooks: Mutex<Vec<fn()>>,
 }
 
 fn arena() -> &'static Arena {
@@ -563,7 +558,6 @@ fn arena() -> &'static Arena {
         strs: StrStore::new(),
         generation: AtomicU64::new(0),
         leases: AtomicUsize::new(0),
-        reset_hooks: Mutex::new(Vec::new()),
     })
 }
 
@@ -839,23 +833,10 @@ pub fn generation() -> u64 {
     arena().generation.load(Ordering::Acquire)
 }
 
-/// Registers a hook run by every successful [`try_reset`] (e.g. to clear
-/// the shared memo table, whose keys embed arena ids).
-pub fn on_reset(hook: fn()) {
-    let mut hooks = match arena().reset_hooks.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    if !hooks.contains(&hook) {
-        hooks.push(hook);
-    }
-}
-
 /// Drains the term arena if no leases are outstanding: drops every `Con`
-/// and `Expr` slot in place, clears the hash-cons maps, runs the
-/// registered reset hooks, and bumps the generation. The string table
-/// survives (labels are tiny and may be cached in diagnostics). Returns
-/// whether the reset ran.
+/// and `Expr` slot in place, clears the hash-cons maps, and bumps the
+/// generation. The string table survives (labels are tiny and may be
+/// cached in diagnostics). Returns whether the reset ran.
 ///
 /// This is deliberately opt-in: callers must guarantee no `ConId`/`ExprId`
 /// minted before the reset is dereferenced after it. The embedding
@@ -868,16 +849,6 @@ pub fn try_reset() -> bool {
     }
     a.cons.drain();
     a.exprs.drain();
-    let hooks: Vec<fn()> = {
-        let g = match a.reset_hooks.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        g.clone()
-    };
-    for hook in hooks {
-        hook();
-    }
     a.generation.fetch_add(1, Ordering::AcqRel);
     true
 }

@@ -9,8 +9,9 @@
 //! store.
 //!
 //! Metavariable solutions are **write-once and monotone**: `MetaCx::solve`
-//! / `solve_kind` assert the slot was unsolved, and elaborator error
-//! recovery never rolls the store back. Each entry therefore records the
+//! / `solve_kind` assert the slot was unsolved, and the store rolls back
+//! only together with the memo: whole (`Elaborator::restore`) or by a
+//! request scope (below). Each entry therefore records the
 //! meta generation at store time and is served only while no further
 //! solution has been recorded — *unless* the entry is `stable`, meaning no
 //! future solution can change it:
@@ -27,13 +28,20 @@
 //!   that later solutions revise, so it is generation-guarded.
 //!
 //! Law configuration is part of the judgment semantics too: if
-//! [`crate::Cx::laws`] changes between calls, every table is cleared.
+//! [`crate::Cx::laws`] changes between calls, the tables being filled
+//! are cleared.
 //!
-//! On top of the per-`Cx` tables sits **one process-global stable-entry
-//! layer** (sharded, `RwLock`-protected): stable entries whose key terms
-//! are meta-free are published there and fetched by every worker, so N
-//! workers no longer each pay for the same ground judgment. See the
-//! "global stable-entry layer" section below for the soundness argument.
+//! **Request scopes.** Each `Cx` has one memo level, the session's tables,
+//! plus a request layer while a scope is open ([`Memo::open_scope`]):
+//! stores go to the layer, lookups check the layer before the base, and
+//! [`Memo::close_scope`] discards the layer together with the
+//! metavariables [`crate::meta::MetaCx::rollback`] drops. A scope never
+//! solves a metavariable older than its mark, so after the rollback the
+//! store is exactly the one every base entry was checked against — the
+//! reasoning `Elaborator::restore` relies on, at the cost of the request
+//! instead of the session. Inside a scope, base entries are read only
+//! under the law configuration they were stored under; a law change
+//! clears the layer alone.
 //!
 //! Fuel interaction (see `docs/PERFORMANCE.md`): callers never store a
 //! result computed under exhausted fuel (it would be a degenerate value,
@@ -46,8 +54,6 @@ use crate::intern::{self, ConId};
 use crate::row::{FieldKey, RowNf};
 use crate::LawConfig;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock};
 
 #[derive(Clone, Debug)]
 struct Entry<T> {
@@ -167,120 +173,6 @@ impl IntegrityTag for RowNf {
     }
 }
 
-// ---------------- global stable-entry layer ----------------
-//
-// With the arena, a `ConId` means the same term on every thread and env
-// generations come from one process-global counter, so *stable* entries
-// (those no future meta solution can change) are valid process-wide.
-// They live in one shared, sharded table: each per-`Cx` [`Memo`] stays
-// the first level (and the only home of generation-guarded entries,
-// since meta generations are per-`Cx`), and stable results are published
-// to / fetched from the global layer so a judgment one worker paid for
-// is a hit on every other worker. Law bits join the key because
-// different `Cx`s may run under different law configurations
-// simultaneously — the global layer is never cleared on a law flip,
-// entries for other configurations simply live under other keys. The
-// whole layer *is* cleared by [`crate::arena::try_reset`] (registered as
-// an `on_reset` hook at first use): ids die with the arena generation.
-
-/// Packs the law configuration into key bits.
-fn law_bits(l: LawConfig) -> u64 {
-    u64::from(l.identity) | (u64::from(l.distrib) << 1) | (u64::from(l.fusion) << 2)
-}
-
-/// True when `c` may participate in a *global* memo key. `MetaId`/`KMetaId`
-/// are per-`Cx` dense indexes, so `Con::Meta(3)` names different
-/// metavariables in different workers even though it interns to one
-/// `ConId`; only meta-free terms (con *and* kind metas) mean the same
-/// judgment input process-wide. Free variables are fine: `Sym` ids come
-/// from one process-global counter.
-fn globally_keyable(c: &RCon) -> bool {
-    let f = intern::flags_of(c);
-    !f.has_meta() && !f.has_kmeta()
-}
-
-const G_SHARDS: usize = 16;
-
-#[derive(Default)]
-struct GShard {
-    hnf: RwLock<HashMap<(ConId, u64, u64), RCon>>,
-    defeq: RwLock<HashMap<(ConId, ConId, u64, u64), bool>>,
-    rows: RwLock<HashMap<(ConId, u64, u64), RowNf>>,
-    disjoint: RwLock<HashMap<(ConId, ConId, u64, u64), ProveResult>>,
-}
-
-struct Global {
-    shards: [GShard; G_SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-fn read_lock<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn write_lock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
-}
-
-fn global() -> &'static Global {
-    static G: OnceLock<Global> = OnceLock::new();
-    G.get_or_init(|| {
-        crate::arena::on_reset(clear_global);
-        Global {
-            shards: std::array::from_fn(|_| GShard::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    })
-}
-
-fn gshard(c: ConId, env_gen: u64) -> &'static GShard {
-    let g = global();
-    let ix = (c.0 as u64 ^ env_gen.wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize % G_SHARDS;
-    &g.shards[ix]
-}
-
-fn gnote(hit: bool) {
-    let g = global();
-    if hit {
-        g.hits.fetch_add(1, Ordering::Relaxed);
-    } else {
-        g.misses.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Drops every entry in the global stable-entry layer. Runs as an arena
-/// reset hook; also callable directly from tests.
-pub fn clear_global() {
-    let g = global();
-    for s in &g.shards {
-        write_lock(&s.hnf).clear();
-        write_lock(&s.defeq).clear();
-        write_lock(&s.rows).clear();
-        write_lock(&s.disjoint).clear();
-    }
-}
-
-/// Total entries in the global layer `(hnf, defeq, rows, disjoint)`.
-pub fn global_sizes() -> (usize, usize, usize, usize) {
-    let g = global();
-    let mut out = (0, 0, 0, 0);
-    for s in &g.shards {
-        out.0 += read_lock(&s.hnf).len();
-        out.1 += read_lock(&s.defeq).len();
-        out.2 += read_lock(&s.rows).len();
-        out.3 += read_lock(&s.disjoint).len();
-    }
-    out
-}
-
-/// Lifetime `(hits, misses)` of the global layer's lookups.
-pub fn global_hit_stats() -> (u64, u64) {
-    let g = global();
-    (g.hits.load(Ordering::Relaxed), g.misses.load(Ordering::Relaxed))
-}
-
 /// Unordered pair key: `defeq` and the prover are symmetric, so both
 /// orientations of a query share one entry.
 fn pair_key(a: ConId, b: ConId, env_gen: u64) -> (ConId, ConId, u64) {
@@ -310,17 +202,45 @@ fn row_nf_stable(nf: &RowNf) -> bool {
             .all(|a| con_ok(&a.base) && a.map.as_ref().is_none_or(|(f, k)| con_ok(f) && k.is_ground()))
 }
 
+/// One level of memo tables.
+#[derive(Clone, Debug, Default)]
+struct Tables {
+    hnf: HashMap<(ConId, u64), Entry<RCon>>,
+    defeq: HashMap<(ConId, ConId, u64), Entry<bool>>,
+    rows: HashMap<(ConId, u64), Entry<RowNf>>,
+    disjoint: HashMap<(ConId, ConId, u64), Entry<ProveResult>>,
+}
+
+impl Tables {
+    fn clear(&mut self) {
+        self.hnf.clear();
+        self.defeq.clear();
+        self.rows.clear();
+        self.disjoint.clear();
+    }
+}
+
+/// An open request scope's layer and the laws its entries were computed
+/// under.
+#[derive(Clone, Debug)]
+struct Scope {
+    laws: Option<LawConfig>,
+    tables: Tables,
+}
+
+/// Selects one table of a level.
+type Pick<K, T> = fn(&mut Tables) -> &mut HashMap<K, Entry<T>>;
+
 /// The per-[`crate::Cx`] memo store.
 #[derive(Clone, Debug)]
 pub struct Memo {
     /// Master switch; benches flip this off for uncached comparison runs.
     /// When disabled, callers skip both lookups and stores.
     pub enabled: bool,
+    /// The laws the base tables were filled under.
     laws: Option<LawConfig>,
-    hnf: HashMap<(ConId, u64), Entry<RCon>>,
-    defeq: HashMap<(ConId, ConId, u64), Entry<bool>>,
-    rows: HashMap<(ConId, u64), Entry<RowNf>>,
-    disjoint: HashMap<(ConId, ConId, u64), Entry<ProveResult>>,
+    base: Tables,
+    scope: Option<Scope>,
 }
 
 impl Default for Memo {
@@ -328,10 +248,8 @@ impl Default for Memo {
         Memo {
             enabled: true,
             laws: None,
-            hnf: HashMap::new(),
-            defeq: HashMap::new(),
-            rows: HashMap::new(),
-            disjoint: HashMap::new(),
+            base: Tables::default(),
+            scope: None,
         }
     }
 }
@@ -379,111 +297,90 @@ where
 }
 
 impl Memo {
-    /// Clears every table when the law configuration differs from the one
-    /// the entries were computed under (law toggles change `defeq`, row
-    /// normalization, and prover outcomes).
+    /// Clears the tables being filled when the law configuration differs
+    /// from the one their entries were computed under (law toggles change
+    /// `defeq`, row normalization, and prover outcomes). Inside a scope
+    /// that is the request layer; the base keeps its entries and is not
+    /// read until the laws are back.
     pub fn check_laws(&mut self, laws: LawConfig) {
-        if self.laws != Some(laws) {
-            self.hnf.clear();
-            self.defeq.clear();
-            self.rows.clear();
-            self.disjoint.clear();
-            self.laws = Some(laws);
+        let (current, tables) = match &mut self.scope {
+            Some(s) => (&mut s.laws, &mut s.tables),
+            None => (&mut self.laws, &mut self.base),
+        };
+        if *current != Some(laws) {
+            tables.clear();
+            *current = Some(laws);
         }
     }
 
+    /// Opens a request scope: until [`Memo::close_scope`], stores go to a
+    /// fresh layer that lookups check before the base. A layer left open
+    /// by a request that panicked is discarded.
+    pub fn open_scope(&mut self) {
+        self.scope = Some(Scope {
+            laws: self.laws,
+            tables: Tables::default(),
+        });
+    }
+
+    /// Discards the request layer; pair with
+    /// [`crate::meta::MetaCx::rollback`].
+    pub fn close_scope(&mut self) {
+        self.scope = None;
+    }
+
+    fn get<K, T>(&mut self, pick: Pick<K, T>, key: K, meta_gen: u64) -> Option<T>
+    where
+        K: Eq + std::hash::Hash + Copy,
+        T: Clone + IntegrityTag,
+    {
+        if let Some(s) = &mut self.scope {
+            if let Some(v) = load(pick(&mut s.tables), key, meta_gen) {
+                return Some(v);
+            }
+            if s.laws != self.laws {
+                return None;
+            }
+        }
+        load(pick(&mut self.base), key, meta_gen)
+    }
+
+    fn put<K, T>(&mut self, pick: Pick<K, T>, key: K, entry: Entry<T>)
+    where
+        K: Eq + std::hash::Hash,
+        T: Clone + IntegrityTag,
+    {
+        let tables = match &mut self.scope {
+            Some(s) => &mut s.tables,
+            None => &mut self.base,
+        };
+        store(pick(tables), key, entry);
+    }
+
     pub fn hnf_get(&mut self, c: ConId, env_gen: u64, meta_gen: u64) -> Option<RCon> {
-        if let Some(v) = load(&mut self.hnf, (c, env_gen), meta_gen) {
-            return Some(v);
-        }
-        if !globally_keyable(&c) {
-            return None;
-        }
-        let lb = law_bits(self.laws?);
-        let hit = read_lock(&gshard(c, env_gen).hnf).get(&(c, env_gen, lb)).copied();
-        gnote(hit.is_some());
-        let v = hit?;
-        // Promote into the local table (stable by construction), bypassing
-        // `store` so a `memo_store` fault can't corrupt a value the global
-        // layer already holds clean.
-        self.hnf.insert((c, env_gen), Entry::new(v, meta_gen, true));
-        Some(v)
+        self.get(|t| &mut t.hnf, (c, env_gen), meta_gen)
     }
 
     pub fn hnf_put(&mut self, c: ConId, env_gen: u64, meta_gen: u64, out: &RCon) {
         let stable = !intern::flags_of(out).has_meta();
-        if stable && globally_keyable(&c) {
-            if let Some(laws) = self.laws {
-                write_lock(&gshard(c, env_gen).hnf)
-                    .insert((c, env_gen, law_bits(laws)), *out);
-            }
-        }
-        store(
-            &mut self.hnf,
-            (c, env_gen),
-            Entry::new(RCon::clone(out), meta_gen, stable),
-        );
+        self.put(|t| &mut t.hnf, (c, env_gen), Entry::new(*out, meta_gen, stable));
     }
 
     pub fn defeq_get(&mut self, a: ConId, b: ConId, env_gen: u64, meta_gen: u64) -> Option<bool> {
-        let k = pair_key(a, b, env_gen);
-        if let Some(v) = load(&mut self.defeq, k, meta_gen) {
-            return Some(v);
-        }
-        if !globally_keyable(&a) || !globally_keyable(&b) {
-            return None;
-        }
-        let lb = law_bits(self.laws?);
-        let hit = read_lock(&gshard(k.0, env_gen).defeq).get(&(k.0, k.1, k.2, lb)).copied();
-        gnote(hit.is_some());
-        let v = hit?;
-        self.defeq.insert(k, Entry::new(v, meta_gen, true));
-        Some(v)
+        self.get(|t| &mut t.defeq, pair_key(a, b, env_gen), meta_gen)
     }
 
     pub fn defeq_put(&mut self, a: ConId, b: ConId, env_gen: u64, meta_gen: u64, eq: bool) {
-        let k = pair_key(a, b, env_gen);
-        // Meta-free inputs can't be refined by later solutions, so *both*
-        // verdicts are final process-wide (the local `false` stays
-        // generation-guarded only because the local table doesn't re-check
-        // keyability on load).
-        if globally_keyable(&a) && globally_keyable(&b) {
-            if let Some(laws) = self.laws {
-                write_lock(&gshard(k.0, env_gen).defeq)
-                    .insert((k.0, k.1, k.2, law_bits(laws)), eq);
-            }
-        }
-        store(&mut self.defeq, k, Entry::new(eq, meta_gen, eq));
+        self.put(|t| &mut t.defeq, pair_key(a, b, env_gen), Entry::new(eq, meta_gen, eq));
     }
 
     pub fn row_get(&mut self, c: ConId, env_gen: u64, meta_gen: u64) -> Option<RowNf> {
-        if let Some(v) = load(&mut self.rows, (c, env_gen), meta_gen) {
-            return Some(v);
-        }
-        if !globally_keyable(&c) {
-            return None;
-        }
-        let lb = law_bits(self.laws?);
-        let hit = read_lock(&gshard(c, env_gen).rows).get(&(c, env_gen, lb)).cloned();
-        gnote(hit.is_some());
-        let v = hit?;
-        self.rows.insert((c, env_gen), Entry::new(v.clone(), meta_gen, true));
-        Some(v)
+        self.get(|t| &mut t.rows, (c, env_gen), meta_gen)
     }
 
     pub fn row_put(&mut self, c: ConId, env_gen: u64, meta_gen: u64, nf: &RowNf) {
         let stable = row_nf_stable(nf);
-        if stable && globally_keyable(&c) {
-            if let Some(laws) = self.laws {
-                write_lock(&gshard(c, env_gen).rows)
-                    .insert((c, env_gen, law_bits(laws)), nf.clone());
-            }
-        }
-        store(
-            &mut self.rows,
-            (c, env_gen),
-            Entry::new(nf.clone(), meta_gen, stable),
-        );
+        self.put(|t| &mut t.rows, (c, env_gen), Entry::new(nf.clone(), meta_gen, stable));
     }
 
     pub fn disjoint_get(
@@ -493,19 +390,7 @@ impl Memo {
         env_gen: u64,
         meta_gen: u64,
     ) -> Option<ProveResult> {
-        let k = pair_key(a, b, env_gen);
-        if let Some(v) = load(&mut self.disjoint, k, meta_gen) {
-            return Some(v);
-        }
-        if !globally_keyable(&a) || !globally_keyable(&b) {
-            return None;
-        }
-        let lb = law_bits(self.laws?);
-        let hit = read_lock(&gshard(k.0, env_gen).disjoint).get(&(k.0, k.1, k.2, lb)).copied();
-        gnote(hit.is_some());
-        let v = hit?;
-        self.disjoint.insert(k, Entry::new(v, meta_gen, true));
-        Some(v)
+        self.get(|t| &mut t.disjoint, pair_key(a, b, env_gen), meta_gen)
     }
 
     pub fn disjoint_put(
@@ -516,21 +401,16 @@ impl Memo {
         meta_gen: u64,
         out: ProveResult,
     ) {
-        let k = pair_key(a, b, env_gen);
         let stable = matches!(out, ProveResult::Proved | ProveResult::Refuted);
-        if stable && globally_keyable(&a) && globally_keyable(&b) {
-            if let Some(laws) = self.laws {
-                write_lock(&gshard(k.0, env_gen).disjoint)
-                    .insert((k.0, k.1, k.2, law_bits(laws)), out);
-            }
-        }
-        store(&mut self.disjoint, k, Entry::new(out, meta_gen, stable));
+        self.put(|t| &mut t.disjoint, pair_key(a, b, env_gen), Entry::new(out, meta_gen, stable));
     }
 
-    /// Entry counts per table `(hnf, defeq, rows, disjoint)`, for
+    /// The session's entry counts per table `(hnf, defeq, rows,
+    /// disjoint)` (an open request layer is not counted), for
     /// instrumentation.
     pub fn table_sizes(&self) -> (usize, usize, usize, usize) {
-        (self.hnf.len(), self.defeq.len(), self.rows.len(), self.disjoint.len())
+        let t = &self.base;
+        (t.hnf.len(), t.defeq.len(), t.rows.len(), t.disjoint.len())
     }
 }
 
@@ -629,96 +509,64 @@ mod tests {
         failpoint::install(None);
     }
 
-    /// Serializes tests that touch the process-global stable layer, so a
-    /// `clear_global` in one test can't wipe another's entries mid-flight.
-    fn global_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static L: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        L.lock().unwrap_or_else(|e| e.into_inner())
+    #[test]
+    fn a_store_inside_a_scope_is_gone_after_close() {
+        let mut m = Memo::default();
+        m.check_laws(LawConfig::default());
+        let a = intern::id_of(&Con::int());
+        let b = intern::id_of(&Con::string());
+        let before = m.table_sizes();
+        m.open_scope();
+        m.check_laws(LawConfig::default());
+        m.defeq_put(a, b, 0, 0, true);
+        m.hnf_put(a, 0, 0, &Con::int());
+        assert_eq!(m.defeq_get(a, b, 0, 0), Some(true), "visible inside the scope");
+        assert_eq!(m.table_sizes(), before, "the session's tables are untouched");
+        m.close_scope();
+        assert_eq!(m.defeq_get(a, b, 0, 0), None);
+        assert_eq!(m.hnf_get(a, 0, 0), None);
+        assert_eq!(m.table_sizes(), before);
     }
 
     #[test]
-    fn stable_entries_are_shared_across_memos() {
-        let _g = global_test_lock();
+    fn base_entries_hit_inside_a_scope_and_survive_close() {
+        let mut m = Memo::default();
+        m.check_laws(LawConfig::default());
+        let a = intern::id_of(&Con::int());
+        let b = intern::id_of(&Con::float());
+        // Stored at generation 7, the generation the scope opens at.
+        m.defeq_put(a, a, 0, 7, true);
+        m.defeq_put(a, b, 0, 7, false);
+        m.open_scope();
+        m.check_laws(LawConfig::default());
+        assert_eq!(m.defeq_get(a, a, 0, 7), Some(true), "stable base entry");
+        assert_eq!(m.defeq_get(a, b, 0, 7), Some(false), "guarded, at the mark's generation");
+        // Once the request solves something, guarded entries miss.
+        assert_eq!(m.defeq_get(a, b, 0, 8), None);
+        assert_eq!(m.defeq_get(a, a, 0, 8), Some(true));
+        m.close_scope();
+        assert_eq!(m.defeq_get(a, a, 0, 7), Some(true));
+        assert_eq!(m.defeq_get(a, b, 0, 7), Some(false));
+    }
+
+    #[test]
+    fn a_law_change_inside_a_scope_never_reads_base_entries() {
+        let mut m = Memo::default();
         let laws = LawConfig::default();
-        let env_gen = crate::env::fresh_gen();
-        let c = intern::id_of(&Con::arrow(Con::int(), Con::string()));
-        let nf = Con::int();
-
-        let mut producer = Memo::default();
-        producer.check_laws(laws);
-        producer.hnf_put(c, env_gen, 0, &nf);
-        producer.defeq_put(c, c, env_gen, 0, true);
-
-        // A different worker's Memo sees the published entries.
-        let mut consumer = Memo::default();
-        consumer.check_laws(laws);
-        let (h0, _) = global_hit_stats();
-        assert_eq!(consumer.hnf_get(c, env_gen, 42), Some(nf));
-        assert_eq!(consumer.defeq_get(c, c, env_gen, 42), Some(true));
-        let (h1, _) = global_hit_stats();
-        assert!(h1 >= h0 + 2, "both lookups must count as global hits");
-
-        // ... and the hit was promoted into the consumer's local table.
-        assert!(consumer.table_sizes().0 >= 1);
-    }
-
-    #[test]
-    fn different_laws_do_not_share_entries() {
-        let _g = global_test_lock();
-        let env_gen = crate::env::fresh_gen();
-        let c = intern::id_of(&Con::arrow(Con::string(), Con::int()));
-
-        let mut producer = Memo::default();
-        producer.check_laws(LawConfig::default());
-        producer.hnf_put(c, env_gen, 0, &Con::int());
-
-        let mut consumer = Memo::default();
-        consumer.check_laws(LawConfig { fusion: false, ..LawConfig::default() });
-        assert_eq!(
-            consumer.hnf_get(c, env_gen, 0),
-            None,
-            "entries computed under other law configurations must not leak"
-        );
-    }
-
-    #[test]
-    fn meta_bearing_keys_never_go_global() {
-        let _g = global_test_lock();
-        let env_gen = crate::env::fresh_gen();
-        // `MetaId`s are per-Cx, so this ConId names *different* metas in
-        // different workers — it must stay confined to its own Memo.
-        let c = intern::id_of(&Con::meta(crate::con::MetaId(903_000)));
-
-        let mut producer = Memo::default();
-        producer.check_laws(LawConfig::default());
-        producer.hnf_put(c, env_gen, 0, &Con::int());
-        producer.defeq_put(c, c, env_gen, 0, true);
-
-        let mut consumer = Memo::default();
-        consumer.check_laws(LawConfig::default());
-        assert_eq!(consumer.hnf_get(c, env_gen, 0), None);
-        assert_eq!(consumer.defeq_get(c, c, env_gen, 0), None);
-    }
-
-    #[test]
-    fn clear_global_drops_shared_entries() {
-        let _g = global_test_lock();
-        let env_gen = crate::env::fresh_gen();
-        let c = intern::id_of(&Con::pair(Con::int(), Con::string()));
-
-        let mut producer = Memo::default();
-        producer.check_laws(LawConfig::default());
-        producer.hnf_put(c, env_gen, 0, &Con::int());
-        let (hnf, _, _, _) = global_sizes();
-        assert!(hnf >= 1);
-
-        clear_global();
-
-        let mut consumer = Memo::default();
-        consumer.check_laws(LawConfig::default());
-        assert_eq!(consumer.hnf_get(c, env_gen, 0), None, "reset must drop global entries");
-        // The producer still has its own local copy.
-        assert_eq!(producer.hnf_get(c, env_gen, 0), Some(Con::int()));
+        let other = LawConfig { fusion: false, ..laws };
+        let a = intern::id_of(&Con::int());
+        m.check_laws(laws);
+        m.defeq_put(a, a, 0, 0, true);
+        m.open_scope();
+        m.check_laws(other);
+        assert_eq!(m.defeq_get(a, a, 0, 0), None, "base was filled under other laws");
+        m.defeq_put(a, a, 0, 0, false);
+        assert_eq!(m.defeq_get(a, a, 0, 0), Some(false), "the layer answers under the new laws");
+        // Back under the base's laws: the layer clears, the base is read.
+        m.check_laws(laws);
+        assert_eq!(m.defeq_get(a, a, 0, 0), Some(true));
+        m.close_scope();
+        assert_eq!(m.defeq_get(a, a, 0, 0), Some(true), "the base kept its entries");
     }
 
     #[test]

@@ -33,10 +33,28 @@ struct KMetaEntry {
 /// by tagging entries with [`MetaCx::generation`], which counts recorded
 /// solutions. Allocating fresh metas does not bump the generation — a new
 /// metavariable cannot occur in any previously cached term.
+///
+/// Short of replacing the whole store together with its memo (as
+/// `Elaborator::restore` does), the one way back is a *request scope*:
+/// [`MetaCx::mark`] records the store's extent and [`MetaCx::rollback`]
+/// drops every metavariable allocated since, restoring the generation.
+/// That is sound only when nothing the scope solved is older than its
+/// mark — then the store is exactly what it was at the mark, and so is
+/// every memo entry checked against it. The memo's request layer
+/// ([`crate::memo::Memo::open_scope`]) is discarded together with the
+/// metavariables its entries name.
 #[derive(Clone, Debug, Default)]
 pub struct MetaCx {
     metas: Vec<MetaEntry>,
     kmetas: Vec<KMetaEntry>,
+    gen: u64,
+}
+
+/// The extent of a [`MetaCx`] at the start of a request scope.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MetaMark {
+    metas: usize,
+    kmetas: usize,
     gen: u64,
 }
 
@@ -48,6 +66,41 @@ impl MetaCx {
     /// Number of solutions (constructor and kind) recorded so far.
     pub fn generation(&self) -> u64 {
         self.gen
+    }
+
+    /// Records the store's current extent; see [`MetaCx::rollback`].
+    pub fn mark(&self) -> MetaMark {
+        MetaMark {
+            metas: self.metas.len(),
+            kmetas: self.kmetas.len(),
+            gen: self.gen,
+        }
+    }
+
+    /// Drops every metavariable allocated since `mark` and restores the
+    /// generation it recorded, so later allocations reuse the same
+    /// numbers.
+    ///
+    /// The caller guarantees that nothing solved since `mark` is older
+    /// than it (a request cannot reach the session's metavariables);
+    /// debug builds check that every solution since the mark belongs to
+    /// a dropped metavariable.
+    pub fn rollback(&mut self, mark: MetaMark) {
+        debug_assert_eq!(
+            self.gen - mark.gen,
+            self.solved_since(mark),
+            "a request scope solved a metavariable allocated before its mark"
+        );
+        self.metas.truncate(mark.metas);
+        self.kmetas.truncate(mark.kmetas);
+        self.gen = mark.gen;
+    }
+
+    /// Solutions recorded on metavariables allocated since `mark`.
+    fn solved_since(&self, mark: MetaMark) -> u64 {
+        let cons = self.metas[mark.metas..].iter().filter(|e| e.solution.is_some()).count();
+        let kinds = self.kmetas[mark.kmetas..].iter().filter(|e| e.solution.is_some()).count();
+        (cons + kinds) as u64
     }
 
     /// Allocates a fresh constructor metavariable of the given kind.
@@ -327,6 +380,39 @@ mod tests {
         assert_eq!(cx.resolve_kind(&k), Kind::Type);
         let deep = Kind::arrow(k.clone(), Kind::Name);
         assert_eq!(cx.zonk_kind(&deep), Kind::arrow(Kind::Type, Kind::Name));
+    }
+
+    #[test]
+    fn rollback_frees_numbers_and_restores_the_generation() {
+        let mut cx = MetaCx::new();
+        let base = cx.fresh(Kind::Type, "base");
+        cx.solve(base, Con::int());
+        let mark = cx.mark();
+        let a = cx.fresh(Kind::Type, "a");
+        let k = cx.fresh_kind();
+        cx.solve(a, Con::string());
+        if let Kind::Meta(id) = k {
+            cx.solve_kind(id, Kind::Type);
+        }
+        assert_eq!(cx.generation(), 3);
+        cx.rollback(mark);
+        assert_eq!(cx.generation(), 1, "the mark's generation is back");
+        assert_eq!(cx.len(), 1);
+        assert_eq!(cx.fresh(Kind::Type, "again"), a, "the number is reused");
+        assert!(cx.solution(a).is_none(), "reused unsolved");
+        assert_eq!(cx.fresh_kind(), k, "kind numbers are reused too");
+        assert_eq!(cx.resolve(&Con::meta(base)), Con::int(), "older solutions stay");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "allocated before its mark")]
+    fn rollback_rejects_a_scope_that_solved_an_older_meta() {
+        let mut cx = MetaCx::new();
+        let old = cx.fresh(Kind::Type, "old");
+        let mark = cx.mark();
+        cx.solve(old, Con::int());
+        cx.rollback(mark);
     }
 
     #[test]

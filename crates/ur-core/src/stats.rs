@@ -63,10 +63,11 @@ pub struct Stats {
     /// Times an arena shard lock was contended (try-lock failed and the
     /// intern had to block).
     pub arena_contention: u64,
-    /// Global stable-entry memo layer hits / misses (see
-    /// `ur_core::memo::global_hit_stats`); process-wide, captured by
-    /// [`Stats::capture_intern`].
+    /// Always 0 (memo tables are per session); kept only because the
+    /// repository benchmark reads it.
     pub gmemo_hits: u64,
+    /// Always 0 (memo tables are per session); kept only because the
+    /// repository benchmark reads it.
     pub gmemo_misses: u64,
     /// Always 0 (elaboration is sequential); kept only because the
     /// repository benchmark reads it.
@@ -227,7 +228,7 @@ impl Stats {
     /// snapshot (they are process-global, not per-`Cx`, so they are
     /// captured on demand rather than incremented by the judgments).
     /// Also captures the arena gauges (bytes, shard balance, lock
-    /// contention) and the global memo layer's hit/miss totals.
+    /// contention).
     pub fn capture_intern(&mut self) {
         let t = crate::intern::table_stats();
         self.intern_nodes = t.nodes;
@@ -239,9 +240,6 @@ impl Stats {
         self.arena_shard_max = a.con_per_shard.iter().copied().max().unwrap_or(0);
         self.arena_shard_min = a.con_per_shard.iter().copied().min().unwrap_or(0);
         self.arena_contention = a.contention;
-        let (gh, gm) = crate::memo::global_hit_stats();
-        self.gmemo_hits = gh;
-        self.gmemo_misses = gm;
     }
 
     /// Copies the thread-local failpoint counters into this snapshot
@@ -402,11 +400,6 @@ impl fmt::Display for Stats {
             f,
             " arena[bytes={} shard_max={} shard_min={} contention={} hit_rate={hit_rate:.1}%]",
             self.arena_bytes, self.arena_shard_max, self.arena_shard_min, self.arena_contention,
-        )?;
-        write!(
-            f,
-            " gmemo[hits={} misses={}]",
-            self.gmemo_hits, self.gmemo_misses,
         )?;
         write!(
             f,
@@ -782,7 +775,6 @@ mod tests {
             "shard_min=",
             "contention=",
             "hit_rate=",
-            "gmemo[hits=",
         ] {
             assert!(s.contains(key), "missing {key} in {s}");
         }

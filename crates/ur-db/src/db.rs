@@ -4,7 +4,9 @@
 //! The log records, for every operation, the SQL statement an Ur/Web
 //! deployment would have sent to a real server — useful both for the
 //! examples (showing generated SQL) and for the injection-safety tests
-//! (asserting the statements are correctly escaped).
+//! (asserting the statements are correctly escaped). It keeps the
+//! newest [`SQL_LOG_CAP`] statements, so a long-lived session's log
+//! (copied by every clone) stays bounded.
 //!
 //! ## Durability
 //!
@@ -51,6 +53,9 @@ use ur_core::failpoint::{self, Site};
 /// Capacity of the bounded EXPLAIN ring ([`Db::plan_log`]).
 const PLAN_LOG_CAP: usize = 8;
 
+/// Capacity of the SQL-text log ([`Db::log`]), in statements.
+pub const SQL_LOG_CAP: usize = 256;
+
 /// A relational database: in-memory by default, durable when opened on
 /// a directory with [`Db::open`].
 #[derive(Clone, Debug, Default)]
@@ -58,6 +63,9 @@ pub struct Db {
     tables: HashMap<String, Table>,
     sequences: HashMap<String, i64>,
     log: Vec<String>,
+    /// Statements evicted from the front of `log` to keep it at
+    /// [`SQL_LOG_CAP`].
+    log_dropped: u64,
     /// The WAL + checkpoint handle, shared between clones; `None` in
     /// the in-memory mode.
     durable: Option<Rc<RefCell<Durable>>>,
@@ -113,6 +121,7 @@ impl Db {
             tables: rec.tables,
             sequences: rec.sequences,
             log: Vec::new(),
+            log_dropped: 0,
             durable: Some(Rc::new(RefCell::new(rec.durable))),
             txn: None,
             stats: rec.stats,
@@ -198,7 +207,7 @@ impl Db {
             // Explicit transaction: apply now (the transaction reads its
             // own writes), persist at commit.
             let out = recover::apply_record(&mut self.tables, &mut self.sequences, &rec)?;
-            self.log.push(sql);
+            self.log_sql(sql);
             if let Some(txn) = self.txn.as_mut() {
                 txn.pending.push(rec);
             }
@@ -227,14 +236,14 @@ impl Db {
                 self.seen_epoch = d.epoch;
             }
             let out = recover::apply_record(&mut self.tables, &mut self.sequences, &rec)?;
-            self.log.push(sql);
+            self.log_sql(sql);
             self.stats.auto_commits = self.stats.auto_commits.saturating_add(1);
             self.mvcc.bump();
             self.maybe_checkpoint();
             return Ok(out);
         }
         let out = recover::apply_record(&mut self.tables, &mut self.sequences, &rec)?;
-        self.log.push(sql);
+        self.log_sql(sql);
         self.mvcc.bump();
         Ok(out)
     }
@@ -268,7 +277,7 @@ impl Db {
             pending: Vec::new(),
             undo_tables: self.tables.clone(),
             undo_sequences: self.sequences.clone(),
-            undo_log_len: self.log.len(),
+            undo_log_total: self.log_dropped + self.log.len() as u64,
         });
         Ok(id)
     }
@@ -292,7 +301,7 @@ impl Db {
             let rollback = |db: &mut Db, e: DbError| {
                 db.tables = txn.undo_tables.clone();
                 db.sequences = txn.undo_sequences.clone();
-                db.log.truncate(txn.undo_log_len);
+                db.truncate_log(txn.undo_log_total);
                 db.stats.txn_rollbacks = db.stats.txn_rollbacks.saturating_add(1);
                 Err(e)
             };
@@ -351,7 +360,7 @@ impl Db {
         let txn = self.txn.take().ok_or(DbError::NoTxn)?;
         self.tables = txn.undo_tables;
         self.sequences = txn.undo_sequences;
-        self.log.truncate(txn.undo_log_len);
+        self.truncate_log(txn.undo_log_total);
         self.stats.txn_rollbacks = self.stats.txn_rollbacks.saturating_add(1);
         Ok(())
     }
@@ -934,7 +943,7 @@ impl Db {
         if self.read_only {
             self.stats.snapshot_reads = self.stats.snapshot_reads.saturating_add(1);
         }
-        self.log.push(format!(
+        self.log_sql(format!(
             "SELECT * FROM \"{table}\" WHERE {};",
             pred.to_sql()
         ));
@@ -981,7 +990,7 @@ impl Db {
                 _ => std::cmp::Ordering::Equal,
             },
         });
-        self.log.push(format!(
+        self.log_sql(format!(
             "SELECT * FROM \"{table}\" WHERE {} ORDER BY \"{order_col}\" \
              LIMIT {limit} OFFSET {offset};",
             pred.to_sql()
@@ -998,14 +1007,36 @@ impl Db {
         Ok(self.table(table)?.rows.len())
     }
 
-    /// The SQL statements issued so far.
+    /// The newest SQL statements issued, oldest first (at most
+    /// [`SQL_LOG_CAP`]; see [`Db::log_dropped`]).
     pub fn log(&self) -> &[String] {
         &self.log
+    }
+
+    /// How many earlier statements the log dropped to stay bounded.
+    pub fn log_dropped(&self) -> u64 {
+        self.log_dropped
     }
 
     /// Clears the query log.
     pub fn clear_log(&mut self) {
         self.log.clear();
+        self.log_dropped = 0;
+    }
+
+    fn log_sql(&mut self, sql: String) {
+        if self.log.len() >= SQL_LOG_CAP {
+            self.log.remove(0);
+            self.log_dropped += 1;
+        }
+        self.log.push(sql);
+    }
+
+    /// Drops the statements logged after the first `total` (a rolled-back
+    /// transaction's); those already evicted stay gone.
+    fn truncate_log(&mut self, total: u64) {
+        self.log_dropped = self.log_dropped.min(total);
+        self.log.truncate((total - self.log_dropped) as usize);
     }
 
     /// Names of all tables (sorted, for deterministic output).
@@ -1240,6 +1271,38 @@ mod tests {
         assert!(log.contains("INSERT INTO \"t\""));
         // The malicious quote is doubled in the log.
         assert!(log.contains("Robert''); DROP TABLE Students;--"));
+    }
+
+    #[test]
+    fn query_log_keeps_the_newest_statements() {
+        let mut db = two_col_db();
+        let n = SQL_LOG_CAP as i64 + 100;
+        for a in 0..n {
+            ins(&mut db, a, "kept");
+        }
+        assert_eq!(db.log().len(), SQL_LOG_CAP);
+        assert_eq!(db.log_dropped(), 101, "create table plus the 100 oldest inserts");
+        let last = format!("VALUES ({}, 'kept');", n - 1);
+        assert!(db.log().last().unwrap().ends_with(&last), "{:?}", db.log().last());
+
+        // A rolled-back transaction's statements leave the log, even
+        // when the transaction pushed older statements out of it.
+        db.begin().unwrap();
+        for a in 0..10 {
+            ins(&mut db, 1_000 + a, "undone");
+        }
+        db.rollback().unwrap();
+        assert_eq!(db.log().len(), SQL_LOG_CAP - 10);
+        assert!(db.log().last().unwrap().ends_with(&last));
+        db.begin().unwrap();
+        for a in 0..2 * SQL_LOG_CAP as i64 {
+            ins(&mut db, 2_000 + a, "undone");
+        }
+        db.rollback().unwrap();
+        assert!(db.log().is_empty());
+        assert_eq!(db.log_dropped(), n as u64 + 1, "every statement before the transaction");
+        ins(&mut db, 5_000, "after");
+        assert_eq!(db.log().len(), 1);
     }
 
     #[test]

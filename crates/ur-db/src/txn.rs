@@ -131,8 +131,8 @@ pub(crate) struct TxnState {
     pub undo_tables: HashMap<String, Table>,
     /// Sequences as of `begin`.
     pub undo_sequences: HashMap<String, i64>,
-    /// SQL-text log length as of `begin`.
-    pub undo_log_len: usize,
+    /// Statements logged as of `begin`, evicted ones included.
+    pub undo_log_total: u64,
 }
 
 #[cfg(test)]

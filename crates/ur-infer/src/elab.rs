@@ -342,6 +342,14 @@ impl Elaborator {
     /// global environment, running the full inference pipeline (constraint
     /// draining, folder generation, finalization).
     ///
+    /// The elaboration is a *request scope*: on every exit the
+    /// metavariables it allocated are dropped, the solution generation is
+    /// restored and its memo entries are discarded, so a long-lived
+    /// session (REPL, server) does not grow with the expressions it
+    /// answers. The result is zonked and checked meta-free, so nothing it
+    /// returns names a dropped metavariable; `genv` holds only meta-free
+    /// declaration types, so the scope cannot solve an older one.
+    ///
     /// # Errors
     ///
     /// Returns the first parse or elaboration error.
@@ -352,11 +360,15 @@ impl Elaborator {
         // earlier expressions' steps until an innocent one hits E0900.
         self.reset_transient();
         self.cx.fuel.reset();
+        let mark = self.cx.metas.mark();
+        self.cx.memo.open_scope();
         let out = self.elab_expr_parsed(&se);
         if out.is_err() {
             self.reset_transient();
             self.cx.fuel.reset();
         }
+        self.cx.memo.close_scope();
+        self.cx.metas.rollback(mark);
         out
     }
 
@@ -1786,6 +1798,15 @@ impl Elaborator {
                 self.drain()?;
                 self.check_no_constraints(*span)?;
                 let tc = finalize_con(&self.cx, &tc);
+                if let Some(m) = find_meta_con(&tc) {
+                    return Err(ElabError::new(
+                        *span,
+                        format!(
+                            "declared type of {name} contains an undetermined part ({})",
+                            self.cx.metas.origin_of(m)
+                        ),
+                    ));
+                }
                 let sym = Sym::fresh(name.as_str());
                 self.genv.bind_val(sym, tc);
                 self.bind_scope(name, Entry::Val(sym));

@@ -128,10 +128,11 @@ pub struct PoolShared {
     /// Fault-injection counters shipped home by worker threads (their
     /// thread-local counters die with them otherwise).
     pub faults: Mutex<FpCounters>,
-    /// Last *acknowledged* load/edit source per session key. Entries are
-    /// written only after the rebuild's effects are fully applied (and,
-    /// in durable mode, adopted on disk) — the restore invariant.
-    pub scripts: Mutex<HashMap<u64, String>>,
+    /// Last *acknowledged* load/edit source per session key, with the
+    /// diagnostics its rebuild reported. Entries are written only after
+    /// the rebuild's effects are fully applied (and, in durable mode,
+    /// adopted on disk) — the restore invariant.
+    pub scripts: Mutex<HashMap<u64, (String, ur_syntax::Diagnostics)>>,
     /// Set during graceful drain: workers count completions as drained.
     pub draining: AtomicBool,
     /// Current generation per worker slot; a worker that discovers its
@@ -488,7 +489,7 @@ fn serve_one(
                 }
                 // Effects are fully applied (and durable, when shared):
                 // only now may the script become the restore point.
-                lock(&shared.scripts).insert(key, src);
+                lock(&shared.scripts).insert(key, (src, slot.ctx.last_diags.clone()));
                 shared.hub.bump_scripts();
             }
         }
@@ -534,9 +535,10 @@ fn refresh_reader(
 }
 
 /// Builds a session for `key`: pin a pristine in-memory base, replay the
-/// last acknowledged script (elaborator state), then install the durable
-/// handle *without* re-adopting — the script's effects are already on
-/// disk by the scripts-map invariant.
+/// last acknowledged script (elaborator state) and take over the
+/// diagnostics it was acknowledged with, then install the durable handle
+/// *without* re-adopting — the script's effects are already on disk by
+/// the scripts-map invariant.
 fn build_session(
     shared: &Arc<PoolShared>,
     durable: Option<&Db>,
@@ -550,17 +552,17 @@ fn build_session(
     // Pin the pristine base before any durable handle exists, so every
     // later rebuild replays into scratch in-memory state.
     let _ = sess.reelaborate("");
+    let mut ctx = ReqCtx::new(Some(Arc::clone(&shared.counters)));
     let script = lock(&shared.scripts).get(&key).cloned();
-    if let Some(src) = script {
+    if let Some((src, diags)) = script {
         let _ = sess.reelaborate(&src);
+        // `diagnostics` answers what the acknowledged rebuild reported.
+        ctx.last_diags = diags;
     }
     if let Some(d) = durable {
         *sess.db() = d.clone();
     }
-    Ok(Slot {
-        sess,
-        ctx: ReqCtx::new(Some(Arc::clone(&shared.counters))),
-    })
+    Ok(Slot { sess, ctx })
 }
 
 /// Fallback loop for a worker that could not open the shared store:

@@ -245,6 +245,45 @@ fn durable_mode_snapshot_readers_see_acked_state() {
 }
 
 #[test]
+fn durable_readers_answer_diagnostics_of_the_acked_load() {
+    let db_dir = std::env::temp_dir().join(format!(
+        "ur-serve-e2e-diags-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&db_dir);
+    let cfg = ServeConfig {
+        workers: 3,
+        db_dir: Some(db_dir.clone()),
+        deadline_ms: 10_000,
+        cache_dir: Some(tmp_cache()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).expect("start");
+    let addr = server.addr();
+    let mut w = Client::connect(addr);
+    let resp = w.roundtrip("{\"cmd\":\"load\",\"source\":\"val x = 1 + \\\"a\\\"\"}");
+    assert!(resp.contains("\"ok\":true") && resp.contains("E0400"), "{resp}");
+    // `diagnostics` is read-only, so snapshot readers answer it — from
+    // this connection and from others.
+    let resp = w.roundtrip("{\"cmd\":\"diagnostics\"}");
+    assert!(resp.contains("E0400"), "{resp}");
+    for _ in 0..4 {
+        let mut c = Client::connect(addr);
+        let resp = c.roundtrip("{\"cmd\":\"diagnostics\"}");
+        assert!(resp.contains("E0400"), "{resp}");
+    }
+    // A clean load clears them everywhere.
+    let resp = w.roundtrip("{\"cmd\":\"load\",\"source\":\"val x = 1\"}");
+    assert!(resp.contains("\"diagnostics\":[]"), "{resp}");
+    let mut c = Client::connect(addr);
+    let resp = c.roundtrip("{\"cmd\":\"diagnostics\"}");
+    assert_eq!(resp, "{\"ok\":true,\"diagnostics\":[]}");
+    server.start_drain();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&db_dir);
+}
+
+#[test]
 fn tiny_deadline_degrades_structurally() {
     let cfg = ServeConfig {
         cache_dir: Some(tmp_cache()),

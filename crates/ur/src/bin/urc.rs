@@ -17,7 +17,7 @@
 //!   --eval=vm|interp   execution engine: the bytecode VM (default) or
 //!                      the tree-walking interpreter (the differential
 //!                      oracle; also: UR_EVAL env var)
-//!   --sql-log          print the SQL statements the program issued
+//!   --sql-log          print the newest SQL statements the program issued
 //!   --no-identity      disable the map-identity law   (ablation)
 //!   --no-distrib       disable map-distributivity     (ablation)
 //!   --no-fusion        disable map-fusion             (ablation)
@@ -332,6 +332,10 @@ fn run(opts: &Options) -> Result<(), String> {
     }
 
     if opts.sql_log {
+        let dropped = sess.db().log_dropped();
+        if dropped > 0 {
+            println!("-- {dropped} earlier statements dropped");
+        }
         for stmt in sess.db().log() {
             println!("{stmt}");
         }

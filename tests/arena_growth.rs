@@ -4,8 +4,7 @@
 //! Every `Session` takes an [`ur::core::arena::ArenaLease`]; while any
 //! lease is live, [`ur::core::arena::try_reset`] refuses to run, and once
 //! the last session drops the arena may be drained in place (generation
-//! bump, hash-cons maps cleared, dependent global caches — the shared
-//! memo layer — cleared through the reset hooks).
+//! bump, hash-cons maps cleared).
 //!
 //! This lives in its own test binary on purpose: `try_reset` demands
 //! process-wide quiescence, which concurrent tests in a shared binary
@@ -70,10 +69,6 @@ fn arena_growth_is_bounded_over_100_session_cycles() {
     let drained = arena::stats();
     assert_eq!(drained.con_nodes, 0);
     assert_eq!(drained.expr_nodes, 0);
-
-    // And the global memo layer drained with it (reset hook).
-    let sizes = ur::core::memo::global_sizes();
-    assert_eq!(sizes, (0, 0, 0, 0), "reset hook must clear the global memo");
 
     // The arena remains fully serviceable after many resets.
     run_cycle();

@@ -426,8 +426,8 @@ fn studies_elaborate_identically_cached_and_uncached() {
 }
 
 /// Memo transparency must survive concurrent elaboration: sessions on
-/// separate threads share the sharded arena and the global memo layer
-/// (as `ur-serve`'s pool workers do), so hit patterns differ completely
+/// separate threads share the sharded arena (as `ur-serve`'s pool
+/// workers do), so interning hit patterns differ completely
 /// from a lone sequential run — while every observable result stays
 /// identical, memo on or off.
 #[test]
