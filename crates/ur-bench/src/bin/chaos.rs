@@ -1,7 +1,8 @@
 //! Chaos differential benchmark: the combined Figure-5 batch and an
-//! adversarial mixed-error batch, elaborated under seeded fault
-//! schedules (`ur_core::failpoint`), compared declaration-by-declaration
-//! against a clean baseline. Dedicated schedules additionally storm the durability
+//! adversarial mixed-error batch, rebuilt through the incremental
+//! engine under seeded disk-cache fault schedules (`ur_core::failpoint`,
+//! `cache_havoc`), compared declaration-by-declaration against a clean
+//! baseline. Dedicated schedules additionally storm the durability
 //! layer (`wal_havoc`) and the supervised TCP serving layer
 //! (`serve_havoc`), where the invariant is answer-correctness rather
 //! than decl equality: degradation may shed, tear, or expire requests,
@@ -11,8 +12,8 @@
 //!
 //! * **zero divergence** — elaborated declarations (up to fresh symbol
 //!   ids) and diagnostics under every fault schedule must equal the
-//!   clean run's. Faults may cost retries and recomputation;
-//!   they must never change results.
+//!   clean run's. Faults may cost recomputation; they must never
+//!   change results.
 //! * **full site coverage** — every named fault site must actually fire
 //!   at least once across the bench, so none of the recovery paths is
 //!   silently untested.
@@ -33,29 +34,6 @@ const MATRIX_SEEDS: &[u64] = &[0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
 /// (few and narrow: chaos runs the batch many times).
 const CLIENT_FAN: usize = 4;
 const CLIENT_WIDTH: usize = 8;
-
-/// A fault schedule touching every elaboration site at moderate rates.
-/// Faults per site are capped *below* the declaration retry budget (3+
-/// attempts), so self-healing always converges to the clean result.
-fn balanced(seed: u64) -> FpConfig {
-    FpConfig::new(seed)
-        .with_max_per_site(2)
-        .with_rate(Site::MemoLoad, 60)
-        .with_rate(Site::MemoStore, 60)
-        .with_rate(Site::InternGrow, 40)
-        .with_rate(Site::FuelCharge, 4)
-}
-
-/// State-layer havoc: memo corruption, intern-table rehash, and phantom
-/// fuel bursts, exercising integrity rejection and declaration retry.
-fn state_havoc(seed: u64) -> FpConfig {
-    FpConfig::new(seed)
-        .with_max_per_site(2)
-        .with_rate(Site::MemoLoad, 400)
-        .with_rate(Site::MemoStore, 400)
-        .with_rate(Site::InternGrow, 300)
-        .with_rate(Site::FuelCharge, 20)
-}
 
 /// Disk-cache havoc for the incremental engine: stores corrupt their
 /// integrity tag, loads return unreadable bytes. Every damaged entry
@@ -385,30 +363,27 @@ fn strip_sym_ids(s: &str) -> String {
     out
 }
 
-/// Elaborates `src` once in a fresh session under `cfg` (or clean, with
-/// `None`). The schedule is installed after session construction so the
-/// prelude does not consume the per-site fault caps, and uninstalled
-/// before returning. Returns (ms, decl fingerprints, diag fingerprints,
-/// faults injected during the run).
-fn run_once(src: &str, cfg: Option<FpConfig>) -> (f64, Vec<String>, Vec<String>, FpCounters) {
+/// One build's declarations and diagnostics, printed without symbol ids.
+type Observed = (Vec<String>, Vec<String>);
+
+/// Elaborates `src` once, cleanly, in a fresh session: the baseline
+/// every chaos build must reproduce.
+fn baseline(src: &str) -> Observed {
     let mut sess = Session::new().expect("session");
-    let _ = failpoint::take_counters();
-    failpoint::install(cfg);
-    let start = Instant::now();
     let (decls, diags) = sess.elab.elab_source_all(src);
-    let ms = start.elapsed().as_secs_f64() * 1000.0;
-    failpoint::install(None);
-    let injected = failpoint::take_counters();
+    observe(&decls, &diags)
+}
+
+/// Renders a build's declarations (without symbol ids) and diagnostics
+/// as comparable strings.
+fn observe(decls: &[ur_infer::ElabDecl], diags: &[ur_syntax::Diagnostic]) -> Observed {
     let decl_fps = decls
         .iter()
         .map(|d| strip_sym_ids(&format!("{d:?}")))
         .collect();
     let diag_fps = diags.iter().map(|d| d.to_string()).collect();
-    (ms, decl_fps, diag_fps, injected)
+    (decl_fps, diag_fps)
 }
-
-/// One build's declarations and diagnostics, printed without symbol ids.
-type Observed = (Vec<String>, Vec<String>);
 
 /// One chaos pass through the incremental engine: a cold build, then
 /// three rebuilds, each by a fresh engine over the same directory, all
@@ -436,12 +411,7 @@ fn run_once_cache(src: &str, cfg: FpConfig) -> (f64, Vec<Observed>, FpCounters) 
                 base_tag,
             });
             let (decls, diags, _report) = engine.run(&mut sess.elab, src, 1);
-            let decl_fps = decls
-                .iter()
-                .map(|d| strip_sym_ids(&format!("{d:?}")))
-                .collect();
-            let diag_fps = diags.iter().map(|d| d.to_string()).collect();
-            (decl_fps, diag_fps)
+            observe(&decls, &diags)
         })
         .collect();
     let ms = start.elapsed().as_secs_f64() * 1000.0;
@@ -457,7 +427,6 @@ struct RunRecord {
     seed: u64,
     ms: f64,
     injected: u64,
-    rejections: u64,
     diverged: bool,
 }
 
@@ -469,10 +438,9 @@ fn main() {
     println!("Chaos differential benchmark — seeded fault schedules vs clean runs");
     println!();
 
-    let mut baselines: Vec<(Vec<String>, Vec<String>)> = Vec::new();
+    let mut baselines: Vec<Observed> = Vec::new();
     for (name, src) in &corpora {
-        let (_, decls, diags, injected) = run_once(src, None);
-        assert_eq!(injected, FpCounters::default(), "baseline must be fault-free");
+        let (decls, diags) = baseline(src);
         println!(
             "baseline [{name}]: {} decls, {} diagnostics (clean)",
             decls.len(),
@@ -484,48 +452,6 @@ fn main() {
 
     let mut rows: Vec<RunRecord> = Vec::new();
     let mut totals = FpCounters::default();
-    let chaos = |corpus_ix: usize,
-                     schedule: &'static str,
-                     cfg: FpConfig,
-                     rows: &mut Vec<RunRecord>,
-                     totals: &mut FpCounters| {
-        let (name, src) = corpora[corpus_ix];
-        let (base_decls, base_diags) = &baselines[corpus_ix];
-        let (ms, decls, diags, injected) = run_once(src, Some(cfg));
-        totals.absorb(&injected);
-        rows.push(RunRecord {
-            corpus: name,
-            schedule,
-            seed: cfg.seed,
-            ms,
-            injected: injected.total_injected(),
-            rejections: injected.integrity_rejections,
-            diverged: decls != *base_decls || diags != *base_diags,
-        });
-    };
-
-    for &seed in MATRIX_SEEDS {
-        for corpus_ix in 0..corpora.len() {
-            chaos(
-                corpus_ix,
-                "balanced",
-                balanced(seed),
-                &mut rows,
-                &mut totals,
-            );
-        }
-    }
-    // Targeted schedules: make each recovery path certain to run at
-    // least once regardless of how the balanced draws land.
-    for corpus_ix in 0..corpora.len() {
-        chaos(
-            corpus_ix,
-            "state_havoc",
-            state_havoc(0xC0DE),
-            &mut rows,
-            &mut totals,
-        );
-    }
     // Incremental-engine cache corruption, against both corpora.
     for corpus_ix in 0..corpora.len() {
         let cfg = cache_havoc(0xCAC4E + corpus_ix as u64);
@@ -539,7 +465,6 @@ fn main() {
             seed: cfg.seed,
             ms,
             injected: injected.total_injected(),
-            rejections: injected.integrity_rejections,
             diverged: builds
                 .iter()
                 .any(|(decls, diags)| decls != base_decls || diags != base_diags),
@@ -558,7 +483,6 @@ fn main() {
             seed: cfg.seed,
             ms,
             injected: injected.total_injected(),
-            rejections: injected.integrity_rejections,
             diverged,
         });
     }
@@ -575,19 +499,18 @@ fn main() {
             seed: cfg.seed,
             ms,
             injected: injected.total_injected(),
-            rejections: injected.integrity_rejections,
             diverged,
         });
     }
 
     println!(
-        "{:>12} {:>12} {:>10} {:>9} {:>9} {:>8} {:>9}",
-        "corpus", "schedule", "seed", "ms", "injected", "rejects", "diverged"
+        "{:>12} {:>12} {:>10} {:>9} {:>9} {:>9}",
+        "corpus", "schedule", "seed", "ms", "injected", "diverged"
     );
     for r in &rows {
         println!(
-            "{:>12} {:>12} {:>10} {:>9.1} {:>9} {:>8} {:>9}",
-            r.corpus, r.schedule, r.seed, r.ms, r.injected, r.rejections, r.diverged
+            "{:>12} {:>12} {:>10} {:>9.1} {:>9} {:>9}",
+            r.corpus, r.schedule, r.seed, r.ms, r.injected, r.diverged
         );
     }
     println!();
@@ -615,9 +538,8 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"corpus\": \"{}\", \"schedule\": \"{}\", \"seed\": {}, \
-             \"ms\": {:.2}, \"injected\": {}, \"integrity_rejections\": {}, \
-             \"diverged\": {}}}",
-            r.corpus, r.schedule, r.seed, r.ms, r.injected, r.rejections, r.diverged
+             \"ms\": {:.2}, \"injected\": {}, \"diverged\": {}}}",
+            r.corpus, r.schedule, r.seed, r.ms, r.injected, r.diverged
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -633,9 +555,7 @@ fn main() {
     }
     let _ = write!(
         json,
-        "}},\n  \"integrity_rejections\": {},\n  \"sites_exercised\": {},\n  \
-         \"divergence_count\": {divergences}\n}}\n",
-        totals.integrity_rejections,
+        "}},\n  \"sites_exercised\": {},\n  \"divergence_count\": {divergences}\n}}\n",
         totals.sites_exercised()
     );
     std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");

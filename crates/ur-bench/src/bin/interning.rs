@@ -12,6 +12,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
+use ur_query::json::escape;
 use ur_studies::{studies, study, Study};
 use ur_web::Session;
 
@@ -94,10 +95,6 @@ fn wide_client(n: usize) -> String {
     format!("val f = mkTable {{{meta}}}\nval out = f {{{row}}}")
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     let mut rows: Vec<Row> = Vec::new();
 
@@ -167,7 +164,7 @@ fn main() {
             "    {{\"name\": \"{}\", \"uncached_steps\": {}, \"cached_steps\": {}, \
              \"reduction_pct\": {:.2}, \"uncached_ms\": {:.2}, \"cached_ms\": {:.2}, \
              \"hnf_hits\": {}, \"defeq_hits\": {}, \"row_hits\": {}, \"disjoint_hits\": {}}}",
-            json_escape(&r.name),
+            escape(&r.name),
             r.uncached_steps,
             r.cached_steps,
             r.reduction_pct(),

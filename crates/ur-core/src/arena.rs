@@ -339,16 +339,6 @@ impl<T: ArenaVal> Store<T> {
             return compose(si, idx);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // failpoint `intern_grow`: a simulated growth hiccup on the
-        // hash-cons map — force an immediate shrink-and-rehash before the
-        // insert. Semantically invisible (same entries, same ids), but it
-        // exercises the capacity-change path deterministically so the
-        // chaos harness can prove table growth never perturbs results.
-        if crate::failpoint::fire(crate::failpoint::Site::InternGrow) {
-            map.shrink_to_fit();
-            let len = map.len();
-            map.reserve(len + 64);
-        }
         let idx = shard.published.load(Ordering::Relaxed);
         debug_assert!(idx <= INDEX_MASK, "arena shard overflow");
         let (seg, off) = locate(idx);
@@ -647,15 +637,6 @@ impl ConId {
             Some(slot) => slot.hash,
             None => 0,
         }
-    }
-
-    /// Whether this id names a live arena slot. Codecs that transport
-    /// raw handles use this to reject forged or stale (post-reset) ids
-    /// up front, instead of letting [`ConId::get`] silently fall back
-    /// to the canonical `unit`.
-    #[inline]
-    pub fn is_valid(self) -> bool {
-        arena().cons.slot(self.0).is_some()
     }
 }
 

@@ -1,34 +1,30 @@
 //! Deterministic fault injection ("failpoints").
 //!
-//! Production-grade recovery paths — memo-entry integrity rejection,
-//! fuel-accounting audits, WAL and cache corruption handling — are
-//! unreachable from well-behaved inputs, so nothing in an ordinary test
-//! run ever executes them. This module provides *named fault sites* that
-//! the fragile layers consult, plus a seeded PRNG schedule deciding which
-//! consultations actually inject a fault:
+//! Recovery paths for the faults real deployments see — torn cache and
+//! WAL writes, failed fsyncs, dying checkpoints, torn connections,
+//! wedged workers — are unreachable from well-behaved inputs, so nothing
+//! in an ordinary test run ever executes them. This module provides
+//! *named fault sites* that those layers consult, plus a seeded PRNG
+//! schedule deciding which consultations actually inject a fault:
 //!
-//! * **Named sites** ([`Site`]): memo-table load/store in [`crate::memo`],
-//!   intern-table growth in [`crate::intern`], fuel accounting in
-//!   [`crate::limits`], incremental-cache load/store in `ur-query`,
-//!   WAL append/sync/corrupt/rotate + snapshot write in `ur-db`'s
-//!   durability layer, and the `ur-serve` front door
+//! * **Named sites** ([`Site`]): incremental-cache load/store in
+//!   `ur-query`, WAL append/sync/corrupt/rotate + snapshot write in
+//!   `ur-db`'s durability layer, and the `ur-serve` front door
 //!   (accept/read/write/worker-wedge).
 //! * **Seeded activation**: each site draws from a splitmix64 stream
 //!   keyed by `(seed, site, hit index)`, so a given configuration
 //!   produces the same fault schedule on every run — chaos tests print
 //!   their seed and any failure reproduces from it.
 //! * **Bounded chaos**: `max_per_site` caps how many times each site
-//!   fires. The self-healing layers retry a bounded number of times, so
-//!   capping the faults below the retry budget guarantees convergence to
-//!   the clean result (see `docs/ROBUSTNESS.md`).
+//!   fires, so once the caps are spent the system must converge to the
+//!   clean result (see `docs/ROBUSTNESS.md`).
 //! * **Zero cost when disabled**: without the `failpoints` cargo feature
 //!   (the default), [`fire`] is a `const false` inline stub and every
-//!   call site folds away; the memo integrity fields are not even
-//!   compiled. Release builds ship with the feature off.
+//!   call site folds away. Release builds ship with the feature off.
 //!
 //! Configuration is per-thread ([`install`]); `ur-serve` installs its
 //! configured schedule on every serve thread. The `UR_FAILPOINTS`
-//! environment variable (`seed=42;max=3;fuel_charge=500;memo_load=250`,
+//! environment variable (`seed=42;max=3;cache_load=500;wal_sync=250`,
 //! rates in permille) configures binaries without code changes
 //! ([`FpConfig::from_env`]); a malformed value is an error naming the bad
 //! entry.
@@ -36,22 +32,11 @@
 use std::fmt;
 
 /// Number of named sites (length of [`Site::ALL`]).
-pub const NSITES: usize = 15;
+pub const NSITES: usize = 11;
 
 /// A named fault-injection site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// A memo-table load observes a corrupt entry; the per-entry
-    /// integrity check must reject it and recompute.
-    MemoLoad,
-    /// A memo-table store writes a corrupt entry (detected on a later
-    /// load by the integrity check).
-    MemoStore,
-    /// Intern-table growth hiccups (transient rehash); healed in place.
-    InternGrow,
-    /// Fuel accounting mischarges a burst of phantom steps; a resulting
-    /// spurious exhaustion is healed by the bounded declaration retry.
-    FuelCharge,
     /// Reading an on-disk incremental-cache pack observes corruption;
     /// the pack is rejected whole and deleted, and its declarations
     /// recompute.
@@ -98,10 +83,6 @@ pub enum Site {
 impl Site {
     /// Every site, in stable order (indexes into [`FpCounters::injected`]).
     pub const ALL: [Site; NSITES] = [
-        Site::MemoLoad,
-        Site::MemoStore,
-        Site::InternGrow,
-        Site::FuelCharge,
         Site::CacheLoad,
         Site::CacheStore,
         Site::WalAppend,
@@ -118,31 +99,23 @@ impl Site {
     /// Stable index of this site.
     pub fn index(self) -> usize {
         match self {
-            Site::MemoLoad => 0,
-            Site::MemoStore => 1,
-            Site::InternGrow => 2,
-            Site::FuelCharge => 3,
-            Site::CacheLoad => 4,
-            Site::CacheStore => 5,
-            Site::WalAppend => 6,
-            Site::WalSync => 7,
-            Site::SnapshotWrite => 8,
-            Site::WalCorrupt => 9,
-            Site::WalRotate => 10,
-            Site::ServeAccept => 11,
-            Site::ServeRead => 12,
-            Site::ServeWrite => 13,
-            Site::ServeWedge => 14,
+            Site::CacheLoad => 0,
+            Site::CacheStore => 1,
+            Site::WalAppend => 2,
+            Site::WalSync => 3,
+            Site::SnapshotWrite => 4,
+            Site::WalCorrupt => 5,
+            Site::WalRotate => 6,
+            Site::ServeAccept => 7,
+            Site::ServeRead => 8,
+            Site::ServeWrite => 9,
+            Site::ServeWedge => 10,
         }
     }
 
     /// The configuration/reporting name of this site.
     pub fn name(self) -> &'static str {
         match self {
-            Site::MemoLoad => "memo_load",
-            Site::MemoStore => "memo_store",
-            Site::InternGrow => "intern_grow",
-            Site::FuelCharge => "fuel_charge",
             Site::CacheLoad => "cache_load",
             Site::CacheStore => "cache_store",
             Site::WalAppend => "wal_append",
@@ -179,9 +152,7 @@ pub struct FpConfig {
     /// Seed of the activation PRNG. Printed by the chaos harnesses so
     /// any failure reproduces exactly.
     pub seed: u64,
-    /// Cap on fires per site. Keep this *below* the retry budgets
-    /// (`MAX_DECL_RETRIES`) to guarantee the self-healing layers converge
-    /// to the clean result.
+    /// Cap on fires per site.
     pub max_per_site: u32,
     rates: [u16; NSITES],
 }
@@ -212,11 +183,6 @@ impl FpConfig {
     /// `site`'s activation rate in permille.
     pub fn rate(&self, site: Site) -> u16 {
         self.rates[site.index()]
-    }
-
-    /// True when at least one site has a nonzero rate.
-    pub fn any_active(&self) -> bool {
-        self.rates.iter().any(|&r| r > 0)
     }
 
     /// Parses `seed=N;max=N;<site>=permille;...` (any order, `;` or `,`
@@ -277,8 +243,6 @@ impl FpConfig {
 pub struct FpCounters {
     /// Faults injected per site ([`Site::index`] order).
     pub injected: [u64; NSITES],
-    /// Memo entries rejected by the per-entry integrity check.
-    pub integrity_rejections: u64,
 }
 
 impl FpCounters {
@@ -300,9 +264,6 @@ impl FpCounters {
         for (a, b) in self.injected.iter_mut().zip(other.injected.iter()) {
             *a = a.saturating_add(*b);
         }
-        self.integrity_rejections = self
-            .integrity_rejections
-            .saturating_add(other.integrity_rejections);
     }
 }
 
@@ -343,11 +304,6 @@ mod imp {
         });
     }
 
-    /// True when a schedule with at least one nonzero rate is installed.
-    pub fn active() -> bool {
-        STATE.with(|s| s.borrow().config.is_some_and(|c| c.any_active()))
-    }
-
     /// Consults `site`: true means *inject the fault now*. Deterministic
     /// given the installed config and the site's consultation count.
     pub fn fire(site: Site) -> bool {
@@ -376,7 +332,7 @@ mod imp {
         })
     }
 
-    /// This thread's counters (injected faults, integrity rejections).
+    /// This thread's injected-fault counters.
     pub fn counters() -> FpCounters {
         STATE.with(|s| s.borrow().counters)
     }
@@ -385,21 +341,6 @@ mod imp {
     /// ship their faults home before they exit).
     pub fn take_counters() -> FpCounters {
         STATE.with(|s| std::mem::take(&mut s.borrow_mut().counters))
-    }
-
-    /// Records a memo-entry integrity rejection (called by [`crate::memo`]).
-    pub fn note_integrity_rejection() {
-        STATE.with(|s| {
-            let mut s = s.borrow_mut();
-            s.counters.integrity_rejections = s.counters.integrity_rejections.saturating_add(1);
-        });
-    }
-
-    /// Faults injected so far at `site` on this thread (used by the
-    /// declaration retry loop to decide whether an exhaustion is
-    /// suspect).
-    pub fn injected_at(site: Site) -> u64 {
-        STATE.with(|s| s.borrow().counters.injected[site.index()])
     }
 
     /// Compile-time flag: the `failpoints` feature is on.
@@ -418,11 +359,6 @@ mod imp {
     pub fn install(_config: Option<FpConfig>) {}
 
     #[inline(always)]
-    pub fn active() -> bool {
-        false
-    }
-
-    #[inline(always)]
     pub fn fire(_site: Site) -> bool {
         false
     }
@@ -437,21 +373,11 @@ mod imp {
         FpCounters::default()
     }
 
-    #[inline(always)]
-    pub fn note_integrity_rejection() {}
-
-    #[inline(always)]
-    pub fn injected_at(_site: Site) -> u64 {
-        0
-    }
-
     /// Compile-time flag: the `failpoints` feature is off.
     pub const ENABLED: bool = false;
 }
 
-pub use imp::{
-    active, counters, fire, injected_at, install, note_integrity_rejection, take_counters, ENABLED,
-};
+pub use imp::{counters, fire, install, take_counters, ENABLED};
 
 #[cfg(test)]
 mod tests {
@@ -459,36 +385,37 @@ mod tests {
 
     #[test]
     fn parse_round_trips_sites_and_meta_keys() {
-        let cfg = FpConfig::parse("seed=42; max=5; serve_read=500, memo_load=250")
-            .expect("valid spec");
+        let cfg =
+            FpConfig::parse("seed=42; max=5; serve_read=500, cache_load=250").expect("valid spec");
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_per_site, 5);
         assert_eq!(cfg.rate(Site::ServeRead), 500);
-        assert_eq!(cfg.rate(Site::MemoLoad), 250);
-        assert_eq!(cfg.rate(Site::FuelCharge), 0);
-        assert!(cfg.any_active());
+        assert_eq!(cfg.rate(Site::CacheLoad), 250);
+        assert_eq!(cfg.rate(Site::WalSync), 0);
     }
 
     #[test]
     fn parse_rejects_unknown_keys_and_garbage() {
         for bad in [
             "bogus_site=10",
-            "memo_load",
+            "cache_load",
             "seed=notanumber",
             "worker_exec=500",
+            "memo_load=250",
+            "fuel_charge=500",
         ] {
             let err = FpConfig::parse(&format!("seed=1;{bad}")).expect_err(bad);
             assert!(err.contains(&format!("`{bad}`")), "{err}");
         }
         // Empty spec is a valid (inert) schedule.
         let cfg = FpConfig::parse("").expect("empty is fine");
-        assert!(!cfg.any_active());
+        assert_eq!(cfg, FpConfig::new(0));
     }
 
     #[test]
     fn rates_clamp_to_permille() {
-        let cfg = FpConfig::new(1).with_rate(Site::MemoStore, 9999);
-        assert_eq!(cfg.rate(Site::MemoStore), 1000);
+        let cfg = FpConfig::new(1).with_rate(Site::CacheStore, 9999);
+        assert_eq!(cfg.rate(Site::CacheStore), 1000);
     }
 
     #[test]
@@ -503,15 +430,12 @@ mod tests {
     fn counters_absorb_saturates() {
         let mut a = FpCounters::default();
         a.injected[0] = u64::MAX - 1;
-        a.integrity_rejections = 2;
         let mut b = FpCounters::default();
         b.injected[0] = 10;
         b.injected[3] = 7;
-        b.integrity_rejections = 5;
         a.absorb(&b);
         assert_eq!(a.injected[0], u64::MAX);
         assert_eq!(a.injected[3], 7);
-        assert_eq!(a.integrity_rejections, 7);
         assert_eq!(a.sites_exercised(), 2);
         assert_eq!(a.total_injected(), u64::MAX);
     }
@@ -523,21 +447,21 @@ mod tests {
         // never again.
         install(Some(
             FpConfig::new(7)
-                .with_rate(Site::InternGrow, 1000)
+                .with_rate(Site::WalAppend, 1000)
                 .with_max_per_site(2),
         ));
-        let fires: Vec<bool> = (0..6).map(|_| fire(Site::InternGrow)).collect();
+        let fires: Vec<bool> = (0..6).map(|_| fire(Site::WalAppend)).collect();
         assert_eq!(fires, vec![true, true, false, false, false, false]);
-        assert_eq!(injected_at(Site::InternGrow), 2);
+        assert_eq!(counters().injected[Site::WalAppend.index()], 2);
 
         // Reinstalling the same schedule replays the same stream.
         let c1 = take_counters();
         install(Some(
             FpConfig::new(7)
-                .with_rate(Site::InternGrow, 1000)
+                .with_rate(Site::WalAppend, 1000)
                 .with_max_per_site(2),
         ));
-        let fires2: Vec<bool> = (0..6).map(|_| fire(Site::InternGrow)).collect();
+        let fires2: Vec<bool> = (0..6).map(|_| fire(Site::WalAppend)).collect();
         assert_eq!(fires, fires2);
         assert_eq!(take_counters(), c1);
         install(None);
@@ -548,26 +472,26 @@ mod tests {
     fn partial_rates_follow_the_seeded_stream() {
         install(Some(
             FpConfig::new(0xC0FFEE)
-                .with_rate(Site::MemoLoad, 500)
+                .with_rate(Site::CacheLoad, 500)
                 .with_max_per_site(1000),
         ));
-        let a: Vec<bool> = (0..64).map(|_| fire(Site::MemoLoad)).collect();
+        let a: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
         install(Some(
             FpConfig::new(0xC0FFEE)
-                .with_rate(Site::MemoLoad, 500)
+                .with_rate(Site::CacheLoad, 500)
                 .with_max_per_site(1000),
         ));
-        let b: Vec<bool> = (0..64).map(|_| fire(Site::MemoLoad)).collect();
+        let b: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
         assert_eq!(a, b, "same seed, same schedule");
         assert!(a.iter().any(|&f| f) && a.iter().any(|&f| !f), "{a:?}");
 
         // A different seed gives a different schedule (overwhelmingly).
         install(Some(
             FpConfig::new(0xDECAF)
-                .with_rate(Site::MemoLoad, 500)
+                .with_rate(Site::CacheLoad, 500)
                 .with_max_per_site(1000),
         ));
-        let c: Vec<bool> = (0..64).map(|_| fire(Site::MemoLoad)).collect();
+        let c: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
         assert_ne!(a, c, "different seed, different schedule");
         let _ = take_counters();
         install(None);
@@ -579,9 +503,8 @@ mod tests {
     // compile-time contract of the disabled configuration.
     #[allow(clippy::assertions_on_constants)]
     fn disabled_stubs_are_inert() {
-        install(Some(FpConfig::new(1).with_rate(Site::MemoLoad, 1000)));
-        assert!(!active());
-        assert!(!fire(Site::MemoLoad));
+        install(Some(FpConfig::new(1).with_rate(Site::CacheLoad, 1000)));
+        assert!(!fire(Site::CacheLoad));
         assert_eq!(counters(), FpCounters::default());
         assert!(!ENABLED, "cfg(not(failpoints)) must report disabled");
     }

@@ -52,6 +52,7 @@ pub mod fingerprint;
 pub mod folder;
 pub mod hnf;
 pub mod intern;
+pub mod json;
 pub mod kind;
 pub mod kinding;
 pub mod limits;

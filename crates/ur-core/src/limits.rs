@@ -201,16 +201,6 @@ impl Fuel {
         if self.exhausted.is_some() {
             return false;
         }
-        // failpoint `fuel_charge`: mischarge a phantom burst of a quarter
-        // budget. A few fires push an innocent declaration over its limit,
-        // producing a *spurious* exhaustion — exactly the accounting bug
-        // the elaborator's bounded declaration retry must heal (the burst
-        // is deliberately kept out of `lifetime_norm_steps`, which records
-        // real work only).
-        if crate::failpoint::fire(crate::failpoint::Site::FuelCharge) {
-            let burst = self.limits.max_norm_steps / 4 + 1;
-            self.norm_steps = self.norm_steps.saturating_add(burst);
-        }
         if self.norm_steps >= self.limits.max_norm_steps {
             self.exhausted = Some(ResourceKind::NormSteps);
             return false;

@@ -62,24 +62,14 @@ struct Entry<T> {
     meta_gen: u64,
     /// True when no future meta solution can change the value.
     stable: bool,
-    /// Per-entry integrity tag, checked on every load. Only compiled
-    /// under the `failpoints` feature (the chaos harness corrupts
-    /// entries through the `memo_store`/`memo_load` sites and this check
-    /// is what detects them); production builds carry no tag.
-    #[cfg(feature = "failpoints")]
-    check: u64,
 }
 
-impl<T: Clone + IntegrityTag> Entry<T> {
+impl<T: Clone> Entry<T> {
     fn new(value: T, meta_gen: u64, stable: bool) -> Entry<T> {
-        #[cfg(feature = "failpoints")]
-        let check = value.tag();
         Entry {
             value,
             meta_gen,
             stable,
-            #[cfg(feature = "failpoints")]
-            check,
         }
     }
 
@@ -89,87 +79,6 @@ impl<T: Clone + IntegrityTag> Entry<T> {
         } else {
             None
         }
-    }
-
-    /// True when the stored tag still matches the value.
-    #[cfg(feature = "failpoints")]
-    fn verify(&self) -> bool {
-        self.check == self.value.tag()
-    }
-
-    /// Corrupts the entry's tag (simulating a torn write); only the
-    /// chaos harness ever calls this, via the `memo_store` site.
-    #[cfg(feature = "failpoints")]
-    fn corrupt(&mut self) {
-        self.check ^= 0xDEAD_BEEF_DEAD_BEEF;
-    }
-}
-
-/// A cheap content fingerprint for memo values, backing the per-entry
-/// integrity check. Collisions only weaken *fault detection* (a corrupt
-/// entry slipping through the chaos harness), never correctness of the
-/// clean path, so a fast non-cryptographic mix is plenty. `tag` is only
-/// called under the `failpoints` feature; the bound stays in both
-/// configurations so the table types don't fork.
-#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
-trait IntegrityTag {
-    fn tag(&self) -> u64;
-}
-
-#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
-fn fnv_mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-#[cfg_attr(not(feature = "failpoints"), allow(dead_code))]
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-
-impl IntegrityTag for RCon {
-    fn tag(&self) -> u64 {
-        intern::hash_of(self)
-    }
-}
-
-impl IntegrityTag for bool {
-    fn tag(&self) -> u64 {
-        u64::from(*self)
-    }
-}
-
-impl IntegrityTag for ProveResult {
-    fn tag(&self) -> u64 {
-        match self {
-            ProveResult::Proved => 1,
-            ProveResult::NotYet => 2,
-            ProveResult::Refuted => 3,
-        }
-    }
-}
-
-impl IntegrityTag for RowNf {
-    fn tag(&self) -> u64 {
-        let key_tag = |k: &FieldKey| match k {
-            FieldKey::Lit(n) => n.bytes().fold(FNV_BASIS, |h, b| fnv_mix(h, u64::from(b))),
-            FieldKey::Neutral(c) => intern::hash_of(c),
-        };
-        let mut h = FNV_BASIS;
-        h = fnv_mix(h, self.fields.len() as u64);
-        for (k, v) in &self.fields {
-            h = fnv_mix(h, key_tag(k));
-            h = fnv_mix(h, intern::hash_of(v));
-        }
-        h = fnv_mix(h, self.source_fields.len() as u64);
-        for (k, _) in &self.source_fields {
-            h = fnv_mix(h, key_tag(k));
-        }
-        h = fnv_mix(h, self.atoms.len() as u64);
-        for a in &self.atoms {
-            h = fnv_mix(h, intern::hash_of(&a.base));
-            if let Some((f, _)) = &a.map {
-                h = fnv_mix(h, intern::hash_of(f));
-            }
-        }
-        h
     }
 }
 
@@ -254,48 +163,6 @@ impl Default for Memo {
     }
 }
 
-/// Loads `key` from `table`, consulting the `memo_load` failpoint and the
-/// per-entry integrity check. A corrupt entry (whether injected at store
-/// time or "bit-rotted" by the load fault) is evicted and counted, and
-/// the load misses — the caller recomputes, so faults never change
-/// results, only work. Without `failpoints` this is a plain lookup.
-fn load<K, T>(table: &mut HashMap<K, Entry<T>>, key: K, meta_gen: u64) -> Option<T>
-where
-    K: Eq + std::hash::Hash,
-    T: Clone + IntegrityTag,
-{
-    #[cfg(feature = "failpoints")]
-    if let Some(e) = table.get_mut(&key) {
-        if crate::failpoint::fire(crate::failpoint::Site::MemoLoad) {
-            e.corrupt();
-        }
-        if !e.verify() {
-            table.remove(&key);
-            crate::failpoint::note_integrity_rejection();
-            return None;
-        }
-    }
-    table.get(&key).and_then(|e| e.get(meta_gen))
-}
-
-/// Inserts `entry`, letting the `memo_store` failpoint simulate a torn
-/// write (corrupt tag, detected and rejected by a later [`load`]).
-fn store<K, T>(table: &mut HashMap<K, Entry<T>>, key: K, entry: Entry<T>)
-where
-    K: Eq + std::hash::Hash,
-    T: Clone + IntegrityTag,
-{
-    #[cfg(feature = "failpoints")]
-    let entry = {
-        let mut entry = entry;
-        if crate::failpoint::fire(crate::failpoint::Site::MemoStore) {
-            entry.corrupt();
-        }
-        entry
-    };
-    table.insert(key, entry);
-}
-
 impl Memo {
     /// Clears the tables being filled when the law configuration differs
     /// from the one their entries were computed under (law toggles change
@@ -332,29 +199,28 @@ impl Memo {
     fn get<K, T>(&mut self, pick: Pick<K, T>, key: K, meta_gen: u64) -> Option<T>
     where
         K: Eq + std::hash::Hash + Copy,
-        T: Clone + IntegrityTag,
+        T: Clone,
     {
         if let Some(s) = &mut self.scope {
-            if let Some(v) = load(pick(&mut s.tables), key, meta_gen) {
+            if let Some(v) = pick(&mut s.tables).get(&key).and_then(|e| e.get(meta_gen)) {
                 return Some(v);
             }
             if s.laws != self.laws {
                 return None;
             }
         }
-        load(pick(&mut self.base), key, meta_gen)
+        pick(&mut self.base).get(&key).and_then(|e| e.get(meta_gen))
     }
 
     fn put<K, T>(&mut self, pick: Pick<K, T>, key: K, entry: Entry<T>)
     where
         K: Eq + std::hash::Hash,
-        T: Clone + IntegrityTag,
     {
         let tables = match &mut self.scope {
             Some(s) => &mut s.tables,
             None => &mut self.base,
         };
-        store(pick(tables), key, entry);
+        pick(tables).insert(key, entry);
     }
 
     pub fn hnf_get(&mut self, c: ConId, env_gen: u64, meta_gen: u64) -> Option<RCon> {
@@ -462,51 +328,6 @@ mod tests {
         assert_eq!(m.defeq_get(a, a, 0, 0), Some(true), "same laws keep entries");
         m.check_laws(LawConfig { identity: false, ..LawConfig::default() });
         assert_eq!(m.defeq_get(a, a, 0, 0), None, "law flip clears entries");
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn corrupt_store_is_rejected_on_load_and_recomputable() {
-        use crate::failpoint::{self, FpConfig, Site};
-        let mut m = Memo::default();
-        let a = intern::id_of(&Con::int());
-        // Corrupt the very first store deterministically.
-        failpoint::install(Some(
-            FpConfig::new(11).with_rate(Site::MemoStore, 1000).with_max_per_site(1),
-        ));
-        m.defeq_put(a, a, 0, 0, true);
-        let before = failpoint::counters().integrity_rejections;
-        assert_eq!(m.defeq_get(a, a, 0, 0), None, "corrupt entry must not be served");
-        assert_eq!(
-            failpoint::counters().integrity_rejections,
-            before + 1,
-            "rejection must be counted"
-        );
-        // The entry was evicted; a clean re-store heals the table.
-        m.defeq_put(a, a, 0, 0, true);
-        assert_eq!(m.defeq_get(a, a, 0, 0), Some(true));
-        let _ = failpoint::take_counters();
-        failpoint::install(None);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn load_fault_evicts_and_recomputes() {
-        use crate::failpoint::{self, FpConfig, Site};
-        let mut m = Memo::default();
-        let c = Con::row_one(Con::name("A"), Con::int());
-        let id = intern::id_of(&c);
-        m.hnf_put(id, 0, 0, &c);
-        failpoint::install(Some(
-            FpConfig::new(5).with_rate(Site::MemoLoad, 1000).with_max_per_site(1),
-        ));
-        assert_eq!(m.hnf_get(id, 0, 0), None, "bit-rotted load must miss");
-        assert_eq!(failpoint::counters().integrity_rejections, 1);
-        // Fault budget spent: a fresh store now round-trips.
-        m.hnf_put(id, 0, 0, &c);
-        assert!(m.hnf_get(id, 0, 0).is_some());
-        let _ = failpoint::take_counters();
-        failpoint::install(None);
     }
 
     #[test]

@@ -75,18 +75,10 @@ pub struct Stats {
     /// Always 0 (elaboration is sequential); kept only because the
     /// repository benchmark reads it.
     pub par_workers: u64,
-    /// Circuit-breaker activations in `Session` (memo off).
-    pub breaker_trips: u64,
-    /// Batches that ran degraded because the breaker was open.
-    pub breaker_degraded_batches: u64,
-    /// Whole-declaration retries after a suspect resource exhaustion.
-    pub decl_retries: u64,
     /// Snapshot of the thread-local failpoint counters (filled by
-    /// [`Stats::capture_failpoints`]): faults injected and memo entries
-    /// rejected by the per-entry integrity check. Always zero without
-    /// the `failpoints` feature.
+    /// [`Stats::capture_failpoints`]): faults injected across all sites.
+    /// Always zero without the `failpoints` feature.
     pub fp_faults_injected: u64,
-    pub fp_memo_rejections: u64,
     /// Incremental-engine queries issued (one per declaration per
     /// rebuild; see `ur-query`).
     pub queries_total: u64,
@@ -193,11 +185,7 @@ impl Stats {
             gmemo_misses,
             par_decls,
             par_workers,
-            breaker_trips,
-            breaker_degraded_batches,
-            decl_retries,
             fp_faults_injected,
-            fp_memo_rejections,
             queries_total,
             green_reused,
             red_recomputed,
@@ -249,7 +237,6 @@ impl Stats {
     pub fn capture_failpoints(&mut self) {
         let c = crate::failpoint::counters();
         self.fp_faults_injected = c.total_injected();
-        self.fp_memo_rejections = c.integrity_rejections;
     }
 
     /// The difference `self - earlier`, counter-wise, saturating at zero.
@@ -300,17 +287,9 @@ impl Stats {
             gmemo_misses: self.gmemo_misses.saturating_sub(earlier.gmemo_misses),
             par_decls: self.par_decls.saturating_sub(earlier.par_decls),
             par_workers: self.par_workers.saturating_sub(earlier.par_workers),
-            breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
-            breaker_degraded_batches: self
-                .breaker_degraded_batches
-                .saturating_sub(earlier.breaker_degraded_batches),
-            decl_retries: self.decl_retries.saturating_sub(earlier.decl_retries),
             fp_faults_injected: self
                 .fp_faults_injected
                 .saturating_sub(earlier.fp_faults_injected),
-            fp_memo_rejections: self
-                .fp_memo_rejections
-                .saturating_sub(earlier.fp_memo_rejections),
             queries_total: self.queries_total.saturating_sub(earlier.queries_total),
             green_reused: self.green_reused.saturating_sub(earlier.green_reused),
             red_recomputed: self.red_recomputed.saturating_sub(earlier.red_recomputed),
@@ -401,16 +380,7 @@ impl fmt::Display for Stats {
             " arena[bytes={} shard_max={} shard_min={} contention={} hit_rate={hit_rate:.1}%]",
             self.arena_bytes, self.arena_shard_max, self.arena_shard_min, self.arena_contention,
         )?;
-        write!(
-            f,
-            " heal[decl_retries={} breaker={}/{}]",
-            self.decl_retries, self.breaker_trips, self.breaker_degraded_batches,
-        )?;
-        write!(
-            f,
-            " faults[injected={} memo_rejected={}]",
-            self.fp_faults_injected, self.fp_memo_rejections,
-        )?;
+        write!(f, " faults[injected={}]", self.fp_faults_injected)?;
         write!(
             f,
             " incr[queries={} green={} red={} disk={}/{} disk_store_err={}]",
@@ -525,41 +495,22 @@ mod tests {
     }
 
     #[test]
-    fn display_mentions_healing_and_fault_counters() {
-        let s = Stats::new().to_string();
-        for key in [
-            "heal[decl_retries=",
-            "breaker=",
-            "faults[injected=",
-            "memo_rejected=",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
+    fn display_mentions_fault_counters() {
+        let mut s = Stats::new();
+        s.fp_faults_injected = 4;
+        assert!(s.to_string().contains(" faults[injected=4]"), "{s}");
     }
 
     #[test]
-    fn absorb_and_since_cover_healing_counters() {
+    fn absorb_and_since_cover_fault_counters() {
         let mut a = Stats::new();
-        a.decl_retries = 2;
-        a.breaker_degraded_batches = u64::MAX - 1;
+        a.fp_faults_injected = u64::MAX - 1;
         let mut b = Stats::new();
-        b.decl_retries = 3;
-        b.breaker_degraded_batches = 10;
-        b.breaker_trips = 1;
         b.fp_faults_injected = 6;
-        b.fp_memo_rejections = 7;
         a.absorb(&b);
-        assert_eq!(a.decl_retries, 5);
-        assert_eq!(a.breaker_degraded_batches, u64::MAX, "saturating add");
-        assert_eq!(a.breaker_trips, 1);
-        assert_eq!(a.fp_faults_injected, 6);
-        assert_eq!(a.fp_memo_rejections, 7);
-
-        let d = a.since(&b);
-        assert_eq!(d.decl_retries, 2);
-        assert_eq!(d.fp_faults_injected, 0);
-        let d2 = b.since(&a);
-        assert_eq!(d2.decl_retries, 0, "saturating sub");
+        assert_eq!(a.fp_faults_injected, u64::MAX, "saturating add");
+        assert_eq!(a.since(&b).fp_faults_injected, u64::MAX - 6);
+        assert_eq!(b.since(&a).fp_faults_injected, 0, "saturating sub");
     }
 
     #[test]
@@ -751,7 +702,6 @@ mod tests {
         // No schedule installed on this thread: counters read zero (and
         // with the feature off they are always zero).
         assert_eq!(s.fp_faults_injected, crate::failpoint::counters().total_injected());
-        assert_eq!(s.fp_memo_rejections, crate::failpoint::counters().integrity_rejections);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use crate::expr::SqlExpr;
 use crate::table::Table;
 use crate::value::{ColTy, DbVal};
+use ur_core::json::escape;
 
 /// How a statement will read its table.
 #[derive(Clone, Debug, PartialEq)]
@@ -262,22 +263,6 @@ pub(crate) fn plan(table: &str, t: &Table, pred: &SqlExpr) -> Plan {
     best
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn bound_str(side: &str, b: &Option<(DbVal, bool)>, lo: bool) -> String {
     match b {
         None => format!("\"{side}\":null"),
@@ -288,7 +273,7 @@ fn bound_str(side: &str, b: &Option<(DbVal, bool)>, lo: bool) -> String {
                 (false, true) => "<=",
                 (false, false) => "<",
             };
-            format!("\"{side}\":\"{} {}\"", op, json_escape(&v.to_sql()))
+            format!("\"{side}\":\"{} {}\"", op, escape(&v.to_sql()))
         }
     }
 }
@@ -299,13 +284,13 @@ impl Plan {
     pub fn explain(&self) -> String {
         let head = format!(
             "\"table\":\"{}\",\"rows\":{},\"est_rows\":{},\"cost\":{}",
-            json_escape(&self.table),
+            escape(&self.table),
             self.rows_total,
             self.est_rows,
             self.cost
         );
         let fallback = match self.fallback {
-            Some(f) => format!("\"fallback\":\"{}\"", json_escape(f)),
+            Some(f) => format!("\"fallback\":\"{}\"", escape(f)),
             None => "\"fallback\":null".to_string(),
         };
         match &self.access {
@@ -314,9 +299,9 @@ impl Plan {
             }
             Access::IndexEq { index, column, key } => format!(
                 "{{\"access\":\"index_eq\",\"index\":\"{}\",\"column\":\"{}\",\"key\":\"{}\",{head},{fallback}}}",
-                json_escape(index),
-                json_escape(column),
-                json_escape(&key.to_sql()),
+                escape(index),
+                escape(column),
+                escape(&key.to_sql()),
             ),
             Access::IndexRange {
                 index,
@@ -325,8 +310,8 @@ impl Plan {
                 hi,
             } => format!(
                 "{{\"access\":\"index_range\",\"index\":\"{}\",\"column\":\"{}\",{},{},{head},{fallback}}}",
-                json_escape(index),
-                json_escape(column),
+                escape(index),
+                escape(column),
                 bound_str("lo", lo, true),
                 bound_str("hi", hi, false),
             ),

@@ -20,14 +20,13 @@
 //! registry, in that order, exactly as `Expr::Var` does.
 //!
 //! Chunks contain only `Copy + Send` data (`IStr`/`ConId`/`ExprId` arena
-//! handles from PR 7), so a compiled declaration can be cached and shared
-//! across threads. [`encode_chunk`]/[`decode_chunk`] give chunks a compact
-//! byte form (same-process: constructor handles are raw arena ids).
+//! handles), so a compiled declaration can be cached and shared across
+//! threads.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use ur_core::arena::{istr, IStr};
-use ur_core::con::{Con, ConId, RCon};
+use ur_core::arena::IStr;
+use ur_core::con::{Con, RCon};
 use ur_core::env::Env;
 use ur_core::expr::{Expr, Lit, RExpr};
 use ur_core::hnf::hnf;
@@ -533,314 +532,6 @@ impl Compiler<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chunk codec: a compact byte form for chunks. Strings (labels, names,
-// symbol names, string literals) are content-encoded and re-interned on
-// decode; constructor handles are raw arena ids, so decoding is only
-// valid in the process (and arena generation) that encoded the chunk.
-// The stream is stamped with the arena generation, and every
-// constructor handle travels with its intern-time node hash, so a
-// stale, forged, or cross-process handle fails decode instead of
-// producing a chunk that misbehaves at dispatch time.
-// ---------------------------------------------------------------------
-
-const CHUNK_MAGIC: u32 = 0x5552_434B; // "URCK"
-
-fn op_parts(op: Op) -> (u8, u32) {
-    match op {
-        Op::Const(i) => (0, i),
-        Op::Local(i) => (1, i),
-        Op::SetLocal(i) => (2, i),
-        Op::Pop => (3, 0),
-        Op::Global(i) => (4, i),
-        Op::Call => (5, 0),
-        Op::Closure(i) => (6, i),
-        Op::CClosure(i) => (7, i),
-        Op::Susp(i) => (8, i),
-        Op::CApplyStatic(i) => (9, i),
-        Op::CApplyDyn(i) => (10, i),
-        Op::Force => (11, 0),
-        Op::RecNil => (12, 0),
-        Op::RecOneStatic(i) => (13, i),
-        Op::NameDyn(i) => (14, i),
-        Op::RecOneDynTop => (15, 0),
-        Op::RecCat => (16, 0),
-        Op::ProjStatic(i) => (17, i),
-        Op::ProjDynTop => (18, 0),
-        Op::CutStatic(i) => (19, i),
-        Op::CutDynTop => (20, 0),
-        Op::Jump(i) => (21, i),
-        Op::JumpIfFalse(i) => (22, i),
-        Op::Ret => (23, 0),
-        Op::Call2 => (24, 0),
-    }
-}
-
-fn op_from(tag: u8, i: u32) -> Option<Op> {
-    Some(match tag {
-        0 => Op::Const(i),
-        1 => Op::Local(i),
-        2 => Op::SetLocal(i),
-        3 => Op::Pop,
-        4 => Op::Global(i),
-        5 => Op::Call,
-        6 => Op::Closure(i),
-        7 => Op::CClosure(i),
-        8 => Op::Susp(i),
-        9 => Op::CApplyStatic(i),
-        10 => Op::CApplyDyn(i),
-        11 => Op::Force,
-        12 => Op::RecNil,
-        13 => Op::RecOneStatic(i),
-        14 => Op::NameDyn(i),
-        15 => Op::RecOneDynTop,
-        16 => Op::RecCat,
-        17 => Op::ProjStatic(i),
-        18 => Op::ProjDynTop,
-        19 => Op::CutStatic(i),
-        20 => Op::CutDynTop,
-        21 => Op::Jump(i),
-        22 => Op::JumpIfFalse(i),
-        23 => Op::Ret,
-        24 => Op::Call2,
-        _ => return None,
-    })
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn encode_into(c: &Chunk, out: &mut Vec<u8>) {
-    put_u32(out, CHUNK_MAGIC);
-    put_str(out, &c.label);
-    out.push(u8::from(c.has_param));
-    match c.cparam {
-        Some(s) => {
-            out.push(1);
-            put_str(out, s.name());
-            put_u32(out, s.id());
-        }
-        None => out.push(0),
-    }
-    put_u32(out, c.n_slots);
-    put_u32(out, c.caps.len() as u32);
-    for (p, s) in &c.caps {
-        put_u32(out, *p);
-        put_u32(out, *s);
-    }
-    put_u32(out, c.ops.len() as u32);
-    for op in &c.ops {
-        let (tag, operand) = op_parts(*op);
-        out.push(tag);
-        put_u32(out, operand);
-    }
-    put_u32(out, c.consts.len() as u32);
-    for l in &c.consts {
-        match l {
-            Lit::Int(n) => {
-                out.push(0);
-                out.extend_from_slice(&n.to_le_bytes());
-            }
-            Lit::Float(x) => {
-                out.push(1);
-                out.extend_from_slice(&x.to_bits().to_le_bytes());
-            }
-            Lit::Str(s) => {
-                out.push(2);
-                put_str(out, s.as_str());
-            }
-            Lit::Bool(b) => out.push(3 + u8::from(*b)),
-            Lit::Unit => out.push(5),
-        }
-    }
-    put_u32(out, c.names.len() as u32);
-    for n in &c.names {
-        put_str(out, n.as_str());
-    }
-    put_u32(out, c.cons.len() as u32);
-    for con in &c.cons {
-        put_u32(out, con.0);
-        out.extend_from_slice(&con.node_hash().to_le_bytes());
-    }
-    put_u32(out, c.syms.len() as u32);
-    for s in &c.syms {
-        put_str(out, s.name());
-        put_u32(out, s.id());
-    }
-    put_u32(out, c.subs.len() as u32);
-    for sub in &c.subs {
-        encode_into(sub, out);
-    }
-}
-
-/// Serializes a chunk (recursively, including sub-chunks). The stream
-/// opens with the current arena generation so a decode after an arena
-/// reset fails fast rather than resurrecting dangling handles.
-pub fn encode_chunk(c: &Chunk) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
-    out.extend_from_slice(&ur_core::arena::generation().to_le_bytes());
-    encode_into(c, &mut out);
-    out
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let end = self.pos.checked_add(4)?;
-        let raw: [u8; 4] = self.bytes.get(self.pos..end)?.try_into().ok()?;
-        self.pos = end;
-        Some(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.pos.checked_add(8)?;
-        let raw: [u8; 8] = self.bytes.get(self.pos..end)?.try_into().ok()?;
-        self.pos = end;
-        Some(u64::from_le_bytes(raw))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let end = self.pos.checked_add(len)?;
-        let raw = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        String::from_utf8(raw.to_vec()).ok()
-    }
-
-    /// A count that cannot possibly be honest for the bytes remaining
-    /// (every element needs at least one byte) is rejected up front, so
-    /// hostile input cannot force huge pre-allocations.
-    fn count(&mut self) -> Option<usize> {
-        let n = self.u32()? as usize;
-        if n > self.bytes.len().saturating_sub(self.pos) {
-            return None;
-        }
-        Some(n)
-    }
-}
-
-fn decode_one(r: &mut Reader<'_>) -> Option<Chunk> {
-    if r.u32()? != CHUNK_MAGIC {
-        return None;
-    }
-    let label = r.str()?;
-    let has_param = r.u8()? != 0;
-    let cparam = match r.u8()? {
-        0 => None,
-        1 => {
-            let name = r.str()?;
-            let id = r.u32()?;
-            Some(Sym::from_raw(istr(&name), id))
-        }
-        _ => return None,
-    };
-    let n_slots = r.u32()?;
-    let n_caps = r.count()?;
-    let mut caps = Vec::with_capacity(n_caps);
-    for _ in 0..n_caps {
-        caps.push((r.u32()?, r.u32()?));
-    }
-    let n_ops = r.count()?;
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        let tag = r.u8()?;
-        let operand = r.u32()?;
-        ops.push(op_from(tag, operand)?);
-    }
-    let n_consts = r.count()?;
-    let mut consts = Vec::with_capacity(n_consts);
-    for _ in 0..n_consts {
-        consts.push(match r.u8()? {
-            0 => Lit::Int(i64::from_le_bytes(r.u64()?.to_le_bytes())),
-            1 => Lit::Float(f64::from_bits(r.u64()?)),
-            2 => Lit::Str(istr(&r.str()?)),
-            3 => Lit::Bool(false),
-            4 => Lit::Bool(true),
-            5 => Lit::Unit,
-            _ => return None,
-        });
-    }
-    let n_names = r.count()?;
-    let mut names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        names.push(istr(&r.str()?));
-    }
-    let n_cons = r.count()?;
-    let mut cons = Vec::with_capacity(n_cons);
-    for _ in 0..n_cons {
-        // A raw arena handle is only honest if it names a live slot
-        // whose intern-time hash matches the one recorded at encode
-        // time; anything else (truncated id, cross-process stream, a
-        // slot that means something different now) fails decode here
-        // instead of panicking or dispatching on the wrong constructor.
-        let id = ConId(r.u32()?);
-        let hash = r.u64()?;
-        if !id.is_valid() || id.node_hash() != hash {
-            return None;
-        }
-        cons.push(id);
-    }
-    let n_syms = r.count()?;
-    let mut syms = Vec::with_capacity(n_syms);
-    for _ in 0..n_syms {
-        let name = r.str()?;
-        let id = r.u32()?;
-        syms.push(Sym::from_raw(istr(&name), id));
-    }
-    let n_subs = r.count()?;
-    let mut subs = Vec::with_capacity(n_subs);
-    for _ in 0..n_subs {
-        subs.push(Arc::new(decode_one(r)?));
-    }
-    Some(Chunk {
-        label,
-        has_param,
-        cparam,
-        n_slots,
-        caps,
-        ops,
-        consts,
-        names,
-        cons,
-        syms,
-        subs,
-    })
-}
-
-/// Deserializes a chunk encoded by [`encode_chunk`]. Returns `None` on
-/// any malformed input: truncation, bad tags, invalid UTF-8, an arena
-/// generation other than the current one, or a constructor handle that
-/// does not name a live arena slot with the recorded node hash. Only
-/// valid in the process (and arena generation) that encoded it:
-/// constructor handles are raw arena ids.
-pub fn decode_chunk(bytes: &[u8]) -> Option<Arc<Chunk>> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.u64()? != ur_core::arena::generation() {
-        return None;
-    }
-    let c = decode_one(&mut r)?;
-    if r.pos != bytes.len() {
-        return None;
-    }
-    Some(Arc::new(c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1007,81 +698,5 @@ mod tests {
         );
         let c = compile_simple(&local_arg);
         assert!(c.subs[0].ops.contains(&Op::Call2), "{:?}", c.subs[0].ops);
-    }
-
-    #[test]
-    fn encode_decode_round_trips() {
-        let x = Sym::fresh("x");
-        let e = Expr::let_(
-            x,
-            Con::int(),
-            Expr::lit(Lit::Int(5)),
-            Expr::lam(
-                Sym::fresh("y"),
-                Con::int(),
-                Expr::proj(
-                    Expr::record(vec![(Con::name("A"), Expr::var(&x))]),
-                    Con::name("A"),
-                ),
-            ),
-        );
-        let c = compile_simple(&e);
-        let bytes = encode_chunk(&c);
-        let back = decode_chunk(&bytes).expect("decodes");
-        assert_eq!(*back, *c);
-    }
-
-    #[test]
-    fn decode_rejects_malformed_input() {
-        let c = compile_simple(&Expr::lit(Lit::Int(1)));
-        let bytes = encode_chunk(&c);
-        assert!(decode_chunk(&bytes[..bytes.len() - 1]).is_none(), "truncated");
-        // Bytes 0..8 are the arena generation stamp; the magic follows.
-        let mut stale = bytes.clone();
-        stale[0] ^= 0xFF;
-        assert!(decode_chunk(&stale).is_none(), "wrong arena generation");
-        let mut bad = bytes.clone();
-        bad[8] ^= 0xFF;
-        assert!(decode_chunk(&bad).is_none(), "bad magic");
-        assert!(decode_chunk(&[]).is_none(), "empty");
-    }
-
-    #[test]
-    fn decode_rejects_forged_con_handles() {
-        // Projection under a name variable keeps a runtime constructor
-        // in the chunk's con table — the raw arena handle the codec has
-        // to guard.
-        let nm = Sym::fresh("nm");
-        let x = Sym::fresh("x");
-        let body = Expr::lam(
-            x,
-            Con::record(Con::row_one(Con::var(&nm), Con::int())),
-            Expr::proj(Expr::var(&x), Con::var(&nm)),
-        );
-        let c = compile_simple(&Expr::clam(nm, Kind::Name, body));
-        let bytes = encode_chunk(&c);
-        assert!(decode_chunk(&bytes).is_some(), "clean stream decodes");
-
-        let id = c.subs[0].subs[0].cons[0];
-        let mut entry = id.0.to_le_bytes().to_vec();
-        entry.extend_from_slice(&id.node_hash().to_le_bytes());
-        let pos = bytes
-            .windows(entry.len())
-            .position(|w| w == entry.as_slice())
-            .expect("con entry present in the stream");
-
-        // An id that names no live slot fails decode...
-        let mut forged = bytes.clone();
-        forged[pos..pos + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_chunk(&forged).is_none(), "dangling con id decoded");
-
-        // ...and so does a live id whose recorded hash disagrees (a
-        // cross-process or reused slot).
-        let mut mismatched = bytes;
-        mismatched[pos + 4] ^= 0xFF;
-        assert!(
-            decode_chunk(&mismatched).is_none(),
-            "node-hash mismatch decoded"
-        );
     }
 }

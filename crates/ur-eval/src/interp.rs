@@ -13,7 +13,7 @@ use ur_core::sym::Sym;
 use ur_core::Cx;
 
 /// Mutable world state visible to effectful builtins. `Clone` backs
-/// `Session::snapshot`/`rollback`: a chaos-aborted batch restores the
+/// `Session::snapshot`/`rollback`: a rolled-back batch restores the
 /// whole world (database, sequences, SQL log, debug output) bit for bit.
 #[derive(Clone, Default)]
 pub struct World {

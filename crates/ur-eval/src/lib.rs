@@ -30,7 +30,7 @@ pub mod interp;
 pub mod value;
 pub mod vm;
 
-pub use compile::{compile, decode_chunk, encode_chunk, Chunk, Op};
+pub use compile::{compile, Chunk, Op};
 pub use error::{EvalError, EvalErrorKind};
 pub use interp::{Interp, World};
 pub use value::{Builtin, BuiltinApp, VEnv, Value, XmlVal};

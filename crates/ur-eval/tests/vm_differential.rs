@@ -2,9 +2,8 @@
 //! interpreter on the core-term edge cases the compiler has to get
 //! right — shadowing, capture-by-value closures, empty records, folds
 //! over the empty row, and concatenation chains deep enough to smoke
-//! out accidental recursion in the dispatch loop. Plus the chunk codec:
-//! encode/decode round-trips and constant-pool behaviour, all through
-//! the crate's public API.
+//! out accidental recursion in the dispatch loop. Plus constant-pool
+//! behaviour, all through the crate's public API.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -13,10 +12,7 @@ use ur_core::env::Env;
 use ur_core::expr::{Expr, Lit, RExpr};
 use ur_core::sym::Sym;
 use ur_core::Cx;
-use ur_eval::{
-    compile, decode_chunk, encode_chunk, vm, Builtin, EvalError, EvalErrorKind, Interp, Value,
-    VEnv, World,
-};
+use ur_eval::{compile, vm, Builtin, EvalError, EvalErrorKind, Interp, VEnv, Value, World};
 
 /// Runs `e` on both engines with the given builtins and returns
 /// (vm result, interpreter result).
@@ -405,65 +401,6 @@ fn erroring_first_application_wins_over_the_second_argument() {
 }
 
 #[test]
-fn chunk_round_trips_through_the_codec() {
-    // A chunk with everything: constants, locals, a capturing
-    // sub-chunk, record ops, and a conditional.
-    let x = Sym::fresh("x");
-    let y = Sym::fresh("y");
-    let e = Expr::let_(
-        x,
-        Con::int(),
-        int(7),
-        Expr::if_(
-            Expr::lit(Lit::Bool(true)),
-            Expr::app(
-                Expr::lam(
-                    y,
-                    Con::int(),
-                    Expr::proj(
-                        Expr::record(vec![
-                            (Con::name("A"), Expr::var(&x)),
-                            (Con::name("B"), Expr::var(&y)),
-                        ]),
-                        Con::name("A"),
-                    ),
-                ),
-                int(9),
-            ),
-            int(0),
-        ),
-    );
-    let genv = Env::new();
-    let mut cx = Cx::new();
-    let chunk = compile(&genv, &mut cx, &e, "codec");
-    let bytes = encode_chunk(&chunk);
-    let decoded = decode_chunk(&bytes).expect("decode");
-    assert_eq!(*chunk, *decoded, "codec must round-trip exactly");
-
-    // And the decoded chunk runs to the same value as the original.
-    let builtins = HashMap::new();
-    let mut world = World::new();
-    let mut interp = Interp::new(&mut world, &genv, &builtins);
-    let a = vm::run(&mut interp, &chunk, &VEnv::new()).unwrap();
-    let b = vm::run(&mut interp, &decoded, &VEnv::new()).unwrap();
-    assert_eq!(a.to_string(), b.to_string());
-}
-
-#[test]
-fn deep_chunks_round_trip_too() {
-    let mut e = Expr::record(vec![(Con::name("F000"), int(0))]);
-    for i in 1..300 {
-        let one = Expr::record(vec![(Con::name(format!("F{i:03}")), int(i))]);
-        e = Expr::rec_cat(e, one);
-    }
-    let genv = Env::new();
-    let mut cx = Cx::new();
-    let chunk = compile(&genv, &mut cx, &e, "deep");
-    let decoded = decode_chunk(&encode_chunk(&chunk)).expect("decode");
-    assert_eq!(*chunk, *decoded);
-}
-
-#[test]
 fn constant_pool_dedups_across_the_whole_chunk() {
     // The same literal in four places lands in the pool once; distinct
     // literals get distinct entries.
@@ -490,23 +427,4 @@ fn constant_pool_dedups_across_the_whole_chunk() {
         .count();
     assert_eq!(fives, 1, "repeated literal must intern once: {:?}", chunk.consts);
     assert!(chunk.consts.contains(&Lit::Int(6)));
-}
-
-#[test]
-fn truncated_chunks_are_rejected_not_misread() {
-    let e = Expr::record(vec![(Con::name("A"), int(1))]);
-    let genv = Env::new();
-    let mut cx = Cx::new();
-    let chunk = compile(&genv, &mut cx, &e, "trunc");
-    let bytes = encode_chunk(&chunk);
-    for cut in 0..bytes.len() {
-        assert!(
-            decode_chunk(&bytes[..cut]).is_none(),
-            "truncation at {cut} must not decode"
-        );
-    }
-    // Trailing garbage is rejected too: decode demands exact length.
-    let mut padded = bytes.clone();
-    padded.push(0);
-    assert!(decode_chunk(&padded).is_none());
 }

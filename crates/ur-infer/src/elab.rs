@@ -68,9 +68,8 @@ pub(crate) enum Entry {
     Val(Sym),
 }
 
-/// A full capture of the elaborator's persistent state, for rolling back
-/// a chaos-faulted declaration attempt (see
-/// [`Elaborator::snapshot`]/[`Elaborator::restore`]). Sessions reuse it
+/// A full capture of the elaborator's persistent state (see
+/// [`Elaborator::snapshot`]/[`Elaborator::restore`]). Sessions use it
 /// to roll back whole aborted batches. Opaque: it can only be fed back
 /// to the elaborator it came from. `Clone` so a session can keep one
 /// base snapshot and restore it before every incremental rebuild.
@@ -222,44 +221,7 @@ impl Elaborator {
     /// counter is preserved), so resource outcomes do not depend on which
     /// earlier declarations were elaborated rather than reused from the
     /// incremental cache.
-    ///
-    /// Under an active failpoint schedule, a resource exhaustion that
-    /// coincides with injected `fuel_charge` faults is *suspect*: the
-    /// declaration is retried (bounded, with full elaborator-state
-    /// restore so metavariable numbering matches a clean run). The fault
-    /// cap (`FpConfig::max_per_site`, default 3) is below the retry
-    /// budget, so the final attempt is guaranteed fault-free and the
-    /// healed outcome is identical to the never-faulted one. Without an
-    /// active schedule this is a single attempt with zero extra cost.
     pub(crate) fn elab_decl_recover(&mut self, d: &SDecl) -> Option<ur_syntax::Diagnostic> {
-        use ur_core::failpoint::{self, Site};
-        if !failpoint::active() {
-            return self.elab_decl_once(d);
-        }
-        const MAX_DECL_RETRIES: u32 = 4;
-        let mut attempt = 0u32;
-        loop {
-            let snap = self.snapshot();
-            let faults_before = failpoint::injected_at(Site::FuelCharge);
-            let diag = self.elab_decl_once(d);
-            let fuel_faulted = failpoint::injected_at(Site::FuelCharge) > faults_before;
-            let suspect = fuel_faulted
-                && diag
-                    .as_ref()
-                    .is_some_and(|g| g.code == ur_syntax::Code::ResourceExhausted);
-            if suspect && attempt + 1 < MAX_DECL_RETRIES {
-                self.restore(snap);
-                self.cx.stats.decl_retries = self.cx.stats.decl_retries.saturating_add(1);
-                attempt += 1;
-                continue;
-            }
-            return diag;
-        }
-    }
-
-    /// One elaboration attempt for a top-level declaration (the PR 3
-    /// `elab_decl_recover` body, unchanged).
-    fn elab_decl_once(&mut self, d: &SDecl) -> Option<ur_syntax::Diagnostic> {
         self.cx.fuel.reset();
         match self.elab_top_decl(d) {
             Ok(()) => {
@@ -280,8 +242,9 @@ impl Elaborator {
 
     /// Captures the elaborator's full persistent state — global env,
     /// checking context (metas, stats, fuel, memo), scope stack, and the
-    /// elaborated-declaration count — so a chaos-faulted attempt can be
-    /// rolled back as if it never ran. Transient state (constraints,
+    /// elaborated-declaration count — so a discarded batch (a session
+    /// rollback, an incremental rebuild's base restore) can be rolled
+    /// back as if it never ran. Transient state (constraints,
     /// folder holes) is empty at declaration boundaries and needs no
     /// capture.
     pub fn snapshot(&self) -> ElabSnapshot {

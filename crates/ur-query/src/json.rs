@@ -9,25 +9,7 @@
 use std::collections::HashMap;
 use ur_syntax::Diagnostic;
 
-/// Escapes `s` for embedding in a JSON string literal (quotes not
-/// included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use ur_core::json::escape;
 
 /// One diagnostic as a JSON object:
 /// `{"code":"E0400","line":3,"col":7,"message":"…","notes":["…"]}`.
@@ -149,12 +131,6 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<
 mod tests {
     use super::*;
     use ur_syntax::{Code, Span};
-
-    #[test]
-    fn escaping_covers_quotes_backslashes_and_control_chars() {
-        assert_eq!(escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn diag_json_shape_is_stable() {

@@ -356,7 +356,7 @@ mod faulted {
 
     #[test]
     fn accept_and_read_faults_tear_connections_not_the_server() {
-        // Seed 43: the acceptor (one thread, consult count persists
+        // Seed 102: the acceptor (one thread, consult count persists
         // across accepts) drops connections intermittently at 500‰;
         // each connection handler (fresh thread, fresh consult count)
         // serves three reads and tears on the fourth at 300‰. A client
@@ -366,7 +366,7 @@ mod faulted {
             deadline_ms: 5_000,
             cache_dir: Some(tmp_cache()),
             fp: Some(
-                FpConfig::new(43)
+                FpConfig::new(102)
                     .with_rate(Site::ServeAccept, 500)
                     .with_rate(Site::ServeRead, 300)
                     .with_max_per_site(8),

@@ -6,7 +6,7 @@
 
 use crate::builtins;
 use crate::prelude::PRELUDE;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -56,104 +56,6 @@ impl From<EvalError> for SessionError {
     }
 }
 
-/// Tunables for the session's self-healing circuit breaker (see
-/// [`Breaker`]).
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// How many recent batches the fault window covers.
-    pub window: usize,
-    /// Total faults across the window at which the breaker opens.
-    pub threshold: u64,
-    /// When open: switch the judgment memo tables off, so a corrupting
-    /// cache cannot keep feeding the elaborator bad entries.
-    pub disable_memo: bool,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> BreakerConfig {
-        BreakerConfig {
-            window: 4,
-            threshold: 8,
-            disable_memo: true,
-        }
-    }
-}
-
-/// A sticky circuit breaker over per-batch fault counts.
-///
-/// After every [`Session::run_all`] batch the session records the number
-/// of faults the batch survived (declaration retries, memo integrity
-/// rejections). When the total over the last [`BreakerConfig::window`]
-/// batches reaches [`BreakerConfig::threshold`], the breaker opens and
-/// stays open until [`Breaker::reset`]: subsequent batches run degraded
-/// (memo off), trading throughput for blast-radius containment.
-#[derive(Clone, Debug)]
-pub struct Breaker {
-    /// Tunable thresholds; adjust before the first batch.
-    pub config: BreakerConfig,
-    recent: VecDeque<u64>,
-    open: bool,
-}
-
-impl Default for Breaker {
-    fn default() -> Breaker {
-        Breaker::new(BreakerConfig::default())
-    }
-}
-
-impl Breaker {
-    pub fn new(config: BreakerConfig) -> Breaker {
-        Breaker {
-            config,
-            recent: VecDeque::new(),
-            open: false,
-        }
-    }
-
-    /// Records one batch's fault count. Returns `true` exactly when this
-    /// record trips the breaker (a closed-to-open edge); an already-open
-    /// breaker keeps recording but never "re-trips".
-    pub fn record(&mut self, faults: u64) -> bool {
-        let cap = self.config.window.max(1);
-        while self.recent.len() >= cap {
-            self.recent.pop_front();
-        }
-        self.recent.push_back(faults);
-        if self.open {
-            return false;
-        }
-        let total = self.window_total();
-        if total >= self.config.threshold.max(1) {
-            self.open = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the breaker is open (degraded mode active).
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-
-    /// Faults summed over the current window.
-    pub fn window_total(&self) -> u64 {
-        self.recent.iter().fold(0u64, |a, b| a.saturating_add(*b))
-    }
-
-    /// Batches currently in the window.
-    pub fn window_len(&self) -> usize {
-        self.recent.len()
-    }
-
-    /// Closes the breaker and clears the window (operator reset; the
-    /// memo switch recovers on the next healthy batch).
-    pub fn reset(&mut self) {
-        self.open = false;
-        self.recent.clear();
-    }
-}
-
 /// State backing [`Session::reelaborate`]: the *base* — the session as
 /// it stood when incremental mode was first used (normally just the
 /// prelude) — plus the red-green query engine whose caches persist
@@ -169,17 +71,16 @@ struct IncrState {
     last_report: ur_query::RunReport,
 }
 
-/// A point-in-time capture of a whole session, for rolling back a
-/// chaos-aborted (or simply unwanted) batch: elaborator state, runtime
-/// world (database + debug log), top-level value environment, name
-/// table, and breaker. Created by [`Session::snapshot`], consumed by
-/// [`Session::rollback`]. Builtins are immutable and not captured.
+/// A point-in-time capture of a whole session, for rolling back an
+/// unwanted batch: elaborator state, runtime world (database + debug
+/// log), top-level value environment, and name table. Created by
+/// [`Session::snapshot`], consumed by [`Session::rollback`]. Builtins
+/// are immutable and not captured.
 pub struct SessionSnapshot {
     elab: ElabSnapshot,
     world: World,
     top: VEnv,
     by_name: HashMap<String, Sym>,
-    breaker: Breaker,
 }
 
 /// An Ur/Web session: elaborate-and-run programs against a persistent
@@ -201,9 +102,6 @@ pub struct Session {
     /// Has no effect (elaboration is sequential); kept only because the
     /// repository benchmark reads it.
     pub threads: usize,
-    /// Self-healing circuit breaker fed by per-batch fault counts (see
-    /// [`Breaker`]). Open ⇒ [`Session::run_all`] runs degraded.
-    pub breaker: Breaker,
     /// Disk-cache directory for [`Session::reelaborate`]. `None` defers
     /// to `UR_CACHE_DIR` / `.ur-cache` resolution; set it (or the env
     /// var) before the first `reelaborate` call — the engine is created
@@ -269,9 +167,7 @@ impl Session {
         let mut elab = Elaborator::new();
         let decls = elab.elab_source(PRELUDE)?;
         // `UR_FAILPOINTS` configures fault injection without code changes
-        // (urc, the REPL, any embedder). Installed *after* the prelude so
-        // the bounded fault budget is spent on user code, not stdlib
-        // loading — the same convention the chaos harness uses.
+        // (urc, the REPL, any embedder).
         #[cfg(feature = "failpoints")]
         if let Some(cfg) = ur_core::failpoint::FpConfig::from_env().map_err(SessionError::Config)? {
             ur_core::failpoint::install(Some(cfg));
@@ -298,7 +194,6 @@ impl Session {
             elab,
             world: World::new(),
             threads: 1,
-            breaker: Breaker::default(),
             cache_dir: None,
             engine: std::env::var("UR_EVAL")
                 .ok()
@@ -412,35 +307,21 @@ impl Session {
     /// [`Diagnostic`](ur_syntax::Diagnostic) instead of aborting the
     /// batch. The session stays usable afterwards regardless of how
     /// hostile the input was.
-    ///
-    /// Every batch also feeds the [`Breaker`]: the fault delta the batch
-    /// survived (declaration retries, memo integrity rejections) is
-    /// recorded, and while the breaker is open the batch runs degraded —
-    /// with memoization off, per [`BreakerConfig`] — with the degradation
-    /// counted in [`Session::stats`].
-    pub fn run_all(
+    pub fn run_all(&mut self, src: &str) -> (Vec<(String, Value)>, ur_syntax::Diagnostics) {
+        let (decls, diags) = self.elab.elab_source_all(src);
+        self.eval_decls(&decls, diags)
+    }
+
+    /// Evaluates the `val` bodies of freshly elaborated `decls` in order,
+    /// binding each value and appending a runtime-error diagnostic to
+    /// `diags` for each body that fails.
+    fn eval_decls(
         &mut self,
-        src: &str,
+        decls: &[ElabDecl],
+        mut diags: ur_syntax::Diagnostics,
     ) -> (Vec<(String, Value)>, ur_syntax::Diagnostics) {
-        self.elab.cx.stats.capture_failpoints();
-        let before = self.elab.cx.stats.clone();
-        if self.breaker.is_open() {
-            if self.breaker.config.disable_memo {
-                self.elab.cx.memo.enabled = false;
-            }
-            self.elab.cx.stats.breaker_degraded_batches =
-                self.elab.cx.stats.breaker_degraded_batches.saturating_add(1);
-        }
-        let (decls, mut diags) = self.elab.elab_source_all(src);
-        self.elab.cx.stats.capture_failpoints();
-        let delta = self.elab.cx.stats.since(&before);
-        let faults = delta.decl_retries.saturating_add(delta.fp_memo_rejections);
-        if self.breaker.record(faults) {
-            self.elab.cx.stats.breaker_trips =
-                self.elab.cx.stats.breaker_trips.saturating_add(1);
-        }
         let mut out = Vec::new();
-        for d in &decls {
+        for d in decls {
             if let ElabDecl::Val {
                 name,
                 sym,
@@ -482,8 +363,7 @@ impl Session {
     /// *base*; every call restores that base before elaborating, so
     /// successive calls see edits, not accumulation. Statistics are
     /// cumulative across rebuilds (the incremental counters in
-    /// [`Session::stats`] track green/red/disk activity); the breaker
-    /// degrades rebuilds exactly as it degrades `run_all` batches.
+    /// [`Session::stats`] track green/red/disk activity).
     pub fn reelaborate(&mut self, src: &str) -> (Vec<(String, Value)>, ur_syntax::Diagnostics) {
         if self.incr.is_none() {
             self.incr = Some(IncrState {
@@ -530,49 +410,9 @@ impl Session {
             self.elab.cx.fuel.reset();
         }
 
-        self.elab.cx.stats.capture_failpoints();
-        let before = self.elab.cx.stats.clone();
-        if self.breaker.is_open() {
-            if self.breaker.config.disable_memo {
-                self.elab.cx.memo.enabled = false;
-            }
-            self.elab.cx.stats.breaker_degraded_batches =
-                self.elab.cx.stats.breaker_degraded_batches.saturating_add(1);
-        }
-        let (decls, mut diags, report) = incr.engine.run(&mut self.elab, src, 1);
+        let (decls, diags, report) = incr.engine.run(&mut self.elab, src, 1);
         incr.last_report = report;
-        self.elab.cx.stats.capture_failpoints();
-        let delta = self.elab.cx.stats.since(&before);
-        let faults = delta.decl_retries.saturating_add(delta.fp_memo_rejections);
-        if self.breaker.record(faults) {
-            self.elab.cx.stats.breaker_trips =
-                self.elab.cx.stats.breaker_trips.saturating_add(1);
-        }
-        let mut out = Vec::new();
-        for d in &decls {
-            if let ElabDecl::Val {
-                name,
-                sym,
-                body: Some(body),
-                ..
-            } = d
-            {
-                match self.eval_body(body, name) {
-                    Ok(v) => {
-                        self.top.vals.insert(*sym, v.clone());
-                        self.vm_globals = None;
-                        self.by_name.insert(name.clone(), *sym);
-                        out.push((name.clone(), v));
-                    }
-                    Err(e) => diags.push(ur_syntax::Diagnostic::new(
-                        ur_syntax::Span::default(),
-                        ur_syntax::Code::Eval,
-                        format!("runtime error evaluating {name}: {e}"),
-                    )),
-                }
-            }
-        }
-        (out, diags)
+        self.eval_decls(&decls, diags)
     }
 
     /// [`Session::reelaborate`] under a one-rebuild fuel ceiling:
@@ -758,22 +598,20 @@ impl Session {
         s
     }
 
-    /// Captures the whole session (elaborator, world, environment,
-    /// breaker) so a later [`Session::rollback`] can undo everything a
-    /// batch did — including a chaos-aborted one.
+    /// Captures the whole session (elaborator, world, environment) so a
+    /// later [`Session::rollback`] can undo everything a batch did.
     pub fn snapshot(&self) -> SessionSnapshot {
         SessionSnapshot {
             elab: self.elab.snapshot(),
             world: self.world.clone(),
             top: self.top.clone(),
             by_name: self.by_name.clone(),
-            breaker: self.breaker.clone(),
         }
     }
 
     /// Restores the session to a previous [`Session::snapshot`]: env,
-    /// folder cache, memo tables, stats, database, debug log, top-level
-    /// values, and breaker state all return to the captured point.
+    /// folder cache, memo tables, stats, database, debug log, and
+    /// top-level values all return to the captured point.
     pub fn rollback(&mut self, snap: SessionSnapshot) {
         self.elab.restore(snap.elab);
         self.world = snap.world;
@@ -787,44 +625,6 @@ impl Session {
         // environment must not be served to post-rollback evaluations.
         self.chunk_cache.clear();
         self.by_name = snap.by_name;
-        self.breaker = snap.breaker;
-    }
-
-    /// A human-readable self-healing/health summary: breaker state,
-    /// effective degradations, and the fault and recovery counters.
-    /// Surfaced by `urc --health` and the REPL's `:health` command.
-    pub fn health_report(&self) -> String {
-        use fmt::Write as _;
-        let s = self.stats_snapshot();
-        let mut out = String::new();
-        let state = if self.breaker.is_open() { "OPEN (degraded)" } else { "closed" };
-        let _ = writeln!(out, "session health");
-        let _ = writeln!(
-            out,
-            "  breaker: {state} — {}/{} faults over last {} batch(es) (window {}, threshold {})",
-            self.breaker.window_total(),
-            self.breaker.config.threshold,
-            self.breaker.window_len(),
-            self.breaker.config.window,
-            self.breaker.config.threshold,
-        );
-        let _ = writeln!(
-            out,
-            "  memoization: {}",
-            if self.elab.cx.memo.enabled { "on" } else { "off (breaker)" },
-        );
-        let _ = writeln!(out, "  self-healing: decl_retries={}", s.decl_retries);
-        let _ = writeln!(
-            out,
-            "  breaker history: trips={} degraded_batches={}",
-            s.breaker_trips, s.breaker_degraded_batches,
-        );
-        let _ = writeln!(
-            out,
-            "  fault injection: injected={} memo_rejections={}",
-            s.fp_faults_injected, s.fp_memo_rejections,
-        );
-        out
     }
 
     /// A human-readable database summary: durability mode, open
@@ -1253,10 +1053,10 @@ mod recovery_tests {
     }
 
     /// `snapshot`/`rollback` must undo *everything* a batch did — env
-    /// bindings, database tables, debug output, and stats — even when
-    /// the batch partially failed, leaving the session bit-identical to
-    /// its pre-batch state (the chaos harness relies on this to abort
-    /// faulted batches).
+    /// bindings, database tables, debug output, and stats (including
+    /// the disjointness-prover and memo counters a row metaprogram
+    /// drives) — even when the batch partially failed, leaving the
+    /// session bit-identical to its pre-batch state.
     #[test]
     fn snapshot_rollback_restores_env_db_and_stats() {
         let mut sess = Session::new().unwrap();
@@ -1265,10 +1065,13 @@ mod recovery_tests {
         let log_before = sess.world.out.clone();
         let snap = sess.snapshot();
 
-        // A messy batch: new bindings, a new table, debug output, and a
-        // failing declaration in the middle.
+        // A messy batch: new bindings, a row metaprogram, a new table,
+        // debug output, and a failing declaration in the middle.
         let (defs, diags) = sess.run_all(
             "val good = base + 1\n\
+             fun proj [nm :: Name] [t :: Type] [r :: {Type}] [[nm] ~ r] \
+                (x : $([nm = t] ++ r)) = x.nm\n\
+             val p = proj [#A] {A = base, B = \"x\", C = 2.5}\n\
              val t = createTable \"snapped\" {K = sqlInt}\n\
              val u = insert t {K = const 7}\n\
              val bad = 1 + \"two\"\n\
@@ -1277,10 +1080,16 @@ mod recovery_tests {
         assert!(!diags.is_empty());
         assert!(!defs.is_empty());
         assert!(sess.get("good").is_some());
+        assert_eq!(sess.get_int("p").unwrap(), 10);
+        assert!(sess.stats().disjoint_prover_calls > stats_before.disjoint_prover_calls);
         assert_eq!(sess.world.db.row_count("snapped").unwrap(), 1);
 
         sess.rollback(snap);
         assert!(sess.get("good").is_none(), "binding survived rollback");
+        assert!(
+            sess.get("p").is_none(),
+            "metaprogram binding survived rollback"
+        );
         assert!(sess.get("t").is_none(), "table binding survived rollback");
         assert!(
             sess.world.db.row_count("snapped").is_err(),
@@ -1297,54 +1106,6 @@ mod recovery_tests {
         // The rolled-back session is fully usable.
         sess.run("val after = base + 32").unwrap();
         assert_eq!(sess.get_int("after").unwrap(), 42);
-    }
-
-    /// Breaker state machine: accumulates over a sliding window, trips
-    /// once on the closed→open edge, stays open (sticky), and recovers
-    /// only via `reset`.
-    #[test]
-    fn breaker_trips_once_and_is_sticky() {
-        let mut b = Breaker::new(BreakerConfig {
-            window: 3,
-            threshold: 5,
-            ..BreakerConfig::default()
-        });
-        assert!(!b.record(2));
-        assert!(!b.record(2));
-        assert!(!b.is_open());
-        assert!(b.record(1), "third batch reaches the threshold");
-        assert!(b.is_open());
-        assert!(!b.record(100), "an open breaker never re-trips");
-        assert!(b.is_open());
-        b.reset();
-        assert!(!b.is_open());
-        assert_eq!(b.window_len(), 0);
-        // Old faults fell out of the window after reset.
-        assert!(!b.record(4));
-        assert!(!b.is_open());
-    }
-
-    /// While the breaker is open, `run_all` degrades (memo off), counts
-    /// the degradation, and still produces correct values.
-    #[test]
-    fn open_breaker_degrades_run_all_but_stays_correct() {
-        let mut sess = Session::new().unwrap();
-        // Trip the breaker by hand (fault injection does it for real in
-        // the chaos suite).
-        sess.breaker.record(BreakerConfig::default().threshold);
-        assert!(sess.breaker.is_open());
-
-        let (defs, diags) = sess.run_all("val z = 40 + 2");
-        assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(defs.len(), 1);
-        assert_eq!(sess.get_int("z").unwrap(), 42);
-        assert_eq!(sess.stats().breaker_degraded_batches, 1);
-        assert!(!sess.elab.cx.memo.enabled, "memo not switched off");
-
-        let report = sess.health_report();
-        assert!(report.contains("OPEN (degraded)"), "{report}");
-        assert!(report.contains("off (breaker)"), "{report}");
-        assert!(report.contains("degraded_batches=1"), "{report}");
     }
 
     /// `reelaborate` is whole-program-replace: a no-op rebuild is fully
@@ -1498,18 +1259,5 @@ mod recovery_tests {
         assert!(e.message.contains("max_norm_steps"), "{err}");
         // And the session keeps answering afterwards.
         assert_eq!(sess.eval(fold).unwrap().to_string(), "3");
-    }
-
-    /// A healthy session reports a closed breaker and zeroed healing
-    /// counters.
-    #[test]
-    fn health_report_on_healthy_session() {
-        let mut sess = Session::new().unwrap();
-        let (_defs, diags) = sess.run_all("val x = 1");
-        assert!(diags.is_empty());
-        let report = sess.health_report();
-        assert!(report.contains("breaker: closed"), "{report}");
-        assert!(report.contains("memoization: on"), "{report}");
-        assert!(report.contains("trips=0"), "{report}");
     }
 }

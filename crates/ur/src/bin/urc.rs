@@ -9,8 +9,6 @@
 //! options:
 //!   --print            print every top-level value as it is defined
 //!   --stats            print inference statistics (the Figure 5 counters)
-//!   --health           print the self-healing report (circuit breaker,
-//!                      retry counters, fault injection totals)
 //!   --core NAME        dump the elaborated core term of value NAME
 //!   --type NAME        print the inferred type of value NAME
 //!   --eval EXPR        evaluate EXPR after loading the files
@@ -78,7 +76,6 @@ struct Options {
     files: Vec<String>,
     print: bool,
     stats: bool,
-    health: bool,
     core: Vec<String>,
     types: Vec<String>,
     evals: Vec<String>,
@@ -103,7 +100,7 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: urc [--print] [--stats] [--health] [--core NAME] [--type NAME] [--eval EXPR]\n\
+    "usage: urc [--print] [--stats] [--core NAME] [--type NAME] [--eval EXPR]\n\
      \x20          [--eval=vm|interp] [--sql-log] [--no-identity] [--no-distrib]\n\
      \x20          [--no-fusion] [--emit-json] [--cache-dir DIR] [--db-dir DIR] [--watch]\n\
      \x20          [--serve] [--listen ADDR] [--pool N] [--queue-depth N] [--max-conns N]\n\
@@ -123,7 +120,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         files: Vec::new(),
         print: false,
         stats: false,
-        health: false,
         core: Vec::new(),
         types: Vec::new(),
         evals: Vec::new(),
@@ -149,7 +145,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
             "--help" | "-h" => return Err(usage().to_string()),
             "--print" => opts.print = true,
             "--stats" => opts.stats = true,
-            "--health" => opts.health = true,
             "--sql-log" => opts.sql_log = true,
             "--no-identity" => opts.no_identity = true,
             "--no-distrib" => opts.no_distrib = true,
@@ -344,9 +339,6 @@ fn run(opts: &Options) -> Result<(), String> {
     if opts.stats {
         eprintln!("stats: {}", sess.stats_snapshot());
         eprintln!("eval engine: {}", sess.engine.name());
-    }
-    if opts.health {
-        eprint!("{}", sess.health_report());
     }
     Ok(())
 }

@@ -1,13 +1,12 @@
-//! Chaos differential suite: seeded fault injection against the
-//! self-healing elaboration pipeline (`ur_core::failpoint`,
-//! `ur_web::Session`).
+//! Chaos suite: seeded fault injection (`ur_core::failpoint`) against
+//! the layers that meet real faults — the incremental engine's disk
+//! cache and `ur-db`'s write-ahead log — plus the failpoint
+//! configuration surface itself.
 //!
-//! The contract under test: **faults cost retries and recomputation,
-//! never results.** Every test elaborates a batch under a deterministic
-//! fault schedule and compares declarations (up to fresh symbol ids) and
-//! diagnostics against the clean run, while asserting that
-//! the intended recovery path actually ran (via the healing counters in
-//! `Stats` and the per-site injection counters).
+//! The contract under test: **faults cost recomputation or a reported
+//! error, never results.** The WAL tests arm one deterministic fault per
+//! site and check that the live handle and the recovered store both
+//! hold exactly what committed.
 //!
 //! Requires `--features failpoints`:
 //!
@@ -15,32 +14,11 @@
 //! cargo test -p ur --features failpoints --test chaos
 //! ```
 //!
-//! Every failure message carries the seed; reproduce a CI failure by
-//! re-running with `UR_CHAOS_SEED=<seed>` (see docs/ROBUSTNESS.md).
+//! Every schedule here is fixed, so any failure reproduces by re-running
+//! the test (see docs/ROBUSTNESS.md).
 
-use ur::core::failpoint::{self, FpConfig, FpCounters, Site};
-use ur::core::prelude::{Fuel, Limits, Stats};
-use ur::infer::Elaborator;
-use ur::web::BreakerConfig;
+use ur::core::failpoint::{self, FpConfig, Site};
 use ur::Session;
-
-const MATRIX_SEEDS: &[u64] = &[0xA11CE, 0xB0B, 0xC4A05];
-
-/// Erases gensym counters (`foo#123` -> `foo#`) so runs drawing
-/// different fresh-symbol numbers compare structurally.
-fn strip_sym_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        out.push(c);
-        if c == '#' {
-            while chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                chars.next();
-            }
-        }
-    }
-    out
-}
 
 /// A metaprogramming batch: a record metaprogram, then independent
 /// clients.
@@ -62,294 +40,42 @@ fn corpus() -> String {
     src
 }
 
-/// A fault schedule touching every elaboration site at moderate rates,
-/// capped below the retry budget so healing always converges.
-fn balanced(seed: u64) -> FpConfig {
-    FpConfig::new(seed)
-        .with_max_per_site(2)
-        .with_rate(Site::MemoLoad, 60)
-        .with_rate(Site::MemoStore, 60)
-        .with_rate(Site::InternGrow, 40)
-        .with_rate(Site::FuelCharge, 4)
-}
-
-/// Elaborates `src` once in a fresh session under `cfg` (clean when
-/// `None`; the schedule starts after the prelude is installed). Returns
-/// (decl fingerprints, diag fingerprints, stats, faults injected).
-fn run_batch(src: &str, cfg: Option<FpConfig>) -> (Vec<String>, Vec<String>, Stats, FpCounters) {
-    let mut sess = Session::new().expect("session");
-    let _ = failpoint::take_counters();
-    failpoint::install(cfg);
-    let (decls, diags) = sess.elab.elab_source_all(src);
-    failpoint::install(None);
-    let fp = failpoint::take_counters();
-    let decl_fps = decls
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    let diag_fps = diags.iter().map(|d| d.to_string()).collect();
-    (decl_fps, diag_fps, sess.elab.cx.stats.clone(), fp)
-}
-
-// ---------------- the differential matrix ----------------
-
-/// Fixed seeds, all elaboration sites active: results must equal the
-/// clean baseline, always.
-#[test]
-fn seeded_chaos_matrix_never_diverges() {
-    let src = corpus();
-    let (base_decls, base_diags, _, fp) = run_batch(&src, None);
-    assert_eq!(fp, FpCounters::default(), "baseline must be fault-free");
-    assert!(base_diags.is_empty(), "corpus must be clean: {base_diags:?}");
-
-    let mut seeds: Vec<u64> = MATRIX_SEEDS.to_vec();
-    // CI repro hook: an extra externally-chosen seed.
-    if let Some(s) = std::env::var("UR_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        seeds.push(s);
-    }
-    for seed in seeds {
-        let (decls, diags, _, _) = run_batch(&src, Some(balanced(seed)));
-        assert_eq!(
-            decls, base_decls,
-            "declarations diverged under chaos: UR_CHAOS_SEED={seed}"
-        );
-        assert_eq!(
-            diags, base_diags,
-            "diagnostics diverged under chaos: UR_CHAOS_SEED={seed}"
-        );
-    }
-}
-
-/// One randomized-seed run per invocation (the CI chaos job relies on
-/// this): the seed is printed and embedded in every assertion message,
-/// so any failure reproduces with `UR_CHAOS_SEED=<seed>`.
-#[test]
-fn randomized_seed_run_embeds_its_seed_in_failures() {
-    let seed: u64 = std::env::var("UR_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-                .unwrap_or(0xDEFA17);
-            nanos | 1
-        });
-    println!("chaos randomized seed: UR_CHAOS_SEED={seed}");
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, None);
-    let (decls, diags, _, _) = run_batch(&src, Some(balanced(seed)));
-    assert_eq!(
-        decls, base_decls,
-        "diverged — reproduce with UR_CHAOS_SEED={seed}"
-    );
-    assert_eq!(
-        diags, base_diags,
-        "diverged — reproduce with UR_CHAOS_SEED={seed}"
-    );
-}
-
-// ---------------- per-site recovery paths ----------------
-
-/// Corrupt memo entries (at store or load time) must be caught by the
-/// per-entry integrity check, evicted, and recomputed — results equal,
-/// rejections counted.
-#[test]
-fn memo_corruption_is_rejected_and_recomputed() {
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, None);
-    let cfg = FpConfig::new(13)
-        .with_max_per_site(64)
-        .with_rate(Site::MemoLoad, 500)
-        .with_rate(Site::MemoStore, 500);
-    let (decls, diags, _, fp) = run_batch(&src, Some(cfg));
-    assert_eq!(decls, base_decls, "memo corruption leaked into results");
-    assert_eq!(diags, base_diags, "memo corruption leaked into diagnostics");
-    assert!(
-        fp.injected[Site::MemoLoad.index()] + fp.injected[Site::MemoStore.index()] >= 1,
-        "{fp:?}"
-    );
-    assert!(fp.integrity_rejections >= 1, "{fp:?}");
-}
-
-/// Phantom fuel bursts cause a spurious resource exhaustion; the
-/// bounded declaration retry (whose final attempt is guaranteed
-/// fault-free by the per-site cap) must converge to the clean result
-/// with no diagnostic.
-#[test]
-fn phantom_fuel_exhaustion_is_retried_to_the_clean_result() {
-    let src = "fun proj [nm :: Name] [t :: Type] [r :: {Type}] [[nm] ~ r] \
-               (x : $([nm = t] ++ r)) = x.nm";
-    let mut clean = Elaborator::new();
-    let decls = clean.elab_source(src).expect("clean elaboration");
-    let clean_fps: Vec<String> = decls
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    let used = clean.cx.fuel.lifetime_norm_steps();
-    assert!(used > 0, "corpus must charge fuel");
-
-    // Budget 2x the real need: the clean run fits easily, but three
-    // injected bursts of budget/4+1 steps each force an exhaustion on
-    // the first attempt no matter how the real steps interleave.
-    let mut el = Elaborator::new();
-    el.cx.fuel = Fuel::new(Limits {
-        max_norm_steps: used * 2,
-        ..Limits::default()
-    });
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(
-        FpConfig::new(17)
-            .with_max_per_site(3)
-            .with_rate(Site::FuelCharge, 1000),
-    ));
-    let (decls2, diags) = el.elab_source_all(src);
-    failpoint::install(None);
-    let fp = failpoint::take_counters();
-    let fps2: Vec<String> = decls2
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    assert!(
-        diags.is_empty(),
-        "phantom exhaustion leaked a diagnostic: {diags:?}"
-    );
-    assert_eq!(fps2, clean_fps, "retry produced a different declaration");
-    assert!(fp.injected[Site::FuelCharge.index()] >= 1, "{fp:?}");
-    assert!(el.cx.stats.decl_retries >= 1, "{:?}", el.cx.stats);
-}
-
-/// Intern-table growth faults (forced rehash) are semantically
-/// invisible: hash-consing still canonicalizes, results still match.
-#[test]
-fn intern_growth_faults_are_invisible() {
-    let src = corpus();
-    let (base_decls, base_diags, _, _) = run_batch(&src, None);
-    let cfg = FpConfig::new(19)
-        .with_max_per_site(64)
-        .with_rate(Site::InternGrow, 1000);
-    let (decls, diags, _, fp) = run_batch(&src, Some(cfg));
-    assert_eq!(decls, base_decls);
-    assert_eq!(diags, base_diags);
-    assert!(fp.injected[Site::InternGrow.index()] >= 1, "{fp:?}");
-}
-
-// ---------------- session-level self-healing ----------------
-
-/// Satellite: a chaos-aborted batch must leave no trace after
-/// `rollback` — env, folder caches, memo tables, stats, and database
-/// all return to the pre-batch snapshot.
-#[test]
-fn chaos_batch_rolls_back_to_prebatch_state() {
-    let mut sess = Session::new().expect("session");
-    sess.run("val base = 10").expect("base decl");
-    let stats_before = sess.stats().clone();
-    let snap = sess.snapshot();
-
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(balanced(23)));
-    let (_defs, _diags) = sess.run_all(&format!(
-        "{}\nval bad : int = \"nope\"\nval t = createTable \"chaos_t\" {{K = sqlInt}}",
-        corpus()
-    ));
-    failpoint::install(None);
-    let _ = failpoint::take_counters();
-
-    sess.rollback(snap);
-    assert_eq!(
-        *sess.stats(),
-        stats_before,
-        "stats drifted across a rolled-back chaos batch"
-    );
-    assert!(sess.get("a0").is_none(), "binding survived rollback");
-    assert!(sess.get("t").is_none(), "table binding survived rollback");
-    assert!(
-        sess.world.db.row_count("chaos_t").is_err(),
-        "database table survived rollback"
-    );
-    assert_eq!(sess.get_int("base").expect("base survives"), 10);
-
-    // The rolled-back session elaborates and evaluates normally.
-    sess.run("val after = base + 32").expect("post-rollback decl");
-    assert_eq!(sess.get_int("after").expect("after"), 42);
-}
-
-/// Sustained memo corruption must trip the session's circuit breaker;
-/// the next batch runs degraded (memo off) and still correct.
-#[test]
-fn sustained_faults_trip_the_breaker_and_degrade() {
-    let mut sess = Session::new().expect("session");
-    sess.breaker.config = BreakerConfig {
-        window: 2,
-        threshold: 1,
-        ..BreakerConfig::default()
-    };
-
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(
-        FpConfig::new(29)
-            .with_max_per_site(64)
-            .with_rate(Site::MemoStore, 1000)
-            .with_rate(Site::MemoLoad, 1000),
-    ));
-    let (defs, diags) = sess.run_all(&corpus());
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(defs.len(), 14);
-    assert!(
-        sess.breaker.is_open(),
-        "memo rejections must trip the breaker:\n{}",
-        sess.health_report()
-    );
-    assert_eq!(sess.stats().breaker_trips, 1);
-
-    // Degraded batch: memoization is off, so the memo-corruption
-    // schedule (still installed) has nothing to bite.
-    let (defs2, diags2) = sess.run_all("val b1 = 5\nval b2 = 6");
-    failpoint::install(None);
-    let _ = failpoint::take_counters();
-    assert!(diags2.is_empty(), "{diags2:?}");
-    assert_eq!(defs2.len(), 2);
-    assert_eq!(sess.stats().breaker_degraded_batches, 1);
-    assert!(!sess.elab.cx.memo.enabled, "memo must be off while open");
-    assert_eq!(sess.get_int("b2").expect("b2"), 6);
-
-    let report = sess.health_report();
-    assert!(report.contains("OPEN (degraded)"), "{report}");
-    assert!(report.contains("trips=1"), "{report}");
-}
-
 /// A malformed `UR_FAILPOINTS` is an error, not a silently empty
-/// schedule: `urc` exits 2 and names the bad entry (here a site name
-/// that no longer exists).
+/// schedule: `urc` exits 2 and names the bad entry — here names of
+/// removed sites, so a stale spec cannot run silently fault-free.
 #[test]
 fn malformed_failpoint_spec_is_rejected_by_urc() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_urc"))
-        .args(["--eval", "1 + 1"])
-        .env("UR_FAILPOINTS", "seed=1;worker_exec=500")
-        .output()
-        .expect("run urc");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("`worker_exec=500`"), "{err}");
+    for entry in ["worker_exec=500", "memo_load=250", "fuel_charge=500"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_urc"))
+            .args(["--eval", "1 + 1"])
+            .env("UR_FAILPOINTS", format!("seed=1;{entry}"))
+            .output()
+            .expect("run urc");
+        assert_eq!(out.status.code(), Some(2), "{entry}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("`{entry}`")), "{entry}: {err}");
+    }
 }
 
-/// The failpoint counters surface end to end: `Stats` display (the
-/// REPL's `:stats`) and the health report both carry nonzero fault and
-/// healing numbers after a chaotic batch.
+/// The failpoint counters surface end to end: a torn cache-pack write
+/// during `Session::reelaborate` shows up in `stats_snapshot` and in
+/// its `Display` (the REPL's `:stats`), and a fresh session over the
+/// same cache rejects the torn pack and recomputes the same values.
 #[test]
-fn stats_and_health_surface_fault_counters() {
+fn stats_surface_fault_counters() {
+    let dir = std::env::temp_dir().join(format!("ur-chaos-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let src = corpus();
+
     let mut sess = Session::new().expect("session");
+    sess.cache_dir = Some(dir.clone());
     let _ = failpoint::take_counters();
     failpoint::install(Some(
         FpConfig::new(31)
-            .with_max_per_site(64)
-            .with_rate(Site::MemoStore, 800)
-            .with_rate(Site::MemoLoad, 800),
+            .with_rate(Site::CacheStore, 1000)
+            .with_max_per_site(1),
     ));
-    let (_defs, diags) = sess.run_all(&corpus());
+    let (defs, diags) = sess.reelaborate(&src);
     failpoint::install(None);
     assert!(diags.is_empty(), "{diags:?}");
 
@@ -358,13 +84,21 @@ fn stats_and_health_surface_fault_counters() {
     // snapshot.
     let snap = sess.stats_snapshot();
     assert!(snap.fp_faults_injected >= 1, "{snap:?}");
-    assert!(snap.fp_memo_rejections >= 1, "{snap:?}");
     let display = snap.to_string();
-    assert!(display.contains("faults["), "{display}");
+    assert!(display.contains("faults[injected="), "{display}");
+    assert!(!display.contains("faults[injected=0]"), "{display}");
+    let _ = failpoint::take_counters();
 
-    let report = sess.health_report();
-    assert!(report.contains("fault injection: injected="), "{report}");
-    assert!(!report.contains("injected=0"), "{report}");
+    let mut fresh = Session::new().expect("session");
+    fresh.cache_dir = Some(dir.clone());
+    let (defs2, diags2) = fresh.reelaborate(&src);
+    assert!(diags2.is_empty(), "{diags2:?}");
+    assert!(fresh.stats().disk_rejections >= 1, "{}", fresh.stats());
+    let show = |d: &[(String, ur::Value)]| -> Vec<String> {
+        d.iter().map(|(n, v)| format!("{n} = {v}")).collect()
+    };
+    assert_eq!(show(&defs2), show(&defs), "torn pack changed a value");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------- durability-layer fault injection ----------------
