@@ -25,7 +25,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use ur_core::failpoint::{self, FpConfig, FpCounters, Site};
+use ur_core::failpoint::{self, draw, FpConfig, FpCounters, Site};
 use ur_studies::{studies, study, Study};
 use ur_web::Session;
 
@@ -61,26 +61,19 @@ fn cache_havoc(seed: u64) -> FpConfig {
 /// fires first, so a single seed can only ever exercise one of the two
 /// — `read_first` picks which, and the matrix alternates it.
 fn serve_havoc(seed: u64, read_first: bool) -> FpConfig {
-    let fires = |seed: u64, site: Site, hit: u64, rate: u64| {
-        let mut z = seed ^ (site.index() as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ hit;
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % 1000 < rate
-    };
     let mut seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5E12_7E57;
     loop {
-        let first = |site: Site, rate: u64| (1..=8u64).find(|&h| fires(seed, site, h, rate));
+        let first = |site: Site, rate: u16| (1..=8u64).find(|&h| draw(seed, site, h, rate));
         let (r, w) = (first(Site::ServeRead, 200), first(Site::ServeWrite, 200));
-        let hit0_pass = !fires(seed, Site::ServeRead, 0, 200)
-            && !fires(seed, Site::ServeWrite, 0, 200)
-            && !fires(seed, Site::ServeWedge, 0, 150);
+        let hit0_pass = !draw(seed, Site::ServeRead, 0, 200)
+            && !draw(seed, Site::ServeWrite, 0, 200)
+            && !draw(seed, Site::ServeWedge, 0, 150);
         let tear_ok = if read_first {
             r.is_some() && w.is_none_or(|w| r.unwrap_or(u64::MAX) <= w)
         } else {
             w.is_some() && r.is_none_or(|r| w.unwrap_or(u64::MAX) < r)
         };
-        if hit0_pass && tear_ok && (1..=6).any(|h| fires(seed, Site::ServeWedge, h, 150)) {
+        if hit0_pass && tear_ok && (1..=6).any(|h| draw(seed, Site::ServeWedge, h, 150)) {
             break;
         }
         seed = seed.wrapping_add(1);

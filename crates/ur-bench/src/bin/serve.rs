@@ -34,7 +34,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Instant;
-use ur_core::failpoint::{FpConfig, Site};
+use ur_core::failpoint::{draw, FpConfig, Site};
 use ur_query::json::escape;
 use ur_serve::{protocol, ReqCtx, ServeConfig, Server};
 use ur_web::Session;
@@ -92,23 +92,6 @@ fn percentile(samples: &mut [f64], p: f64) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let ix = ((samples.len() - 1) as f64 * p).round() as usize;
     samples[ix.min(samples.len() - 1)]
-}
-
-/// The same draw [`ur_core::failpoint::fire`] makes, replicated so the
-/// durable phase can *derive* a seed whose wedge schedule provably lets
-/// the first request through and kills the worker soon after — making
-/// the "across worker kills" part of the gate deterministic for any
-/// base seed.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn draw_fires(seed: u64, site: Site, hit: u64, rate: u16) -> bool {
-    let key = seed ^ (site.index() as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ hit;
-    splitmix64(key) % 1000 < u64::from(rate)
 }
 
 // ---------------------------------------------------------------- phase 1
@@ -260,9 +243,9 @@ fn phase_fault_storm(base_seed: u64) -> StormResult {
     // configured rates as connections live longer, so every connection
     // delivers at least one full answer pair before a fault tears it.
     let mut seed = base_seed ^ 0xBAD_5EED;
-    while (0..=1).any(|h| draw_fires(seed, Site::ServeRead, h, READ_RATE))
-        || (0..=1).any(|h| draw_fires(seed, Site::ServeWrite, h, WRITE_RATE))
-        || draw_fires(seed, Site::ServeWedge, 0, WEDGE_RATE)
+    while (0..=1).any(|h| draw(seed, Site::ServeRead, h, READ_RATE))
+        || (0..=1).any(|h| draw(seed, Site::ServeWrite, h, WRITE_RATE))
+        || draw(seed, Site::ServeWedge, 0, WEDGE_RATE)
     {
         seed = seed.wrapping_add(1);
     }
@@ -379,8 +362,8 @@ fn phase_durable_kill(base_seed: u64) -> DurableResult {
     // least once in the next five consults, so the kill storm actually
     // storms no matter what UR_SERVE_SEED was.
     let mut seed = base_seed ^ 0xD00D_F00D;
-    while draw_fires(seed, Site::ServeWedge, 0, WEDGE_RATE)
-        || !(1..=5).any(|h| draw_fires(seed, Site::ServeWedge, h, WEDGE_RATE))
+    while draw(seed, Site::ServeWedge, 0, WEDGE_RATE)
+        || !(1..=5).any(|h| draw(seed, Site::ServeWedge, h, WEDGE_RATE))
     {
         seed = seed.wrapping_add(1);
     }

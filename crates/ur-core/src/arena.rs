@@ -903,7 +903,9 @@ pub fn stats() -> ArenaStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::con::{Con, PrimType};
+    use crate::con::{Con, MetaId, PrimType};
+    use crate::kind::{KMetaId, Kind};
+    use crate::sym::Sym;
 
     #[test]
     fn locate_covers_segment_boundaries() {
@@ -945,6 +947,46 @@ mod tests {
         let b = mk_con(Con::Prim(PrimType::Int));
         assert_eq!(a, b);
         assert!(matches!(*a, Con::Prim(PrimType::Int)));
+    }
+
+    #[test]
+    fn distinct_terms_get_distinct_ids() {
+        let a = Con::arrow(Con::int(), Con::string());
+        let b = Con::arrow(Con::string(), Con::int());
+        assert_ne!(a, b);
+        assert_ne!(a.node_hash(), b.node_hash());
+    }
+
+    #[test]
+    fn binders_with_distinct_syms_do_not_collide() {
+        let (x, y) = (Sym::fresh("x"), Sym::fresh("y"));
+        let lx = Con::lam(x, Kind::Type, Con::var(&x));
+        let ly = Con::lam(y, Kind::Type, Con::var(&y));
+        assert_ne!(lx, ly);
+        // ... but rebuilding the *same* binder does collide.
+        let lx2 = Con::lam(x, Kind::Type, Con::var(&x));
+        assert_eq!(lx, lx2);
+    }
+
+    #[test]
+    fn flags_track_vars_and_metas() {
+        let closed = Con::arrow(Con::int(), Con::string());
+        assert!(closed.flags().is_closed());
+
+        let v = Con::var(&Sym::fresh("a"));
+        assert!(v.flags().has_var());
+        assert!(!v.flags().has_meta());
+
+        let m = Con::meta(MetaId(901_000));
+        assert!(m.flags().has_meta());
+
+        let nested = Con::pair(Con::int(), m);
+        assert!(nested.flags().has_meta());
+        assert!(!nested.is_meta());
+
+        let kmeta = Con::row_nil(Kind::Meta(KMetaId(901_001)));
+        assert!(kmeta.flags().has_kmeta());
+        assert!(!kmeta.flags().is_closed());
     }
 
     #[test]

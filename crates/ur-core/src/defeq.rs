@@ -59,7 +59,7 @@ pub fn defeq(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> bool {
     }
     let key = if cx.memo.enabled {
         cx.memo.check_laws(cx.laws);
-        let (i1, i2) = (crate::intern::id_of(c1), crate::intern::id_of(c2));
+        let (i1, i2) = (*c1, *c2);
         if i1 == i2 {
             // Foreign (hand-built) duplicates of one canonical term.
             cx.fuel.ascend();
@@ -122,7 +122,7 @@ fn defeq_inner(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> bool {
         (Con::Var(a), Con::Var(b)) => a == b,
         (Con::Meta(a), Con::Meta(b)) => a == b,
         (Con::Prim(a), Con::Prim(b)) => a == b,
-        (Con::Name(a), Con::Name(b)) => crate::intern::names_eq(a, b),
+        (Con::Name(a), Con::Name(b)) => a == b,
         (Con::Arrow(a1, b1), Con::Arrow(a2, b2)) => {
             defeq(env, cx, a1, a2) && defeq(env, cx, b1, b2)
         }
@@ -215,7 +215,7 @@ pub fn row_nf_eq(env: &Env, cx: &mut Cx, n1: &RowNf, n2: &RowNf) -> bool {
         for i in 0..remaining.len() {
             let (k2, v2) = &remaining[i];
             let keys_match = match (k1, k2) {
-                (FieldKey::Lit(a), FieldKey::Lit(b)) => crate::intern::names_eq(a, b),
+                (FieldKey::Lit(a), FieldKey::Lit(b)) => a == b,
                 (FieldKey::Neutral(a), FieldKey::Neutral(b)) => defeq(env, cx, a, b),
                 _ => false,
             };

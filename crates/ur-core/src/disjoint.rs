@@ -76,7 +76,7 @@ pub fn decompose(env: &Env, cx: &mut Cx, c: &RCon) -> (Vec<Piece>, bool) {
 
 fn pieces_eq(env: &Env, cx: &mut Cx, a: &Piece, b: &Piece) -> bool {
     match (a, b) {
-        (Piece::Name(x), Piece::Name(y)) => crate::intern::names_eq(x, y),
+        (Piece::Name(x), Piece::Name(y)) => x == y,
         (Piece::Neutral(x), Piece::Neutral(y)) => defeq(env, cx, x, y),
         _ => false,
     }
@@ -142,7 +142,7 @@ pub fn prove(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> ProveResult {
     cx.stats.disjoint_prover_calls += 1;
     let key = if cx.memo.enabled {
         cx.memo.check_laws(cx.laws);
-        let (i1, i2) = (crate::intern::id_of(c1), crate::intern::id_of(c2));
+        let (i1, i2) = (*c1, *c2);
         let (env_gen, meta_gen) = (env.generation(), cx.metas.generation());
         if let Some(out) = cx.memo.disjoint_get(i1, i2, env_gen, meta_gen) {
             cx.stats.disjoint_memo_hits += 1;
@@ -179,7 +179,7 @@ fn prove_uncached(env: &Env, cx: &mut Cx, c1: &RCon, c2: &RCon) -> ProveResult {
             }
             match (a, b) {
                 (Piece::Name(x), Piece::Name(y)) => {
-                    if crate::intern::names_eq(x, y) {
+                    if x == y {
                         return ProveResult::Refuted;
                     }
                 }

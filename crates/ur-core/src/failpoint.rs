@@ -267,19 +267,19 @@ impl FpCounters {
     }
 }
 
+/// Whether consultation number `hit` of `site` fires under a schedule
+/// with this `seed` and `rate` (permille): the draw [`fire`] makes. The
+/// chaos and serve benches call it to derive seeds whose streams they
+/// must know in advance.
+pub fn draw(seed: u64, site: Site, hit: u64, rate: u16) -> bool {
+    let key = seed ^ (site.index() as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ hit;
+    crate::fingerprint::splitmix64(key) % 1000 < u64::from(rate)
+}
+
 #[cfg(feature = "failpoints")]
 mod imp {
     use super::{FpConfig, FpCounters, Site, NSITES};
     use std::cell::RefCell;
-
-    /// splitmix64: the standard 64-bit mixer; full-period, stateless here
-    /// because we mix a composite key rather than advancing a stream.
-    fn splitmix64(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     #[derive(Default)]
     struct FpState {
@@ -320,10 +320,7 @@ mod imp {
             if s.counters.injected[ix] >= u64::from(cfg.max_per_site) {
                 return false;
             }
-            let draw = splitmix64(
-                cfg.seed ^ (ix as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ hit,
-            );
-            if (draw % 1000) < u64::from(rate) {
+            if super::draw(cfg.seed, site, hit, rate) {
                 s.counters.injected[ix] = s.counters.injected[ix].saturating_add(1);
                 true
             } else {

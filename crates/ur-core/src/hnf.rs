@@ -41,7 +41,7 @@ pub fn hnf(env: &Env, cx: &mut Cx, c: &RCon) -> RCon {
             Con::App(_, _) | Con::Fst(_) | Con::Snd(_) | Con::Var(_) | Con::Meta(_)
         );
     let key = if memoizable {
-        let id = crate::intern::id_of(c);
+        let id = *c;
         let (env_gen, meta_gen) = (env.generation(), cx.metas.generation());
         if let Some(out) = cx.memo.hnf_get(id, env_gen, meta_gen) {
             cx.stats.hnf_memo_hits += 1;

@@ -51,7 +51,6 @@ pub mod failpoint;
 pub mod fingerprint;
 pub mod folder;
 pub mod hnf;
-pub mod intern;
 pub mod json;
 pub mod kind;
 pub mod kinding;

@@ -1,7 +1,7 @@
 //! Memo tables for the four expensive judgments: head normalization,
 //! definitional equality, row normalization, and disjointness verdicts.
 //!
-//! All four tables key on canonical [`ConId`]s (see [`crate::intern`]) plus
+//! All four tables key on canonical [`ConId`]s (see [`crate::arena`]) plus
 //! the *semantic generation* of the [`crate::env::Env`] the judgment ran
 //! under: two envs share a generation only when they have identical
 //! constructor bindings and disjointness facts, so a `(ConId, env_gen)` key
@@ -48,9 +48,9 @@
 //! not the judgment's answer), and a cache hit still charges one
 //! normalization step so cached elaboration remains fuel-bounded.
 
+use crate::arena::ConId;
 use crate::con::RCon;
 use crate::disjoint::ProveResult;
-use crate::intern::{self, ConId};
 use crate::row::{FieldKey, RowNf};
 use crate::LawConfig;
 use std::collections::HashMap;
@@ -96,7 +96,7 @@ fn pair_key(a: ConId, b: ConId, env_gen: u64) -> (ConId, ConId, u64) {
 /// normal form can never be refined by later solutions.
 fn row_nf_stable(nf: &RowNf) -> bool {
     let con_ok = |c: &RCon| {
-        let f = intern::flags_of(c);
+        let f = c.flags();
         !f.has_meta() && !f.has_kmeta()
     };
     let key_ok = |k: &FieldKey| match k {
@@ -228,7 +228,7 @@ impl Memo {
     }
 
     pub fn hnf_put(&mut self, c: ConId, env_gen: u64, meta_gen: u64, out: &RCon) {
-        let stable = !intern::flags_of(out).has_meta();
+        let stable = !out.flags().has_meta();
         self.put(|t| &mut t.hnf, (c, env_gen), Entry::new(*out, meta_gen, stable));
     }
 
@@ -289,8 +289,8 @@ mod tests {
     #[test]
     fn defeq_true_survives_meta_generations() {
         let mut m = Memo::default();
-        let a = intern::id_of(&Con::int());
-        let b = intern::id_of(&Con::int());
+        let a = Con::int();
+        let b = Con::int();
         m.defeq_put(a, b, 0, 0, true);
         assert_eq!(m.defeq_get(a, b, 0, 99), Some(true));
         // ... and is symmetric in the key.
@@ -300,8 +300,8 @@ mod tests {
     #[test]
     fn defeq_false_is_generation_guarded() {
         let mut m = Memo::default();
-        let a = intern::id_of(&Con::int());
-        let b = intern::id_of(&Con::float());
+        let a = Con::int();
+        let b = Con::float();
         m.defeq_put(a, b, 0, 3, false);
         assert_eq!(m.defeq_get(a, b, 0, 3), Some(false));
         assert_eq!(m.defeq_get(a, b, 0, 4), None);
@@ -310,8 +310,8 @@ mod tests {
     #[test]
     fn notyet_is_generation_guarded_but_proved_is_not() {
         let mut m = Memo::default();
-        let a = intern::id_of(&Con::row_nil(Kind::Type));
-        let b = intern::id_of(&Con::int());
+        let a = Con::row_nil(Kind::Type);
+        let b = Con::int();
         m.disjoint_put(a, b, 0, 1, ProveResult::NotYet);
         assert_eq!(m.disjoint_get(a, b, 0, 2), None);
         m.disjoint_put(a, b, 0, 1, ProveResult::Proved);
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn law_change_clears_tables() {
         let mut m = Memo::default();
-        let a = intern::id_of(&Con::int());
+        let a = Con::int();
         m.check_laws(LawConfig::default());
         m.defeq_put(a, a, 0, 0, true);
         m.check_laws(LawConfig::default());
@@ -334,8 +334,8 @@ mod tests {
     fn a_store_inside_a_scope_is_gone_after_close() {
         let mut m = Memo::default();
         m.check_laws(LawConfig::default());
-        let a = intern::id_of(&Con::int());
-        let b = intern::id_of(&Con::string());
+        let a = Con::int();
+        let b = Con::string();
         let before = m.table_sizes();
         m.open_scope();
         m.check_laws(LawConfig::default());
@@ -353,8 +353,8 @@ mod tests {
     fn base_entries_hit_inside_a_scope_and_survive_close() {
         let mut m = Memo::default();
         m.check_laws(LawConfig::default());
-        let a = intern::id_of(&Con::int());
-        let b = intern::id_of(&Con::float());
+        let a = Con::int();
+        let b = Con::float();
         // Stored at generation 7, the generation the scope opens at.
         m.defeq_put(a, a, 0, 7, true);
         m.defeq_put(a, b, 0, 7, false);
@@ -375,7 +375,7 @@ mod tests {
         let mut m = Memo::default();
         let laws = LawConfig::default();
         let other = LawConfig { fusion: false, ..laws };
-        let a = intern::id_of(&Con::int());
+        let a = Con::int();
         m.check_laws(laws);
         m.defeq_put(a, a, 0, 0, true);
         m.open_scope();
@@ -394,7 +394,7 @@ mod tests {
     fn meta_bearing_hnf_results_are_guarded() {
         let mut m = Memo::default();
         let c = Con::meta(crate::con::MetaId(902_000));
-        let id = intern::id_of(&c);
+        let id = c;
         m.hnf_put(id, 0, 5, &c);
         assert!(m.hnf_get(id, 0, 5).is_some());
         assert!(m.hnf_get(id, 0, 6).is_none());

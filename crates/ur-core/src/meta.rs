@@ -217,7 +217,7 @@ impl MetaCx {
         // Precomputed-flag fast path: a term with no Con::Meta and no
         // Kind::Meta anywhere cannot be changed by zonking.
         {
-            let f = crate::intern::flags_of(c);
+            let f = c.flags();
             if !f.has_meta() && !f.has_kmeta() {
                 return *c;
             }
@@ -266,7 +266,7 @@ impl MetaCx {
     pub fn occurs(&self, id: MetaId, c: &RCon) -> bool {
         // Fast path: `occurs` only resolves metas that occur syntactically,
         // so a term whose flags say "no Con::Meta" cannot contain `id`.
-        if !crate::intern::flags_of(c).has_meta() {
+        if !c.flags().has_meta() {
             return false;
         }
         let c = self.resolve(c);

@@ -190,7 +190,7 @@ pub fn normalize_row(env: &Env, cx: &mut Cx, c: &RCon) -> RowNf {
     cx.stats.row_normalizations += 1;
     let key = if cx.memo.enabled {
         cx.memo.check_laws(cx.laws);
-        let id = crate::intern::id_of(c);
+        let id = *c;
         let (env_gen, meta_gen) = (env.generation(), cx.metas.generation());
         if let Some(nf) = cx.memo.row_get(id, env_gen, meta_gen) {
             cx.stats.row_memo_hits += 1;

@@ -6,139 +6,238 @@
 //! many times inference applied the map-over-identity-function, map
 //! distributivity, and map fusion laws". [`Stats`] counts exactly those
 //! events (plus a few extra counters useful for the ablation benches).
+//!
+//! Each field is declared once, as one line of the [`telemetry!`] table
+//! below; the macro writes the struct, `absorb`, `since` and `Display`
+//! from that line.
+//!
+//! [`telemetry!`]: crate::telemetry
 
-use std::fmt;
+/// Declares a telemetry struct from one table, one line per field: its
+/// doc, its kind and its `Display` text.
+///
+/// * The kind is `counter`, a running total, or `gauge`, a reading taken
+///   at capture time.
+/// * The `Display` text is a format string for the field's value. The
+///   texts are written in table order, so they carry the separators and
+///   brackets between fields. A field without one prints nothing.
+///   `"..." with method` also passes `self.method()` to the format
+///   string.
+/// * `with arithmetic` after the struct's name adds `absorb` and `since`,
+///   which treat each field by its kind.
+///
+/// Every field is a public `u64`; the invocation writes the derives.
+///
+/// ```
+/// ur_core::telemetry! {
+///     /// Requests served.
+///     #[derive(Default)]
+///     pub struct Served with arithmetic {
+///         /// Requests answered.
+///         answered: counter "served[answered={}",
+///         /// Connections open when the sample was taken.
+///         open: gauge " open={}]",
+///     }
+/// }
+/// let mut total = Served { answered: 3, open: 2 };
+/// total.absorb(&Served { answered: 4, open: 1 });
+/// assert_eq!(total.to_string(), "served[answered=7 open=1]");
+/// ```
+#[macro_export]
+macro_rules! telemetry {
+    (@absorb counter $mine:expr, $other:expr) => { $mine.saturating_add($other) };
+    (@absorb gauge $mine:expr, $other:expr) => { $other };
+    (@since counter $now:expr, $earlier:expr) => { $now.saturating_sub($earlier) };
+    (@since gauge $now:expr, $earlier:expr) => { $now };
+    (
+        @arithmetic $name:ident
+        $( $(#[$doc:meta])* $field:ident: $kind:ident $($text:literal $(with $derived:ident)?)?, )*
+    ) => {
+        impl $name {
+            /// Folds `other`, the newer sample, into `self`: counters add,
+            /// saturating at `u64::MAX` so folding many deltas pins a
+            /// whole-run metric instead of wrapping it; gauges take
+            /// `other`'s reading.
+            pub fn absorb(&mut self, other: &$name) {
+                $( self.$field = $crate::telemetry!(@absorb $kind self.$field, other.$field); )*
+            }
 
-/// Counters incremented by normalization, unification, and the disjointness
-/// prover.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Invocations of the disjointness prover on a goal (Fig. 5 "Disj.").
-    pub disjoint_prover_calls: u64,
-    /// Applications of `map (fn a => a) c = c` (Fig. 5 "Id.").
-    pub law_map_identity: u64,
-    /// Applications of `map f (c1 ++ c2) = map f c1 ++ map f c2`
-    /// (Fig. 5 "Dist.").
-    pub law_map_distrib: u64,
-    /// Applications of `map f (map g c) = map (fn a => f (g a)) c`
-    /// (Fig. 5 "Fuse").
-    pub law_map_fusion: u64,
-    /// Row normalizations performed.
-    pub row_normalizations: u64,
-    /// Unification subproblems attempted.
-    pub unify_calls: u64,
-    /// Constraints postponed at least once.
-    pub constraints_postponed: u64,
-    /// Folder instances generated automatically (§4.4).
-    pub folders_generated: u64,
-    /// Reverse-engineering unification successes (§4.2).
-    pub reverse_engineered: u64,
-    /// `hnf` memo-table hits / misses (see `ur_core::memo`).
-    pub hnf_memo_hits: u64,
-    pub hnf_memo_misses: u64,
-    /// `defeq` memo-table hits / misses.
-    pub defeq_memo_hits: u64,
-    pub defeq_memo_misses: u64,
-    /// Row-normalization memo-table hits / misses.
-    pub row_memo_hits: u64,
-    pub row_memo_misses: u64,
-    /// Disjointness-prover verdict memo hits / misses.
-    pub disjoint_memo_hits: u64,
-    pub disjoint_memo_misses: u64,
-    /// Snapshot of the shared intern arena (filled by
-    /// [`Stats::capture_intern`]): canonical nodes, intern hits/misses,
-    /// and distinct name literals. Process-global since the arena refactor
-    /// (they were per-worker tables before).
-    pub intern_nodes: u64,
-    pub intern_hits: u64,
-    pub intern_misses: u64,
-    pub intern_names: u64,
-    /// Approximate resident bytes of the shared arena (terms + strings);
-    /// a gauge, captured by [`Stats::capture_intern`].
-    pub arena_bytes: u64,
-    /// Constructor nodes in the most / least loaded arena shard — the
-    /// spread is the sharding balance at capture time.
-    pub arena_shard_max: u64,
-    pub arena_shard_min: u64,
-    /// Times an arena shard lock was contended (try-lock failed and the
-    /// intern had to block).
-    pub arena_contention: u64,
-    /// Always 0 (memo tables are per session); kept only because the
-    /// repository benchmark reads it.
-    pub gmemo_hits: u64,
-    /// Always 0 (memo tables are per session); kept only because the
-    /// repository benchmark reads it.
-    pub gmemo_misses: u64,
-    /// Always 0 (elaboration is sequential); kept only because the
-    /// repository benchmark reads it.
-    pub par_decls: u64,
-    /// Always 0 (elaboration is sequential); kept only because the
-    /// repository benchmark reads it.
-    pub par_workers: u64,
-    /// Snapshot of the thread-local failpoint counters (filled by
-    /// [`Stats::capture_failpoints`]): faults injected across all sites.
-    /// Always zero without the `failpoints` feature.
-    pub fp_faults_injected: u64,
-    /// Incremental-engine queries issued (one per declaration per
-    /// rebuild; see `ur-query`).
-    pub queries_total: u64,
-    /// Declarations verified green and reused without re-elaboration.
-    pub green_reused: u64,
-    /// Declarations recomputed because their inputs changed (red).
-    pub red_recomputed: u64,
-    /// On-disk cache entries loaded and accepted.
-    pub disk_hits: u64,
-    /// On-disk cache entries rejected (bad magic/version/env, integrity
-    /// mismatch, or undecodable payload) and recomputed instead.
-    pub disk_rejections: u64,
-    /// On-disk cache store attempts that failed (full disk, permissions,
-    /// injected `CacheStore` I/O faults). The cache stays cold for those
-    /// entries; this counter makes the failure visible in `:stats`.
-    pub disk_store_errs: u64,
-    /// Top-level evaluations executed by the bytecode VM (`ur-eval::vm`).
-    pub eval_vm_runs: u64,
-    /// Top-level evaluations executed by the tree-walking interpreter
-    /// (the differential oracle).
-    pub eval_interp_runs: u64,
-    /// Bytecode instructions dispatched by the VM (including closure
-    /// bodies invoked from builtins during interpreter runs).
-    pub eval_vm_ops: u64,
-    /// Declaration bodies lowered to bytecode chunks.
-    pub eval_chunks_compiled: u64,
-    /// VM runs served from the per-declaration chunk cache.
-    pub eval_chunk_hits: u64,
-    /// Wall-clock nanoseconds spent inside top-level VM dispatch loops.
-    pub eval_dispatch_ns: u64,
-    /// Connections accepted by the `ur-serve` front door (the serve
-    /// layer folds its cross-thread gauges into snapshots it hands out;
-    /// zero outside `--listen`/`--serve`).
-    pub srv_accepted: u64,
-    /// Requests admitted to a worker queue.
-    pub srv_requests: u64,
-    /// Requests or connections shed by admission control (queue full,
-    /// connection cap, draining) with an explicit `overloaded` response.
-    pub srv_shed: u64,
-    /// Requests whose wall-clock deadline expired before or during
-    /// execution (answered with a structured E0900-style degradation).
-    pub srv_deadline_expired: u64,
-    /// Pool workers killed and replaced by the supervisor (wedge or
-    /// panic), each restored from snapshot + replay.
-    pub srv_worker_restarts: u64,
-    /// In-flight requests completed during graceful drain.
-    pub srv_drained: u64,
-    /// Storage-engine statements executed through an index probe
-    /// (copied from the session's `DbStats` by snapshot surfaces; zero
-    /// when no database work ran).
-    pub db_index_probes: u64,
-    /// Storage-engine statements executed as full table scans.
-    pub db_full_scans: u64,
-    /// Planner fallbacks: scans chosen despite the table having indexes
-    /// (float operands, no probeable conjunct).
-    pub db_planner_fallbacks: u64,
-    /// Reads served from read-only MVCC snapshot handles.
-    pub db_snapshot_reads: u64,
-    /// Superseded row versions reclaimed at checkpoints.
-    pub db_versions_gcd: u64,
+            /// The change from `earlier` to `self`: counters subtract,
+            /// saturating at zero (a counter that ran backwards, e.g.
+            /// across a context reset, reads 0); gauges keep `self`'s
+            /// reading.
+            pub fn since(&self, earlier: &$name) -> $name {
+                $name {
+                    $( $field: $crate::telemetry!(@since $kind self.$field, earlier.$field), )*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident with arithmetic { $($body:tt)* }
+    ) => {
+        $crate::telemetry! { $(#[$meta])* pub struct $name { $($body)* } }
+        $crate::telemetry! { @arithmetic $name $($body)* }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$doc:meta])* $field:ident: $kind:ident $($text:literal $(with $derived:ident)?)?, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+
+        impl ::std::fmt::Display for $name {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                $( $( ::std::write!(f, $text, self.$field $(, self.$derived())?)?; )? )*
+                Ok(())
+            }
+        }
+    };
+}
+
+telemetry! {
+    /// Counters incremented by normalization, unification, and the
+    /// disjointness prover, plus readings of the layers around them that
+    /// snapshot surfaces capture.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct Stats with arithmetic {
+        /// Invocations of the disjointness prover on a goal (Fig. 5 "Disj.").
+        disjoint_prover_calls: counter "disj={}",
+        /// Applications of `map (fn a => a) c = c` (Fig. 5 "Id.").
+        law_map_identity: counter " id={}",
+        /// Applications of `map f (c1 ++ c2) = map f c1 ++ map f c2`
+        /// (Fig. 5 "Dist.").
+        law_map_distrib: counter " dist={}",
+        /// Applications of `map f (map g c) = map (fn a => f (g a)) c`
+        /// (Fig. 5 "Fuse").
+        law_map_fusion: counter " fuse={}",
+        /// Row normalizations performed.
+        row_normalizations: counter " (rows={}",
+        /// Unification subproblems attempted.
+        unify_calls: counter " unify={}",
+        /// Constraints postponed at least once.
+        constraints_postponed: counter " postponed={}",
+        /// Folder instances generated automatically (§4.4).
+        folders_generated: counter " folders={}",
+        /// Reverse-engineering unification successes (§4.2).
+        reverse_engineered: counter " reveng={})",
+        /// `hnf` memo-table hits (see `ur_core::memo`).
+        hnf_memo_hits: counter " cache[hnf={}",
+        /// `hnf` memo-table misses.
+        hnf_memo_misses: counter "/{}",
+        /// `defeq` memo-table hits.
+        defeq_memo_hits: counter " defeq={}",
+        /// `defeq` memo-table misses.
+        defeq_memo_misses: counter "/{}",
+        /// Row-normalization memo-table hits.
+        row_memo_hits: counter " rows={}",
+        /// Row-normalization memo-table misses.
+        row_memo_misses: counter "/{}",
+        /// Disjointness-prover verdict memo hits.
+        disjoint_memo_hits: counter " disj={}",
+        /// Disjointness-prover verdict memo misses.
+        disjoint_memo_misses: counter "/{}]",
+        /// Canonical term nodes (constructors and expressions) in the
+        /// process-global intern arena, read by [`Stats::capture_intern`].
+        intern_nodes: gauge " intern[nodes={}",
+        /// Distinct strings in the arena (labels, symbol names, literals).
+        intern_names: gauge " names={}",
+        /// Arena intern requests answered by an existing node.
+        intern_hits: counter " hits={}",
+        /// Arena intern requests that allocated a new node.
+        intern_misses: counter " misses={}]",
+        /// Approximate resident bytes of the arena (terms + strings).
+        arena_bytes: gauge " arena[bytes={}",
+        /// Constructor nodes in the most loaded arena shard.
+        arena_shard_max: gauge " shard_max={}",
+        /// Constructor nodes in the least loaded arena shard; the spread
+        /// to `arena_shard_max` is the sharding balance.
+        arena_shard_min: gauge " shard_min={}",
+        /// Times an arena shard lock was contended (try-lock failed and
+        /// the intern had to block); printed with the intern hit rate.
+        arena_contention: counter " contention={} hit_rate={:.1}%]" with intern_hit_pct,
+        /// Always 0 (memo tables are per session); kept only because the
+        /// repository benchmark reads it.
+        gmemo_hits: counter,
+        /// Always 0 (memo tables are per session); kept only because the
+        /// repository benchmark reads it.
+        gmemo_misses: counter,
+        /// Always 0 (elaboration is sequential); kept only because the
+        /// repository benchmark reads it.
+        par_decls: counter,
+        /// Always 0 (elaboration is sequential); kept only because the
+        /// repository benchmark reads it.
+        par_workers: counter,
+        /// Faults injected across all sites, read from this thread's
+        /// failpoint counters by [`Stats::capture_failpoints`]. Always
+        /// zero without the `failpoints` feature.
+        fp_faults_injected: counter " faults[injected={}]",
+        /// Incremental-engine queries issued (one per declaration per
+        /// rebuild; see `ur-query`).
+        queries_total: counter " incr[queries={}",
+        /// Declarations verified green and reused without re-elaboration.
+        green_reused: counter " green={}",
+        /// Declarations recomputed because their inputs changed (red).
+        red_recomputed: counter " red={}",
+        /// On-disk cache entries loaded and accepted.
+        disk_hits: counter " disk={}",
+        /// On-disk cache entries rejected (bad magic/version/env, integrity
+        /// mismatch, or undecodable payload) and recomputed instead.
+        disk_rejections: counter "/{}",
+        /// On-disk cache store attempts that failed (full disk, permissions,
+        /// injected `CacheStore` I/O faults). The cache stays cold for those
+        /// entries; this counter makes the failure visible in `:stats`.
+        disk_store_errs: counter " disk_store_err={}]",
+        /// Top-level evaluations executed by the bytecode VM (`ur-eval::vm`).
+        eval_vm_runs: counter " eval[vm_runs={}",
+        /// Top-level evaluations executed by the tree-walking interpreter
+        /// (the differential oracle).
+        eval_interp_runs: counter " interp_runs={}",
+        /// Bytecode instructions dispatched by the VM (including closure
+        /// bodies invoked from builtins during interpreter runs).
+        eval_vm_ops: counter " ops={}",
+        /// Declaration bodies lowered to bytecode chunks.
+        eval_chunks_compiled: counter " chunks={}",
+        /// VM runs served from the per-declaration chunk cache.
+        eval_chunk_hits: counter " chunk_hits={}",
+        /// Wall-clock nanoseconds spent inside top-level VM dispatch loops.
+        eval_dispatch_ns: counter " dispatch_ns={}]",
+        /// Connections accepted by the `ur-serve` front door (the serve
+        /// layer folds its cross-thread counters into snapshots it hands
+        /// out; zero outside `--listen`/`--serve`).
+        srv_accepted: counter " serve[accepted={}",
+        /// Requests admitted to a worker queue.
+        srv_requests: counter " requests={}",
+        /// Requests or connections shed by admission control (queue full,
+        /// connection cap, draining) with an explicit `overloaded` response.
+        srv_shed: counter " shed={}",
+        /// Requests whose wall-clock deadline expired before or during
+        /// execution (answered with a structured E0900-style degradation).
+        srv_deadline_expired: counter " deadline_expired={}",
+        /// Pool workers killed and replaced by the supervisor (wedge or
+        /// panic), each restored from snapshot + replay.
+        srv_worker_restarts: counter " restarts={}",
+        /// In-flight requests completed during graceful drain.
+        srv_drained: counter " drained={}]",
+        /// Storage-engine statements executed through an index probe
+        /// (copied from the session's `DbStats` by snapshot surfaces; zero
+        /// when no database work ran).
+        db_index_probes: counter " db[probes={}",
+        /// Storage-engine statements executed as full table scans.
+        db_full_scans: counter " scans={}",
+        /// Planner fallbacks: scans chosen despite the table having indexes
+        /// (float operands, no probeable conjunct).
+        db_planner_fallbacks: counter " fallbacks={}",
+        /// Reads served from read-only MVCC snapshot handles.
+        db_snapshot_reads: counter " snap_reads={}",
+        /// Superseded row versions reclaimed at checkpoints.
+        db_versions_gcd: counter " gcd={}]",
+    }
 }
 
 impl Stats {
@@ -146,84 +245,15 @@ impl Stats {
         Stats::default()
     }
 
-    /// Adds every counter of `other` into `self`, saturating at
-    /// `u64::MAX`, so folding many deltas pins a whole-run metric instead
-    /// of wrapping it, as [`crate::limits::Fuel`] does.
-    pub fn absorb(&mut self, other: &Stats) {
-        macro_rules! add {
-            ($($field:ident),+ $(,)?) => {
-                $(self.$field = self.$field.saturating_add(other.$field);)+
-            };
-        }
-        add!(
-            disjoint_prover_calls,
-            law_map_identity,
-            law_map_distrib,
-            law_map_fusion,
-            row_normalizations,
-            unify_calls,
-            constraints_postponed,
-            folders_generated,
-            reverse_engineered,
-            hnf_memo_hits,
-            hnf_memo_misses,
-            defeq_memo_hits,
-            defeq_memo_misses,
-            row_memo_hits,
-            row_memo_misses,
-            disjoint_memo_hits,
-            disjoint_memo_misses,
-            intern_nodes,
-            intern_hits,
-            intern_misses,
-            intern_names,
-            arena_bytes,
-            arena_shard_max,
-            arena_shard_min,
-            arena_contention,
-            gmemo_hits,
-            gmemo_misses,
-            par_decls,
-            par_workers,
-            fp_faults_injected,
-            queries_total,
-            green_reused,
-            red_recomputed,
-            disk_hits,
-            disk_rejections,
-            disk_store_errs,
-            eval_vm_runs,
-            eval_interp_runs,
-            eval_vm_ops,
-            eval_chunks_compiled,
-            eval_chunk_hits,
-            eval_dispatch_ns,
-            srv_accepted,
-            srv_requests,
-            srv_shed,
-            srv_deadline_expired,
-            srv_worker_restarts,
-            srv_drained,
-            db_index_probes,
-            db_full_scans,
-            db_planner_fallbacks,
-            db_snapshot_reads,
-            db_versions_gcd,
-        );
-    }
-
-    /// Copies the shared arena's size and hit/miss counters into this
-    /// snapshot (they are process-global, not per-`Cx`, so they are
-    /// captured on demand rather than incremented by the judgments).
-    /// Also captures the arena gauges (bytes, shard balance, lock
-    /// contention).
+    /// Copies the shared arena's size, hit/miss and shard counters into
+    /// this snapshot. The arena is process-global, not per-`Cx`, so they
+    /// are captured on demand rather than incremented by the judgments.
     pub fn capture_intern(&mut self) {
-        let t = crate::intern::table_stats();
-        self.intern_nodes = t.nodes;
-        self.intern_hits = t.hits;
-        self.intern_misses = t.misses;
-        self.intern_names = t.names;
         let a = crate::arena::stats();
+        self.intern_nodes = a.con_nodes + a.expr_nodes;
+        self.intern_names = a.strings;
+        self.intern_hits = a.hits;
+        self.intern_misses = a.misses;
         self.arena_bytes = a.bytes;
         self.arena_shard_max = a.con_per_shard.iter().copied().max().unwrap_or(0);
         self.arena_shard_min = a.con_per_shard.iter().copied().min().unwrap_or(0);
@@ -231,99 +261,11 @@ impl Stats {
     }
 
     /// Copies the thread-local failpoint counters into this snapshot
-    /// (like [`Stats::capture_intern`], they are thread-global and
-    /// captured on demand). No-op totals without the `failpoints`
-    /// feature.
+    /// (like [`Stats::capture_intern`], they are captured on demand).
+    /// No-op totals without the `failpoints` feature.
     pub fn capture_failpoints(&mut self) {
         let c = crate::failpoint::counters();
         self.fp_faults_injected = c.total_injected();
-    }
-
-    /// The difference `self - earlier`, counter-wise, saturating at zero.
-    ///
-    /// Counters that ran *backwards* (i.e. `earlier` is not actually an
-    /// earlier snapshot of `self`, e.g. because the context was reset
-    /// between the two samples) clamp to 0 instead of panicking.
-    pub fn since(&self, earlier: &Stats) -> Stats {
-        Stats {
-            disjoint_prover_calls: self
-                .disjoint_prover_calls
-                .saturating_sub(earlier.disjoint_prover_calls),
-            law_map_identity: self.law_map_identity.saturating_sub(earlier.law_map_identity),
-            law_map_distrib: self.law_map_distrib.saturating_sub(earlier.law_map_distrib),
-            law_map_fusion: self.law_map_fusion.saturating_sub(earlier.law_map_fusion),
-            row_normalizations: self
-                .row_normalizations
-                .saturating_sub(earlier.row_normalizations),
-            unify_calls: self.unify_calls.saturating_sub(earlier.unify_calls),
-            constraints_postponed: self
-                .constraints_postponed
-                .saturating_sub(earlier.constraints_postponed),
-            folders_generated: self.folders_generated.saturating_sub(earlier.folders_generated),
-            reverse_engineered: self
-                .reverse_engineered
-                .saturating_sub(earlier.reverse_engineered),
-            hnf_memo_hits: self.hnf_memo_hits.saturating_sub(earlier.hnf_memo_hits),
-            hnf_memo_misses: self.hnf_memo_misses.saturating_sub(earlier.hnf_memo_misses),
-            defeq_memo_hits: self.defeq_memo_hits.saturating_sub(earlier.defeq_memo_hits),
-            defeq_memo_misses: self.defeq_memo_misses.saturating_sub(earlier.defeq_memo_misses),
-            row_memo_hits: self.row_memo_hits.saturating_sub(earlier.row_memo_hits),
-            row_memo_misses: self.row_memo_misses.saturating_sub(earlier.row_memo_misses),
-            disjoint_memo_hits: self
-                .disjoint_memo_hits
-                .saturating_sub(earlier.disjoint_memo_hits),
-            disjoint_memo_misses: self
-                .disjoint_memo_misses
-                .saturating_sub(earlier.disjoint_memo_misses),
-            intern_nodes: self.intern_nodes.saturating_sub(earlier.intern_nodes),
-            intern_hits: self.intern_hits.saturating_sub(earlier.intern_hits),
-            intern_misses: self.intern_misses.saturating_sub(earlier.intern_misses),
-            intern_names: self.intern_names.saturating_sub(earlier.intern_names),
-            arena_bytes: self.arena_bytes.saturating_sub(earlier.arena_bytes),
-            arena_shard_max: self.arena_shard_max.saturating_sub(earlier.arena_shard_max),
-            arena_shard_min: self.arena_shard_min.saturating_sub(earlier.arena_shard_min),
-            arena_contention: self.arena_contention.saturating_sub(earlier.arena_contention),
-            gmemo_hits: self.gmemo_hits.saturating_sub(earlier.gmemo_hits),
-            gmemo_misses: self.gmemo_misses.saturating_sub(earlier.gmemo_misses),
-            par_decls: self.par_decls.saturating_sub(earlier.par_decls),
-            par_workers: self.par_workers.saturating_sub(earlier.par_workers),
-            fp_faults_injected: self
-                .fp_faults_injected
-                .saturating_sub(earlier.fp_faults_injected),
-            queries_total: self.queries_total.saturating_sub(earlier.queries_total),
-            green_reused: self.green_reused.saturating_sub(earlier.green_reused),
-            red_recomputed: self.red_recomputed.saturating_sub(earlier.red_recomputed),
-            disk_hits: self.disk_hits.saturating_sub(earlier.disk_hits),
-            disk_rejections: self.disk_rejections.saturating_sub(earlier.disk_rejections),
-            disk_store_errs: self.disk_store_errs.saturating_sub(earlier.disk_store_errs),
-            eval_vm_runs: self.eval_vm_runs.saturating_sub(earlier.eval_vm_runs),
-            eval_interp_runs: self.eval_interp_runs.saturating_sub(earlier.eval_interp_runs),
-            eval_vm_ops: self.eval_vm_ops.saturating_sub(earlier.eval_vm_ops),
-            eval_chunks_compiled: self
-                .eval_chunks_compiled
-                .saturating_sub(earlier.eval_chunks_compiled),
-            eval_chunk_hits: self.eval_chunk_hits.saturating_sub(earlier.eval_chunk_hits),
-            eval_dispatch_ns: self.eval_dispatch_ns.saturating_sub(earlier.eval_dispatch_ns),
-            srv_accepted: self.srv_accepted.saturating_sub(earlier.srv_accepted),
-            srv_requests: self.srv_requests.saturating_sub(earlier.srv_requests),
-            srv_shed: self.srv_shed.saturating_sub(earlier.srv_shed),
-            srv_deadline_expired: self
-                .srv_deadline_expired
-                .saturating_sub(earlier.srv_deadline_expired),
-            srv_worker_restarts: self
-                .srv_worker_restarts
-                .saturating_sub(earlier.srv_worker_restarts),
-            srv_drained: self.srv_drained.saturating_sub(earlier.srv_drained),
-            db_index_probes: self.db_index_probes.saturating_sub(earlier.db_index_probes),
-            db_full_scans: self.db_full_scans.saturating_sub(earlier.db_full_scans),
-            db_planner_fallbacks: self
-                .db_planner_fallbacks
-                .saturating_sub(earlier.db_planner_fallbacks),
-            db_snapshot_reads: self
-                .db_snapshot_reads
-                .saturating_sub(earlier.db_snapshot_reads),
-            db_versions_gcd: self.db_versions_gcd.saturating_sub(earlier.db_versions_gcd),
-        }
     }
 
     /// Copies the storage-engine planner/MVCC counters out of a
@@ -337,95 +279,121 @@ impl Stats {
         self.db_snapshot_reads = snap_reads;
         self.db_versions_gcd = gcd;
     }
-}
 
-impl fmt::Display for Stats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "disj={} id={} dist={} fuse={} (rows={} unify={} postponed={} folders={} reveng={})",
-            self.disjoint_prover_calls,
-            self.law_map_identity,
-            self.law_map_distrib,
-            self.law_map_fusion,
-            self.row_normalizations,
-            self.unify_calls,
-            self.constraints_postponed,
-            self.folders_generated,
-            self.reverse_engineered,
-        )?;
-        write!(
-            f,
-            " cache[hnf={}/{} defeq={}/{} rows={}/{} disj={}/{}]",
-            self.hnf_memo_hits,
-            self.hnf_memo_misses,
-            self.defeq_memo_hits,
-            self.defeq_memo_misses,
-            self.row_memo_hits,
-            self.row_memo_misses,
-            self.disjoint_memo_hits,
-            self.disjoint_memo_misses,
-        )?;
-        write!(
-            f,
-            " intern[nodes={} names={} hits={} misses={}]",
-            self.intern_nodes, self.intern_names, self.intern_hits, self.intern_misses,
-        )?;
-        let hit_rate = {
-            let total = self.intern_hits + self.intern_misses;
-            if total == 0 { 0.0 } else { self.intern_hits as f64 * 100.0 / total as f64 }
-        };
-        write!(
-            f,
-            " arena[bytes={} shard_max={} shard_min={} contention={} hit_rate={hit_rate:.1}%]",
-            self.arena_bytes, self.arena_shard_max, self.arena_shard_min, self.arena_contention,
-        )?;
-        write!(f, " faults[injected={}]", self.fp_faults_injected)?;
-        write!(
-            f,
-            " incr[queries={} green={} red={} disk={}/{} disk_store_err={}]",
-            self.queries_total,
-            self.green_reused,
-            self.red_recomputed,
-            self.disk_hits,
-            self.disk_rejections,
-            self.disk_store_errs,
-        )?;
-        write!(
-            f,
-            " eval[vm_runs={} interp_runs={} ops={} chunks={} chunk_hits={} dispatch_ns={}]",
-            self.eval_vm_runs,
-            self.eval_interp_runs,
-            self.eval_vm_ops,
-            self.eval_chunks_compiled,
-            self.eval_chunk_hits,
-            self.eval_dispatch_ns,
-        )?;
-        write!(
-            f,
-            " serve[accepted={} requests={} shed={} deadline_expired={} restarts={} drained={}]",
-            self.srv_accepted,
-            self.srv_requests,
-            self.srv_shed,
-            self.srv_deadline_expired,
-            self.srv_worker_restarts,
-            self.srv_drained,
-        )?;
-        write!(
-            f,
-            " db[probes={} scans={} fallbacks={} snap_reads={} gcd={}]",
-            self.db_index_probes,
-            self.db_full_scans,
-            self.db_planner_fallbacks,
-            self.db_snapshot_reads,
-            self.db_versions_gcd,
-        )
+    /// Percentage of arena intern requests answered by an existing node.
+    fn intern_hit_pct(&self) -> f64 {
+        let total = self.intern_hits.saturating_add(self.intern_misses);
+        if total == 0 {
+            0.0
+        } else {
+            self.intern_hits as f64 * 100.0 / total as f64
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A `Stats` whose field at 1-based position `i` of the original
+    /// declaration order holds `v(i)`.
+    fn filled(v: impl Fn(u64) -> u64) -> Stats {
+        Stats {
+            disjoint_prover_calls: v(1),
+            law_map_identity: v(2),
+            law_map_distrib: v(3),
+            law_map_fusion: v(4),
+            row_normalizations: v(5),
+            unify_calls: v(6),
+            constraints_postponed: v(7),
+            folders_generated: v(8),
+            reverse_engineered: v(9),
+            hnf_memo_hits: v(10),
+            hnf_memo_misses: v(11),
+            defeq_memo_hits: v(12),
+            defeq_memo_misses: v(13),
+            row_memo_hits: v(14),
+            row_memo_misses: v(15),
+            disjoint_memo_hits: v(16),
+            disjoint_memo_misses: v(17),
+            intern_nodes: v(18),
+            intern_hits: v(19),
+            intern_misses: v(20),
+            intern_names: v(21),
+            arena_bytes: v(22),
+            arena_shard_max: v(23),
+            arena_shard_min: v(24),
+            arena_contention: v(25),
+            gmemo_hits: v(26),
+            gmemo_misses: v(27),
+            par_decls: v(28),
+            par_workers: v(29),
+            fp_faults_injected: v(30),
+            queries_total: v(31),
+            green_reused: v(32),
+            red_recomputed: v(33),
+            disk_hits: v(34),
+            disk_rejections: v(35),
+            disk_store_errs: v(36),
+            eval_vm_runs: v(37),
+            eval_interp_runs: v(38),
+            eval_vm_ops: v(39),
+            eval_chunks_compiled: v(40),
+            eval_chunk_hits: v(41),
+            eval_dispatch_ns: v(42),
+            srv_accepted: v(43),
+            srv_requests: v(44),
+            srv_shed: v(45),
+            srv_deadline_expired: v(46),
+            srv_worker_restarts: v(47),
+            srv_drained: v(48),
+            db_index_probes: v(49),
+            db_full_scans: v(50),
+            db_planner_fallbacks: v(51),
+            db_snapshot_reads: v(52),
+            db_versions_gcd: v(53),
+        }
+    }
+
+    /// Positions (in [`filled`]) of the gauges: `intern_nodes`,
+    /// `intern_names`, `arena_bytes`, `arena_shard_max`, `arena_shard_min`.
+    const GAUGES: [u64; 5] = [18, 21, 22, 23, 24];
+
+    #[test]
+    fn display_matches_the_golden_line() {
+        assert_eq!(
+            filled(|i| i).to_string(),
+            "disj=1 id=2 dist=3 fuse=4 (rows=5 unify=6 postponed=7 folders=8 reveng=9) \
+             cache[hnf=10/11 defeq=12/13 rows=14/15 disj=16/17] \
+             intern[nodes=18 names=21 hits=19 misses=20] \
+             arena[bytes=22 shard_max=23 shard_min=24 contention=25 hit_rate=48.7%] \
+             faults[injected=30] \
+             incr[queries=31 green=32 red=33 disk=34/35 disk_store_err=36] \
+             eval[vm_runs=37 interp_runs=38 ops=39 chunks=40 chunk_hits=41 dispatch_ns=42] \
+             serve[accepted=43 requests=44 shed=45 deadline_expired=46 restarts=47 drained=48] \
+             db[probes=49 scans=50 fallbacks=51 snap_reads=52 gcd=53]"
+        );
+    }
+
+    #[test]
+    fn absorb_and_since_treat_each_field_by_its_kind() {
+        let gauge = |i: u64| GAUGES.contains(&i);
+        let (a, b) = (filled(|i| 1000 + i), filled(|i| i));
+        // absorb: counters add, saturating; gauges take `other`'s reading.
+        let mut sum = a.clone();
+        sum.absorb(&b);
+        assert_eq!(sum, filled(|i| if gauge(i) { i } else { 1000 + 2 * i }));
+        let mut pinned = filled(|_| u64::MAX);
+        pinned.absorb(&b);
+        assert_eq!(pinned, filled(|i| if gauge(i) { i } else { u64::MAX }));
+        // since: counters subtract, saturating at zero; gauges keep
+        // `self`'s reading.
+        assert_eq!(
+            a.since(&b),
+            filled(|i| if gauge(i) { 1000 + i } else { 1000 })
+        );
+        assert_eq!(b.since(&a), filled(|i| if gauge(i) { i } else { 0 }));
+    }
 
     #[test]
     fn absorb_adds() {
@@ -469,6 +437,16 @@ mod tests {
     }
 
     #[test]
+    fn absorb_saturates_at_ceiling() {
+        let mut a = Stats::new();
+        a.unify_calls = u64::MAX - 1;
+        let mut b = Stats::new();
+        b.unify_calls = 10;
+        a.absorb(&b);
+        assert_eq!(a.unify_calls, u64::MAX);
+    }
+
+    #[test]
     fn display_mentions_all_figure5_columns() {
         let s = Stats::new().to_string();
         for key in ["disj=", "id=", "dist=", "fuse="] {
@@ -482,16 +460,6 @@ mod tests {
         for key in ["cache[hnf=", "defeq=", "rows=", "intern[nodes=", "names="] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
-    }
-
-    #[test]
-    fn absorb_saturates_at_ceiling() {
-        let mut a = Stats::new();
-        a.unify_calls = u64::MAX - 1;
-        let mut b = Stats::new();
-        b.unify_calls = 10;
-        a.absorb(&b);
-        assert_eq!(a.unify_calls, u64::MAX);
     }
 
     #[test]
@@ -695,6 +663,20 @@ mod tests {
     }
 
     #[test]
+    fn display_mentions_arena_and_global_memo_counters() {
+        let s = Stats::new().to_string();
+        for key in [
+            "arena[bytes=",
+            "shard_max=",
+            "shard_min=",
+            "contention=",
+            "hit_rate=",
+        ] {
+            assert!(s.contains(key), "missing {key} in {s}");
+        }
+    }
+
+    #[test]
     fn capture_failpoints_is_zero_without_faults() {
         let mut s = Stats::new();
         s.fp_faults_injected = 99;
@@ -714,19 +696,5 @@ mod tests {
         assert!(s.intern_nodes > 0);
         assert!(s.arena_bytes > 0, "arena gauge must be captured");
         assert!(s.arena_shard_max >= s.arena_shard_min);
-    }
-
-    #[test]
-    fn display_mentions_arena_and_global_memo_counters() {
-        let s = Stats::new().to_string();
-        for key in [
-            "arena[bytes=",
-            "shard_max=",
-            "shard_min=",
-            "contention=",
-            "hit_rate=",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
-        }
     }
 }

@@ -56,7 +56,7 @@ pub fn fv(c: &RCon) -> HashSet<Sym> {
 pub fn subst(c: &RCon, target: &Sym, repl: &RCon) -> RCon {
     // O(1) fast path: the interner precomputes a has-var bit, so a term with
     // no variables at all (bound or free) cannot mention `target`.
-    if !crate::intern::flags_of(c).has_var() {
+    if !c.flags().has_var() {
         return *c;
     }
     // Fast path: nothing to do if `target` is not free in `c`.
@@ -69,7 +69,7 @@ pub fn subst(c: &RCon, target: &Sym, repl: &RCon) -> RCon {
 
 fn go(c: &RCon, target: &Sym, repl: &RCon, repl_fv: &HashSet<Sym>) -> RCon {
     // Variable-free subtrees are returned as-is without traversal.
-    if !crate::intern::flags_of(c).has_var() {
+    if !c.flags().has_var() {
         return *c;
     }
     match &**c {

@@ -210,7 +210,7 @@ pub fn lookup_field(env: &Env, cx: &mut Cx, r: &RCon, c: &RCon) -> Result<RCon, 
     let c_hnf = hnf(env, cx, c);
     for (key, v) in &nf.fields {
         let matches = match (&*c_hnf, key) {
-            (Con::Name(n), FieldKey::Lit(m)) => crate::intern::names_eq(n, m),
+            (Con::Name(n), FieldKey::Lit(m)) => n == m,
             (_, FieldKey::Neutral(k)) => {
                 let k = *k;
                 defeq(env, cx, &c_hnf, &k)
@@ -238,7 +238,7 @@ pub fn remove_field(env: &Env, cx: &mut Cx, r: &RCon, c: &RCon) -> Result<RCon, 
     for (key, v) in &nf.fields {
         let matches = !found
             && match (&*c_hnf, key) {
-                (Con::Name(n), FieldKey::Lit(m)) => crate::intern::names_eq(n, m),
+                (Con::Name(n), FieldKey::Lit(m)) => n == m,
                 (_, FieldKey::Neutral(k)) => {
                     let k = *k;
                     defeq(env, cx, &c_hnf, &k)

@@ -25,6 +25,7 @@ use crate::error::DbError;
 use crate::txn::DurabilityConfig;
 use std::path::Path;
 use std::time::{Duration, Instant};
+use ur_core::fingerprint::splitmix64;
 
 /// Backoff tunables for [`Db::open_with_retry`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,15 +69,6 @@ impl RetryConfig {
             None => RetryConfig::default(),
         }
     }
-}
-
-/// splitmix64 (same mixer as `ur_core::failpoint`), used here to
-/// decorrelate the backoff jitter of racing processes.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The delay before attempt `attempt` (0-based count of failures so

@@ -10,7 +10,6 @@
 use crate::table::Table;
 use crate::wal::WalRecord;
 use std::collections::HashMap;
-use std::fmt;
 
 /// Tunables of the durability layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,88 +33,57 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// Counters of the storage engine, exposed by `Db::stats` and the
-/// `:db` REPL command.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DbStats {
-    /// Explicit transactions committed.
-    pub txn_commits: u64,
-    /// Explicit transactions rolled back (including failed commits).
-    pub txn_rollbacks: u64,
-    /// Statements auto-committed outside an explicit transaction.
-    pub auto_commits: u64,
-    /// WAL records appended (including `Begin`/`Commit` frames).
-    pub wal_records: u64,
-    /// WAL bytes appended.
-    pub wal_bytes: u64,
-    /// fsyncs issued for WAL commits.
-    pub wal_fsyncs: u64,
-    /// WAL appends that failed (real I/O errors or injected faults).
-    pub wal_append_errs: u64,
-    /// Records replayed from the WAL at open.
-    pub replayed_records: u64,
-    /// Committed transactions recovered from the WAL at open.
-    pub recovered_txns: u64,
-    /// Torn/uncommitted tail bytes truncated at open.
-    pub truncated_bytes: u64,
-    /// Snapshots written (checkpoints).
-    pub snapshots_written: u64,
-    /// Snapshot writes that failed (the WAL is kept, no data is lost).
-    pub snapshot_errs: u64,
-    /// WAL rotations that failed after their snapshot landed (the handle
-    /// is poisoned until a later checkpoint succeeds).
-    pub rotate_errs: u64,
-    /// 1 when the open loaded an on-disk snapshot.
-    pub snapshot_loaded: u64,
-    /// Bytes of a stale-generation WAL ignored at open — the log a crash
-    /// stranded between a checkpoint's snapshot rename and its rotation;
-    /// the snapshot already contains every transaction in it.
-    pub stale_wal_ignored: u64,
-    /// Statements executed through an index probe (equality or range).
-    pub index_probes: u64,
-    /// Statements executed as a full table scan.
-    pub full_scans: u64,
-    /// Scans chosen *despite* the table having indexes (float operands,
-    /// no probeable conjunct) — planner fallbacks, each with a reason
-    /// in the EXPLAIN line.
-    pub planner_fallbacks: u64,
-    /// Reads served by a read-only MVCC snapshot handle.
-    pub snapshot_reads: u64,
-    /// Superseded row versions reclaimed at checkpoints (counted once
-    /// no published snapshot pinned them any longer).
-    pub versions_gcd: u64,
-}
-
-impl fmt::Display for DbStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "txn[commits={} rollbacks={} auto={}] \
-             wal[records={} bytes={} fsyncs={} errs={}] \
-             recover[txns={} records={} truncated={} stale={} snapshot_loaded={}] \
-             snap[written={} errs={} rotate_errs={}] \
-             engine[probes={} scans={} fallbacks={} snap_reads={} gcd={}]",
-            self.txn_commits,
-            self.txn_rollbacks,
-            self.auto_commits,
-            self.wal_records,
-            self.wal_bytes,
-            self.wal_fsyncs,
-            self.wal_append_errs,
-            self.recovered_txns,
-            self.replayed_records,
-            self.truncated_bytes,
-            self.stale_wal_ignored,
-            self.snapshot_loaded,
-            self.snapshots_written,
-            self.snapshot_errs,
-            self.rotate_errs,
-            self.index_probes,
-            self.full_scans,
-            self.planner_fallbacks,
-            self.snapshot_reads,
-            self.versions_gcd,
-        )
+ur_core::telemetry! {
+    /// Counters of the storage engine, exposed by `Db::stats` and the
+    /// `:db` REPL command.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct DbStats {
+        /// Explicit transactions committed.
+        txn_commits: counter "txn[commits={}",
+        /// Explicit transactions rolled back (including failed commits).
+        txn_rollbacks: counter " rollbacks={}",
+        /// Statements auto-committed outside an explicit transaction.
+        auto_commits: counter " auto={}]",
+        /// WAL records appended (including `Begin`/`Commit` frames).
+        wal_records: counter " wal[records={}",
+        /// WAL bytes appended.
+        wal_bytes: counter " bytes={}",
+        /// fsyncs issued for WAL commits.
+        wal_fsyncs: counter " fsyncs={}",
+        /// WAL appends that failed (real I/O errors or injected faults).
+        wal_append_errs: counter " errs={}]",
+        /// Committed transactions recovered from the WAL at open.
+        recovered_txns: counter " recover[txns={}",
+        /// Records replayed from the WAL at open.
+        replayed_records: counter " records={}",
+        /// Torn/uncommitted tail bytes truncated at open.
+        truncated_bytes: counter " truncated={}",
+        /// Bytes of a stale-generation WAL ignored at open — the log a crash
+        /// stranded between a checkpoint's snapshot rename and its rotation;
+        /// the snapshot already contains every transaction in it.
+        stale_wal_ignored: counter " stale={}",
+        /// 1 when the open loaded an on-disk snapshot.
+        snapshot_loaded: gauge " snapshot_loaded={}]",
+        /// Snapshots written (checkpoints).
+        snapshots_written: counter " snap[written={}",
+        /// Snapshot writes that failed (the WAL is kept, no data is lost).
+        snapshot_errs: counter " errs={}",
+        /// WAL rotations that failed after their snapshot landed (the handle
+        /// is poisoned until a later checkpoint succeeds).
+        rotate_errs: counter " rotate_errs={}]",
+        /// Statements executed through an index probe (equality or range).
+        index_probes: counter " engine[probes={}",
+        /// Statements executed as a full table scan.
+        full_scans: counter " scans={}",
+        /// Scans chosen *despite* the table having indexes (float operands,
+        /// no probeable conjunct) — planner fallbacks, each with a reason
+        /// in the EXPLAIN line.
+        planner_fallbacks: counter " fallbacks={}",
+        /// Reads served by a read-only MVCC snapshot handle.
+        snapshot_reads: counter " snap_reads={}",
+        /// Superseded row versions reclaimed at checkpoints (counted once
+        /// no published snapshot pinned them any longer).
+        versions_gcd: counter " gcd={}]",
     }
 }
 
@@ -144,6 +112,41 @@ mod tests {
         let c = DurabilityConfig::default();
         assert!(c.sync_commits);
         assert!(c.snapshot_every > 0);
+    }
+
+    #[test]
+    fn stats_display_matches_the_golden_line() {
+        // Each field holds its 1-based position in the original
+        // declaration order.
+        let s = DbStats {
+            txn_commits: 1,
+            txn_rollbacks: 2,
+            auto_commits: 3,
+            wal_records: 4,
+            wal_bytes: 5,
+            wal_fsyncs: 6,
+            wal_append_errs: 7,
+            replayed_records: 8,
+            recovered_txns: 9,
+            truncated_bytes: 10,
+            snapshots_written: 11,
+            snapshot_errs: 12,
+            rotate_errs: 13,
+            snapshot_loaded: 14,
+            stale_wal_ignored: 15,
+            index_probes: 16,
+            full_scans: 17,
+            planner_fallbacks: 18,
+            snapshot_reads: 19,
+            versions_gcd: 20,
+        };
+        assert_eq!(
+            s.to_string(),
+            "txn[commits=1 rollbacks=2 auto=3] wal[records=4 bytes=5 fsyncs=6 errs=7] \
+             recover[txns=9 records=8 truncated=10 stale=15 snapshot_loaded=14] \
+             snap[written=11 errs=12 rotate_errs=13] \
+             engine[probes=16 scans=17 fallbacks=18 snap_reads=19 gcd=20]"
+        );
     }
 
     #[test]

@@ -1120,7 +1120,7 @@ impl Elaborator {
         let name_h = hnf(env, &mut self.cx, name);
         for (key, v) in &nf.fields {
             let hit = match (&*name_h, key) {
-                (Con::Name(n), FieldKey::Lit(m)) => ur_core::intern::names_eq(n, m),
+                (Con::Name(n), FieldKey::Lit(m)) => n == m,
                 (_, FieldKey::Neutral(k)) => {
                     let k = *k;
                     ur_core::defeq::defeq(env, &mut self.cx, &name_h, &k)
@@ -1192,7 +1192,7 @@ impl Elaborator {
         for (key, v) in &nf.source_fields {
             let hit = !removed
                 && match (&**name, key) {
-                    (Con::Name(n), FieldKey::Lit(m)) => ur_core::intern::names_eq(n, m),
+                    (Con::Name(n), FieldKey::Lit(m)) => n == m,
                     (_, FieldKey::Neutral(k)) => {
                         let k = *k;
                         ur_core::defeq::defeq(env, &mut self.cx, name, &k)
@@ -1219,7 +1219,7 @@ impl Elaborator {
             for (key, v) in &nf.source_fields {
                 let hit = !found
                     && match (&*name_h, key) {
-                        (Con::Name(n), FieldKey::Lit(m)) => ur_core::intern::names_eq(n, m),
+                        (Con::Name(n), FieldKey::Lit(m)) => n == m,
                         (_, FieldKey::Neutral(k)) => {
                             let k = *k;
                             ur_core::defeq::defeq(env, &mut self.cx, &name_h, &k)

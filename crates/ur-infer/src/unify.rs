@@ -367,7 +367,7 @@ pub fn row_unify(env: &Env, cx: &mut Cx, r1: &RCon, r2: &RCon) -> Unify {
         let mut matched = None;
         for j in 0..f2.len() {
             let keys_match = match (&f1[i].0, &f2[j].0) {
-                (FieldKey::Lit(a), FieldKey::Lit(b)) => ur_core::intern::names_eq(a, b),
+                (FieldKey::Lit(a), FieldKey::Lit(b)) => a == b,
                 (FieldKey::Neutral(a), FieldKey::Neutral(b)) => {
                     let (a, b) = ((*a), (*b));
                     defeq(env, cx, &a, &b)

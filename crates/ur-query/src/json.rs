@@ -114,9 +114,19 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<
                 'b' => out.push('\u{8}'),
                 'f' => out.push('\u{c}'),
                 'u' => {
-                    let mut v = 0u32;
-                    for _ in 0..4 {
-                        v = v * 16 + chars.next()?.to_digit(16)?;
+                    let mut v = hex4(chars)?;
+                    // A character outside the BMP arrives as a surrogate
+                    // pair; a lone surrogate is no character and fails
+                    // `char::from_u32`.
+                    if (0xD800..0xDC00).contains(&v) {
+                        if (chars.next()?, chars.next()?) != ('\\', 'u') {
+                            return None;
+                        }
+                        let low = hex4(chars)?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return None;
+                        }
+                        v = 0x10000 + ((v - 0xD800) << 10) + (low - 0xDC00);
                     }
                     out.push(char::from_u32(v)?);
                 }
@@ -125,6 +135,15 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<
             c => out.push(c),
         }
     }
+}
+
+/// The value of the four hex digits after a `\u` escape.
+fn hex4(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<u32> {
+    let mut v = 0u32;
+    for _ in 0..4 {
+        v = v * 16 + chars.next()?.to_digit(16)?;
+    }
+    Some(v)
 }
 
 #[cfg(test)]
@@ -186,5 +205,19 @@ mod tests {
     fn unicode_escapes_decode() {
         let m = parse_flat_object("{\"k\":\"\\u0041\\u00e9\"}").expect("parses");
         assert_eq!(m.get("k").map(String::as_str), Some("Aé"));
+        // Surrogate pairs, as Python's `json.dumps` writes them.
+        let m = parse_flat_object("{\"cmd\":\"eval\",\"expr\":\"\\\"\\ud83d\\ude00\\\"\"}")
+            .expect("parses");
+        assert_eq!(m.get("expr").map(String::as_str), Some("\"😀\""));
+        for lone in [
+            "\\ud83d",
+            "\\ude00",
+            "\\ud83d\\u0041",
+            "\\ud83dx",
+            "\\ud83d\\ud83d",
+        ] {
+            let req = format!("{{\"k\":\"{lone}\"}}");
+            assert!(parse_flat_object(&req).is_none(), "accepted: {req}");
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Cross-thread serve gauges.
+//! Cross-thread serve counters.
 //!
 //! The serve layer spans many threads (acceptor, connection handlers,
 //! pool workers, supervisor) while [`ur_core::stats::Stats`] is a plain
@@ -8,11 +8,14 @@
 //! final drain line) so the REPL, `--stats`, and serve all report one
 //! schema.
 
+use crate::Summary;
 use std::sync::atomic::{AtomicU64, Ordering};
 use ur_core::stats::Stats;
 
-/// Shared atomic counters for the serve front door. Field meanings
-/// mirror the `srv_*` counters in [`Stats`].
+/// Shared atomic counters for the serve front door, bumped with
+/// `fetch_add(1, Ordering::Relaxed)`: each is a statistic that publishes
+/// no other data. Field meanings mirror the `srv_*` counters in
+/// [`Stats`].
 #[derive(Debug, Default)]
 pub struct ServeCounters {
     /// Connections accepted past the admission caps.
@@ -34,34 +37,30 @@ impl ServeCounters {
         ServeCounters::default()
     }
 
-    pub fn inc_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_requests(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_deadline_expired(&self) {
-        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_worker_restarts(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn inc_drained(&self) {
-        self.drained.fetch_add(1, Ordering::Relaxed);
+    /// The counters' current values, with no fault totals.
+    pub fn summary(&self) -> Summary {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        Summary {
+            accepted: load(&self.accepted),
+            requests: load(&self.requests),
+            shed: load(&self.shed),
+            deadline_expired: load(&self.deadline_expired),
+            worker_restarts: load(&self.worker_restarts),
+            drained: load(&self.drained),
+            faults: Default::default(),
+        }
     }
 
-    /// Copies the gauges into `stats`' `srv_*` fields (overwriting: the
-    /// gauges are process-wide truth, not per-session deltas).
+    /// Copies the counters into `stats`' `srv_*` fields (overwriting: the
+    /// counters are process-wide truth, not per-session deltas).
     pub fn fold_into(&self, stats: &mut Stats) {
-        stats.srv_accepted = self.accepted.load(Ordering::Relaxed);
-        stats.srv_requests = self.requests.load(Ordering::Relaxed);
-        stats.srv_shed = self.shed.load(Ordering::Relaxed);
-        stats.srv_deadline_expired = self.deadline_expired.load(Ordering::Relaxed);
-        stats.srv_worker_restarts = self.worker_restarts.load(Ordering::Relaxed);
-        stats.srv_drained = self.drained.load(Ordering::Relaxed);
+        let s = self.summary();
+        stats.srv_accepted = s.accepted;
+        stats.srv_requests = s.requests;
+        stats.srv_shed = s.shed;
+        stats.srv_deadline_expired = s.deadline_expired;
+        stats.srv_worker_restarts = s.worker_restarts;
+        stats.srv_drained = s.drained;
     }
 }
 
@@ -72,22 +71,25 @@ mod tests {
     #[test]
     fn fold_into_overwrites_srv_fields() {
         let c = ServeCounters::new();
-        c.inc_accepted();
-        c.inc_accepted();
-        c.inc_shed();
-        c.inc_requests();
-        c.inc_deadline_expired();
-        c.inc_worker_restarts();
-        c.inc_drained();
+        for (counter, n) in [
+            (&c.accepted, 2),
+            (&c.requests, 3),
+            (&c.shed, 4),
+            (&c.deadline_expired, 5),
+            (&c.worker_restarts, 6),
+            (&c.drained, 7),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
         let mut s = Stats::new();
         s.srv_accepted = 99;
         c.fold_into(&mut s);
         assert_eq!(s.srv_accepted, 2);
-        assert_eq!(s.srv_requests, 1);
-        assert_eq!(s.srv_shed, 1);
-        assert_eq!(s.srv_deadline_expired, 1);
-        assert_eq!(s.srv_worker_restarts, 1);
-        assert_eq!(s.srv_drained, 1);
+        assert_eq!(s.srv_requests, 3);
+        assert_eq!(s.srv_shed, 4);
+        assert_eq!(s.srv_deadline_expired, 5);
+        assert_eq!(s.srv_worker_restarts, 6);
+        assert_eq!(s.srv_drained, 7);
         assert!(s.to_string().contains("serve[accepted=2"));
     }
 }

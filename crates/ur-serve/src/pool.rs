@@ -229,7 +229,10 @@ impl Pool {
         // own once it wakes and sees the superseded generation. Dropping
         // the old slot detaches the JoinHandle.
         slots[wid] = spawn_worker(&self.shared, wid, next);
-        self.shared.counters.inc_worker_restarts();
+        self.shared
+            .counters
+            .worker_restarts
+            .fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -368,7 +371,10 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
                 }
                 let now = Instant::now();
                 if now >= deadline {
-                    shared.counters.inc_deadline_expired();
+                    shared
+                        .counters
+                        .deadline_expired
+                        .fetch_add(1, Ordering::Relaxed);
                     let _ = reply.send(protocol::deadline_expired_response(
                         shared.cfg.deadline_ms,
                     ));
@@ -389,7 +395,7 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
                     }
                 }
                 if shared.draining.load(Ordering::SeqCst) {
-                    shared.counters.inc_drained();
+                    shared.counters.drained.fetch_add(1, Ordering::Relaxed);
                 }
                 let _ = reply.send(resp);
                 ship_faults(&shared);

@@ -265,6 +265,7 @@ pub fn handle_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn sess() -> Session {
         Session::new().expect("session")
@@ -347,7 +348,7 @@ mod tests {
     fn stats_response_includes_serve_schema() {
         let mut s = sess();
         let c = Arc::new(ServeCounters::new());
-        c.inc_accepted();
+        c.accepted.fetch_add(1, Ordering::Relaxed);
         let mut ctx = ReqCtx::new(Some(c));
         let (resp, _) = handle_line(&mut s, &mut ctx, "{\"cmd\":\"stats\"}", None);
         assert!(resp.contains("serve[accepted=1"), "{resp}");

@@ -168,17 +168,11 @@ impl Server {
             }
         }
         self.pool.shutdown();
-        let c = &self.counters;
         let mut faults = *lock(&self.pool.shared.faults);
         faults.absorb(&failpoint::take_counters());
         Summary {
-            accepted: c.accepted.load(Ordering::Relaxed),
-            requests: c.requests.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
-            worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
-            drained: c.drained.load(Ordering::Relaxed),
             faults,
+            ..self.counters.summary()
         }
     }
 }
@@ -223,13 +217,16 @@ fn accept_loop(
         let over_client = *lock(&per_ip).entry(peer.ip()).or_insert(0)
             >= cfg.max_conns_per_client as u64;
         if over_global || over_client {
-            pool.shared.counters.inc_shed();
+            pool.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             shed_and_close(stream, retry_hint_ms(&pool));
             continue;
         }
         *lock(&per_ip).entry(peer.ip()).or_insert(0) += 1;
         live.fetch_add(1, Ordering::SeqCst);
-        pool.shared.counters.inc_accepted();
+        pool.shared
+            .counters
+            .accepted
+            .fetch_add(1, Ordering::Relaxed);
         let conn = next_conn;
         next_conn += 1;
         let pool = Arc::clone(&pool);
@@ -347,7 +344,7 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
             _ => {}
         }
         if draining() {
-            pool.shared.counters.inc_shed();
+            pool.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
             let _ = writeln!(
                 writer,
                 "{}",
@@ -409,7 +406,7 @@ fn shepherd(
             reply: reply_tx,
         }) {
             Err(TrySendError::Full(_)) => {
-                pool.shared.counters.inc_shed();
+                pool.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
                 return protocol::overloaded_response(retry_hint_ms(pool), false);
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -424,7 +421,10 @@ fn shepherd(
             }
             Ok(()) => {}
         }
-        pool.shared.counters.inc_requests();
+        pool.shared
+            .counters
+            .requests
+            .fetch_add(1, Ordering::Relaxed);
         match reply_rx.recv_timeout(Duration::from_millis(patience_ms(cfg, attempt))) {
             Ok(resp) => return resp,
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
@@ -436,5 +436,28 @@ fn shepherd(
                 return protocol::lost_request_response();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_json_matches_the_golden_line() {
+        let s = Summary {
+            accepted: 1,
+            requests: 2,
+            shed: 3,
+            deadline_expired: 4,
+            worker_restarts: 5,
+            drained: 6,
+            faults: FpCounters::default(),
+        };
+        assert_eq!(
+            s.to_json(),
+            "{\"ok\":true,\"event\":\"final\",\"accepted\":1,\"requests\":2,\"shed\":3,\
+             \"deadline_expired\":4,\"worker_restarts\":5,\"drained\":6}"
+        );
     }
 }

@@ -281,9 +281,13 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// Lexes a string literal by copying its UTF-8 bytes, so multibyte
+    /// characters stay whole. Quotes, backslashes and escapes are ASCII,
+    /// which never occurs inside a multibyte sequence, so the bytes are
+    /// always valid UTF-8 and the lossy conversion replaces nothing.
     fn string(&mut self, span: Span) -> Result<Tok, LexError> {
         self.bump(); // opening quote
-        let mut out = String::new();
+        let mut out = Vec::new();
         loop {
             match self.bump() {
                 None => {
@@ -292,12 +296,12 @@ impl<'a> Lexer<'a> {
                         message: "unterminated string literal".into(),
                     })
                 }
-                Some(b'"') => return Ok(Tok::Str(out)),
+                Some(b'"') => return Ok(Tok::Str(String::from_utf8_lossy(&out).into_owned())),
                 Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'"') => out.push('"'),
+                    Some(b'n') => out.push(b'\n'),
+                    Some(b't') => out.push(b'\t'),
+                    Some(b'\\') => out.push(b'\\'),
+                    Some(b'"') => out.push(b'"'),
                     other => {
                         return Err(LexError {
                             span,
@@ -305,7 +309,7 @@ impl<'a> Lexer<'a> {
                         })
                     }
                 },
-                Some(c) => out.push(c as char),
+                Some(c) => out.push(c),
             }
         }
     }
@@ -557,6 +561,11 @@ mod tests {
             toks(r#""a\"b\n""#),
             vec![Tok::Str("a\"b\n".into())]
         );
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters() {
+        assert_eq!(toks("\"hé😀\\n\""), vec![Tok::Str("hé😀\n".into())]);
     }
 
     #[test]

@@ -579,10 +579,9 @@ impl Session {
         &self.elab.cx.stats
     }
 
-    /// [`Session::stats`] plus a snapshot of the thread-local intern
-    /// table (node count, name count, hit/miss rates). The per-`Cx`
-    /// counters are copied; the intern columns are read from the live
-    /// table at call time.
+    /// [`Session::stats`] plus readings of the process-global intern
+    /// arena, this thread's failpoint counters and the database's planner
+    /// counters, taken at call time. The per-`Cx` counters are copied.
     pub fn stats_snapshot(&self) -> ur_core::stats::Stats {
         let mut s = self.elab.cx.stats.clone();
         s.capture_intern();
@@ -901,6 +900,18 @@ mod tests {
                 sess.chunk_cache.len() <= CHUNK_CACHE_CAP,
                 "cache exceeded its cap at {i}"
             );
+        }
+    }
+
+    #[test]
+    fn non_ascii_strings_evaluate_to_themselves_in_both_engines() {
+        for engine in [EvalEngine::Vm, EvalEngine::Interp] {
+            let mut sess = Session::new().unwrap();
+            sess.engine = engine;
+            sess.run("val s = \"hé😀\"").unwrap();
+            for v in [sess.eval("s").unwrap(), sess.eval("\"hé😀\"").unwrap()] {
+                assert_eq!(&*v.as_str().unwrap(), "hé😀", "{engine:?}");
+            }
         }
     }
 

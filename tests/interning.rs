@@ -1,5 +1,5 @@
 //! Hash-consing and memoization properties: the interned core
-//! ([`ur::core::intern`]) and the judgment memo tables
+//! ([`ur::core::arena`]) and the judgment memo tables
 //! ([`ur::core::memo`]).
 //!
 //! Three layers of guarantees are pinned down here:
@@ -22,7 +22,6 @@ use ur::core::con::{Con, RCon};
 use ur::core::defeq::defeq;
 use ur::core::disjoint::prove;
 use ur::core::env::Env;
-use ur::core::intern;
 use ur::core::kind::Kind;
 use ur::core::prelude::Cx;
 use ur::core::row::{canon_con, normalize_row};
@@ -122,7 +121,6 @@ fn identical_builds_share_one_node() {
         let a = gen_closed(&mut r1, 4);
         let b = gen_closed(&mut r2, 4);
         assert!(a == b, "hash-consing must share: {a} vs {b}");
-        assert_eq!(intern::id_of(&a), intern::id_of(&b));
     }
 }
 
@@ -136,7 +134,7 @@ fn id_equality_implies_defeq() {
         let b = gen_closed(&mut rng, 4);
         let env = Env::new();
         let mut cx = Cx::new();
-        if intern::id_of(&a) == intern::id_of(&b) {
+        if a == b {
             assert!(defeq(&env, &mut cx, &a, &b));
         }
         // Reflexivity is O(1) under hash-consing but must still hold.
@@ -164,11 +162,11 @@ fn generated_closed_terms_are_flagged_closed() {
     let mut rng = Rng::new(0x1A7E_2000);
     for _ in 0..CASES {
         let c = gen_closed(&mut rng, 4);
-        assert!(intern::flags_of(&c).is_closed(), "{c} must be closed");
+        assert!(c.flags().is_closed(), "{c} must be closed");
     }
     // And a term with a variable is not.
     let v = Con::var(&Sym::fresh("x"));
-    assert!(!intern::flags_of(&Con::arrow(v, Con::int())).is_closed());
+    assert!(!Con::arrow(v, Con::int()).flags().is_closed());
 }
 
 /// 8-thread intern hammer: every thread races to build the *same*
@@ -191,13 +189,13 @@ fn hammer_concurrent_interning_agrees_across_threads() {
                 (0..ROUNDS)
                     .map(|seed| {
                         let mut rng = Rng::new(0x4A44_0000 + seed);
-                        intern::id_of(&gen_closed(&mut rng, 4))
+                        gen_closed(&mut rng, 4)
                     })
                     .collect::<Vec<_>>()
             })
         })
         .collect();
-    let per_thread: Vec<Vec<intern::ConId>> = handles
+    let per_thread: Vec<Vec<RCon>> = handles
         .into_iter()
         .map(|h| h.join().expect("hammer thread must not panic"))
         .collect();
@@ -209,8 +207,7 @@ fn hammer_concurrent_interning_agrees_across_threads() {
     }
 
     // Uniqueness: one id never names two structurally distinct terms.
-    let mut seen: std::collections::HashMap<intern::ConId, String> =
-        std::collections::HashMap::new();
+    let mut seen: std::collections::HashMap<RCon, String> = std::collections::HashMap::new();
     for (seed, id) in per_thread[0].iter().enumerate() {
         let mut rng = Rng::new(0x4A44_0000 + seed as u64);
         let printed = gen_closed(&mut rng, 4).to_string();
@@ -223,7 +220,7 @@ fn hammer_concurrent_interning_agrees_across_threads() {
     // threaded, warm table) reproduces every id.
     for (seed, id) in per_thread[0].iter().enumerate() {
         let mut rng = Rng::new(0x4A44_0000 + seed as u64);
-        assert_eq!(intern::id_of(&gen_closed(&mut rng, 4)), *id);
+        assert_eq!(gen_closed(&mut rng, 4), *id);
     }
 }
 
