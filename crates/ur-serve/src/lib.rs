@@ -63,8 +63,9 @@ pub struct ServeConfig {
     pub addr: String,
     /// Pool workers. In durable mode (`db_dir` set) worker 0 is the
     /// single writer holding the store's flock; the rest are snapshot
-    /// readers serving read-only commands from the writer's published
-    /// MVCC snapshots.
+    /// readers, holding no session, that answer `type`, `diagnostics`
+    /// and `db` from what the writer publishes: its acknowledged
+    /// program's answers and its MVCC snapshots.
     pub workers: usize,
     /// Bounded per-worker request queue; a full queue sheds.
     pub queue_depth: usize,

@@ -2,7 +2,8 @@
 //!
 //! Each worker is a dedicated OS thread owning its [`Session`]s
 //! (sessions are `Rc`-based and deliberately not `Send`; only `Send`
-//! data — request lines, reply strings, atomics — crosses threads).
+//! data — request lines, reply strings, atomics, the immutable answers
+//! a durable writer publishes — crosses threads).
 //! Connections are routed stickily (`conn % workers`) so a client's
 //! requests land on the session holding its state.
 //!
@@ -21,11 +22,15 @@
 //! With a shared durable database worker 0 is the **single writer**
 //! owning the global session: durable handles are single-writer, and
 //! funneling every mutation through one session is what makes restarts
-//! safe to reason about. Workers 1..n are **snapshot readers**: they
-//! never open the store; the writer publishes an MVCC snapshot to the
-//! [`SnapshotHub`] after every request, and readers serve read-only
-//! commands from a [`Db::read_only`] handle over the latest published
-//! snapshot — concurrent with, and isolated from, in-flight writes.
+//! safe to reason about. Workers 1..n are **snapshot readers** and hold
+//! no session: they never open the store and never elaborate. The
+//! writer publishes to the [`SnapshotHub`] an MVCC snapshot after every
+//! request, and the acknowledged program's [`Answers`] (value types
+//! rendered as text, and diagnostics) when it opens the store and after
+//! every acknowledged rebuild. Readers answer `type` and `diagnostics`
+//! from the answers and `db` from a [`Db::read_only`] handle over the
+//! latest snapshot — concurrent with, and isolated from, in-flight
+//! writes; `stats` and everything that needs a session go to the writer.
 //! The writer pins a *pristine in-memory base* (a
 //! `reelaborate("")` before the durable handle is ever installed) so a
 //! rebuild replays declarations into a scratch in-memory world; the
@@ -37,13 +42,13 @@
 //! only and installs the recovered durable handle without re-adopting.
 
 use crate::counters::ServeCounters;
-use crate::protocol::{self, ReqCtx};
+use crate::protocol::{self, Answers, ReqCtx};
 use crate::{lock, ServeConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ur_core::failpoint::{self, FpCounters, Site};
@@ -55,19 +60,27 @@ use ur_web::Session;
 const GLOBAL_KEY: u64 = u64::MAX;
 
 /// The writer→readers handoff point of durable mode: the latest
-/// published MVCC snapshot plus two monotone generation counters.
+/// published MVCC snapshot with a monotone sequence number, and the
+/// acknowledged program's [`Answers`].
 ///
-/// The writer publishes after every request (cheap — `Db` caches the
-/// snapshot per committed epoch, so an unchanged state republishes the
-/// same `Arc` and the sequence does not move). Readers compare `seq`
-/// — **not** the snapshot's own epoch, which restarts and adopt-state
-/// rebuilds can rewind — and swap in a fresh read-only handle when it
-/// moved. `scripts_gen` moves when the acknowledged script changes, so
-/// readers also rebuild their elaborator state.
+/// The writer publishes a snapshot after every request (cheap — `Db`
+/// caches the snapshot per committed epoch, so an unchanged state
+/// republishes the same `Arc` and the sequence does not move). Readers
+/// compare `seq` — **not** the snapshot's own epoch, which restarts and
+/// adopt-state rebuilds can rewind — and swap in a fresh read-only
+/// handle when it moved.
+///
+/// The answers change only when a load or edit is acknowledged. The
+/// first writer publishes them once it has opened the store; the hub
+/// outlives worker restarts, so a restarted writer, whose replay runs
+/// without the acknowledged load's deadline ceiling, keeps the answers
+/// it finds. Readers wait for the first publication
+/// ([`SnapshotHub::answers_by`]).
 pub struct SnapshotHub {
     snap: Mutex<Option<Arc<DbSnapshot>>>,
     seq: AtomicU64,
-    scripts_gen: AtomicU64,
+    answers: Mutex<Option<Arc<Answers>>>,
+    answered: Condvar,
 }
 
 impl SnapshotHub {
@@ -75,7 +88,8 @@ impl SnapshotHub {
         SnapshotHub {
             snap: Mutex::new(None),
             seq: AtomicU64::new(0),
-            scripts_gen: AtomicU64::new(0),
+            answers: Mutex::new(None),
+            answered: Condvar::new(),
         }
     }
 
@@ -97,13 +111,31 @@ impl SnapshotHub {
         (self.seq.load(Ordering::SeqCst), g.clone())
     }
 
-    /// Marks the acknowledged script as changed.
-    pub fn bump_scripts(&self) {
-        self.scripts_gen.fetch_add(1, Ordering::SeqCst);
+    /// Replaces the published answers and wakes waiting readers.
+    pub fn publish_answers(&self, a: Answers) {
+        *lock(&self.answers) = Some(Arc::new(a));
+        self.answered.notify_all();
     }
 
-    pub fn scripts_gen(&self) -> u64 {
-        self.scripts_gen.load(Ordering::SeqCst)
+    /// Whether any writer has published answers yet.
+    pub fn has_answers(&self) -> bool {
+        lock(&self.answers).is_some()
+    }
+
+    /// The published answers, waiting until `deadline` for the first
+    /// publication; `None` if none came by then.
+    pub fn answers_by(&self, deadline: Instant) -> Option<Arc<Answers>> {
+        let mut g = lock(&self.answers);
+        loop {
+            if let Some(a) = g.as_ref() {
+                return Some(Arc::clone(a));
+            }
+            let left = deadline.checked_duration_since(Instant::now())?;
+            g = match self.answered.wait_timeout(g, left) {
+                Ok((g, _)) => g,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
+        }
     }
 }
 
@@ -160,8 +192,8 @@ impl Pool {
     /// Spawns the worker threads. In durable mode (`cfg.db_dir` set)
     /// worker 0 is the **single writer** (it alone opens the store and
     /// holds its flock); every other worker is a **snapshot reader**
-    /// serving read-only requests against the hub's latest published
-    /// MVCC snapshot, concurrent with the writer.
+    /// answering snapshot reads from what the writer published to the
+    /// hub, concurrent with the writer.
     pub fn start(cfg: ServeConfig, counters: Arc<ServeCounters>) -> Arc<Pool> {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(PoolShared {
@@ -196,9 +228,10 @@ impl Pool {
 
     /// Routing with read-only awareness. Memory mode is sticky
     /// (`conn % workers`, sessions are per-connection). Durable mode
-    /// sends every mutating request to the writer (worker 0) and fans
-    /// read-only requests across the snapshot readers (workers 1..n),
-    /// falling back to the writer when the pool has no readers.
+    /// sends every other request to the writer (worker 0) and fans
+    /// snapshot reads ([`protocol::is_snapshot_read`]) across the
+    /// snapshot readers (workers 1..n), falling back to the writer when
+    /// the pool has no readers.
     pub fn handle_for_routed(&self, conn: u64, read_only: bool) -> (usize, u64, SyncSender<Job>) {
         let n = self.workers();
         let wid = if self.shared.cfg.db_dir.is_some() {
@@ -282,12 +315,15 @@ struct Slot {
     ctx: ReqCtx,
 }
 
-/// A snapshot reader's view of the hub, compared before every request.
-/// `seq` starts at `u64::MAX` so the first request always installs the
-/// current snapshot.
+/// A snapshot reader's state — no session, only a read-only handle
+/// over the last snapshot it installed and that snapshot's hub
+/// sequence, compared before every request. `seq` starts at `u64::MAX`
+/// so the first request installs the current snapshot; the writer
+/// publishes its first snapshot before its first answers, so the
+/// in-memory placeholder is never read.
 struct ReaderState {
     seq: u64,
-    scripts_gen: u64,
+    db: Db,
 }
 
 fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>) {
@@ -323,10 +359,24 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
         }
     }
     let mut sessions: HashMap<u64, Slot> = HashMap::new();
-    let mut reader = ReaderState {
+    if durable.is_some() {
+        // The writer builds its session before serving, so readers can
+        // answer the prelude's types before the first load (a failed
+        // build is retried, and reported, by the first request). Only
+        // the first writer publishes here (see `SnapshotHub`).
+        if let Ok(slot) = build_session(&shared, durable.as_ref(), GLOBAL_KEY) {
+            if !shared.hub.has_answers() {
+                shared
+                    .hub
+                    .publish_answers(Answers::of(&slot.sess, slot.ctx.last_diags.clone()));
+            }
+            sessions.insert(GLOBAL_KEY, slot);
+        }
+    }
+    let mut reader = is_reader.then(|| ReaderState {
         seq: u64::MAX,
-        scripts_gen: shared.hub.scripts_gen(),
-    };
+        db: Db::new(),
+    });
     loop {
         let job = match rx.recv() {
             Ok(j) => j,
@@ -381,11 +431,13 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
                     ship_faults(&shared);
                     continue;
                 }
-                let budget_ms = (deadline - now).as_millis() as u64;
-                if is_reader {
-                    refresh_reader(&shared, &mut sessions, &mut reader);
-                }
-                let resp = serve_one(&shared, &mut sessions, &mut durable, conn, &line, budget_ms);
+                let resp = match &mut reader {
+                    Some(r) => serve_read(&shared, r, &line, deadline),
+                    None => {
+                        let budget_ms = (deadline - now).as_millis() as u64;
+                        serve_one(&shared, &mut sessions, &mut durable, conn, &line, budget_ms)
+                    }
+                };
                 if durable_mode && wid == 0 {
                     // Publish after every request: cheap when nothing
                     // changed (the per-epoch cache republishes the same
@@ -494,50 +546,44 @@ fn serve_one(
                     *slot.sess.db() = d.clone();
                 }
                 // Effects are fully applied (and durable, when shared):
-                // only now may the script become the restore point.
+                // only now may the script become the restore point, and
+                // only now may snapshot readers answer from it.
                 lock(&shared.scripts).insert(key, (src, slot.ctx.last_diags.clone()));
-                shared.hub.bump_scripts();
+                if durable.is_some() {
+                    shared
+                        .hub
+                        .publish_answers(Answers::of(&slot.sess, slot.ctx.last_diags.clone()));
+                }
             }
         }
     }
     resp
 }
 
-/// Brings a snapshot reader's session up to date before a request:
-/// rebuild elaborator state when the acknowledged script changed, and
-/// install a read-only handle over the latest snapshot when the hub's
-/// sequence moved. The scripts generation is read *before* the rebuild,
-/// so a script acked concurrently is caught by the next request's
-/// comparison rather than lost.
-fn refresh_reader(
+/// Answers a snapshot read: wait (until the request's deadline) for the
+/// writer's first answers, install a read-only handle over the latest
+/// snapshot when the hub's sequence moved, and answer from both.
+fn serve_read(
     shared: &Arc<PoolShared>,
-    sessions: &mut HashMap<u64, Slot>,
     reader: &mut ReaderState,
-) {
-    let sg = shared.hub.scripts_gen();
-    if sg != reader.scripts_gen {
-        sessions.remove(&GLOBAL_KEY);
-        reader.scripts_gen = sg;
-    }
-    if let std::collections::hash_map::Entry::Vacant(v) = sessions.entry(GLOBAL_KEY) {
-        match build_session(shared, None, GLOBAL_KEY) {
-            Ok(slot) => {
-                v.insert(slot);
-                // A fresh session carries the replayed in-memory world;
-                // force the snapshot reinstall below.
-                reader.seq = u64::MAX;
-            }
-            // serve_one retries the build and surfaces the error.
-            Err(_) => return,
-        }
-    }
+    line: &str,
+    deadline: Instant,
+) -> String {
+    let Some(answers) = shared.hub.answers_by(deadline) else {
+        shared
+            .counters
+            .deadline_expired
+            .fetch_add(1, Ordering::Relaxed);
+        return protocol::deadline_expired_response(shared.cfg.deadline_ms);
+    };
     let (seq, snap) = shared.hub.current();
     if seq != reader.seq {
-        if let (Some(snap), Some(slot)) = (snap, sessions.get_mut(&GLOBAL_KEY)) {
-            *slot.sess.db() = Db::read_only(&snap);
+        if let Some(snap) = snap {
+            reader.db = Db::read_only(&snap);
             reader.seq = seq;
         }
     }
+    protocol::handle_snapshot_read(&answers, &reader.db, line)
 }
 
 /// Builds a session for `key`: pin a pristine in-memory base, replay the
@@ -625,8 +671,23 @@ mod tests {
         let mut d2 = Db::new();
         hub.publish(d2.publish_snapshot());
         assert_eq!(hub.current().0, 2);
-        hub.bump_scripts();
-        assert_eq!(hub.scripts_gen(), 1);
+    }
+
+    #[test]
+    fn readers_wait_for_the_first_answers_until_their_deadline() {
+        let hub = Arc::new(SnapshotHub::new());
+        let soon = Instant::now() + Duration::from_millis(20);
+        assert!(hub.answers_by(soon).is_none(), "nothing published yet");
+        let waiting = Arc::clone(&hub);
+        let waiter = std::thread::spawn(move || {
+            waiting
+                .answers_by(Instant::now() + Duration::from_secs(30))
+                .is_some()
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        hub.publish_answers(Answers::of(&Session::new().unwrap(), Vec::new()));
+        assert!(waiter.join().unwrap(), "publishing wakes a waiting reader");
+        assert!(hub.has_answers());
     }
 
     #[test]

@@ -24,10 +24,17 @@
 //! wedging its worker. Overload and failure answers are structured too
 //! (`overloaded` + `retry_after_ms`, `deadline_expired`, lost in-flight
 //! requests) — see the response builders below.
+//!
+//! A durable server's snapshot readers hold no session: they answer
+//! `type`, `diagnostics` and `db` through [`handle_snapshot_read`], from
+//! the writer's published [`Answers`] and a read-only database handle,
+//! formatted by the same response builders as [`handle_line`].
 
 use crate::counters::ServeCounters;
+use std::collections::HashMap;
 use std::sync::Arc;
 use ur_core::limits::Limits;
+use ur_db::Db;
 use ur_query::json::{diags_to_json, escape, parse_flat_object};
 use ur_web::Session;
 
@@ -118,6 +125,43 @@ pub fn internal_error_response() -> String {
         .to_string()
 }
 
+/// A failed request's answer.
+fn error_response(msg: &str) -> String {
+    format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(msg))
+}
+
+/// The answer to `type`: the type `lookup` finds for the request's
+/// `name`, or why there is none.
+fn type_response(
+    req: &HashMap<String, String>,
+    lookup: impl FnOnce(&str) -> Option<String>,
+) -> String {
+    let Some(name) = req.get("name") else {
+        return error_response("type needs a \"name\" field");
+    };
+    match lookup(name) {
+        Some(ty) => format!(
+            "{{\"ok\":true,\"name\":\"{}\",\"type\":\"{}\"}}",
+            escape(name),
+            escape(&ty)
+        ),
+        None => error_response(&format!("no value named {name}")),
+    }
+}
+
+/// The answer to `diagnostics`.
+fn diagnostics_response(diags: &[ur_syntax::Diagnostic]) -> String {
+    format!("{{\"ok\":true,\"diagnostics\":{}}}", diags_to_json(diags))
+}
+
+/// The answer to `db`.
+fn db_response(db: &Db) -> String {
+    format!(
+        "{{\"ok\":true,\"db\":\"{}\"}}",
+        escape(&ur_web::db_report(db))
+    )
+}
+
 /// The inferred type of the most recent value named `name`, if any.
 pub fn type_of(sess: &Session, name: &str) -> Option<String> {
     use ur_infer::ElabDecl;
@@ -125,6 +169,55 @@ pub fn type_of(sess: &Session, name: &str) -> Option<String> {
         ElabDecl::Val { name: n, ty, .. } if n == name => Some(ty.to_string()),
         _ => None,
     })
+}
+
+/// What an acknowledged program answers without a session: the type of
+/// every top-level value, rendered as text, and the diagnostics its
+/// rebuild reported. Immutable once built; a durable server's writer
+/// publishes one per acknowledged rebuild and its snapshot readers
+/// answer from it.
+pub struct Answers {
+    types: HashMap<String, String>,
+    diags: ur_syntax::Diagnostics,
+}
+
+impl Answers {
+    /// Renders every value type of `sess`, prelude included. A name
+    /// bound twice keeps its last binding, as [`type_of`] does.
+    pub fn of(sess: &Session, diags: ur_syntax::Diagnostics) -> Answers {
+        use ur_infer::ElabDecl;
+        let types = sess
+            .elab
+            .decls
+            .iter()
+            .filter_map(|d| match d {
+                ElabDecl::Val { name, ty, .. } => Some((name.clone(), ty.to_string())),
+                _ => None,
+            })
+            .collect();
+        Answers { types, diags }
+    }
+}
+
+/// Whether a durable server's snapshot readers answer `cmd` (through
+/// [`handle_snapshot_read`]); every other command goes to the writer.
+pub fn is_snapshot_read(cmd: Option<&str>) -> bool {
+    matches!(cmd, Some("type" | "diagnostics" | "db"))
+}
+
+/// Answers a snapshot read from the writer's published `answers` and a
+/// read-only handle `db` over its latest snapshot.
+pub fn handle_snapshot_read(answers: &Answers, db: &Db, line: &str) -> String {
+    let Some(req) = parse_flat_object(line) else {
+        return malformed_response();
+    };
+    match req.get("cmd").map(String::as_str) {
+        Some("type") => type_response(&req, |name| answers.types.get(name).cloned()),
+        Some("diagnostics") => diagnostics_response(&answers.diags),
+        Some("db") => db_response(db),
+        Some(other) => error_response(&format!("{other} is not a snapshot read")),
+        None => error_response("request needs a \"cmd\" field"),
+    }
 }
 
 /// The request's own `deadline_ms` field, if present and well-formed.
@@ -165,12 +258,7 @@ pub fn handle_line(
     line: &str,
     budget_ms: Option<u64>,
 ) -> (String, Control) {
-    let err = |msg: &str| {
-        (
-            format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(msg)),
-            Control::Continue,
-        )
-    };
+    let err = |msg: &str| (error_response(msg), Control::Continue);
     let Some(req) = parse_flat_object(line) else {
         return (malformed_response(), Control::Continue);
     };
@@ -203,22 +291,10 @@ pub fn handle_line(
             ctx.last_diags = diags;
             (resp, Control::Continue)
         }
-        Some("type") => {
-            let Some(name) = req.get("name") else {
-                return err("type needs a \"name\" field");
-            };
-            match type_of(sess, name) {
-                Some(ty) => (
-                    format!(
-                        "{{\"ok\":true,\"name\":\"{}\",\"type\":\"{}\"}}",
-                        escape(name),
-                        escape(&ty)
-                    ),
-                    Control::Continue,
-                ),
-                None => err(&format!("no value named {name}")),
-            }
-        }
+        Some("type") => (
+            type_response(&req, |name| type_of(sess, name)),
+            Control::Continue,
+        ),
         Some("eval") => {
             let Some(expr) = req.get("expr") else {
                 return err("eval needs an \"expr\" field");
@@ -231,13 +307,7 @@ pub fn handle_line(
                 Err(e) => err(&e.to_string()),
             }
         }
-        Some("diagnostics") => (
-            format!(
-                "{{\"ok\":true,\"diagnostics\":{}}}",
-                diags_to_json(&ctx.last_diags)
-            ),
-            Control::Continue,
-        ),
+        Some("diagnostics") => (diagnostics_response(&ctx.last_diags), Control::Continue),
         Some("stats") => {
             let mut s = sess.stats_snapshot();
             if let Some(c) = &ctx.counters {
@@ -248,10 +318,7 @@ pub fn handle_line(
                 Control::Continue,
             )
         }
-        Some("db") => (
-            format!("{{\"ok\":true,\"db\":\"{}\"}}", escape(&sess.db_report())),
-            Control::Continue,
-        ),
+        Some("db") => (db_response(sess.db()), Control::Continue),
         Some("quit") => ("{\"ok\":true}".to_string(), Control::Quit),
         Some("shutdown") => (
             "{\"ok\":true,\"draining\":true}".to_string(),
@@ -352,6 +419,36 @@ mod tests {
         let mut ctx = ReqCtx::new(Some(c));
         let (resp, _) = handle_line(&mut s, &mut ctx, "{\"cmd\":\"stats\"}", None);
         assert!(resp.contains("serve[accepted=1"), "{resp}");
+    }
+
+    /// A snapshot reader answers exactly what the writer's session
+    /// answers, through the same builders.
+    #[test]
+    fn snapshot_reads_answer_like_the_session() {
+        let mut s = sess();
+        let mut ctx = ReqCtx::new(None);
+        let load = "{\"cmd\":\"load\",\"source\":\"val x = 41 val x = \\\"s\\\" \
+                    val y = 1 + \\\"a\\\"\"}";
+        let (resp, _) = handle_line(&mut s, &mut ctx, load, None);
+        assert!(resp.contains("E0400"), "{resp}");
+        let answers = Answers::of(&s, ctx.last_diags.clone());
+        let db = s.db().clone();
+        for line in [
+            "{\"cmd\":\"type\",\"name\":\"x\"}",
+            "{\"cmd\":\"type\",\"name\":\"insert\"}",
+            "{\"cmd\":\"type\",\"name\":\"y\"}",
+            "{\"cmd\":\"type\"}",
+            "{\"cmd\":\"diagnostics\"}",
+            "{\"cmd\":\"db\"}",
+            "not json",
+        ] {
+            let (want, _) = handle_line(&mut s, &mut ctx, line, None);
+            assert_eq!(handle_snapshot_read(&answers, &db, line), want, "{line}");
+        }
+        assert!(
+            handle_snapshot_read(&answers, &db, "{\"cmd\":\"type\",\"name\":\"x\"}")
+                .contains("\"type\":\"string\"")
+        );
     }
 
     #[test]

@@ -362,13 +362,11 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
         // may have committed.
         let replayable = cfg.db_dir.is_none()
             || !matches!(req.get("cmd").map(String::as_str), Some("eval"));
-        // Read-only commands never mutate session or store; in durable
-        // mode they fan out to the snapshot readers instead of queueing
-        // behind the writer.
-        let read_only = matches!(
-            req.get("cmd").map(String::as_str),
-            Some("type") | Some("diagnostics") | Some("stats") | Some("db")
-        );
+        // In durable mode `type`, `diagnostics` and `db` fan out to the
+        // snapshot readers, which answer them without a session from what
+        // the writer last acknowledged, instead of queueing behind the
+        // writer. `stats` reports a session, so it goes to the writer.
+        let read_only = protocol::is_snapshot_read(req.get("cmd").map(String::as_str));
         let resp = shepherd(pool, conn, &line, deadline_ms, replayable, read_only);
         if failpoint::fire(Site::ServeWrite) {
             // Injected write failure after execution: effects (if any)

@@ -283,6 +283,72 @@ fn durable_readers_answer_diagnostics_of_the_acked_load() {
     let _ = std::fs::remove_dir_all(&db_dir);
 }
 
+/// `val wide = {A0 = 0, …, A149 = 149} ++ {B0 = 0, …, B149 = 149}`: its
+/// disjointness goal needs 150×150 prover pairs, far past what a 1 ms
+/// deadline's fuel allows, while default limits elaborate it fine.
+fn wide_concat_source() -> String {
+    let fields = |prefix: &str, n: usize| {
+        (0..n)
+            .map(|i| format!("{prefix}{i} = {i}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    format!(
+        "val wide = {{{}}} ++ {{{}}}",
+        fields("A", 150),
+        fields("B", 150)
+    )
+}
+
+#[test]
+fn durable_readers_answer_what_the_writer_acknowledged() {
+    let db_dir = std::env::temp_dir().join(format!("ur-serve-e2e-acked-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&db_dir);
+    let cfg = ServeConfig {
+        workers: 3,
+        db_dir: Some(db_dir.clone()),
+        deadline_ms: 10_000,
+        cache_dir: Some(tmp_cache()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).expect("start");
+    let addr = server.addr();
+    // Before any load, the readers answer the prelude's types: they wait
+    // for the writer's first answers instead of racing its start-up.
+    let prelude = ur_web::Session::new().expect("session");
+    let insert_ty = ur_serve::protocol::type_of(&prelude, "insert").expect("prelude insert");
+    let want = format!(
+        "{{\"ok\":true,\"name\":\"insert\",\"type\":\"{}\"}}",
+        ur_query::json::escape(&insert_ty)
+    );
+    for _ in 0..3 {
+        let mut c = Client::connect(addr);
+        assert_eq!(c.roundtrip("{\"cmd\":\"type\",\"name\":\"insert\"}"), want);
+    }
+    // The writer's load runs out of fuel at its 1 ms deadline, so the
+    // acknowledged program binds no `wide`: no reader may report a type
+    // for it.
+    let mut w = Client::connect(addr);
+    let resp = w.roundtrip(&format!(
+        "{{\"cmd\":\"load\",\"source\":\"{}\",\"deadline_ms\":1}}",
+        wide_concat_source()
+    ));
+    assert!(
+        resp.contains("\"ok\":true") && resp.contains("E0900"),
+        "{resp}"
+    );
+    for _ in 0..3 {
+        let mut c = Client::connect(addr);
+        let resp = c.roundtrip("{\"cmd\":\"type\",\"name\":\"wide\"}");
+        assert_eq!(resp, "{\"ok\":false,\"error\":\"no value named wide\"}");
+        let resp = c.roundtrip("{\"cmd\":\"diagnostics\"}");
+        assert!(resp.contains("E0900"), "{resp}");
+    }
+    server.start_drain();
+    server.wait();
+    let _ = std::fs::remove_dir_all(&db_dir);
+}
+
 #[test]
 fn tiny_deadline_degrades_structurally() {
     let cfg = ServeConfig {
@@ -291,17 +357,7 @@ fn tiny_deadline_degrades_structurally() {
     };
     let server = Server::start(cfg).expect("start");
     let mut c = Client::connect(server.addr());
-    let fields = |prefix: &str, n: usize| {
-        (0..n)
-            .map(|i| format!("{prefix}{i} = {i}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let src = format!(
-        "val wide = {{{}}} ++ {{{}}}",
-        fields("A", 150),
-        fields("B", 150)
-    );
+    let src = wide_concat_source();
     let resp = c.roundtrip(&format!(
         "{{\"cmd\":\"load\",\"source\":\"{src}\",\"deadline_ms\":1}}"
     ));

@@ -165,7 +165,7 @@ impl From<LexError> for crate::diag::Diagnostic {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -173,23 +173,36 @@ struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
+    /// Advances one byte. Columns count characters: a UTF-8
+    /// continuation byte (`0b10xx_xxxx`) belongs to the character its
+    /// lead byte already counted.
     fn bump(&mut self) -> Option<u8> {
         let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if c & 0xC0 != 0x80 {
             self.col += 1;
         }
         Some(c)
+    }
+
+    /// The whole character starting at byte `at`, for messages. Callers
+    /// pass a token start or the byte after a backslash; both follow an
+    /// ASCII byte, so `at` is a character boundary.
+    fn char_at(&self, at: usize) -> char {
+        self.src
+            .get(at..)
+            .and_then(|s| s.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
     }
 
     fn span(&self) -> Span {
@@ -248,7 +261,7 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        String::from_utf8_lossy(&self.src.as_bytes()[start..self.pos]).into_owned()
     }
 
     fn number(&mut self, span: Span) -> Result<Tok, LexError> {
@@ -265,7 +278,7 @@ impl<'a> Lexer<'a> {
             }
             // Only ASCII digits and '.' were bumped, so the slice is valid
             // UTF-8; `from_utf8_lossy` keeps this path panic-free anyway.
-            let text = String::from_utf8_lossy(&self.src[start..self.pos]);
+            let text = String::from_utf8_lossy(&self.src.as_bytes()[start..self.pos]);
             text.parse::<f64>()
                 .map(Tok::Float)
                 .map_err(|e| LexError {
@@ -273,7 +286,7 @@ impl<'a> Lexer<'a> {
                     message: format!("bad float literal: {e}"),
                 })
         } else {
-            let text = String::from_utf8_lossy(&self.src[start..self.pos]);
+            let text = String::from_utf8_lossy(&self.src.as_bytes()[start..self.pos]);
             text.parse::<i64>().map(Tok::Int).map_err(|e| LexError {
                 span,
                 message: format!("bad int literal: {e}"),
@@ -287,28 +300,31 @@ impl<'a> Lexer<'a> {
     /// always valid UTF-8 and the lossy conversion replaces nothing.
     fn string(&mut self, span: Span) -> Result<Tok, LexError> {
         self.bump(); // opening quote
+        let unterminated = || LexError {
+            span,
+            message: "unterminated string literal".into(),
+        };
         let mut out = Vec::new();
         loop {
             match self.bump() {
-                None => {
-                    return Err(LexError {
-                        span,
-                        message: "unterminated string literal".into(),
-                    })
-                }
+                None => return Err(unterminated()),
                 Some(b'"') => return Ok(Tok::Str(String::from_utf8_lossy(&out).into_owned())),
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'"') => out.push(b'"'),
-                    other => {
-                        return Err(LexError {
-                            span,
-                            message: format!("bad escape {other:?}"),
-                        })
+                Some(b'\\') => {
+                    let at = self.pos;
+                    match self.bump() {
+                        None => return Err(unterminated()),
+                        Some(b'n') => out.push(b'\n'),
+                        Some(b't') => out.push(b'\t'),
+                        Some(b'\\') => out.push(b'\\'),
+                        Some(b'"') => out.push(b'"'),
+                        Some(_) => {
+                            return Err(LexError {
+                                span,
+                                message: format!("bad escape \\{}", self.char_at(at)),
+                            })
+                        }
                     }
-                },
+                }
                 Some(c) => out.push(c),
             }
         }
@@ -323,7 +339,7 @@ impl<'a> Lexer<'a> {
 /// literals.
 pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
     let mut lx = Lexer {
-        src: src.as_bytes(),
+        src,
         pos: 0,
         line: 1,
         col: 1,
@@ -375,6 +391,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
             b'0'..=b'9' => lx.number(span)?,
             b'"' => lx.string(span)?,
             _ => {
+                let start = lx.pos;
                 lx.bump();
                 match c {
                     b':' => {
@@ -477,10 +494,10 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                             });
                         }
                     }
-                    other => {
+                    _ => {
                         return Err(LexError {
                             span,
-                            message: format!("unexpected character {:?}", other as char),
+                            message: format!("unexpected character {:?}", lx.char_at(start)),
                         })
                     }
                 }
@@ -571,6 +588,40 @@ mod tests {
     #[test]
     fn unterminated_string_errors() {
         assert!(lex("\"abc").is_err());
+    }
+
+    fn lex_error(src: &str) -> LexError {
+        lex(src).expect_err(src)
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        let col_of_last = |src: &str| lex(src).unwrap().iter().rev().nth(1).unwrap().span;
+        let ascii = col_of_last("val s = \"aaaaa\" val t = nope");
+        assert_eq!(ascii, Span { line: 1, col: 25 });
+        assert_eq!(col_of_last("val s = \"ééééé\" val t = nope"), ascii);
+        assert_eq!(col_of_last("val s = \"😀😀😀😀😀\" val t = nope"), ascii);
+    }
+
+    #[test]
+    fn unexpected_characters_are_printed_whole() {
+        let e = lex_error("val s = 1 é");
+        assert_eq!(e.message, "unexpected character 'é'");
+        assert_eq!(e.span, Span { line: 1, col: 11 });
+        assert_eq!(lex_error("x ~ `").message, "unexpected character '`'");
+    }
+
+    #[test]
+    fn bad_escapes_name_the_escape() {
+        assert_eq!(lex_error(r#""a\qb""#).message, "bad escape \\q");
+        assert_eq!(lex_error("\"a\\éb\"").message, "bad escape \\é");
+    }
+
+    #[test]
+    fn a_backslash_at_end_of_input_is_an_unterminated_string() {
+        let e = lex_error("val s = \"ab\\");
+        assert_eq!(e.message, "unterminated string literal");
+        assert_eq!(e.span, Span { line: 1, col: 9 });
     }
 
     #[test]

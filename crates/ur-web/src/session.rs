@@ -625,61 +625,61 @@ impl Session {
         self.chunk_cache.clear();
         self.by_name = snap.by_name;
     }
+}
 
-    /// A human-readable database summary: durability mode, open
-    /// transaction, table row counts, WAL length, and the durability
-    /// counters. Surfaced by the REPL's `:db` command and the serve
-    /// protocol's `db` request.
-    pub fn db_report(&self) -> String {
-        use fmt::Write as _;
-        let db = &self.world.db;
-        let mut out = String::new();
-        let mode = if db.is_durable() { "durable (WAL + snapshot)" } else { "in-memory" };
-        let _ = writeln!(out, "database: {mode}");
-        if db.in_txn() {
-            let _ = writeln!(out, "  txn: open");
+/// A human-readable database summary: durability mode, open
+/// transaction, table row counts, WAL length, and the durability
+/// counters. Surfaced by the REPL's `:db` command and the serve
+/// protocol's `db` request, which snapshot readers answer from a
+/// read-only handle without a session.
+pub fn db_report(db: &ur_db::Db) -> String {
+    use fmt::Write as _;
+    let mut out = String::new();
+    let mode = if db.is_durable() { "durable (WAL + snapshot)" } else { "in-memory" };
+    let _ = writeln!(out, "database: {mode}");
+    if db.in_txn() {
+        let _ = writeln!(out, "  txn: open");
+    }
+    let mut names = db.table_names();
+    names.sort();
+    let _ = writeln!(out, "  tables: {}", names.len());
+    for n in &names {
+        let rows = db.row_count(n).unwrap_or(0);
+        let idxs = db.indexes(n).unwrap_or_default();
+        if idxs.is_empty() {
+            let _ = writeln!(out, "    {n}: {rows} row(s)");
+        } else {
+            let cols: Vec<String> = idxs
+                .iter()
+                .map(|d| format!("{} ({})", d.name, d.column))
+                .collect();
+            let _ = writeln!(out, "    {n}: {rows} row(s), indexes: {}", cols.join(", "));
         }
-        let mut names = db.table_names();
-        names.sort();
-        let _ = writeln!(out, "  tables: {}", names.len());
-        for n in &names {
-            let rows = db.row_count(n).unwrap_or(0);
-            let idxs = db.indexes(n).unwrap_or_default();
-            if idxs.is_empty() {
-                let _ = writeln!(out, "    {n}: {rows} row(s)");
-            } else {
-                let cols: Vec<String> = idxs
-                    .iter()
-                    .map(|d| format!("{} ({})", d.name, d.column))
-                    .collect();
-                let _ = writeln!(out, "    {n}: {rows} row(s), indexes: {}", cols.join(", "));
-            }
+    }
+    let _ = writeln!(
+        out,
+        "  planner: {}",
+        if db.planner_enabled() { "on" } else { "off" }
+    );
+    if !db.plan_log().is_empty() {
+        let _ = writeln!(out, "  plans (most recent last):");
+        for p in db.plan_log() {
+            let _ = writeln!(out, "    {p}");
         }
+    }
+    if db.is_durable() {
         let _ = writeln!(
             out,
-            "  planner: {}",
-            if db.planner_enabled() { "on" } else { "off" }
+            "  wal: {} byte(s), generation {}",
+            db.wal_len(),
+            db.wal_generation()
         );
-        if !db.plan_log().is_empty() {
-            let _ = writeln!(out, "  plans (most recent last):");
-            for p in db.plan_log() {
-                let _ = writeln!(out, "    {p}");
-            }
+        if let Some(why) = db.poison_reason() {
+            let _ = writeln!(out, "  poisoned: {why}");
         }
-        if db.is_durable() {
-            let _ = writeln!(
-                out,
-                "  wal: {} byte(s), generation {}",
-                db.wal_len(),
-                db.wal_generation()
-            );
-            if let Some(why) = db.poison_reason() {
-                let _ = writeln!(out, "  poisoned: {why}");
-            }
-        }
-        let _ = writeln!(out, "  {}", db.stats());
-        out
     }
+    let _ = writeln!(out, "  {}", db.stats());
+    out
 }
 
 #[cfg(test)]
@@ -912,6 +912,18 @@ mod tests {
             for v in [sess.eval("s").unwrap(), sess.eval("\"hé😀\"").unwrap()] {
                 assert_eq!(&*v.as_str().unwrap(), "hé😀", "{engine:?}");
             }
+        }
+    }
+
+    /// Diagnostic columns count characters, so non-ASCII text earlier on
+    /// a line does not shift them.
+    #[test]
+    fn diagnostic_columns_count_characters() {
+        for s in ["aaaaa", "ééééé"] {
+            let mut sess = Session::new().unwrap();
+            let (_, diags) = sess.run_all(&format!("val s = \"{s}\" val t = nope"));
+            let d = diags[0].to_string();
+            assert!(d.contains("nope") && d.ends_with("(at 1:25)"), "{s}: {d}");
         }
     }
 
@@ -1184,7 +1196,7 @@ mod recovery_tests {
              val u = insert t {Name = const \"alice\"}",
         )
         .unwrap();
-        let report = sess.db_report();
+        let report = db_report(sess.db());
         assert!(report.contains("in-memory"), "{report}");
         assert!(report.contains("people: 1 row(s)"), "{report}");
     }
@@ -1208,7 +1220,7 @@ mod recovery_tests {
             )
             .unwrap();
             assert_eq!(sess.get_int("i").unwrap(), 1);
-            let report = sess.db_report();
+            let report = db_report(sess.db());
             assert!(report.contains("durable"), "{report}");
             assert!(report.contains("wal:"), "{report}");
         }

@@ -97,7 +97,7 @@ fn main() {
             continue;
         }
         if line == ":db" {
-            print!("{}", sess.db_report());
+            print!("{}", ur::web::db_report(sess.db()));
             continue;
         }
         if let Some(rest) = line.strip_prefix(":t ") {
