@@ -12,7 +12,7 @@
 //! ## Sharding and lock discipline
 //!
 //! The arena is split into [`NUM_SHARDS`] shards selected by the top bits
-//! of the shallow-key hash. Each shard holds a `RwLock`ed hash-cons map
+//! of the node hash. Each shard holds a `RwLock`ed hash-cons `Table`
 //! plus a set of append-only storage segments whose slots never move:
 //! segment capacities grow geometrically and segments are never freed, so
 //! a `&Slot` taken from a published index is valid for the life of the
@@ -23,25 +23,42 @@
 //! An id is `shard << SHARD_SHIFT | index`; deref loads the shard's
 //! `published` watermark with `Acquire` and indexes the segment directly,
 //! so the hot read path after a hit is lock-free. Publication order is:
-//! write the slot, `Release`-store the watermark, then insert into the
-//! map and return the id — any thread that can *name* an id observed it
-//! via a synchronizing edge (the map's lock, a channel send, a mutex),
-//! which carries the slot contents with it.
+//! write the slot, `Release`-store the watermark, then insert the index
+//! into the table and return the id — any thread that can *name* an id
+//! observed it via a synchronizing edge (the table's lock, a channel
+//! send, a mutex), which carries the slot contents with it.
+//!
+//! ## Hash-cons tables
+//!
+//! Each intern hashes its node once, with SipHash keyed by a
+//! `RandomState` every store draws once per process. The hash's top bits
+//! pick the shard; its low 32 bits pick the table position and are the
+//! only part kept. A shard's table is open-addressed with triangular
+//! probing, and its buckets hold no node: a bucket is one `u64`, those 32
+//! hash bits above the within-shard index + 1 (0 is empty). A probe
+//! derefs a slot only when the bucket's hash bits match, then compares
+//! the shallow key (`ArenaVal::key_eq`); a miss moves the node into its
+//! slot. Growth doubles the bucket array under the write lock and
+//! re-places every bucket from the hash bits it carries, reading no slot.
+//! The per-process key keeps inputs from choosing nodes that share one
+//! shard or one probe run; no hash is stable across processes, and
+//! nothing needs one to be.
 //!
 //! ## Growth bound
 //!
 //! Hash-consing bounds growth by the number of *distinct* shallow keys,
 //! and [`try_reset`] provides the generation story: a [`Session`]-scoped
 //! [`ArenaLease`] counts live users, and when the count is zero the arena
-//! may be drained in place (slots dropped, maps cleared, generation
-//! bumped; the string table survives because `IStr`s may outlive terms in
-//! diagnostics). See `tests/arena_growth.rs` for the 100-cycle bound.
+//! may be drained in place (slots dropped, table buckets zeroed,
+//! generation bumped; the string table survives because `IStr`s may
+//! outlive terms in diagnostics). See `tests/arena_growth.rs` for the
+//! 100-cycle bound.
 
 use crate::con::Con;
 use crate::expr::{Expr, Lit};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Deref;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -112,14 +129,12 @@ impl Flags {
 
 struct Slot<T> {
     val: T,
-    hash: u64,
     flags: u8,
 }
 
 struct Shard<T: 'static> {
-    /// Hash-cons map from shallow key to within-shard index. The key type
-    /// is a wrapper so `Expr` can hash float literals by bit pattern.
-    map: RwLock<HashMap<KeyWrap<T>, u32>>,
+    /// Hash-cons index over this shard's slots.
+    table: RwLock<Table>,
     /// Append-only storage segments; slot addresses are stable for the
     /// life of the process (segments are allocated once and reused across
     /// resets).
@@ -129,39 +144,115 @@ struct Shard<T: 'static> {
     published: AtomicU32,
 }
 
-/// Map key wrapper: hashes/compares via [`ArenaVal::key_hash`] /
-/// [`ArenaVal::key_eq`] so `Expr` float literals use bit equality (a NaN
-/// literal still hash-conses to a single node).
-struct KeyWrap<T> {
-    hash: u64,
-    val: T,
-}
-
-impl<T: ArenaVal> PartialEq for KeyWrap<T> {
-    fn eq(&self, other: &KeyWrap<T>) -> bool {
-        self.hash == other.hash && self.val.key_eq(&other.val)
+impl<T> Shard<T> {
+    /// The slot at within-shard index `idx`; `None` unless published.
+    #[inline]
+    fn slot(&self, idx: u32) -> Option<&'static Slot<T>> {
+        if idx >= self.published.load(Ordering::Acquire) {
+            return None;
+        }
+        let (seg, off) = locate(idx);
+        let base = self.segs[seg].load(Ordering::Acquire);
+        if base.is_null() {
+            return None;
+        }
+        // Safety: `idx < published` implies the slot was fully written
+        // before the Release store we just Acquire-loaded; slots are never
+        // moved or freed (reset drops in place only when no ids are live,
+        // and even then the memory remains allocated).
+        unsafe { Some(&*base.add(off)) }
     }
 }
-impl<T: ArenaVal> Eq for KeyWrap<T> {}
-impl<T: ArenaVal> Hash for KeyWrap<T> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+
+/// Buckets a shard table allocates for its first entry.
+const TABLE_MIN_BUCKETS: usize = 64;
+
+/// An open-addressed hash-cons index over a power-of-two bucket array,
+/// kept at most 7/8 full. Probes step 1, 2, 3, ... buckets (triangular
+/// numbers visit every bucket of a power-of-two table), which keeps
+/// probe runs short at that load. A bucket packs a node's 32-bit table
+/// hash (high half) above its within-shard index plus one (low half), so
+/// 0 marks an empty bucket. The table never holds a node: callers
+/// resolve an index to its slot to compare keys.
+#[derive(Default)]
+struct Table {
+    buckets: Vec<u64>,
+    len: usize,
+}
+
+impl Table {
+    /// The index stored under `hash` that `is_key` accepts. `is_key` is
+    /// asked only about indices whose bucket carries `hash`.
+    fn find(&self, hash: u32, mut is_key: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        let mut pos = hash as usize & mask;
+        for step in 1.. {
+            let b = self.buckets[pos];
+            if b == 0 {
+                break;
+            }
+            let idx = (b as u32).wrapping_sub(1);
+            if (b >> 32) as u32 == hash && is_key(idx) {
+                return Some(idx);
+            }
+            pos = (pos + step) & mask;
+        }
+        None
+    }
+
+    /// Adds `idx` under `hash`; the caller has checked that no stored
+    /// index is the same key. Doubling re-places every bucket from the
+    /// hash it carries.
+    fn insert(&mut self, hash: u32, idx: u32) {
+        if (self.len + 1) * 8 > self.buckets.len() * 7 {
+            let cap = (self.buckets.len() * 2).max(TABLE_MIN_BUCKETS);
+            let old = std::mem::replace(&mut self.buckets, vec![0; cap]);
+            for b in old.into_iter().filter(|&b| b != 0) {
+                self.place(b);
+            }
+        }
+        self.place((u64::from(hash) << 32) | (u64::from(idx) + 1));
+        self.len += 1;
+    }
+
+    fn place(&mut self, bucket: u64) {
+        let mask = self.buckets.len() - 1;
+        let mut pos = (bucket >> 32) as usize & mask;
+        let mut step = 0;
+        while self.buckets[pos] != 0 {
+            step += 1;
+            pos = (pos + step) & mask;
+        }
+        self.buckets[pos] = bucket;
+    }
+
+    /// Empties the table, keeping its bucket array.
+    fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.len = 0;
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.buckets.len() * std::mem::size_of::<u64>()) as u64
     }
 }
 
-/// Values storable in a sharded intern store. `key_hash`/`key_eq` define
+/// Values storable in a sharded intern store. `hash_key`/`key_eq` define
 /// the *shallow* structural key: children are already ids, so both are
 /// O(arity) and never walk the tree.
-pub(crate) trait ArenaVal: Clone + 'static {
-    fn key_hash(&self) -> u64;
+pub(crate) trait ArenaVal: 'static {
+    /// Feeds the shallow key to `h`; keys that are `key_eq` feed equal
+    /// input.
+    fn hash_key<H: Hasher>(&self, h: &mut H);
     fn key_eq(&self, other: &Self) -> bool;
 }
 
 impl ArenaVal for Con {
-    fn key_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
+    fn hash_key<H: Hasher>(&self, h: &mut H) {
+        self.hash(h);
     }
     fn key_eq(&self, other: &Con) -> bool {
         self == other
@@ -169,10 +260,8 @@ impl ArenaVal for Con {
 }
 
 impl ArenaVal for Expr {
-    fn key_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        hash_expr_shallow(self, &mut h);
-        h.finish()
+    fn hash_key<H: Hasher>(&self, h: &mut H) {
+        hash_expr_shallow(self, h);
     }
     fn key_eq(&self, other: &Expr) -> bool {
         match (self, other) {
@@ -270,6 +359,8 @@ fn locate(idx: u32) -> (usize, usize) {
 
 struct Store<T: ArenaVal> {
     shards: Vec<Shard<T>>,
+    /// Keys every node hash; drawn once, when the store is created.
+    keys: RandomState,
     hits: AtomicU64,
     misses: AtomicU64,
     contention: AtomicU64,
@@ -279,13 +370,14 @@ impl<T: ArenaVal> Store<T> {
     fn new() -> Store<T> {
         let shards = (0..NUM_SHARDS)
             .map(|_| Shard {
-                map: RwLock::new(HashMap::new()),
+                table: RwLock::new(Table::default()),
                 segs: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
                 published: AtomicU32::new(0),
             })
             .collect();
         Store {
             shards,
+            keys: RandomState::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             contention: AtomicU64::new(0),
@@ -300,32 +392,36 @@ impl<T: ArenaVal> Store<T> {
     /// Interns `val` (with caller-computed `flags`), returning its global
     /// id. Read-locks on the hit path; write-locks only on a miss.
     fn intern(&self, val: T, flags: u8) -> u32 {
-        let hash = val.key_hash();
-        let si = Store::<T>::shard_of(hash);
+        let mut h = self.keys.build_hasher();
+        val.hash_key(&mut h);
+        let full = h.finish();
+        let si = Store::<T>::shard_of(full);
         let shard = &self.shards[si];
-        let probe = KeyWrap { hash, val };
+        // The shard came from the top bits; the table keeps the low 32.
+        let hash = full as u32;
+        let is_val = |idx: u32| shard.slot(idx).is_some_and(|s| s.val.key_eq(&val));
         {
-            let map = match shard.map.try_read() {
+            let table = match shard.table.try_read() {
                 Ok(g) => g,
                 Err(std::sync::TryLockError::WouldBlock) => {
                     self.contention.fetch_add(1, Ordering::Relaxed);
-                    match shard.map.read() {
+                    match shard.table.read() {
                         Ok(g) => g,
                         Err(poisoned) => poisoned.into_inner(),
                     }
                 }
                 Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
             };
-            if let Some(&idx) = map.get(&probe) {
+            if let Some(idx) = table.find(hash, is_val) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return compose(si, idx);
             }
         }
-        let mut map = match shard.map.try_write() {
+        let mut table = match shard.table.try_write() {
             Ok(g) => g,
             Err(std::sync::TryLockError::WouldBlock) => {
                 self.contention.fetch_add(1, Ordering::Relaxed);
-                match shard.map.write() {
+                match shard.table.write() {
                     Ok(g) => g,
                     Err(poisoned) => poisoned.into_inner(),
                 }
@@ -334,7 +430,7 @@ impl<T: ArenaVal> Store<T> {
         };
         // Re-check: another thread may have interned between our read
         // unlock and write lock.
-        if let Some(&idx) = map.get(&probe) {
+        if let Some(idx) = table.find(hash, is_val) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return compose(si, idx);
         }
@@ -352,11 +448,7 @@ impl<T: ArenaVal> Store<T> {
             std::mem::forget(v);
             shard.segs[seg].store(base, Ordering::Release);
         }
-        let slot = Slot {
-            val: probe.val.clone(),
-            hash,
-            flags,
-        };
+        let slot = Slot { val, flags };
         // Safety: `off` is within the segment's reserved capacity; the
         // slot is uninitialized (indices are handed out exactly once per
         // generation, and reset drops all initialized slots first).
@@ -364,29 +456,15 @@ impl<T: ArenaVal> Store<T> {
             ptr::write(base.add(off), slot);
         }
         shard.published.store(idx + 1, Ordering::Release);
-        map.insert(probe, idx);
+        table.insert(hash, idx);
         compose(si, idx)
     }
 
     /// Resolves a global id to its slot; `None` for forged/stale ids.
     #[inline]
     fn slot(&self, id: u32) -> Option<&'static Slot<T>> {
-        let si = (id >> SHARD_SHIFT) as usize;
-        let idx = id & INDEX_MASK;
-        let shard = self.shards.get(si)?;
-        if idx >= shard.published.load(Ordering::Acquire) {
-            return None;
-        }
-        let (seg, off) = locate(idx);
-        let base = shard.segs[seg].load(Ordering::Acquire);
-        if base.is_null() {
-            return None;
-        }
-        // Safety: `idx < published` implies the slot was fully written
-        // before the Release store we just Acquire-loaded; slots are never
-        // moved or freed (reset drops in place only when no ids are live,
-        // and even then the memory remains allocated).
-        unsafe { Some(&*base.add(off)) }
+        let shard = self.shards.get((id >> SHARD_SHIFT) as usize)?;
+        shard.slot(id & INDEX_MASK)
     }
 
     fn nodes(&self) -> u64 {
@@ -403,18 +481,26 @@ impl<T: ArenaVal> Store<T> {
             .collect()
     }
 
-    /// Approximate resident bytes: slot storage plus one key copy per map
-    /// entry (the hash-cons map owns a shallow clone of each node).
+    /// Bytes the store holds: the slots of published nodes plus every
+    /// shard table's bucket array.
     fn bytes(&self) -> u64 {
-        let per_node = std::mem::size_of::<Slot<T>>() + std::mem::size_of::<KeyWrap<T>>() + 16;
-        self.nodes() * per_node as u64
+        let slots = self.nodes() * std::mem::size_of::<Slot<T>>() as u64;
+        let tables: u64 = self
+            .shards
+            .iter()
+            .map(|s| match s.table.read() {
+                Ok(t) => t.bytes(),
+                Err(poisoned) => poisoned.into_inner().bytes(),
+            })
+            .sum();
+        slots + tables
     }
 
-    /// Drops all slots in place and clears the maps. Caller must hold the
-    /// arena-wide quiescence guarantee (no live ids).
+    /// Drops all slots in place and zeroes the tables. Caller must hold
+    /// the arena-wide quiescence guarantee (no live ids).
     fn drain(&self) {
         for shard in &self.shards {
-            let mut map = match shard.map.write() {
+            let mut table = match shard.table.write() {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
@@ -433,7 +519,7 @@ impl<T: ArenaVal> Store<T> {
                     }
                 }
             }
-            map.clear();
+            table.clear();
         }
     }
 }
@@ -629,15 +715,6 @@ impl ConId {
             None => Flags::default(),
         }
     }
-
-    /// The stable structural hash computed once at intern time.
-    #[inline]
-    pub fn node_hash(self) -> u64 {
-        match arena().cons.slot(self.0) {
-            Some(slot) => slot.hash,
-            None => 0,
-        }
-    }
 }
 
 impl Deref for ConId {
@@ -664,15 +741,6 @@ impl ExprId {
                     std::hint::spin_loop();
                 },
             }
-        }
-    }
-
-    /// The stable structural hash computed once at intern time.
-    #[inline]
-    pub fn node_hash(self) -> u64 {
-        match arena().exprs.slot(self.0) {
-            Some(slot) => slot.hash,
-            None => 0,
         }
     }
 }
@@ -847,7 +915,9 @@ pub struct ArenaStats {
     pub expr_nodes: u64,
     /// Interned strings (labels, symbol names, string literals).
     pub strings: u64,
-    /// Approximate resident bytes across all three stores.
+    /// Bytes the three stores hold: for terms, the slots of published
+    /// nodes plus every shard table's bucket array; for strings, their
+    /// lengths plus a 24-byte entry each.
     pub bytes: u64,
     /// Constructor nodes per shard (length [`NUM_SHARDS`]).
     pub con_per_shard: Vec<u64>,
@@ -954,7 +1024,6 @@ mod tests {
         let a = Con::arrow(Con::int(), Con::string());
         let b = Con::arrow(Con::string(), Con::int());
         assert_ne!(a, b);
-        assert_ne!(a.node_hash(), b.node_hash());
     }
 
     #[test]
@@ -1009,6 +1078,108 @@ mod tests {
         assert!(after.bytes > 0);
         assert_eq!(after.con_per_shard.len(), NUM_SHARDS);
         assert_eq!(after.con_per_shard.iter().sum::<u64>(), after.con_nodes);
+    }
+
+    /// Buckets a table holds for `nodes` entries: it starts at
+    /// [`TABLE_MIN_BUCKETS`] and doubles past 7/8 full.
+    fn buckets_for(nodes: u64) -> u64 {
+        if nodes == 0 {
+            return 0;
+        }
+        let mut cap = TABLE_MIN_BUCKETS as u64;
+        while nodes * 8 > cap * 7 {
+            cap *= 2;
+        }
+        cap
+    }
+
+    #[test]
+    fn colliding_hashes_stay_distinct_and_findable() {
+        // Keys whose synthetic hashes share one bucket position and one
+        // full hash, next to keys that share only the position.
+        let keys: Vec<String> = (0..300).map(|i| format!("k{i}")).collect();
+        let hash = |k: &str| {
+            let n: u32 = k[1..].parse().unwrap();
+            if n.is_multiple_of(3) {
+                0xABC0_0005
+            } else {
+                (n << 20) | 5
+            }
+        };
+        let mut table = Table::default();
+        for (i, k) in keys.iter().enumerate() {
+            let h = hash(k);
+            assert_eq!(table.find(h, |j| keys[j as usize] == *k), None);
+            table.insert(h, i as u32);
+        }
+        assert_eq!(table.len, keys.len());
+        assert_eq!(table.buckets.len(), buckets_for(keys.len() as u64) as usize);
+        for (i, k) in keys.iter().enumerate() {
+            let found = table.find(hash(k), |j| {
+                // Only indices whose bucket carries the same hash.
+                assert_eq!(hash(&keys[j as usize]), hash(k));
+                keys[j as usize] == *k
+            });
+            assert_eq!(found, Some(i as u32), "{k}");
+        }
+        assert_eq!(table.find(hash("k3"), |_| false), None);
+    }
+
+    #[test]
+    fn growing_a_shard_keeps_every_id() {
+        let store: Store<Con> = Store::new();
+        let meta = |i: u32| Con::Meta(MetaId(i));
+        let first = store.intern(meta(0), 0);
+        let shard = &store.shards[(first >> SHARD_SHIFT) as usize];
+        let buckets = || shard.table.read().unwrap().buckets.len();
+        assert_eq!(buckets(), TABLE_MIN_BUCKETS);
+        let mut ids = vec![first];
+        // Three doublings of the first node's shard table.
+        while buckets() < TABLE_MIN_BUCKETS * 8 {
+            ids.push(store.intern(meta(ids.len() as u32), 0));
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(store.intern(meta(i as u32), 0), id);
+            assert_eq!(store.slot(id).unwrap().val, meta(i as u32));
+        }
+    }
+
+    #[test]
+    fn drain_then_reintern_derefs_correctly() {
+        let store: Store<Con> = Store::new();
+        let vals: Vec<Con> = (0..500).map(|i| Con::Meta(MetaId(i))).collect();
+        let ids: Vec<u32> = vals.iter().map(|v| store.intern(v.clone(), 0)).collect();
+        store.drain();
+        assert_eq!(store.nodes(), 0);
+        assert!(store.slot(ids[0]).is_none(), "drained ids are stale");
+        for shard in &store.shards {
+            let table = shard.table.read().unwrap();
+            assert_eq!(table.len, 0);
+            assert!(table.buckets.iter().all(|&b| b == 0));
+        }
+        // Re-intern in reverse so indices land on different slots.
+        for v in vals.iter().rev() {
+            let id = store.intern(v.clone(), 0);
+            assert_eq!(&store.slot(id).unwrap().val, v);
+            assert_eq!(store.intern(v.clone(), 0), id);
+        }
+        assert_eq!(store.nodes(), vals.len() as u64);
+    }
+
+    #[test]
+    fn bytes_count_slots_and_buckets() {
+        let store: Store<Con> = Store::new();
+        const N: u32 = 1000;
+        for i in 0..N {
+            store.intern(Con::Meta(MetaId(i)), 0);
+        }
+        let tables: u64 = store
+            .per_shard()
+            .into_iter()
+            .map(|n| buckets_for(n) * 8)
+            .sum();
+        let slots = u64::from(N) * std::mem::size_of::<Slot<Con>>() as u64;
+        assert_eq!(store.bytes(), slots + tables);
     }
 
     #[test]

@@ -151,7 +151,8 @@ telemetry! {
         intern_hits: counter " hits={}",
         /// Arena intern requests that allocated a new node.
         intern_misses: counter " misses={}]",
-        /// Approximate resident bytes of the arena (terms + strings).
+        /// Bytes the arena holds: slots of published terms, hash-cons
+        /// table buckets, and strings (see [`crate::arena::ArenaStats::bytes`]).
         arena_bytes: gauge " arena[bytes={}",
         /// Constructor nodes in the most loaded arena shard.
         arena_shard_max: gauge " shard_max={}",

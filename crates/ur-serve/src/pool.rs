@@ -14,8 +14,9 @@
 //! under racing reporters), bumps the slot's generation, and spawns a
 //! fresh worker. Session state is rebuilt deterministically from the
 //! *last acknowledged script* — [`Session::reelaborate`] makes session
-//! state a function of (pristine base, last source), so replaying the
-//! script into a fresh session reproduces exactly what was acked.
+//! state a function of (pristine base, last source, its fuel ceiling),
+//! so replaying the script under the ceiling it was acknowledged under
+//! reproduces exactly what was acked.
 //!
 //! ## Durable grafting (shared `--db-dir` mode)
 //!
@@ -52,6 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ur_core::failpoint::{self, FpCounters, Site};
+use ur_core::limits::Limits;
 use ur_db::{Db, DbSnapshot, RetryConfig};
 use ur_query::json::parse_flat_object;
 use ur_web::Session;
@@ -73,9 +75,9 @@ const GLOBAL_KEY: u64 = u64::MAX;
 /// The answers change only when a load or edit is acknowledged. The
 /// first writer publishes them once it has opened the store; the hub
 /// outlives worker restarts, so a restarted writer, whose replay runs
-/// without the acknowledged load's deadline ceiling, keeps the answers
-/// it finds. Readers wait for the first publication
-/// ([`SnapshotHub::answers_by`]).
+/// under the acknowledged load's fuel ceiling and so rebuilds the same
+/// program, keeps the answers it finds. Readers wait for the first
+/// publication ([`SnapshotHub::answers_by`]).
 pub struct SnapshotHub {
     snap: Mutex<Option<Arc<DbSnapshot>>>,
     seq: AtomicU64,
@@ -160,11 +162,10 @@ pub struct PoolShared {
     /// Fault-injection counters shipped home by worker threads (their
     /// thread-local counters die with them otherwise).
     pub faults: Mutex<FpCounters>,
-    /// Last *acknowledged* load/edit source per session key, with the
-    /// diagnostics its rebuild reported. Entries are written only after
-    /// the rebuild's effects are fully applied (and, in durable mode,
-    /// adopted on disk) — the restore invariant.
-    pub scripts: Mutex<HashMap<u64, (String, ur_syntax::Diagnostics)>>,
+    /// Last *acknowledged* load/edit per session key. Entries are written
+    /// only after the rebuild's effects are fully applied (and, in
+    /// durable mode, adopted on disk) — the restore invariant.
+    pub scripts: Mutex<HashMap<u64, AckedScript>>,
     /// Set during graceful drain: workers count completions as drained.
     pub draining: AtomicBool,
     /// Current generation per worker slot; a worker that discovers its
@@ -173,6 +174,18 @@ pub struct PoolShared {
     /// Durable mode's writer→readers snapshot handoff (unused, but
     /// present, in memory-only mode).
     pub hub: SnapshotHub,
+}
+
+/// A session's last acknowledged load/edit, as [`build_session`]
+/// replays it.
+#[derive(Clone)]
+pub struct AckedScript {
+    /// The source its rebuild elaborated.
+    pub source: String,
+    /// The diagnostics its rebuild reported.
+    pub diags: ur_syntax::Diagnostics,
+    /// The fuel ceiling its rebuild ran under (`None` when unbudgeted).
+    pub limits: Option<Limits>,
 }
 
 struct WorkerSlot {
@@ -548,7 +561,14 @@ fn serve_one(
                 // Effects are fully applied (and durable, when shared):
                 // only now may the script become the restore point, and
                 // only now may snapshot readers answer from it.
-                lock(&shared.scripts).insert(key, (src, slot.ctx.last_diags.clone()));
+                lock(&shared.scripts).insert(
+                    key,
+                    AckedScript {
+                        source: src,
+                        diags: slot.ctx.last_diags.clone(),
+                        limits: slot.ctx.last_limits,
+                    },
+                );
                 if durable.is_some() {
                     shared
                         .hub
@@ -587,10 +607,13 @@ fn serve_read(
 }
 
 /// Builds a session for `key`: pin a pristine in-memory base, replay the
-/// last acknowledged script (elaborator state) and take over the
-/// diagnostics it was acknowledged with, then install the durable handle
-/// *without* re-adopting — the script's effects are already on disk by
-/// the scripts-map invariant.
+/// last acknowledged script (elaborator state) under the fuel ceiling it
+/// was acknowledged under and take over the diagnostics it was
+/// acknowledged with, then install the durable handle *without*
+/// re-adopting — the script's effects are already on disk by the
+/// scripts-map invariant. Fuel resets per declaration and the limits are
+/// part of the engine's environment fingerprint, so the replay binds
+/// exactly what the acknowledged rebuild bound.
 fn build_session(
     shared: &Arc<PoolShared>,
     durable: Option<&Db>,
@@ -606,10 +629,14 @@ fn build_session(
     let _ = sess.reelaborate("");
     let mut ctx = ReqCtx::new(Some(Arc::clone(&shared.counters)));
     let script = lock(&shared.scripts).get(&key).cloned();
-    if let Some((src, diags)) = script {
-        let _ = sess.reelaborate(&src);
+    if let Some(acked) = script {
+        let _ = match acked.limits {
+            Some(l) => sess.reelaborate_limited(&acked.source, l),
+            None => sess.reelaborate(&acked.source),
+        };
         // `diagnostics` answers what the acknowledged rebuild reported.
-        ctx.last_diags = diags;
+        ctx.last_diags = acked.diags;
+        ctx.last_limits = acked.limits;
     }
     if let Some(d) = durable {
         *sess.db() = d.clone();
@@ -688,6 +715,50 @@ mod tests {
         hub.publish_answers(Answers::of(&Session::new().unwrap(), Vec::new()));
         assert!(waiter.join().unwrap(), "publishing wakes a waiting reader");
         assert!(hub.has_answers());
+    }
+
+    #[test]
+    fn a_restored_session_replays_under_the_acknowledged_fuel_ceiling() {
+        let fields = |prefix: &str| {
+            (0..150)
+                .map(|i| format!("{prefix}{i} = {i}"))
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let src = format!("val wide = {{{}}} ++ {{{}}}", fields("A"), fields("B"));
+        let load = format!(
+            "{{\"cmd\":\"load\",\"source\":\"{}\"}}",
+            ur_query::json::escape(&src)
+        );
+        let mut sess = Session::new().expect("session");
+        let mut ctx = ReqCtx::new(None);
+        let (resp, _) = protocol::handle_line(&mut sess, &mut ctx, &load, Some(1));
+        assert!(resp.contains("E0900"), "{resp}");
+        assert_eq!(ctx.last_limits, Some(Limits::for_deadline_ms(1)));
+
+        let shared = Arc::new(PoolShared {
+            cfg: ServeConfig::default(),
+            counters: Arc::new(ServeCounters::new()),
+            faults: Mutex::new(FpCounters::default()),
+            scripts: Mutex::new(HashMap::new()),
+            draining: AtomicBool::new(false),
+            gens: Vec::new(),
+            hub: SnapshotHub::new(),
+        });
+        let acked = AckedScript {
+            source: src,
+            diags: ctx.last_diags.clone(),
+            limits: ctx.last_limits,
+        };
+        lock(&shared.scripts).insert(7, acked);
+        let mut slot = build_session(&shared, None, 7).expect("restored session");
+        let ask = |slot: &mut Slot, line: &str| {
+            protocol::handle_line(&mut slot.sess, &mut slot.ctx, line, None).0
+        };
+        let ty = ask(&mut slot, "{\"cmd\":\"type\",\"name\":\"wide\"}");
+        assert!(ty.contains("no value named wide"), "{ty}");
+        let diags = ask(&mut slot, "{\"cmd\":\"diagnostics\"}");
+        assert!(diags.contains("E0900"), "{diags}");
     }
 
     #[test]

@@ -59,6 +59,9 @@ pub struct ReqCtx {
     /// Diagnostics from the most recent load/edit (the `diagnostics`
     /// command replays them).
     pub last_diags: ur_syntax::Diagnostics,
+    /// The fuel ceiling the most recent load/edit ran under (`None` when
+    /// it had no budget), so a replay of it can run under the same one.
+    pub last_limits: Option<Limits>,
     /// Serve gauges folded into `stats` responses, when serving.
     pub counters: Option<Arc<ServeCounters>>,
 }
@@ -67,6 +70,7 @@ impl ReqCtx {
     pub fn new(counters: Option<Arc<ServeCounters>>) -> ReqCtx {
         ReqCtx {
             last_diags: Vec::new(),
+            last_limits: None,
             counters,
         }
     }
@@ -274,8 +278,9 @@ pub fn handle_line(
             let Some(src) = req.get("source") else {
                 return err("load/edit needs a \"source\" field");
             };
-            let (_defs, diags) = match budget_ms {
-                Some(ms) => sess.reelaborate_limited(src, Limits::for_deadline_ms(ms)),
+            let limits = budget_ms.map(Limits::for_deadline_ms);
+            let (_defs, diags) = match limits {
+                Some(l) => sess.reelaborate_limited(src, l),
                 None => sess.reelaborate(src),
             };
             let r = sess.last_incr_report().cloned().unwrap_or_default();
@@ -289,6 +294,7 @@ pub fn handle_line(
                 diags_to_json(&diags)
             );
             ctx.last_diags = diags;
+            ctx.last_limits = limits;
             (resp, Control::Continue)
         }
         Some("type") => (

@@ -18,6 +18,7 @@
 //! Randomness comes from the deterministic [`ur_testutil::Rng`]; every
 //! test fixes its seed, so failures reproduce exactly.
 
+use ur::core::arena;
 use ur::core::con::{Con, RCon};
 use ur::core::defeq::defeq;
 use ur::core::disjoint::prove;
@@ -172,14 +173,18 @@ fn generated_closed_terms_are_flagged_closed() {
 /// 8-thread intern hammer: every thread races to build the *same*
 /// deterministic term sequence, and the sharded arena must hand all of
 /// them identical ids (same shallow key ⇒ same id), keep distinct terms
-/// on distinct ids, and leave every id dereferenceable afterwards.
+/// on distinct ids, and leave every id dereferenceable afterwards. The
+/// sequence is large enough that every shard's hash-cons table grows
+/// while the threads race.
 #[test]
 fn hammer_concurrent_interning_agrees_across_threads() {
     use std::sync::{Arc, Barrier};
 
     const THREADS: usize = 8;
-    const ROUNDS: u64 = 256;
+    const ROUNDS: u64 = 16384;
+    const DEPTH: u32 = 8;
 
+    let before = arena::stats().con_per_shard;
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -189,7 +194,7 @@ fn hammer_concurrent_interning_agrees_across_threads() {
                 (0..ROUNDS)
                     .map(|seed| {
                         let mut rng = Rng::new(0x4A44_0000 + seed);
-                        gen_closed(&mut rng, 4)
+                        gen_closed(&mut rng, DEPTH)
                     })
                     .collect::<Vec<_>>()
             })
@@ -199,6 +204,18 @@ fn hammer_concurrent_interning_agrees_across_threads() {
         .into_iter()
         .map(|h| h.join().expect("hammer thread must not panic"))
         .collect();
+    let after = arena::stats().con_per_shard;
+
+    // A shard table starts at 64 buckets and doubles whenever its nodes
+    // would fill more than 7/8 of them, so the thresholds are 56, 112,
+    // 224, ...: a shard whose node count more than doubled during the
+    // race, and ended past 56, grew its table while the threads raced.
+    for (s, (b, a)) in before.iter().zip(&after).enumerate() {
+        assert!(
+            *a > 2 * b && *a > 56,
+            "shard {s} went from {b} to {a} nodes: its table may not have grown"
+        );
+    }
 
     // Same shallow key ⇒ same id, regardless of which thread interned it
     // first: all threads observed the identical id sequence.
@@ -210,7 +227,7 @@ fn hammer_concurrent_interning_agrees_across_threads() {
     let mut seen: std::collections::HashMap<RCon, String> = std::collections::HashMap::new();
     for (seed, id) in per_thread[0].iter().enumerate() {
         let mut rng = Rng::new(0x4A44_0000 + seed as u64);
-        let printed = gen_closed(&mut rng, 4).to_string();
+        let printed = gen_closed(&mut rng, DEPTH).to_string();
         if let Some(prev) = seen.insert(*id, printed.clone()) {
             assert_eq!(prev, printed, "id {id:?} maps to two distinct terms");
         }
@@ -220,7 +237,7 @@ fn hammer_concurrent_interning_agrees_across_threads() {
     // threaded, warm table) reproduces every id.
     for (seed, id) in per_thread[0].iter().enumerate() {
         let mut rng = Rng::new(0x4A44_0000 + seed as u64);
-        assert_eq!(gen_closed(&mut rng, 4), *id);
+        assert_eq!(gen_closed(&mut rng, DEPTH), *id);
     }
 }
 
