@@ -1,18 +1,15 @@
-//! Chaos differential benchmark: the combined Figure-5 batch and an
-//! adversarial mixed-error batch, rebuilt through the incremental
-//! engine under seeded disk-cache fault schedules (`ur_core::failpoint`,
-//! `cache_havoc`), compared declaration-by-declaration against a clean
-//! baseline. Dedicated schedules additionally storm the durability
-//! layer (`wal_havoc`) and the supervised TCP serving layer
-//! (`serve_havoc`), where the invariant is answer-correctness rather
-//! than decl equality: degradation may shed, tear, or expire requests,
-//! but a delivered OK answer must match the oracle.
+//! Chaos differential benchmark: seeded fault schedules
+//! (`ur_core::failpoint`) storm the durability layer (`wal_havoc`) and
+//! the supervised TCP serving layer (`serve_havoc`). The invariant is
+//! answer-correctness: degradation may shed, tear, or expire requests,
+//! but a delivered OK answer must match the oracle, and a failed commit
+//! must leave no trace.
 //!
 //! Two hard gates, written to `BENCH_chaos.json`:
 //!
-//! * **zero divergence** — elaborated declarations (up to fresh symbol
-//!   ids) and diagnostics under every fault schedule must equal the
-//!   clean run's. Faults may cost recomputation; they must never
+//! * **zero divergence** — live and recovered store state must equal
+//!   the in-memory oracle's, and every delivered OK answer must be
+//!   right. Faults may cost retries or reported errors; they must never
 //!   change results.
 //! * **full site coverage** — every named fault site must actually fire
 //!   at least once across the bench, so none of the recovery paths is
@@ -26,24 +23,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use ur_core::failpoint::{self, draw, FpConfig, FpCounters, Site};
-use ur_studies::{studies, study, Study};
-use ur_web::Session;
 
 const MATRIX_SEEDS: &[u64] = &[0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
-/// Independent wide `mkTable` clients appended to the Figure-5 batch
-/// (few and narrow: chaos runs the batch many times).
-const CLIENT_FAN: usize = 4;
-const CLIENT_WIDTH: usize = 8;
-
-/// Disk-cache havoc for the incremental engine: stores corrupt their
-/// integrity tag, loads return unreadable bytes. Every damaged entry
-/// must degrade to a recompute, never to a wrong answer.
-fn cache_havoc(seed: u64) -> FpConfig {
-    FpConfig::new(seed)
-        .with_max_per_site(2)
-        .with_rate(Site::CacheLoad, 500)
-        .with_rate(Site::CacheStore, 500)
-}
 
 /// Serve-layer havoc: dropped accepts, torn reads, lost writes, and
 /// wedged workers at the TCP front door. Supervision may cost restarts,
@@ -97,17 +78,10 @@ fn run_serve_havoc(cfg: FpConfig) -> (f64, FpCounters, bool) {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use ur_serve::{ServeConfig, Server};
-    let cache = std::env::temp_dir().join(format!(
-        "ur-chaos-serve-{}-{}",
-        cfg.seed,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&cache);
     let server = Server::start(ServeConfig {
         workers: 2,
         deadline_ms: 250,
         watchdog_ms: 50,
-        cache_dir: Some(cache.clone()),
         fp: Some(cfg),
         ..ServeConfig::default()
     })
@@ -176,7 +150,6 @@ fn run_serve_havoc(cfg: FpConfig) -> (f64, FpCounters, bool) {
     let ms = start.elapsed().as_secs_f64() * 1000.0;
     server.start_drain();
     let summary = server.wait();
-    let _ = std::fs::remove_dir_all(&cache);
     (ms, summary.faults, diverged)
 }
 
@@ -284,136 +257,6 @@ fn run_wal_havoc(cfg: FpConfig) -> (f64, FpCounters, bool) {
     (ms, injected, live_diverged || recovered_diverged)
 }
 
-/// Combined batch: every study's transitive dependencies (depth-first,
-/// deduplicated), implementation, and usage demo, then the client fan.
-fn combined_source() -> String {
-    fn push_impl(parts: &mut Vec<&'static str>, s: &Study) {
-        for dep in s.deps {
-            push_impl(parts, &study(dep));
-        }
-        let src = s.implementation();
-        if !parts.contains(&src) {
-            parts.push(src);
-        }
-    }
-    let mut parts: Vec<&'static str> = Vec::new();
-    let mut usages: Vec<&'static str> = Vec::new();
-    for s in studies() {
-        push_impl(&mut parts, &s);
-        usages.push(s.usage);
-    }
-    parts.extend(usages);
-    let mut src = parts.join("\n");
-    for c in 0..CLIENT_FAN {
-        let mut meta = String::new();
-        let mut row = String::new();
-        for i in 0..CLIENT_WIDTH {
-            if i > 0 {
-                meta.push_str(", ");
-                row.push_str(", ");
-            }
-            let _ = write!(meta, "F{c}x{i} = {{Label = \"f{i}\", Show = showInt}}");
-            let _ = write!(row, "F{c}x{i} = {i}");
-        }
-        let _ = write!(
-            src,
-            "\nval client{c} = mkTable {{{meta}}}\nval render{c} = client{c} {{{row}}}"
-        );
-    }
-    src
-}
-
-/// Mixed-error batch: the multi-error contract (every bad declaration
-/// diagnosed, every good one elaborated) must hold identically under
-/// faults.
-fn adversarial_source() -> String {
-    "val ok1 = 1 + 2\n\
-     val bad_type : int = \"nope\"\n\
-     val bad_unbound = missing\n\
-     fun ok2 (x : int) = x * 2\n\
-     val bad_overlap = {A = 1} ++ {A = 2}\n\
-     val ok3 = ok2 ok1\n\
-     fun proj [nm :: Name] [t :: Type] [r :: {Type}] [[nm] ~ r] \
-        (x : $([nm = t] ++ r)) = x.nm\n\
-     val ok4 = proj [#A] {A = 40, B = \"b\"} + 2\n\
-     val ok5 = ok3 + ok4"
-        .to_string()
-}
-
-/// Erases gensym counters (`foo#123` -> `foo#`) so runs drawing
-/// different fresh-symbol numbers compare structurally.
-fn strip_sym_ids(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        out.push(c);
-        if c == '#' {
-            while chars.peek().is_some_and(|d| d.is_ascii_digit()) {
-                chars.next();
-            }
-        }
-    }
-    out
-}
-
-/// One build's declarations and diagnostics, printed without symbol ids.
-type Observed = (Vec<String>, Vec<String>);
-
-/// Elaborates `src` once, cleanly, in a fresh session: the baseline
-/// every chaos build must reproduce.
-fn baseline(src: &str) -> Observed {
-    let mut sess = Session::new().expect("session");
-    let (decls, diags) = sess.elab.elab_source_all(src);
-    observe(&decls, &diags)
-}
-
-/// Renders a build's declarations (without symbol ids) and diagnostics
-/// as comparable strings.
-fn observe(decls: &[ur_infer::ElabDecl], diags: &[ur_syntax::Diagnostic]) -> Observed {
-    let decl_fps = decls
-        .iter()
-        .map(|d| strip_sym_ids(&format!("{d:?}")))
-        .collect();
-    let diag_fps = diags.iter().map(|d| d.to_string()).collect();
-    (decl_fps, diag_fps)
-}
-
-/// One chaos pass through the incremental engine: a cold build, then
-/// three rebuilds, each by a fresh engine over the same directory, all
-/// under a faulty store and load layer. A rebuild writes at most one
-/// pack and reads each pack once, so it consults each cache site once;
-/// the three fresh-engine rebuilds give both sites draws enough to
-/// fire. Corrupted packs are rejected and recomputed; every build's
-/// declarations and diagnostics must still match the clean baseline.
-/// Returns each build's observations.
-fn run_once_cache(src: &str, cfg: FpConfig) -> (f64, Vec<Observed>, FpCounters) {
-    use ur_query::{Engine, EngineConfig};
-    let dir = std::env::temp_dir().join(format!("ur-chaos-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut sess = Session::new().expect("session");
-    let base = sess.elab.snapshot();
-    let base_tag = ur_core::fingerprint::hash_str(ur_web::PRELUDE);
-    let _ = failpoint::take_counters();
-    failpoint::install(Some(cfg));
-    let start = Instant::now();
-    let builds: Vec<_> = (0..4)
-        .map(|_| {
-            sess.elab.restore(base.clone());
-            let mut engine = Engine::new(EngineConfig {
-                cache_dir: Some(dir.clone()),
-                base_tag,
-            });
-            let (decls, diags, _report) = engine.run(&mut sess.elab, src, 1);
-            observe(&decls, &diags)
-        })
-        .collect();
-    let ms = start.elapsed().as_secs_f64() * 1000.0;
-    failpoint::install(None);
-    let injected = failpoint::take_counters();
-    let _ = std::fs::remove_dir_all(&dir);
-    (ms, builds, injected)
-}
-
 struct RunRecord {
     corpus: &'static str,
     schedule: &'static str,
@@ -424,45 +267,11 @@ struct RunRecord {
 }
 
 fn main() {
-    let fig5 = combined_source();
-    let adv = adversarial_source();
-    let corpora: [(&'static str, &str); 2] = [("figure5", &fig5), ("adversarial", &adv)];
-
     println!("Chaos differential benchmark — seeded fault schedules vs clean runs");
-    println!();
-
-    let mut baselines: Vec<Observed> = Vec::new();
-    for (name, src) in &corpora {
-        let (decls, diags) = baseline(src);
-        println!(
-            "baseline [{name}]: {} decls, {} diagnostics (clean)",
-            decls.len(),
-            diags.len()
-        );
-        baselines.push((decls, diags));
-    }
     println!();
 
     let mut rows: Vec<RunRecord> = Vec::new();
     let mut totals = FpCounters::default();
-    // Incremental-engine cache corruption, against both corpora.
-    for corpus_ix in 0..corpora.len() {
-        let cfg = cache_havoc(0xCAC4E + corpus_ix as u64);
-        let (name, src) = corpora[corpus_ix];
-        let (base_decls, base_diags) = &baselines[corpus_ix];
-        let (ms, builds, injected) = run_once_cache(src, cfg);
-        totals.absorb(&injected);
-        rows.push(RunRecord {
-            corpus: name,
-            schedule: "cache_havoc",
-            seed: cfg.seed,
-            ms,
-            injected: injected.total_injected(),
-            diverged: builds
-                .iter()
-                .any(|(decls, diags)| decls != base_decls || diags != base_diags),
-        });
-    }
     // Durability-layer havoc against the WAL + snapshot store: failed
     // commits must vanish without trace, live and recovered state both
     // tracking the in-memory oracle.

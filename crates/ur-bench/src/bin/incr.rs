@@ -2,24 +2,26 @@
 //! a fan of independent knob declarations, pushed through the
 //! red-green engine (`ur_query::Engine`) under four scenarios:
 //!
-//! * **cold** — empty cache, every declaration recomputes;
+//! * **cold** — nothing cached, every declaration recomputes (each
+//!   rep runs under a `base_tag` of its own, so no rep finds another's
+//!   outcomes in the process-wide layer);
 //! * **noop** — identical source again; everything must come back
 //!   green, and the rebuild must be at least 5x faster than cold;
 //! * **one_edit** — a single knob changes; only its dependent cone
 //!   re-runs;
 //! * **tenpct_edit** — ~10% of the declarations change.
 //!
-//! A fifth scenario, **disk**, hands the populated cache directory to a
-//! brand-new engine (a fresh process, as far as the cache can tell) and
-//! counts disk hits. Every scenario's declarations and diagnostics are
-//! compared against a cold sequential baseline; any mismatch is a hard
-//! failure, as is a no-op speedup below 5x. Results go to
+//! A fifth scenario, **fresh_engine**, builds a brand-new engine in the
+//! same process (a second session's) and must find the whole program in
+//! the process-wide live-outcome layer. Every scenario's declarations
+//! and diagnostics are compared against a cold sequential baseline; any
+//! mismatch is a hard failure, as are a no-op speedup below 5x and a
+//! fresh engine that recomputes anything. Results go to
 //! `BENCH_incremental.json`.
 //!
 //! Run with `cargo run -p ur-bench --bin incr --release`.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::time::Instant;
 use ur_query::{Engine, EngineConfig, RunReport};
 use ur_studies::{studies, study, Study};
@@ -137,10 +139,6 @@ fn edit_tenpct(parts: &[String], rep: usize, n: usize) -> String {
     p.join("\n")
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ur-bench-incr-{}-{tag}", std::process::id()))
-}
-
 fn main() {
     let parts = batch_parts();
     let base_src = parts.join("\n");
@@ -159,18 +157,17 @@ fn main() {
     let (oracle_decls, oracle_diags) = cold_baseline(&base_src);
     assert!(oracle_diags.is_empty(), "batch must be clean: {oracle_diags:?}");
 
-    let dir = scratch_dir("cache");
     let mut scenarios: Vec<Scenario> = Vec::new();
 
-    // Cold: empty directory and a fresh engine every rep.
+    // Cold: a fresh engine every rep, each under a base tag no other run
+    // uses, so its keys are absent from the process-wide layer.
     let mut cold_best = f64::INFINITY;
     let mut cold_report = RunReport::default();
     let mut cold_diverged = false;
-    for _ in 0..REPS {
-        let _ = std::fs::remove_dir_all(&dir);
+    for rep in 0..REPS {
         let mut engine = Engine::new(EngineConfig {
-            cache_dir: Some(dir.clone()),
-            base_tag,
+            cache_dir: None,
+            base_tag: base_tag.wrapping_add(1 + rep as u64),
         });
         let (ms, report, decls, diags) = run_engine(&mut sess, &base, &mut engine, &base_src);
         cold_best = cold_best.min(ms);
@@ -184,11 +181,11 @@ fn main() {
         diverged: cold_diverged,
     });
 
-    // One long-lived engine over the populated cache for the warm
-    // scenarios, primed once so its memory layer is hot (an editor
-    // session that has already built the project).
+    // One long-lived engine for the warm scenarios, primed once so the
+    // layer holds the program (an editor session that has already built
+    // the project).
     let mut engine = Engine::new(EngineConfig {
-        cache_dir: Some(dir.clone()),
+        cache_dir: None,
         base_tag,
     });
     run_engine(&mut sess, &base, &mut engine, &base_src);
@@ -215,8 +212,8 @@ fn main() {
 
     // Edit scenarios. Every rep measures "base built, then a *new* edit
     // arrives": the base is re-primed untimed, and the edited literal
-    // varies per rep so neither the memory nor the disk layer has seen
-    // the edited declarations before.
+    // varies per rep so the layer has not seen the edited declarations
+    // before.
     type EditFn = fn(&[String], usize, usize) -> String;
     let edits: [(&'static str, EditFn); 2] =
         [("one_edit", edit_one), ("tenpct_edit", edit_tenpct)];
@@ -241,46 +238,30 @@ fn main() {
         });
     }
 
-    // Disk: a brand-new engine (fresh process, as far as the cache can
-    // tell) seeded purely from what a previous engine stored. Uses the
-    // *shared* directory — `UR_CACHE_DIR` or the `.ur-cache` default —
-    // so CI runs that restore a cached directory measure cross-process
-    // reuse; a priming pass covers the first-ever run.
+    // Fresh engine: a brand-new engine in this process (a second
+    // session's) finds everything the first one elaborated.
     {
-        let shared = ur_query::disk::resolve_cache_dir(None).unwrap_or_else(|| dir.clone());
-        let mut primer = Engine::new(EngineConfig {
-            cache_dir: Some(shared.clone()),
-            base_tag,
-        });
-        run_engine(&mut sess, &base, &mut primer, &base_src);
         let mut fresh = Engine::new(EngineConfig {
-            cache_dir: Some(shared),
+            cache_dir: None,
             base_tag,
         });
         let (ms, report, decls, diags) = run_engine(&mut sess, &base, &mut fresh, &base_src);
         scenarios.push(Scenario {
-            name: "disk",
+            name: "fresh_engine",
             best_ms: ms,
             report,
             diverged: decls != oracle_decls || diags != oracle_diags,
         });
     }
-    let _ = std::fs::remove_dir_all(&dir);
 
     println!(
-        "{:>12} {:>10} {:>7} {:>7} {:>10} {:>10} {:>9}",
-        "scenario", "best(ms)", "green", "red", "disk_hits", "rejected", "diverged"
+        "{:>12} {:>10} {:>7} {:>7} {:>9}",
+        "scenario", "best(ms)", "green", "red", "diverged"
     );
     for s in &scenarios {
         println!(
-            "{:>12} {:>10.2} {:>7} {:>7} {:>10} {:>10} {:>9}",
-            s.name,
-            s.best_ms,
-            s.report.green,
-            s.report.red,
-            s.report.disk_hits,
-            s.report.disk_rejections,
-            s.diverged
+            "{:>12} {:>10.2} {:>7} {:>7} {:>9}",
+            s.name, s.best_ms, s.report.green, s.report.red, s.diverged
         );
     }
 
@@ -302,13 +283,11 @@ fn main() {
         let _ = write!(
             json,
             "    {{\"name\": \"{}\", \"best_ms\": {:.3}, \"green\": {}, \"red\": {}, \
-             \"disk_hits\": {}, \"disk_rejections\": {}, \"diverged\": {}}}",
+             \"diverged\": {}}}",
             s.name,
             s.best_ms,
             s.report.green,
             s.report.red,
-            s.report.disk_hits,
-            s.report.disk_rejections,
             s.diverged
         );
         json.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
@@ -333,7 +312,12 @@ fn main() {
         noop_speedup >= 5.0,
         "no-op rebuild only {noop_speedup:.1}x faster than cold (gate: 5x)"
     );
-    let disk = scenarios.iter().find(|s| s.name == "disk").expect("disk row");
-    assert_eq!(disk.report.red, 0, "fresh engine did not seed from disk");
-    assert!(disk.report.disk_hits > 0, "no disk hits recorded");
+    let fresh = scenarios
+        .iter()
+        .find(|s| s.name == "fresh_engine")
+        .expect("fresh_engine row");
+    assert_eq!(
+        fresh.report.red, 0,
+        "a fresh engine did not seed from the process-wide layer"
+    );
 }

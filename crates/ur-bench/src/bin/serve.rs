@@ -133,10 +133,8 @@ fn phase_nominal() -> NominalResult {
     }
     let expected = std::sync::Arc::new(expected);
 
-    let cache = tmp_dir("nominal");
     let server = Server::start(ServeConfig {
         workers: 4,
-        cache_dir: Some(cache.clone()),
         ..ServeConfig::default()
     })
     .expect("serve bind");
@@ -197,7 +195,6 @@ fn phase_nominal() -> NominalResult {
     }
     server.start_drain();
     let _ = server.wait();
-    let _ = std::fs::remove_dir_all(&cache);
 
     let requests = (CLIENTS as i64 * CONNS_PER_CLIENT) as u64;
     NominalResult {
@@ -250,7 +247,6 @@ fn phase_fault_storm(base_seed: u64) -> StormResult {
         seed = seed.wrapping_add(1);
     }
 
-    let cache = tmp_dir("storm");
     let fp = FpConfig::new(seed)
         .with_max_per_site(6)
         .with_rate(Site::ServeAccept, ACCEPT_RATE)
@@ -261,7 +257,6 @@ fn phase_fault_storm(base_seed: u64) -> StormResult {
         workers: 2,
         deadline_ms: 400,
         watchdog_ms: 100,
-        cache_dir: Some(cache.clone()),
         fp: Some(fp),
         ..ServeConfig::default()
     })
@@ -319,7 +314,6 @@ fn phase_fault_storm(base_seed: u64) -> StormResult {
     }
     server.start_drain();
     let summary = server.wait();
-    let _ = std::fs::remove_dir_all(&cache);
 
     StormResult {
         seed,
@@ -369,12 +363,10 @@ fn phase_durable_kill(base_seed: u64) -> DurableResult {
     }
 
     let db_dir = tmp_dir("durable-db");
-    let cache = tmp_dir("durable-cache");
     let server = Server::start(ServeConfig {
         deadline_ms: 500,
         watchdog_ms: 50,
         db_dir: Some(db_dir.clone()),
-        cache_dir: Some(cache.clone()),
         fp: Some(
             FpConfig::new(seed)
                 .with_rate(Site::ServeWedge, WEDGE_RATE)
@@ -424,7 +416,6 @@ fn phase_durable_kill(base_seed: u64) -> DurableResult {
     let disk_rows = db.row_count("people").unwrap_or(0) as u64;
     drop(db);
     let _ = std::fs::remove_dir_all(&db_dir);
-    let _ = std::fs::remove_dir_all(&cache);
 
     DurableResult {
         seed,
@@ -549,12 +540,10 @@ fn phase_read_fanout() -> ReadFanoutResult {
 
     fn run_one(workers: usize) -> (u64, u64) {
         let db_dir = tmp_dir(&format!("fanout-db-{workers}"));
-        let cache = tmp_dir(&format!("fanout-cache-{workers}"));
         let server = Server::start(ServeConfig {
             workers,
             deadline_ms: 2_000,
             db_dir: Some(db_dir.clone()),
-            cache_dir: Some(cache.clone()),
             ..ServeConfig::default()
         })
         .expect("serve bind");
@@ -623,7 +612,6 @@ fn phase_read_fanout() -> ReadFanoutResult {
         server.start_drain();
         let _ = server.wait();
         let _ = std::fs::remove_dir_all(&db_dir);
-        let _ = std::fs::remove_dir_all(&cache);
         (reads, writes)
     }
 

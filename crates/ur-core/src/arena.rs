@@ -49,8 +49,8 @@
 //! Hash-consing bounds growth by the number of *distinct* shallow keys,
 //! and [`try_reset`] provides the generation story: a [`Session`]-scoped
 //! [`ArenaLease`] counts live users, and when the count is zero the arena
-//! may be drained in place (slots dropped, table buckets zeroed,
-//! generation bumped; the string table survives because `IStr`s may
+//! may be drained in place (slots dropped, tables emptied and their
+//! bucket arrays released, generation bumped; the string table survives because `IStr`s may
 //! outlive terms in diagnostics). See `tests/arena_growth.rs` for the
 //! 100-cycle bound.
 
@@ -229,10 +229,10 @@ impl Table {
         self.buckets[pos] = bucket;
     }
 
-    /// Empties the table, keeping its bucket array.
+    /// Empties the table and releases its bucket array, so it regrows
+    /// from [`TABLE_MIN_BUCKETS`] as a fresh table does.
     fn clear(&mut self) {
-        self.buckets.fill(0);
-        self.len = 0;
+        *self = Table::default();
     }
 
     fn bytes(&self) -> u64 {
@@ -496,7 +496,7 @@ impl<T: ArenaVal> Store<T> {
         slots + tables
     }
 
-    /// Drops all slots in place and zeroes the tables. Caller must hold
+    /// Drops all slots in place and empties the tables. Caller must hold
     /// the arena-wide quiescence guarantee (no live ids).
     fn drain(&self) {
         for shard in &self.shards {
@@ -950,15 +950,18 @@ impl ArenaStats {
     }
 }
 
-/// Current global arena statistics.
+/// Current global arena statistics. The constructor count is the sum
+/// of the per-shard counts read in the same pass, so the two agree even
+/// while other threads intern.
 pub fn stats() -> ArenaStats {
     let a = arena();
+    let con_per_shard = a.cons.per_shard();
     ArenaStats {
-        con_nodes: a.cons.nodes(),
+        con_nodes: con_per_shard.iter().sum(),
         expr_nodes: a.exprs.nodes(),
         strings: a.strs.count(),
         bytes: a.cons.bytes() + a.exprs.bytes() + a.strs.bytes(),
-        con_per_shard: a.cons.per_shard(),
+        con_per_shard,
         hits: a.cons.hits.load(Ordering::Relaxed) + a.exprs.hits.load(Ordering::Relaxed),
         misses: a.cons.misses.load(Ordering::Relaxed) + a.exprs.misses.load(Ordering::Relaxed),
         str_hits: a.strs.hits.load(Ordering::Relaxed),
@@ -1180,6 +1183,23 @@ mod tests {
             .sum();
         let slots = u64::from(N) * std::mem::size_of::<Slot<Con>>() as u64;
         assert_eq!(store.bytes(), slots + tables);
+    }
+
+    #[test]
+    fn a_drained_store_holds_what_a_fresh_one_does() {
+        let store: Store<Con> = Store::new();
+        for i in 0..5_000 {
+            store.intern(Con::Meta(MetaId(i)), 0);
+        }
+        assert!(store.bytes() > Store::<Con>::new().bytes());
+        store.drain();
+        assert_eq!(store.bytes(), Store::<Con>::new().bytes());
+        // The tables regrow from the minimum, as a fresh store's do.
+        store.intern(Con::Meta(MetaId(0)), 0);
+        assert_eq!(
+            store.bytes(),
+            std::mem::size_of::<Slot<Con>>() as u64 + 8 * TABLE_MIN_BUCKETS as u64
+        );
     }
 
     #[test]

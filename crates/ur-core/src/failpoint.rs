@@ -1,16 +1,15 @@
 //! Deterministic fault injection ("failpoints").
 //!
-//! Recovery paths for the faults real deployments see — torn cache and
-//! WAL writes, failed fsyncs, dying checkpoints, torn connections,
+//! Recovery paths for the faults real deployments see — torn WAL
+//! writes, failed fsyncs, dying checkpoints, torn connections,
 //! wedged workers — are unreachable from well-behaved inputs, so nothing
 //! in an ordinary test run ever executes them. This module provides
 //! *named fault sites* that those layers consult, plus a seeded PRNG
 //! schedule deciding which consultations actually inject a fault:
 //!
-//! * **Named sites** ([`Site`]): incremental-cache load/store in
-//!   `ur-query`, WAL append/sync/corrupt/rotate + snapshot write in
-//!   `ur-db`'s durability layer, and the `ur-serve` front door
-//!   (accept/read/write/worker-wedge).
+//! * **Named sites** ([`Site`]): WAL append/sync/corrupt/rotate +
+//!   snapshot write in `ur-db`'s durability layer, and the `ur-serve`
+//!   front door (accept/read/write/worker-wedge).
 //! * **Seeded activation**: each site draws from a splitmix64 stream
 //!   keyed by `(seed, site, hit index)`, so a given configuration
 //!   produces the same fault schedule on every run — chaos tests print
@@ -24,7 +23,7 @@
 //!
 //! Configuration is per-thread ([`install`]); `ur-serve` installs its
 //! configured schedule on every serve thread. The `UR_FAILPOINTS`
-//! environment variable (`seed=42;max=3;cache_load=500;wal_sync=250`,
+//! environment variable (`seed=42;max=3;wal_append=500;wal_sync=250`,
 //! rates in permille) configures binaries without code changes
 //! ([`FpConfig::from_env`]); a malformed value is an error naming the bad
 //! entry.
@@ -32,18 +31,11 @@
 use std::fmt;
 
 /// Number of named sites (length of [`Site::ALL`]).
-pub const NSITES: usize = 11;
+pub const NSITES: usize = 9;
 
 /// A named fault-injection site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// Reading an on-disk incremental-cache pack observes corruption;
-    /// the pack is rejected whole and deleted, and its declarations
-    /// recompute.
-    CacheLoad,
-    /// Writing an on-disk incremental-cache pack corrupts its integrity
-    /// tag in flight (detected by a later reader's check).
-    CacheStore,
     /// Appending a record to the `ur-db` write-ahead log fails (simulated
     /// `write(2)` error, or a mid-record crash under `UR_DB_CRASH=abort`).
     WalAppend,
@@ -83,8 +75,6 @@ pub enum Site {
 impl Site {
     /// Every site, in stable order (indexes into [`FpCounters::injected`]).
     pub const ALL: [Site; NSITES] = [
-        Site::CacheLoad,
-        Site::CacheStore,
         Site::WalAppend,
         Site::WalSync,
         Site::SnapshotWrite,
@@ -99,25 +89,21 @@ impl Site {
     /// Stable index of this site.
     pub fn index(self) -> usize {
         match self {
-            Site::CacheLoad => 0,
-            Site::CacheStore => 1,
-            Site::WalAppend => 2,
-            Site::WalSync => 3,
-            Site::SnapshotWrite => 4,
-            Site::WalCorrupt => 5,
-            Site::WalRotate => 6,
-            Site::ServeAccept => 7,
-            Site::ServeRead => 8,
-            Site::ServeWrite => 9,
-            Site::ServeWedge => 10,
+            Site::WalAppend => 0,
+            Site::WalSync => 1,
+            Site::SnapshotWrite => 2,
+            Site::WalCorrupt => 3,
+            Site::WalRotate => 4,
+            Site::ServeAccept => 5,
+            Site::ServeRead => 6,
+            Site::ServeWrite => 7,
+            Site::ServeWedge => 8,
         }
     }
 
     /// The configuration/reporting name of this site.
     pub fn name(self) -> &'static str {
         match self {
-            Site::CacheLoad => "cache_load",
-            Site::CacheStore => "cache_store",
             Site::WalAppend => "wal_append",
             Site::WalSync => "wal_sync",
             Site::SnapshotWrite => "snapshot_write",
@@ -383,11 +369,11 @@ mod tests {
     #[test]
     fn parse_round_trips_sites_and_meta_keys() {
         let cfg =
-            FpConfig::parse("seed=42; max=5; serve_read=500, cache_load=250").expect("valid spec");
+            FpConfig::parse("seed=42; max=5; serve_read=500, wal_append=250").expect("valid spec");
         assert_eq!(cfg.seed, 42);
         assert_eq!(cfg.max_per_site, 5);
         assert_eq!(cfg.rate(Site::ServeRead), 500);
-        assert_eq!(cfg.rate(Site::CacheLoad), 250);
+        assert_eq!(cfg.rate(Site::WalAppend), 250);
         assert_eq!(cfg.rate(Site::WalSync), 0);
     }
 
@@ -395,11 +381,13 @@ mod tests {
     fn parse_rejects_unknown_keys_and_garbage() {
         for bad in [
             "bogus_site=10",
-            "cache_load",
+            "wal_append",
             "seed=notanumber",
             "worker_exec=500",
             "memo_load=250",
             "fuel_charge=500",
+            "cache_load=500",
+            "cache_store=500",
         ] {
             let err = FpConfig::parse(&format!("seed=1;{bad}")).expect_err(bad);
             assert!(err.contains(&format!("`{bad}`")), "{err}");
@@ -411,8 +399,8 @@ mod tests {
 
     #[test]
     fn rates_clamp_to_permille() {
-        let cfg = FpConfig::new(1).with_rate(Site::CacheStore, 9999);
-        assert_eq!(cfg.rate(Site::CacheStore), 1000);
+        let cfg = FpConfig::new(1).with_rate(Site::WalSync, 9999);
+        assert_eq!(cfg.rate(Site::WalSync), 1000);
     }
 
     #[test]
@@ -469,26 +457,26 @@ mod tests {
     fn partial_rates_follow_the_seeded_stream() {
         install(Some(
             FpConfig::new(0xC0FFEE)
-                .with_rate(Site::CacheLoad, 500)
+                .with_rate(Site::SnapshotWrite, 500)
                 .with_max_per_site(1000),
         ));
-        let a: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
+        let a: Vec<bool> = (0..64).map(|_| fire(Site::SnapshotWrite)).collect();
         install(Some(
             FpConfig::new(0xC0FFEE)
-                .with_rate(Site::CacheLoad, 500)
+                .with_rate(Site::SnapshotWrite, 500)
                 .with_max_per_site(1000),
         ));
-        let b: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
+        let b: Vec<bool> = (0..64).map(|_| fire(Site::SnapshotWrite)).collect();
         assert_eq!(a, b, "same seed, same schedule");
         assert!(a.iter().any(|&f| f) && a.iter().any(|&f| !f), "{a:?}");
 
         // A different seed gives a different schedule (overwhelmingly).
         install(Some(
             FpConfig::new(0xDECAF)
-                .with_rate(Site::CacheLoad, 500)
+                .with_rate(Site::SnapshotWrite, 500)
                 .with_max_per_site(1000),
         ));
-        let c: Vec<bool> = (0..64).map(|_| fire(Site::CacheLoad)).collect();
+        let c: Vec<bool> = (0..64).map(|_| fire(Site::SnapshotWrite)).collect();
         assert_ne!(a, c, "different seed, different schedule");
         let _ = take_counters();
         install(None);
@@ -500,8 +488,8 @@ mod tests {
     // compile-time contract of the disabled configuration.
     #[allow(clippy::assertions_on_constants)]
     fn disabled_stubs_are_inert() {
-        install(Some(FpConfig::new(1).with_rate(Site::CacheLoad, 1000)));
-        assert!(!fire(Site::CacheLoad));
+        install(Some(FpConfig::new(1).with_rate(Site::SnapshotWrite, 1000)));
+        assert!(!fire(Site::SnapshotWrite));
         assert_eq!(counters(), FpCounters::default());
         assert!(!ENABLED, "cfg(not(failpoints)) must report disabled");
     }

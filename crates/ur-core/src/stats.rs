@@ -184,16 +184,7 @@ telemetry! {
         /// Declarations verified green and reused without re-elaboration.
         green_reused: counter " green={}",
         /// Declarations recomputed because their inputs changed (red).
-        red_recomputed: counter " red={}",
-        /// On-disk cache entries loaded and accepted.
-        disk_hits: counter " disk={}",
-        /// On-disk cache entries rejected (bad magic/version/env, integrity
-        /// mismatch, or undecodable payload) and recomputed instead.
-        disk_rejections: counter "/{}",
-        /// On-disk cache store attempts that failed (full disk, permissions,
-        /// injected `CacheStore` I/O faults). The cache stays cold for those
-        /// entries; this counter makes the failure visible in `:stats`.
-        disk_store_errs: counter " disk_store_err={}]",
+        red_recomputed: counter " red={}]",
         /// Top-level evaluations executed by the bytecode VM (`ur-eval::vm`).
         eval_vm_runs: counter " eval[vm_runs={}",
         /// Top-level evaluations executed by the tree-walking interpreter
@@ -333,26 +324,23 @@ mod tests {
             queries_total: v(31),
             green_reused: v(32),
             red_recomputed: v(33),
-            disk_hits: v(34),
-            disk_rejections: v(35),
-            disk_store_errs: v(36),
-            eval_vm_runs: v(37),
-            eval_interp_runs: v(38),
-            eval_vm_ops: v(39),
-            eval_chunks_compiled: v(40),
-            eval_chunk_hits: v(41),
-            eval_dispatch_ns: v(42),
-            srv_accepted: v(43),
-            srv_requests: v(44),
-            srv_shed: v(45),
-            srv_deadline_expired: v(46),
-            srv_worker_restarts: v(47),
-            srv_drained: v(48),
-            db_index_probes: v(49),
-            db_full_scans: v(50),
-            db_planner_fallbacks: v(51),
-            db_snapshot_reads: v(52),
-            db_versions_gcd: v(53),
+            eval_vm_runs: v(34),
+            eval_interp_runs: v(35),
+            eval_vm_ops: v(36),
+            eval_chunks_compiled: v(37),
+            eval_chunk_hits: v(38),
+            eval_dispatch_ns: v(39),
+            srv_accepted: v(40),
+            srv_requests: v(41),
+            srv_shed: v(42),
+            srv_deadline_expired: v(43),
+            srv_worker_restarts: v(44),
+            srv_drained: v(45),
+            db_index_probes: v(46),
+            db_full_scans: v(47),
+            db_planner_fallbacks: v(48),
+            db_snapshot_reads: v(49),
+            db_versions_gcd: v(50),
         }
     }
 
@@ -369,10 +357,10 @@ mod tests {
              intern[nodes=18 names=21 hits=19 misses=20] \
              arena[bytes=22 shard_max=23 shard_min=24 contention=25 hit_rate=48.7%] \
              faults[injected=30] \
-             incr[queries=31 green=32 red=33 disk=34/35 disk_store_err=36] \
-             eval[vm_runs=37 interp_runs=38 ops=39 chunks=40 chunk_hits=41 dispatch_ns=42] \
-             serve[accepted=43 requests=44 shed=45 deadline_expired=46 restarts=47 drained=48] \
-             db[probes=49 scans=50 fallbacks=51 snap_reads=52 gcd=53]"
+             incr[queries=31 green=32 red=33] \
+             eval[vm_runs=34 interp_runs=35 ops=36 chunks=37 chunk_hits=38 dispatch_ns=39] \
+             serve[accepted=40 requests=41 shed=42 deadline_expired=43 restarts=44 drained=45] \
+             db[probes=46 scans=47 fallbacks=48 snap_reads=49 gcd=50]"
         );
     }
 
@@ -485,40 +473,24 @@ mod tests {
     #[test]
     fn display_mentions_incremental_counters() {
         let s = Stats::new().to_string();
-        for key in ["incr[queries=", "green=", "red=", "disk=", "disk_store_err="] {
+        for key in ["incr[queries=", "green=", "red="] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
-    }
-
-    #[test]
-    fn absorb_and_since_cover_disk_store_errs() {
-        let mut a = Stats::new();
-        a.disk_store_errs = 2;
-        let mut b = Stats::new();
-        b.disk_store_errs = 3;
-        a.absorb(&b);
-        assert_eq!(a.disk_store_errs, 5);
-        assert_eq!(a.since(&b).disk_store_errs, 2);
-        assert_eq!(b.since(&a).disk_store_errs, 0, "saturating sub");
     }
 
     #[test]
     fn absorb_and_since_cover_incremental_counters() {
         let mut a = Stats::new();
         a.queries_total = 5;
-        a.disk_hits = u64::MAX - 1;
+        a.red_recomputed = u64::MAX - 1;
         let mut b = Stats::new();
         b.queries_total = 7;
         b.green_reused = 4;
         b.red_recomputed = 3;
-        b.disk_hits = 10;
-        b.disk_rejections = 2;
         a.absorb(&b);
         assert_eq!(a.queries_total, 12);
         assert_eq!(a.green_reused, 4);
-        assert_eq!(a.red_recomputed, 3);
-        assert_eq!(a.disk_hits, u64::MAX, "saturating add");
-        assert_eq!(a.disk_rejections, 2);
+        assert_eq!(a.red_recomputed, u64::MAX, "saturating add");
 
         let d = a.since(&b);
         assert_eq!(d.queries_total, 5);

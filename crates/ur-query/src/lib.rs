@@ -6,12 +6,12 @@
 //!
 //! A salsa-style red-green query engine over the batch elaborator:
 //! every declaration is a query keyed by a content fingerprint mixed
-//! with the fingerprints of its dependency cone ([`engine`]), cached
-//! outcomes live in memory as this process's own terms and on disk
-//! ([`disk`], one pack per rebuild) in a process-independent linked
-//! form ([`link`]), and
-//! machine-readable output for editors and CI shares one JSON encoder
-//! ([`json`]).
+//! with the fingerprints of its dependency cone ([`engine`]). Cached
+//! outcomes live in one process-wide layer as this process's own terms,
+//! shared by every session of one intern-arena generation, so a program
+//! one session elaborated comes back green in the next. Nothing is kept
+//! on disk. Machine-readable output for editors and CI shares one JSON
+//! encoder ([`json`]).
 //!
 //! The contract, checked by `tests/incremental.rs`: a rebuild through
 //! the engine is observably **byte-identical** to a cold sequential
@@ -20,9 +20,7 @@
 //! the declarations whose transitive inputs actually changed. A no-op
 //! rebuild re-runs zero declarations and charges zero elaboration fuel.
 
-pub mod disk;
 pub mod engine;
 pub mod json;
-pub mod link;
 
 pub use engine::{Engine, EngineConfig, RunReport};

@@ -85,8 +85,8 @@ pub struct ServeConfig {
     pub drain_ms: u64,
     /// Shared durable database directory (single-writer pool mode).
     pub db_dir: Option<PathBuf>,
-    /// Incremental disk-cache directory for sessions (`None` defers to
-    /// `UR_CACHE_DIR` / `.ur-cache`, exactly like `urc`).
+    /// Has no effect (sessions share one in-memory live-outcome layer);
+    /// kept only because the repository benchmark sets it.
     pub cache_dir: Option<PathBuf>,
     /// Evaluation engine override for sessions.
     pub engine: Option<EvalEngine>,

@@ -613,7 +613,8 @@ fn serve_read(
 /// re-adopting — the script's effects are already on disk by the
 /// scripts-map invariant. Fuel resets per declaration and the limits are
 /// part of the engine's environment fingerprint, so the replay binds
-/// exactly what the acknowledged rebuild bound.
+/// exactly what the acknowledged rebuild bound, and it seeds from the
+/// process-wide live-outcome layer what the replaced session elaborated.
 fn build_session(
     shared: &Arc<PoolShared>,
     durable: Option<&Db>,
@@ -623,7 +624,6 @@ fn build_session(
     if let Some(e) = shared.cfg.engine {
         sess.engine = e;
     }
-    sess.cache_dir = shared.cfg.cache_dir.clone();
     // Pin the pristine base before any durable handle exists, so every
     // later rebuild replays into scratch in-memory state.
     let _ = sess.reelaborate("");

@@ -286,11 +286,10 @@ pub fn handle_line(
             let r = sess.last_incr_report().cloned().unwrap_or_default();
             let resp = format!(
                 "{{\"ok\":true,\"decls\":{},\"green\":{},\"red\":{},\
-                 \"disk_hits\":{},\"diagnostics\":{}}}",
+                 \"diagnostics\":{}}}",
                 r.decls_total,
                 r.green,
                 r.red,
-                r.disk_hits,
                 diags_to_json(&diags)
             );
             ctx.last_diags = diags;

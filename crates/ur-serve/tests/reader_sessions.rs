@@ -34,7 +34,6 @@ fn snapshot_readers_hold_no_session() {
         workers: 4,
         db_dir: Some(scratch.join("db")),
         deadline_ms: 10_000,
-        cache_dir: Some(scratch.join("cache")),
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("start");

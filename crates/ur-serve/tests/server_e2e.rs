@@ -42,27 +42,26 @@ impl Client {
         self.send(line);
         self.recv()
     }
-}
 
-/// A fresh, test-private cache directory: deadline tests rely on the
-/// fuel actually burning, which a shared disk cache would short-circuit.
-fn tmp_cache() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "ur-serve-e2e-cache-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+    /// Sends `line` until a worker runs it. A 1 ms deadline also bounds
+    /// the request's wait in the queue, and a request still queued when
+    /// it passes is answered `deadline_expired` without running; only a
+    /// run request shows what its fuel ceiling did.
+    fn run_once_executed(&mut self, line: &str) -> String {
+        for _ in 0..50 {
+            let resp = self.roundtrip(line);
+            if !resp.contains("\"error\":\"deadline_expired\"") {
+                return resp;
+            }
+        }
+        panic!("{line}: every attempt expired in the queue")
+    }
 }
 
 fn quick_cfg() -> ServeConfig {
     ServeConfig {
         deadline_ms: 5_000,
         watchdog_ms: 200,
-        cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     }
 }
@@ -102,6 +101,44 @@ fn serves_concurrent_clients_with_isolated_sessions() {
     assert!(summary.requests >= 12, "{summary:?}");
 }
 
+/// Sessions share the process-wide live-outcome layer: a second
+/// connection (its own session) loading a program the first one loaded
+/// re-elaborates nothing and answers exactly as the first.
+#[test]
+fn a_second_connection_is_served_from_memory() {
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..quick_cfg()
+    })
+    .expect("start");
+    let load = "{\"cmd\":\"load\",\"source\":\"val secondConnA = 20\\n\
+                val secondConnB = secondConnA + 22\\n\
+                val secondConnBad : int = \\\"s\\\"\"}";
+    let queries = [
+        "{\"cmd\":\"type\",\"name\":\"secondConnB\"}",
+        "{\"cmd\":\"eval\",\"expr\":\"secondConnB + 1\"}",
+    ];
+    let diagnostics = |resp: &str| resp.split("\"diagnostics\":").nth(1).map(str::to_string);
+    let mut first = Client::connect(server.addr());
+    let cold = first.roundtrip(load);
+    assert!(cold.contains("\"decls\":3,\"green\":0,\"red\":3"), "{cold}");
+    assert!(cold.contains("E0400"), "{cold}");
+    let first_answers: Vec<String> = queries.iter().map(|q| first.roundtrip(q)).collect();
+    assert!(
+        first_answers[1].contains("\"value\":\"43\""),
+        "{first_answers:?}"
+    );
+
+    let mut second = Client::connect(server.addr());
+    let warm = second.roundtrip(load);
+    assert!(warm.contains("\"decls\":3,\"green\":3,\"red\":0"), "{warm}");
+    assert_eq!(diagnostics(&warm), diagnostics(&cold));
+    let second_answers: Vec<String> = queries.iter().map(|q| second.roundtrip(q)).collect();
+    assert_eq!(second_answers, first_answers);
+    server.start_drain();
+    server.wait();
+}
+
 #[test]
 fn oversized_and_malformed_lines_answered_like_serve_mode() {
     let server = Server::start(quick_cfg()).expect("start");
@@ -127,7 +164,6 @@ fn overload_sheds_with_structured_retry_hint() {
         workers: 1,
         queue_depth: 1,
         deadline_ms: 10_000,
-        cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("start");
@@ -210,7 +246,6 @@ fn durable_mode_snapshot_readers_see_acked_state() {
         workers: 4,
         db_dir: Some(db_dir.clone()),
         deadline_ms: 10_000,
-        cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("start");
@@ -255,7 +290,6 @@ fn durable_readers_answer_diagnostics_of_the_acked_load() {
         workers: 3,
         db_dir: Some(db_dir.clone()),
         deadline_ms: 10_000,
-        cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("start");
@@ -308,7 +342,6 @@ fn durable_readers_answer_what_the_writer_acknowledged() {
         workers: 3,
         db_dir: Some(db_dir.clone()),
         deadline_ms: 10_000,
-        cache_dir: Some(tmp_cache()),
         ..ServeConfig::default()
     };
     let server = Server::start(cfg).expect("start");
@@ -329,7 +362,7 @@ fn durable_readers_answer_what_the_writer_acknowledged() {
     // acknowledged program binds no `wide`: no reader may report a type
     // for it.
     let mut w = Client::connect(addr);
-    let resp = w.roundtrip(&format!(
+    let resp = w.run_once_executed(&format!(
         "{{\"cmd\":\"load\",\"source\":\"{}\",\"deadline_ms\":1}}",
         wide_concat_source()
     ));
@@ -351,14 +384,10 @@ fn durable_readers_answer_what_the_writer_acknowledged() {
 
 #[test]
 fn tiny_deadline_degrades_structurally() {
-    let cfg = ServeConfig {
-        cache_dir: Some(tmp_cache()),
-        ..ServeConfig::default()
-    };
-    let server = Server::start(cfg).expect("start");
+    let server = Server::start(ServeConfig::default()).expect("start");
     let mut c = Client::connect(server.addr());
     let src = wide_concat_source();
-    let resp = c.roundtrip(&format!(
+    let resp = c.run_once_executed(&format!(
         "{{\"cmd\":\"load\",\"source\":\"{src}\",\"deadline_ms\":1}}"
     ));
     assert!(resp.contains("\"ok\":true"), "{resp}");
@@ -380,7 +409,7 @@ mod faulted {
     fn wedged_worker_is_replaced_and_request_replayed() {
         // The fault schedule is deterministic per (seed, site, consult
         // index) and every worker thread starts its consult count at
-        // zero. Seed 9 at 350‰ draws [pass, FIRE, …] for serve_wedge,
+        // zero. Seed 8 at 350‰ draws [pass, FIRE, …] for serve_wedge,
         // so the original worker serves the load (consult 0), wedges on
         // the eval (consult 1), and the replacement serves the replayed
         // eval cleanly on *its* consult 0. A schedule that fires on
@@ -390,8 +419,7 @@ mod faulted {
             workers: 1,
             deadline_ms: 400,
             watchdog_ms: 100,
-            cache_dir: Some(tmp_cache()),
-            fp: Some(FpConfig::new(9).with_rate(Site::ServeWedge, 350)),
+            fp: Some(FpConfig::new(8).with_rate(Site::ServeWedge, 350)),
             ..ServeConfig::default()
         };
         let server = Server::start(cfg).expect("start");
@@ -412,7 +440,7 @@ mod faulted {
 
     #[test]
     fn accept_and_read_faults_tear_connections_not_the_server() {
-        // Seed 102: the acceptor (one thread, consult count persists
+        // Seed 164: the acceptor (one thread, consult count persists
         // across accepts) drops connections intermittently at 500‰;
         // each connection handler (fresh thread, fresh consult count)
         // serves three reads and tears on the fourth at 300‰. A client
@@ -420,9 +448,8 @@ mod faulted {
         // answers — faults tear *connections*, never the server.
         let cfg = ServeConfig {
             deadline_ms: 5_000,
-            cache_dir: Some(tmp_cache()),
             fp: Some(
-                FpConfig::new(102)
+                FpConfig::new(164)
                     .with_rate(Site::ServeAccept, 500)
                     .with_rate(Site::ServeRead, 300)
                     .with_max_per_site(8),

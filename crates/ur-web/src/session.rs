@@ -9,7 +9,7 @@ use crate::prelude::PRELUDE;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use ur_core::con::RCon;
 use ur_core::expr::RExpr;
 use ur_core::sym::Sym;
@@ -56,12 +56,55 @@ impl From<EvalError> for SessionError {
     }
 }
 
+/// The post-prelude elaborator state every session of one intern-arena
+/// generation starts from. The prelude is elaborated once per
+/// generation and each later [`Session::new`] clones the result, so the
+/// sessions bind the same base syms and share the incremental engine's
+/// live-outcome layer. The declarations are kept because answers read
+/// them through `elab.decls` (the serve protocol's `type`).
+struct PreludeBase {
+    generation: u64,
+    elab: ElabSnapshot,
+    decls: Vec<ElabDecl>,
+}
+
+/// The current generation's [`PreludeBase`]. It holds no arena lease:
+/// a base from before a `try_reset` is told apart by its generation and
+/// replaced, never used.
+static PRELUDE_BASE: Mutex<Option<PreludeBase>> = Mutex::new(None);
+
+/// An elaborator at the prelude base of the current arena generation:
+/// a clone of the base, or, for the generation's first session, the
+/// elaborator that elaborates it. The caller holds an arena lease, so
+/// the generation cannot change meanwhile; elaborating under the slot's
+/// lock puts concurrent first sessions on one base. A poisoned lock is
+/// recovered: the slot is only ever replaced whole.
+fn prelude_elaborator() -> Result<Elaborator, ElabError> {
+    let mut slot = PRELUDE_BASE.lock().unwrap_or_else(PoisonError::into_inner);
+    let generation = ur_core::arena::generation();
+    let mut elab = Elaborator::new();
+    match slot.as_ref().filter(|b| b.generation == generation) {
+        Some(base) => {
+            elab.restore(base.elab.clone());
+            elab.decls = base.decls.clone();
+        }
+        None => {
+            elab.elab_source(PRELUDE)?;
+            *slot = Some(PreludeBase {
+                generation,
+                elab: elab.snapshot(),
+                decls: elab.decls.clone(),
+            });
+        }
+    }
+    Ok(elab)
+}
+
 /// State backing [`Session::reelaborate`]: the *base* — the session as
 /// it stood when incremental mode was first used (normally just the
-/// prelude) — plus the red-green query engine whose caches persist
-/// across rebuilds. Each rebuild restores the base and replays the new
-/// source through the engine, so green declarations are reused instead
-/// of re-elaborated.
+/// prelude) — plus the red-green query engine. Each rebuild restores
+/// the base and replays the new source through the engine, so green
+/// declarations are reused instead of re-elaborated.
 struct IncrState {
     base_elab: ElabSnapshot,
     base_world: World,
@@ -102,10 +145,8 @@ pub struct Session {
     /// Has no effect (elaboration is sequential); kept only because the
     /// repository benchmark reads it.
     pub threads: usize,
-    /// Disk-cache directory for [`Session::reelaborate`]. `None` defers
-    /// to `UR_CACHE_DIR` / `.ur-cache` resolution; set it (or the env
-    /// var) before the first `reelaborate` call — the engine is created
-    /// lazily and keeps its configuration afterwards.
+    /// Has no effect (the incremental engine keeps its outcomes in
+    /// memory only); kept only because the repository benchmark sets it.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Which engine evaluates `val` bodies and expressions: the bytecode
     /// VM (default) or the tree-walking interpreter (the differential
@@ -154,18 +195,19 @@ pub struct Session {
 const CHUNK_CACHE_CAP: usize = 1 << 10;
 
 impl Session {
-    /// Creates a session with the standard library installed.
+    /// Creates a session with the standard library installed: a clone of
+    /// the arena generation's prelude base, which only the generation's
+    /// first session elaborates.
     ///
     /// # Errors
     ///
     /// Fails if the prelude does not elaborate or a primitive lacks an
     /// implementation (both internal errors, exercised by tests).
     pub fn new() -> Result<Session, SessionError> {
-        // Lease first: ids minted while elaborating the prelude must
-        // already be protected from a concurrent `try_reset`.
+        // Lease first: the base's ids must already be protected from a
+        // concurrent `try_reset`.
         let arena_lease = ur_core::arena::lease();
-        let mut elab = Elaborator::new();
-        let decls = elab.elab_source(PRELUDE)?;
+        let elab = prelude_elaborator()?;
         // `UR_FAILPOINTS` configures fault injection without code changes
         // (urc, the REPL, any embedder).
         #[cfg(feature = "failpoints")]
@@ -175,7 +217,7 @@ impl Session {
         let impls = builtins::registry();
         let mut map = HashMap::new();
         let mut by_name = HashMap::new();
-        for d in &decls {
+        for d in &elab.decls {
             if let ElabDecl::Val {
                 name,
                 sym,
@@ -363,7 +405,7 @@ impl Session {
     /// *base*; every call restores that base before elaborating, so
     /// successive calls see edits, not accumulation. Statistics are
     /// cumulative across rebuilds (the incremental counters in
-    /// [`Session::stats`] track green/red/disk activity).
+    /// [`Session::stats`] track green/red activity).
     pub fn reelaborate(&mut self, src: &str) -> (Vec<(String, Value)>, ur_syntax::Diagnostics) {
         if self.incr.is_none() {
             self.incr = Some(IncrState {
@@ -372,7 +414,7 @@ impl Session {
                 base_top: self.top.clone(),
                 base_by_name: self.by_name.clone(),
                 engine: ur_query::Engine::new(ur_query::EngineConfig {
-                    cache_dir: self.cache_dir.clone(),
+                    cache_dir: None,
                     base_tag: ur_core::fingerprint::hash_str(PRELUDE),
                 }),
                 last_report: ur_query::RunReport::default(),
@@ -437,8 +479,8 @@ impl Session {
         out
     }
 
-    /// What the most recent [`Session::reelaborate`] did (green/red
-    /// split, disk activity). `None` before the first call.
+    /// What the most recent [`Session::reelaborate`] did (the green/red
+    /// split). `None` before the first call.
     pub fn last_incr_report(&self) -> Option<&ur_query::RunReport> {
         self.incr.as_ref().map(|i| &i.last_report)
     }
@@ -868,10 +910,7 @@ mod tests {
 
     #[test]
     fn reelaborate_clears_the_chunk_cache() {
-        let dir = std::env::temp_dir().join(format!("ur-sess-chunks-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let mut sess = Session::new().unwrap();
-        sess.cache_dir = Some(dir.clone());
         let (_, d1) = sess.reelaborate("val a = 40 + 2");
         assert!(d1.is_empty(), "{d1:?}");
         let hits = sess.stats().eval_chunk_hits;
@@ -886,7 +925,6 @@ mod tests {
             "chunk survived the base restore"
         );
         assert_eq!(sess.get_int("a").unwrap(), 42);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1137,10 +1175,7 @@ mod recovery_tests {
     /// cold run.
     #[test]
     fn reelaborate_reuses_green_declarations() {
-        let dir = std::env::temp_dir().join(format!("ur-sess-incr-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let mut sess = Session::new().unwrap();
-        sess.cache_dir = Some(dir.clone());
         let src = "val a = 40\nval b = a + 2\nval s = showInt b";
         let (defs, diags) = sess.reelaborate(src);
         assert!(diags.is_empty(), "{diags:?}");
@@ -1166,17 +1201,13 @@ mod recovery_tests {
         assert!(r3.red >= 1, "{r3:?}");
         assert_eq!(sess.stats().queries_total, 9);
         assert!(sess.stats().green_reused >= 3);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Removing a declaration via rebuild removes its binding — the
     /// base restore means rebuilds replace, never accumulate.
     #[test]
     fn reelaborate_replaces_rather_than_accumulates() {
-        let dir = std::env::temp_dir().join(format!("ur-sess-incr2-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let mut sess = Session::new().unwrap();
-        sess.cache_dir = Some(dir.clone());
         let (_, d1) = sess.reelaborate("val x = 1\nval y = 2");
         assert!(d1.is_empty());
         assert!(sess.get("y").is_some());
@@ -1184,7 +1215,6 @@ mod recovery_tests {
         assert!(d2.is_empty());
         assert!(sess.get("y").is_none(), "stale binding survived rebuild");
         assert_eq!(sess.get_int("x").unwrap(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `db_report` names the durability mode and every table.

@@ -21,10 +21,6 @@
 //!   --no-fusion        disable map-fusion             (ablation)
 //!   --emit-json        print diagnostics as one JSON array on stdout
 //!                      (code, line, col, message, notes)
-//!   --cache-dir DIR    persistent incremental cache directory (also:
-//!                      UR_CACHE_DIR env var; default .ur-cache; a
-//!                      single-file run, --watch, and --serve reuse
-//!                      cached elaborations from it)
 //!   --db-dir DIR       durable database directory: program effects go
 //!                      through a crash-safe WAL + snapshot store that
 //!                      recovers exactly the committed prefix on reopen
@@ -84,7 +80,6 @@ struct Options {
     no_distrib: bool,
     no_fusion: bool,
     emit_json: bool,
-    cache_dir: Option<String>,
     db_dir: Option<String>,
     watch: bool,
     serve: bool,
@@ -102,7 +97,7 @@ struct Options {
 fn usage() -> &'static str {
     "usage: urc [--print] [--stats] [--core NAME] [--type NAME] [--eval EXPR]\n\
      \x20          [--eval=vm|interp] [--sql-log] [--no-identity] [--no-distrib]\n\
-     \x20          [--no-fusion] [--emit-json] [--cache-dir DIR] [--db-dir DIR] [--watch]\n\
+     \x20          [--no-fusion] [--emit-json] [--db-dir DIR] [--watch]\n\
      \x20          [--serve] [--listen ADDR] [--pool N] [--queue-depth N] [--max-conns N]\n\
      \x20          [--deadline-ms N] FILE...\n\
      Elaborates and runs Ur source files against the Ur/Web standard library.\n\
@@ -128,7 +123,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
         no_distrib: false,
         no_fusion: false,
         emit_json: false,
-        cache_dir: None,
         db_dir: None,
         watch: false,
         serve: false,
@@ -183,9 +177,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String>
                     .map_err(|_| format!("--deadline-ms: not a duration: {v}"))?;
                 opts.deadline_ms = Some(n.max(1));
             }
-            "--cache-dir" => {
-                opts.cache_dir = Some(args.next().ok_or("--cache-dir needs a directory")?)
-            }
             "--db-dir" => {
                 opts.db_dir = Some(args.next().ok_or("--db-dir needs a directory")?)
             }
@@ -237,9 +228,6 @@ fn run(opts: &Options) -> Result<(), String> {
     sess.elab.cx.laws.identity = !opts.no_identity;
     sess.elab.cx.laws.distrib = !opts.no_distrib;
     sess.elab.cx.laws.fusion = !opts.no_fusion;
-    if let Some(dir) = &opts.cache_dir {
-        sess.cache_dir = Some(std::path::PathBuf::from(dir));
-    }
     if let Some(engine) = opts.engine {
         sess.engine = engine;
     }
@@ -261,20 +249,12 @@ fn run(opts: &Options) -> Result<(), String> {
 
     // Multi-error mode: report every diagnostic in every file in one
     // pass, keep going (later files may still be useful), and fail at
-    // the end if anything was wrong. A single-file run with --cache-dir
-    // goes through the incremental engine so repeated invocations reuse
-    // the on-disk cache; multi-file runs accumulate declarations across
-    // files and stay on the sequential path.
-    let incremental = opts.cache_dir.is_some() && opts.files.len() == 1;
+    // the end if anything was wrong.
     let mut all_diags: ur::syntax::Diagnostics = Vec::new();
     for file in &opts.files {
         let src = std::fs::read_to_string(file)
             .map_err(|e| format!("{file}: {e}"))?;
-        let (defs, diags) = if incremental {
-            sess.reelaborate(&src)
-        } else {
-            sess.run_all(&src)
-        };
+        let (defs, diags) = sess.run_all(&src);
         if !opts.emit_json {
             for d in &diags {
                 eprintln!("{file}: {d}");
@@ -375,12 +355,10 @@ fn watch(sess: &mut Session, opts: &Options) -> Result<(), String> {
                     }
                     let r = sess.last_incr_report().cloned().unwrap_or_default();
                     eprintln!(
-                        "[watch] {file}: {} decls ({} green, {} red, {} disk hits), \
-                         {} error{} in {ms} ms",
+                        "[watch] {file}: {} decls ({} green, {} red), {} error{} in {ms} ms",
                         r.decls_total,
                         r.green,
                         r.red,
-                        r.disk_hits,
                         diags.len(),
                         if diags.len() == 1 { "" } else { "s" },
                     );
@@ -454,7 +432,6 @@ fn listen(opts: &Options, addr: &str) -> Result<(), String> {
     let mut cfg = ur::serve::ServeConfig {
         addr: addr.to_string(),
         engine: opts.engine,
-        cache_dir: opts.cache_dir.as_ref().map(std::path::PathBuf::from),
         db_dir: opts
             .db_dir
             .as_deref()

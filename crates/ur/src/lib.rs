@@ -31,7 +31,7 @@
 //! * [`syntax`] — lexer and parser for the §2 surface notation;
 //! * [`infer`] — elaboration and unification (§4);
 //! * [`query`] — the red-green incremental elaboration engine with its
-//!   persistent on-disk cache;
+//!   process-wide live-outcome layer;
 //! * [`eval`] — the call-by-value interpreter;
 //! * [`web`] — the Ur/Web standard library and [`Session`] runtime (§5);
 //! * [`db`] — the in-memory relational substrate;

@@ -15,9 +15,9 @@
 //!    revert, over groups that reference earlier groups' bindings)
 //!    replayed against a cold per-step baseline;
 //! 3. the adversarial corpus — error outcomes cache and replay too;
-//! 4. the on-disk cache — a cold load writes one pack, packs other
-//!    engines write are found, and every damaged pack degrades to a
-//!    recompute, never to a wrong answer;
+//! 4. the process-wide live-outcome layer — a second session seeds
+//!    from what the first elaborated, and two sessions rebuilding
+//!    concurrently over it each still match their cold baseline;
 //! 5. the fuel ledger — green reuse charges no normalization steps.
 //!
 //! Every warm rebuild is also re-checked under the Figure-4 judgment
@@ -25,8 +25,12 @@
 //! declarations are seeded from live outcomes, and a seeded body that
 //! named a symbol this rebuild did not install would print the same
 //! after `#N` stripping but fail to type-check.
+//!
+//! All sessions in this binary share one arena generation, so they
+//! share the layer: a test that asserts a declaration is red uses
+//! declarations no other test elaborates.
 
-use std::path::PathBuf;
+use std::sync::{Arc, Barrier};
 use ur::core::defeq::defeq;
 use ur::core::typing::type_of;
 use ur::infer::{Diagnostics, ElabDecl};
@@ -48,16 +52,6 @@ fn strip_sym_ids(s: &str) -> String {
         }
     }
     out
-}
-
-/// A per-test on-disk cache directory, unique per process so parallel
-/// `cargo test` runs cannot cross-contaminate.
-fn test_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ur-incr-test-{}-{tag}", std::process::id()))
-}
-
-fn cleanup(dir: &PathBuf) {
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// Normalized observation of one run: declaration debug forms, printed
@@ -95,22 +89,18 @@ fn cold(src: &str) -> Observed {
     normalize(&sess.elab.decls[base_len..], &vals, &diags)
 }
 
-/// A warm session wrapping `Session::reelaborate` with its own cache
-/// directory, exposing normalized observations per rebuild.
+/// A warm session wrapping `Session::reelaborate`, exposing normalized
+/// observations per rebuild.
 struct Warm {
     sess: Session,
     base_len: usize,
-    dir: PathBuf,
 }
 
 impl Warm {
-    fn new(tag: &str) -> Self {
-        let dir = test_dir(tag);
-        cleanup(&dir);
-        let mut sess = Session::new().expect("session");
-        sess.cache_dir = Some(dir.clone());
+    fn new() -> Self {
+        let sess = Session::new().expect("session");
         let base_len = sess.elab.decls.len();
-        Warm { sess, base_len, dir }
+        Warm { sess, base_len }
     }
 
     fn rebuild(&mut self, src: &str) -> (Observed, ur::query::RunReport) {
@@ -152,12 +142,6 @@ fn recheck(sess: &Session, base_len: usize, src: &str) {
     }
 }
 
-impl Drop for Warm {
-    fn drop(&mut self) {
-        cleanup(&self.dir);
-    }
-}
-
 /// One combined source for the whole §6 suite (deduplicated
 /// implementations, no usage demos) — the benchmark workload.
 fn combined_figure5_batch() -> String {
@@ -175,11 +159,13 @@ fn combined_figure5_batch() -> String {
 // 1. Acceptance criteria
 // ---------------------------------------------------------------------
 
+/// No other test here loads this batch over the plain prelude base, so
+/// its first load is cold.
 #[test]
 fn noop_rebuild_of_combined_figure5_batch_reruns_zero_elaborations() {
     let src = combined_figure5_batch();
     let baseline = cold(&src);
-    let mut warm = Warm::new("accept-noop");
+    let mut warm = Warm::new();
 
     let (first, r1) = warm.rebuild(&src);
     assert_eq!(first, baseline, "cold incremental run diverges");
@@ -199,7 +185,7 @@ fn whitespace_and_comment_edits_stay_fully_green() {
     // goes through the span-erasing pretty-printer, so this is a no-op.
     let reformatted =
         "(* a comment *)\ncon t :: Type =   int\n\n\nval one : int = 1\nval two : t = one";
-    let mut warm = Warm::new("accept-ws");
+    let mut warm = Warm::new();
     let (first, _) = warm.rebuild(src);
     let (second, r2) = warm.rebuild(reformatted);
     assert_eq!(r2.red, 0, "reformatting recomputed declarations: {r2:?}");
@@ -216,7 +202,7 @@ fn single_decl_edit_recomputes_only_the_dependent_cone() {
                   val one : int = 7\n\
                   val two : t = one\n\
                   val solo = 42\n";
-    let mut warm = Warm::new("accept-edit");
+    let mut warm = Warm::new();
     warm.rebuild(base);
     let (obs, r) = warm.rebuild(edited);
     // `one` changed; `two` depends on it. `t` and `solo` are untouched.
@@ -233,7 +219,7 @@ fn single_decl_edit_recomputes_only_the_dependent_cone() {
 fn independent_decl_edit_leaves_the_rest_green() {
     let base = "val a = 1\nval b = a + 1\nval c = 10\nval d = c + 1\n";
     let edited = "val a = 1\nval b = a + 1\nval c = 20\nval d = c + 1\n";
-    let mut warm = Warm::new("accept-indep");
+    let mut warm = Warm::new();
     warm.rebuild(base);
     let (obs, r) = warm.rebuild(edited);
     // Only the `c` cone (c, d) re-runs; the `a` cone stays green.
@@ -311,51 +297,83 @@ fn gen_group(rng: &mut Rng, salt: usize, bound: &mut Vec<Bound>) -> String {
     }
 }
 
-#[test]
-fn random_edit_scripts_match_the_cold_baseline() {
-    let mut rng = Rng::new(0x1ec4_ed18);
-    let mut salt = 0usize;
-    let mut bound = Vec::new();
-    let mut fresh = |rng: &mut Rng| {
-        salt += 1;
-        gen_group(rng, salt, &mut bound)
-    };
-    let mut groups: Vec<String> = (0..8).map(|_| fresh(&mut rng)).collect();
-    let mut history: Vec<Vec<String>> = Vec::new();
-    let mut warm = Warm::new("script");
-    for step in 0..16 {
-        history.push(groups.clone());
-        match rng.below(6) {
+/// A random edit script over declaration groups: mutate / insert /
+/// delete / swap / duplicate / revert.
+struct Script {
+    rng: Rng,
+    salt: usize,
+    bound: Vec<Bound>,
+    groups: Vec<String>,
+    history: Vec<Vec<String>>,
+}
+
+impl Script {
+    /// A script whose starting program is eight groups drawn from `seed`;
+    /// its edits draw from the same stream.
+    fn new(seed: u64) -> Script {
+        let mut script = Script {
+            rng: Rng::new(seed),
+            salt: 0,
+            bound: Vec::new(),
+            groups: Vec::new(),
+            history: Vec::new(),
+        };
+        script.groups = (0..8).map(|_| script.fresh()).collect();
+        script
+    }
+
+    fn fresh(&mut self) -> String {
+        self.salt += 1;
+        gen_group(&mut self.rng, self.salt, &mut self.bound)
+    }
+
+    /// Applies one random edit and returns the edited program.
+    fn step(&mut self) -> String {
+        self.history.push(self.groups.clone());
+        let n = self.groups.len();
+        match self.rng.below(6) {
             0 => {
                 // Mutate: regenerate one group in place.
-                let i = rng.below(groups.len());
-                groups[i] = fresh(&mut rng);
+                let i = self.rng.below(n);
+                self.groups[i] = self.fresh();
             }
-            1 => groups.push(fresh(&mut rng)),
-            2 if groups.len() > 3 => {
-                let i = rng.below(groups.len());
-                groups.remove(i);
+            1 => {
+                let g = self.fresh();
+                self.groups.push(g);
+            }
+            2 if n > 3 => {
+                let i = self.rng.below(n);
+                self.groups.remove(i);
             }
             3 => {
                 // Duplicate: an identical copy (same text, and the
                 // same dependency keys when nothing in between
                 // rebinds its names) shadows the original.
-                let i = rng.below(groups.len());
-                let j = rng.below(groups.len() + 1);
-                groups.insert(j, groups[i].clone());
+                let i = self.rng.below(n);
+                let j = self.rng.below(n + 1);
+                self.groups.insert(j, self.groups[i].clone());
             }
             4 => {
                 // Revert to an earlier program: its declarations
                 // come back green from whatever rebuild cached them.
-                groups = rng.pick(&history).clone();
+                self.groups = self.rng.pick(&self.history).clone();
             }
             _ => {
-                let i = rng.below(groups.len());
-                let j = rng.below(groups.len());
-                groups.swap(i, j);
+                let i = self.rng.below(n);
+                let j = self.rng.below(n);
+                self.groups.swap(i, j);
             }
         }
-        let src = groups.join("\n");
+        self.groups.join("\n")
+    }
+}
+
+#[test]
+fn random_edit_scripts_match_the_cold_baseline() {
+    let mut script = Script::new(0x1ec4_ed18);
+    let mut warm = Warm::new();
+    for step in 0..16 {
+        let src = script.step();
         let (obs, r) = warm.rebuild(&src);
         assert_eq!(obs, cold(&src), "step {step} diverges from cold");
         assert_eq!(r.decls_total, r.green + r.red, "step {step}: {r:?}");
@@ -385,7 +403,7 @@ fn duplicate_declarations_seed_consistent_dependents() {
         "val t = createTable \"t\" {A = sqlInt}\nval r = t",
         &effectful,
     ];
-    let mut warm = Warm::new("dup");
+    let mut warm = Warm::new();
     for _ in 0..2 {
         for (k, src) in steps.iter().enumerate() {
             let (obs, _) = warm.rebuild(src);
@@ -396,7 +414,7 @@ fn duplicate_declarations_seed_consistent_dependents() {
 
 #[test]
 fn dependency_chain_edits_propagate_redness_transitively() {
-    let mut warm = Warm::new("chain");
+    let mut warm = Warm::new();
     let base = "val base = 1\n\
                 val c1 = base + 1\n\
                 val c2 = c1 + 1\n\
@@ -462,9 +480,9 @@ const ADVERSARIAL: &[(&str, &str)] = &[
 
 #[test]
 fn adversarial_corpus_round_trips_through_the_incremental_engine() {
-    for (i, (name, src)) in ADVERSARIAL.iter().enumerate() {
+    for (name, src) in ADVERSARIAL {
         let baseline = cold(src);
-        let mut warm = Warm::new(&format!("adv-{i}"));
+        let mut warm = Warm::new();
         let (first, _) = warm.rebuild(src);
         assert_eq!(first, baseline, "{name}: cold incremental diverges");
         // Failed declarations cache their diagnostics, so a repeat is
@@ -478,7 +496,7 @@ fn adversarial_corpus_round_trips_through_the_incremental_engine() {
 #[test]
 fn cached_diagnostics_replay_at_shifted_spans() {
     let base = "val a = 1\nval bad = missingName\n";
-    let mut warm = Warm::new("shift");
+    let mut warm = Warm::new();
     let (first, _) = warm.rebuild(base);
     let line_of = |obs: &Observed| {
         assert_eq!(obs.diags.len(), 1, "{obs:?}");
@@ -497,211 +515,74 @@ fn cached_diagnostics_replay_at_shifted_spans() {
 }
 
 // ---------------------------------------------------------------------
-// 4. The disk cache: one pack per load, found by later engines, and
-//    corruption degrades to recompute
+// 4. The process-wide layer: sessions share outcomes
 // ---------------------------------------------------------------------
 
 #[test]
-fn corrupt_cache_entries_fall_back_to_recompute_with_identical_results() {
-    let src = "con t :: Type = int\nval one : int = 1\nval two : t = one\n";
+fn a_second_session_seeds_from_memory() {
+    let src = "val seedA = 1\nval seedB = seedA + 1\nval seedC = seedB + 1\n";
     let baseline = cold(src);
-    let session = |dir: &PathBuf| {
-        let mut sess = Session::new().expect("session");
-        sess.cache_dir = Some(dir.clone());
-        sess
-    };
-    type Damage = fn(&mut Vec<u8>);
-    let damages: [(&str, Damage); 3] = [
-        ("truncate", |b| b.truncate(b.len() / 2)),
-        ("flip", |b| {
-            let mid = b.len() / 2;
-            b[mid] ^= 0xff;
-        }),
-        ("empty", |b| b.clear()),
-    ];
-    // One load writes one pack, so each damage mode gets a freshly
-    // written cache directory of its own.
-    for (mode, damage) in damages {
-        let dir = test_dir(&format!("corrupt-{mode}"));
-        cleanup(&dir);
-        session(&dir).reelaborate(src);
-        let packs: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .expect("cache dir")
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        assert!(!packs.is_empty(), "{mode}: nothing was cached");
-        for path in &packs {
-            let mut bytes = std::fs::read(path).expect("read pack");
-            damage(&mut bytes);
-            std::fs::write(path, bytes).expect("write damaged pack");
-        }
-
-        // A fresh session over the damaged cache must recompute
-        // everything and still agree with the cold baseline — then
-        // repair the cache.
-        let mut sess = session(&dir);
-        let base_len = sess.elab.decls.len();
-        let (vals, diags) = sess.reelaborate(src);
-        let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
-        assert_eq!(obs, baseline, "{mode}: damaged cache changed results");
-        let r = sess.last_incr_report().cloned().expect("report");
-        assert_eq!(
-            r.red, r.decls_total,
-            "{mode}: damaged entries were trusted: {r:?}"
-        );
-        assert!(r.disk_rejections >= 1, "{mode}: {r:?}");
-
-        let (vals, diags) = sess.reelaborate(src);
-        let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
-        assert_eq!(obs, baseline, "{mode}");
-        let r = sess.last_incr_report().cloned().expect("report");
-        assert_eq!(r.red, 0, "{mode}: recompute was not kept: {r:?}");
-
-        let mut fresh = session(&dir);
-        let (vals, diags) = fresh.reelaborate(src);
-        let obs = normalize(&fresh.elab.decls[base_len..], &vals, &diags);
-        assert_eq!(obs, baseline, "{mode}");
-        let r = fresh.last_incr_report().cloned().expect("report");
-        assert_eq!(r.red, 0, "{mode}: cache was not repaired on disk: {r:?}");
-        assert_eq!(r.disk_hits, r.decls_total as u64, "{mode}: {r:?}");
-        cleanup(&dir);
-    }
+    let (first, r) = Warm::new().rebuild(src);
+    assert_eq!(first, baseline);
+    assert_eq!(r.red, 3, "{r:?}");
+    // The first session is gone; its outcomes stay in the layer.
+    let (second, r) = Warm::new().rebuild(src);
+    assert_eq!(r.red, 0, "a fresh session did not reuse the layer: {r:?}");
+    assert_eq!(second, baseline, "memory-seeded run diverges from cold");
 }
 
-/// Names of the files in a cache directory.
-fn cache_files(dir: &PathBuf) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .expect("cache dir")
-        .map(|e| {
-            e.expect("dir entry")
-                .file_name()
-                .to_string_lossy()
-                .into_owned()
+/// Two sessions on two threads rebuild interleaved random edit scripts
+/// (one starting program, different edit seeds) over the shared layer,
+/// starting together so their seeding and write-back race. Every
+/// rebuild must equal a cold run and pass the Figure-4 re-check.
+#[test]
+fn two_sessions_on_two_threads_match_the_cold_baseline() {
+    const STEPS: usize = 16;
+    let barrier = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = [0x5e55_0001u64, 0x5e55_0002]
+        .into_iter()
+        .map(|edit_seed| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut script = Script::new(0x5e55_0000);
+                script.rng = Rng::new(edit_seed);
+                let mut warm = Warm::new();
+                let start = script.groups.join("\n");
+                barrier.wait();
+                let (obs, _) = warm.rebuild(&start);
+                assert_eq!(obs, cold(&start), "seed {edit_seed:#x}: start diverges");
+                for step in 0..STEPS {
+                    let src = script.step();
+                    let (obs, r) = warm.rebuild(&src);
+                    assert_eq!(
+                        obs,
+                        cold(&src),
+                        "seed {edit_seed:#x}: step {step} diverges from cold"
+                    );
+                    assert_eq!(r.decls_total, r.green + r.red, "step {step}: {r:?}");
+                }
+            })
         })
         .collect();
-    names.sort();
-    names
-}
-
-#[test]
-fn a_cold_load_writes_one_pack_and_no_temp_file() {
-    let src = combined_figure5_batch();
-    let mut warm = Warm::new("one-pack");
-    let (_, r) = warm.rebuild(&src);
-    assert!(r.decls_total > 50, "{r:?}");
-    assert_eq!(r.red, r.decls_total, "{r:?}");
-    assert_eq!(r.disk_store_errs, 0, "{r:?}");
-    let files = cache_files(&warm.dir);
-    assert_eq!(
-        files.len(),
-        1,
-        "one create, fsync and rename per rebuild: {files:?}"
-    );
-    assert!(files[0].ends_with(".urp"), "{files:?}");
-    // A fully green rebuild writes nothing.
-    let (_, r) = warm.rebuild(&src);
-    assert_eq!(r.red, 0, "{r:?}");
-    assert_eq!(cache_files(&warm.dir), files);
-}
-
-#[test]
-fn an_engine_that_has_run_finds_packs_written_after_it() {
-    let first = "val a = 1\nval b = a + 1\n";
-    let later = "val x = 10\nval y = x * 2\nval z = y + x\n";
-    let dir = test_dir("relist");
-    cleanup(&dir);
-    let session = || {
-        let mut sess = Session::new().expect("session");
-        sess.cache_dir = Some(dir.clone());
-        sess
-    };
-    let mut early = session();
-    let base_len = early.elab.decls.len();
-    early.reelaborate(first);
-    // Another engine over the same directory writes `later`'s pack
-    // after `early` has already listed it.
-    session().reelaborate(later);
-    let (vals, diags) = early.reelaborate(later);
-    let r = early.last_incr_report().cloned().expect("report");
-    assert_eq!(r.red, 0, "the later pack was not found: {r:?}");
-    assert_eq!(r.disk_hits, 3, "{r:?}");
-    let obs = normalize(&early.elab.decls[base_len..], &vals, &diags);
-    assert_eq!(obs, cold(later));
-    cleanup(&dir);
-}
-
-#[test]
-fn a_fresh_engine_folds_the_packs_that_edits_left() {
-    let version = |k: usize| format!("val a = {k}\nval b = a + 1\nval c = 7\nval d = c * b\n");
-    let dir = test_dir("fold");
-    cleanup(&dir);
-    let session = || {
-        let mut sess = Session::new().expect("session");
-        sess.cache_dir = Some(dir.clone());
-        sess
-    };
-    // A live session's edits each leave a pack of their own.
-    let mut live = session();
-    for k in 0..6 {
-        live.reelaborate(&version(k));
+    for t in threads {
+        t.join().expect("session thread");
     }
-    assert_eq!(cache_files(&dir).len(), 6, "{:?}", cache_files(&dir));
-    // A fresh engine's first listing reads all six, so its run folds
-    // them into one pack, and later engines open one file.
-    let mut fresh = session();
-    let base_len = fresh.elab.decls.len();
-    let (vals, diags) = fresh.reelaborate(&version(5));
-    let r = fresh.last_incr_report().cloned().expect("report");
-    assert_eq!((r.red, r.disk_hits), (0, 4), "{r:?}");
-    let obs = normalize(&fresh.elab.decls[base_len..], &vals, &diags);
-    assert_eq!(obs, cold(&version(5)));
-    let files = cache_files(&dir);
-    assert_eq!(files.len(), 1, "{files:?}");
-    // Folding dropped nothing: every earlier version still loads from
-    // disk, and reading one pack folds nothing more.
-    for k in 0..6 {
-        let mut sess = session();
-        let (vals, diags) = sess.reelaborate(&version(k));
-        let r = sess.last_incr_report().cloned().expect("report");
-        assert_eq!((r.red, r.disk_rejections), (0, 0), "version {k}: {r:?}");
-        let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
-        assert_eq!(obs, cold(&version(k)), "version {k}");
-    }
-    assert_eq!(cache_files(&dir), files);
-    cleanup(&dir);
-}
-
-#[test]
-fn a_second_session_seeds_from_disk() {
-    let src = "val a = 1\nval b = a + 1\nval c = b + 1\n";
-    let baseline = cold(src);
-    let dir = test_dir("seed");
-    cleanup(&dir);
-    {
-        let mut sess = Session::new().expect("session");
-        sess.cache_dir = Some(dir.clone());
-        sess.reelaborate(src);
-    }
-    let mut sess = Session::new().expect("session");
-    sess.cache_dir = Some(dir.clone());
-    let base_len = sess.elab.decls.len();
-    let (vals, diags) = sess.reelaborate(src);
-    let obs = normalize(&sess.elab.decls[base_len..], &vals, &diags);
-    let r = sess.last_incr_report().cloned().expect("report");
-    assert_eq!(r.red, 0, "fresh session did not reuse the disk cache: {r:?}");
-    assert_eq!(r.disk_hits, 3, "{r:?}");
-    assert_eq!(obs, baseline, "disk-seeded run diverges from cold");
-    cleanup(&dir);
 }
 
 // ---------------------------------------------------------------------
 // 5. The fuel ledger: green reuse is free
 // ---------------------------------------------------------------------
 
+/// The session's base gains one declaration before its first rebuild,
+/// so the base binds a sym no other session binds and the batch's keys
+/// are this test's own: its first load is cold whatever runs beside it.
 #[test]
 fn green_reuse_charges_no_elaboration_fuel() {
     let src = combined_figure5_batch();
-    let mut warm = Warm::new("fuel");
+    let mut warm = Warm::new();
+    let (_, diags) = warm.sess.run_all("val fuelLedgerBase = 0");
+    assert!(diags.is_empty(), "{diags:?}");
+    warm.base_len = warm.sess.elab.decls.len();
     let steps_at_base = warm.sess.elab.cx.fuel.lifetime_norm_steps();
     warm.rebuild(&src);
     let steps_cold = warm.sess.elab.cx.fuel.lifetime_norm_steps();

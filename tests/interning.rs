@@ -175,7 +175,8 @@ fn generated_closed_terms_are_flagged_closed() {
 /// them identical ids (same shallow key ⇒ same id), keep distinct terms
 /// on distinct ids, and leave every id dereferenceable afterwards. The
 /// sequence is large enough that every shard's hash-cons table grows
-/// while the threads race.
+/// while the threads race, and every `arena::stats()` snapshot taken
+/// meanwhile must agree with itself.
 #[test]
 fn hammer_concurrent_interning_agrees_across_threads() {
     use std::sync::{Arc, Barrier};
@@ -200,6 +201,20 @@ fn hammer_concurrent_interning_agrees_across_threads() {
             })
         })
         .collect();
+    // While the threads race, every stats snapshot agrees with itself:
+    // its node count is the sum of its per-shard counts.
+    loop {
+        let s = arena::stats();
+        assert_eq!(
+            s.con_per_shard.iter().sum::<u64>(),
+            s.con_nodes,
+            "a stats snapshot contradicts itself"
+        );
+        if handles.iter().all(|h| h.is_finished()) {
+            break;
+        }
+        std::thread::yield_now();
+    }
     let per_thread: Vec<Vec<RCon>> = handles
         .into_iter()
         .map(|h| h.join().expect("hammer thread must not panic"))

@@ -91,10 +91,7 @@ fn interned_nodes() -> u64 {
 
 #[test]
 fn rebuilds_of_a_live_session_intern_under_one_percent_of_the_load() {
-    let dir = std::env::temp_dir().join(format!("ur-rebuild-arena-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let mut sess = Session::new().expect("session");
-    sess.cache_dir = Some(dir.clone());
 
     let src = application(0);
     let before = interned_nodes();
@@ -138,5 +135,4 @@ fn rebuilds_of_a_live_session_intern_under_one_percent_of_the_load() {
         "a one-declaration edit interned {edit} nodes; the load interned {load}"
     );
     eprintln!("interned nodes: load {load}, no-op rebuild {noop}, one-declaration edit {edit}");
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,22 +26,9 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn cache_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "ur-request-scope-{tag}-{}-{}",
-        std::process::id(),
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
 /// A session that loaded `src` through the protocol, as a server's does.
-fn loaded_session(src: &str, dir: &std::path::Path) -> (Session, ReqCtx) {
+fn loaded_session(src: &str) -> (Session, ReqCtx) {
     let mut sess = Session::new().expect("session");
-    sess.cache_dir = Some(dir.to_path_buf());
     let mut ctx = ReqCtx::new(None);
     let (resp, _) = handle_line(&mut sess, &mut ctx, &line("load", "source", src), None);
     assert!(
@@ -103,8 +90,7 @@ fn table_request(i: i64) -> String {
 #[test]
 fn a_request_scope_is_flat() {
     let _g = serial();
-    let dir = cache_dir("flat");
-    let (mut sess, mut ctx) = loaded_session(&table_script(), &dir);
+    let (mut sess, mut ctx) = loaded_session(&table_script());
     let mut ask = |sess: &mut Session, i: i64| {
         let (resp, _) = handle_line(
             sess,
@@ -137,7 +123,6 @@ fn a_request_scope_is_flat() {
         "over {N} requests: {} metavariables, {exprs} expression nodes",
         sess.elab.cx.metas.len() - metas
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The folders, `mkTable` and spreadsheet studies, a 20-row dataset, a
@@ -193,14 +178,11 @@ fn read_request(i: i64) -> String {
 fn a_request_scope_is_transparent() {
     let _g = serial();
     let src = program();
-    let dir = cache_dir("long");
-    let (mut sess, mut ctx) = loaded_session(&src, &dir);
+    let (mut sess, mut ctx) = loaded_session(&src);
     // What a fresh session loaded with the same program answers.
     let fresh = |req: &str, budget: Option<u64>| {
-        let dir = cache_dir("fresh");
-        let (mut s, mut c) = loaded_session(&src, &dir);
+        let (mut s, mut c) = loaded_session(&src);
         let (resp, _) = handle_line(&mut s, &mut c, req, budget);
-        let _ = std::fs::remove_dir_all(&dir);
         resp
     };
     let fields = |prefix: &str| {
@@ -233,15 +215,12 @@ fn a_request_scope_is_transparent() {
         }
     }
     assert_eq!(answered, 24);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn a_declared_type_with_an_undetermined_part_is_rejected() {
     let _g = serial();
-    let dir = cache_dir("abs");
     let mut sess = Session::new().expect("session");
-    sess.cache_dir = Some(dir.clone());
     // A request must never be able to solve one of the session's
     // metavariables: `genv` may only hold meta-free types.
     let (_, diags) = sess.reelaborate("val x : _\nval y : list _");
@@ -251,5 +230,4 @@ fn a_declared_type_with_an_undetermined_part_is_rejected() {
         "{diags:?}"
     );
     assert!(sess.eval("x + 1").is_err());
-    let _ = std::fs::remove_dir_all(&dir);
 }

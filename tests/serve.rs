@@ -172,59 +172,11 @@ fn serve_flushes_final_stats_on_quit_and_eof() {
     assert!(child.wait().unwrap().success(), "EOF must exit 0");
 }
 
-/// Two `--serve` processes over one cache directory load the same
-/// program in turn: the second is served entirely from the pack the
-/// first one wrote, re-elaborating nothing.
-#[test]
-fn a_second_serve_process_loads_from_the_first_ones_pack() {
-    let cache = tmpdir("pack-cache");
-    let load = || {
-        let mut child = spawn_serve(&["--cache-dir", cache.to_str().unwrap()]);
-        let mut stdin = child.stdin.take().unwrap();
-        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
-        stdin
-            .write_all(
-                b"{\"cmd\":\"load\",\"source\":\"val a = 1\\nval b = a + 1\\nval c = b * a\"}\n\
-                  {\"cmd\":\"quit\"}\n",
-            )
-            .unwrap();
-        stdin.flush().unwrap();
-        let resp = lines.next().unwrap().unwrap();
-        assert!(child.wait().unwrap().success());
-        resp
-    };
-    let count = |resp: &str, key: &str| -> u64 {
-        let at = resp
-            .find(&format!("\"{key}\":"))
-            .unwrap_or_else(|| panic!("{key}: {resp}"));
-        let digits: String = resp[at + key.len() + 3..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().unwrap()
-    };
-    let first = load();
-    assert!(first.contains("\"ok\":true"), "{first}");
-    assert_eq!(count(&first, "red"), 3, "{first}");
-    let second = load();
-    assert!(second.contains("\"ok\":true"), "{second}");
-    assert_eq!(count(&second, "red"), 0, "{second}");
-    assert_eq!(
-        count(&second, "disk_hits"),
-        count(&second, "decls"),
-        "{second}"
-    );
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
 /// Satellite: deadline budgets degrade structurally (E0900 in the
 /// response diagnostics) instead of hanging or crashing the process.
-/// The cache dir is test-private: a shared disk cache would satisfy the
-/// rebuild without burning fuel.
 #[test]
 fn serve_deadline_degrades_to_e0900() {
-    let cache = tmpdir("deadline-cache");
-    let mut child = spawn_serve(&["--cache-dir", cache.to_str().unwrap()]);
+    let mut child = spawn_serve(&[]);
     let mut stdin = child.stdin.take().unwrap();
     let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
     let fields = |prefix: &str| {
@@ -250,7 +202,6 @@ fn serve_deadline_degrades_to_e0900() {
     stdin.write_all(b"{\"cmd\":\"quit\"}\n").unwrap();
     stdin.flush().unwrap();
     assert!(child.wait().unwrap().success());
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 /// Satellite: `DbError::Locked` contention from a *child process* is
@@ -330,9 +281,7 @@ fn spawn_listen(extra: &[&str]) -> (Child, std::net::SocketAddr, impl Iterator<I
 
 #[test]
 fn listen_serves_tcp_clients_and_drains_on_shutdown() {
-    let cache = tmpdir("listen-cache");
-    let (mut child, addr, mut lines) =
-        spawn_listen(&["--pool", "2", "--cache-dir", cache.to_str().unwrap()]);
+    let (mut child, addr, mut lines) = spawn_listen(&["--pool", "2"]);
     let stream = std::net::TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
@@ -356,14 +305,12 @@ fn listen_serves_tcp_clients_and_drains_on_shutdown() {
     assert!(fin.contains("\"event\":\"final\""), "{fin}");
     assert!(fin.contains("\"accepted\":"), "{fin}");
     assert!(child.wait().unwrap().success());
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[cfg(unix)]
 #[test]
 fn listen_drains_gracefully_on_sigterm() {
-    let cache = tmpdir("sigterm-cache");
-    let (mut child, addr, mut lines) = spawn_listen(&["--cache-dir", cache.to_str().unwrap()]);
+    let (mut child, addr, mut lines) = spawn_listen(&[]);
     // A served request, so the final summary has something to report.
     let stream = std::net::TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -380,5 +327,4 @@ fn listen_drains_gracefully_on_sigterm() {
     let fin = lines.next().expect("final line after SIGTERM");
     assert!(fin.contains("\"event\":\"final\""), "{fin}");
     assert!(child.wait().unwrap().success(), "SIGTERM must exit 0");
-    let _ = std::fs::remove_dir_all(&cache);
 }
