@@ -43,7 +43,7 @@
 //! only and installs the recovered durable handle without re-adopting.
 
 use crate::counters::ServeCounters;
-use crate::protocol::{self, Answers, ReqCtx};
+use crate::protocol::{self, Answers, ReqCtx, Request};
 use crate::{lock, ServeConfig};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,7 +55,6 @@ use std::time::{Duration, Instant};
 use ur_core::failpoint::{self, FpCounters, Site};
 use ur_core::limits::Limits;
 use ur_db::{Db, DbSnapshot, RetryConfig};
-use ur_query::json::parse_flat_object;
 use ur_web::Session;
 
 /// Session key for the single shared session in durable mode.
@@ -143,12 +142,14 @@ impl SnapshotHub {
 
 /// One unit of work for a worker.
 pub enum Job {
-    /// A request line from connection `conn`, to be answered through
-    /// `reply` before `deadline`.
+    /// A request from connection `conn`, decoded at admission, to be
+    /// answered through `reply` before `deadline`, which ends its budget
+    /// of `deadline_ms` (`min(server default, request's deadline_ms)`).
     Request {
         conn: u64,
-        line: String,
+        req: Request,
         deadline: Instant,
+        deadline_ms: u64,
         reply: SyncSender<String>,
     },
     /// Connection `conn` closed; its session can be dropped.
@@ -403,8 +404,9 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
             }
             Job::Request {
                 conn,
-                line,
+                req,
                 deadline,
+                deadline_ms,
                 reply,
             } => {
                 if failpoint::fire(Site::ServeWedge) {
@@ -438,17 +440,15 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
                         .counters
                         .deadline_expired
                         .fetch_add(1, Ordering::Relaxed);
-                    let _ = reply.send(protocol::deadline_expired_response(
-                        shared.cfg.deadline_ms,
-                    ));
+                    let _ = reply.send(protocol::deadline_expired_response(deadline_ms));
                     ship_faults(&shared);
                     continue;
                 }
                 let resp = match &mut reader {
-                    Some(r) => serve_read(&shared, r, &line, deadline),
+                    Some(r) => serve_read(&shared, r, &req, deadline, deadline_ms),
                     None => {
                         let budget_ms = (deadline - now).as_millis() as u64;
-                        serve_one(&shared, &mut sessions, &mut durable, conn, &line, budget_ms)
+                        serve_one(&shared, &mut sessions, &mut durable, conn, req, budget_ms)
                     }
                 };
                 if durable_mode && wid == 0 {
@@ -483,7 +483,7 @@ fn serve_one(
     sessions: &mut HashMap<u64, Slot>,
     durable: &mut Option<Db>,
     conn: u64,
-    line: &str,
+    req: Request,
     budget_ms: u64,
 ) -> String {
     let key = if shared.cfg.db_dir.is_some() {
@@ -507,15 +507,8 @@ fn serve_one(
     let Some(slot) = sessions.get_mut(&key) else {
         return protocol::internal_error_response();
     };
-    let is_rebuild = matches!(
-        parse_flat_object(line)
-            .as_ref()
-            .and_then(|r| r.get("cmd"))
-            .map(String::as_str),
-        Some("load") | Some("edit")
-    );
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        protocol::handle_line(&mut slot.sess, &mut slot.ctx, line, Some(budget_ms))
+        protocol::handle_request(&mut slot.sess, &mut slot.ctx, req, Some(budget_ms))
     }));
     let (resp, _ctl) = match outcome {
         Ok(r) => r,
@@ -527,74 +520,75 @@ fn serve_one(
             return protocol::internal_error_response();
         }
     };
-    if is_rebuild && resp.starts_with("{\"ok\":true") {
-        if let Some(src) = parse_flat_object(line).and_then(|mut r| r.remove("source")) {
-            if let Some(slot) = sessions.get_mut(&key) {
-                if let Some(d) = durable.as_mut() {
-                    // The rebuild replayed declarations into the scratch
-                    // in-memory world; the durable store adopts that
-                    // world as the new truth (see module docs). Poison
-                    // from a failed adopt is healed by checkpoint retry
-                    // with bounded backoff.
-                    d.adopt_state(&slot.sess.db().clone());
-                    let mut delay = Duration::from_millis(5);
-                    for _ in 0..4 {
-                        if d.poison_reason().is_none() {
-                            break;
-                        }
-                        let _ = d.checkpoint();
-                        std::thread::sleep(delay);
-                        delay *= 2;
-                    }
-                    if d.poison_reason().is_some() {
-                        // The store never accepted the rebuild: refuse
-                        // the ack (acked state must be on disk) and drop
-                        // the session so the next request restores from
-                        // the last state the store *did* accept.
-                        sessions.remove(&key);
-                        return "{\"ok\":false,\"error\":\"durable store rejected the \
-                                rebuild; state rolled back to the last checkpoint\"}"
-                            .to_string();
-                    }
-                    *slot.sess.db() = d.clone();
-                }
-                // Effects are fully applied (and durable, when shared):
-                // only now may the script become the restore point, and
-                // only now may snapshot readers answer from it.
-                lock(&shared.scripts).insert(
-                    key,
-                    AckedScript {
-                        source: src,
-                        diags: slot.ctx.last_diags.clone(),
-                        limits: slot.ctx.last_limits,
-                    },
-                );
-                if durable.is_some() {
-                    shared
-                        .hub
-                        .publish_answers(Answers::of(&slot.sess, slot.ctx.last_diags.clone()));
-                }
+    // A load or edit that ran leaves the source it rebuilt.
+    let Some(slot) = sessions.get_mut(&key) else {
+        return resp;
+    };
+    let Some(src) = slot.ctx.last_source.take() else {
+        return resp;
+    };
+    if let Some(d) = durable.as_mut() {
+        // The rebuild replayed declarations into the scratch in-memory
+        // world; the durable store adopts that world as the new truth (see
+        // module docs). Poison from a failed adopt is healed by checkpoint
+        // retry with bounded backoff.
+        d.adopt_state(&slot.sess.db().clone());
+        let mut delay = Duration::from_millis(5);
+        for _ in 0..4 {
+            if d.poison_reason().is_none() {
+                break;
             }
+            let _ = d.checkpoint();
+            std::thread::sleep(delay);
+            delay *= 2;
         }
+        if d.poison_reason().is_some() {
+            // The store never accepted the rebuild: refuse the ack (acked
+            // state must be on disk) and drop the session so the next
+            // request restores from the last state the store *did* accept.
+            sessions.remove(&key);
+            return "{\"ok\":false,\"error\":\"durable store rejected the \
+                    rebuild; state rolled back to the last checkpoint\"}"
+                .to_string();
+        }
+        *slot.sess.db() = d.clone();
+    }
+    // Effects are fully applied (and durable, when shared): only now may
+    // the script become the restore point, and only now may snapshot
+    // readers answer from it.
+    lock(&shared.scripts).insert(
+        key,
+        AckedScript {
+            source: src,
+            diags: slot.ctx.last_diags.clone(),
+            limits: slot.ctx.last_limits,
+        },
+    );
+    if durable.is_some() {
+        shared
+            .hub
+            .publish_answers(Answers::of(&slot.sess, slot.ctx.last_diags.clone()));
     }
     resp
 }
 
-/// Answers a snapshot read: wait (until the request's deadline) for the
-/// writer's first answers, install a read-only handle over the latest
-/// snapshot when the hub's sequence moved, and answer from both.
+/// Answers a snapshot read: wait (until the request's deadline, the end
+/// of its `deadline_ms` budget) for the writer's first answers, install a
+/// read-only handle over the latest snapshot when the hub's sequence
+/// moved, and answer from both.
 fn serve_read(
     shared: &Arc<PoolShared>,
     reader: &mut ReaderState,
-    line: &str,
+    req: &Request,
     deadline: Instant,
+    deadline_ms: u64,
 ) -> String {
     let Some(answers) = shared.hub.answers_by(deadline) else {
         shared
             .counters
             .deadline_expired
             .fetch_add(1, Ordering::Relaxed);
-        return protocol::deadline_expired_response(shared.cfg.deadline_ms);
+        return protocol::deadline_expired_response(deadline_ms);
     };
     let (seq, snap) = shared.hub.current();
     if seq != reader.seq {
@@ -603,7 +597,7 @@ fn serve_read(
             reader.seq = seq;
         }
     }
-    protocol::handle_snapshot_read(&answers, &reader.db, line)
+    protocol::handle_snapshot_read(&answers, &reader.db, req)
 }
 
 /// Builds a session for `key`: pin a pristine in-memory base, replay the

@@ -25,10 +25,13 @@
 //! (`overloaded` + `retry_after_ms`, `deadline_expired`, lost in-flight
 //! requests) — see the response builders below.
 //!
-//! A durable server's snapshot readers hold no session: they answer
-//! `type`, `diagnostics` and `db` through [`handle_snapshot_read`], from
-//! the writer's published [`Answers`] and a read-only database handle,
-//! formatted by the same response builders as [`handle_line`].
+//! The TCP front door decodes each line once, at admission, and hands
+//! the decoded [`Request`] to [`handle_request`], which [`handle_line`]
+//! also calls after decoding. A durable server's snapshot readers hold
+//! no session: they answer `type`, `diagnostics` and `db` through
+//! [`handle_snapshot_read`], from the writer's published [`Answers`] and
+//! a read-only database handle, formatted by the same response builders
+//! as [`handle_request`].
 
 use crate::counters::ServeCounters;
 use std::collections::HashMap;
@@ -37,6 +40,10 @@ use ur_core::limits::Limits;
 use ur_db::Db;
 use ur_query::json::{diags_to_json, escape, parse_flat_object};
 use ur_web::Session;
+
+/// A decoded request line: the fields of one flat JSON object
+/// ([`parse_flat_object`]).
+pub type Request = HashMap<String, String>;
 
 /// Per-request size cap, shared by both front doors. A line longer
 /// than this gets a structured JSON error; the excess is drained
@@ -62,6 +69,9 @@ pub struct ReqCtx {
     /// The fuel ceiling the most recent load/edit ran under (`None` when
     /// it had no budget), so a replay of it can run under the same one.
     pub last_limits: Option<Limits>,
+    /// The source the most recent load/edit rebuilt. The TCP pool takes
+    /// it after each request to record the acknowledged script.
+    pub last_source: Option<String>,
     /// Serve gauges folded into `stats` responses, when serving.
     pub counters: Option<Arc<ServeCounters>>,
 }
@@ -71,6 +81,7 @@ impl ReqCtx {
         ReqCtx {
             last_diags: Vec::new(),
             last_limits: None,
+            last_source: None,
             counters,
         }
     }
@@ -136,10 +147,7 @@ fn error_response(msg: &str) -> String {
 
 /// The answer to `type`: the type `lookup` finds for the request's
 /// `name`, or why there is none.
-fn type_response(
-    req: &HashMap<String, String>,
-    lookup: impl FnOnce(&str) -> Option<String>,
-) -> String {
+fn type_response(req: &Request, lookup: impl FnOnce(&str) -> Option<String>) -> String {
     let Some(name) = req.get("name") else {
         return error_response("type needs a \"name\" field");
     };
@@ -211,23 +219,14 @@ pub fn is_snapshot_read(cmd: Option<&str>) -> bool {
 
 /// Answers a snapshot read from the writer's published `answers` and a
 /// read-only handle `db` over its latest snapshot.
-pub fn handle_snapshot_read(answers: &Answers, db: &Db, line: &str) -> String {
-    let Some(req) = parse_flat_object(line) else {
-        return malformed_response();
-    };
+pub fn handle_snapshot_read(answers: &Answers, db: &Db, req: &Request) -> String {
     match req.get("cmd").map(String::as_str) {
-        Some("type") => type_response(&req, |name| answers.types.get(name).cloned()),
+        Some("type") => type_response(req, |name| answers.types.get(name).cloned()),
         Some("diagnostics") => diagnostics_response(&answers.diags),
         Some("db") => db_response(db),
         Some(other) => error_response(&format!("{other} is not a snapshot read")),
         None => error_response("request needs a \"cmd\" field"),
     }
-}
-
-/// The request's own `deadline_ms` field, if present and well-formed.
-pub fn requested_deadline_ms(line: &str) -> Option<u64> {
-    let req = parse_flat_object(line)?;
-    req.get("deadline_ms")?.trim().parse().ok()
 }
 
 /// Runs `f` with the session's fuel ceilings scaled to `budget_ms` of
@@ -251,21 +250,32 @@ fn with_deadline_fuel<T>(
     out
 }
 
-/// Handles one request line; returns `(response, control)`.
-///
-/// `budget_ms` is the wall-clock budget remaining for this request
-/// (admission deadline minus queue time); the request's own
-/// `deadline_ms` field tightens it further. `None` means unlimited.
+/// Handles one request line; returns `(response, control)`. The stdio
+/// front door's entry point: decodes the line, then [`handle_request`].
 pub fn handle_line(
     sess: &mut Session,
     ctx: &mut ReqCtx,
     line: &str,
     budget_ms: Option<u64>,
 ) -> (String, Control) {
+    match parse_flat_object(line) {
+        Some(req) => handle_request(sess, ctx, req, budget_ms),
+        None => (malformed_response(), Control::Continue),
+    }
+}
+
+/// Handles one decoded request; returns `(response, control)`.
+///
+/// `budget_ms` is the wall-clock budget remaining for this request
+/// (admission deadline minus queue time); the request's own
+/// `deadline_ms` field tightens it further. `None` means unlimited.
+pub fn handle_request(
+    sess: &mut Session,
+    ctx: &mut ReqCtx,
+    mut req: Request,
+    budget_ms: Option<u64>,
+) -> (String, Control) {
     let err = |msg: &str| (error_response(msg), Control::Continue);
-    let Some(req) = parse_flat_object(line) else {
-        return (malformed_response(), Control::Continue);
-    };
     let budget_ms = [
         budget_ms,
         req.get("deadline_ms").and_then(|v| v.trim().parse().ok()),
@@ -273,15 +283,16 @@ pub fn handle_line(
     .into_iter()
     .flatten()
     .min();
-    match req.get("cmd").map(String::as_str) {
+    let cmd = req.remove("cmd");
+    match cmd.as_deref() {
         Some("load") | Some("edit") => {
-            let Some(src) = req.get("source") else {
+            let Some(src) = req.remove("source") else {
                 return err("load/edit needs a \"source\" field");
             };
             let limits = budget_ms.map(Limits::for_deadline_ms);
             let (_defs, diags) = match limits {
-                Some(l) => sess.reelaborate_limited(src, l),
-                None => sess.reelaborate(src),
+                Some(l) => sess.reelaborate_limited(&src, l),
+                None => sess.reelaborate(&src),
             };
             let r = sess.last_incr_report().cloned().unwrap_or_default();
             let resp = format!(
@@ -294,6 +305,7 @@ pub fn handle_line(
             );
             ctx.last_diags = diags;
             ctx.last_limits = limits;
+            ctx.last_source = Some(src);
             (resp, Control::Continue)
         }
         Some("type") => (
@@ -355,6 +367,7 @@ mod tests {
         );
         assert_eq!(c, Control::Continue);
         assert!(resp.contains("\"ok\":true"), "{resp}");
+        assert_eq!(ctx.last_source.as_deref(), Some("val x = 41"));
         let (resp, _) = handle_line(&mut s, &mut ctx, "{\"cmd\":\"type\",\"name\":\"x\"}", None);
         assert!(resp.contains("\"type\":\"int\""), "{resp}");
         let (resp, _) = handle_line(&mut s, &mut ctx, "{\"cmd\":\"eval\",\"expr\":\"x + 1\"}", None);
@@ -445,15 +458,13 @@ mod tests {
             "{\"cmd\":\"type\"}",
             "{\"cmd\":\"diagnostics\"}",
             "{\"cmd\":\"db\"}",
-            "not json",
         ] {
             let (want, _) = handle_line(&mut s, &mut ctx, line, None);
-            assert_eq!(handle_snapshot_read(&answers, &db, line), want, "{line}");
+            let req = parse_flat_object(line).expect("a flat object");
+            assert_eq!(handle_snapshot_read(&answers, &db, &req), want, "{line}");
         }
-        assert!(
-            handle_snapshot_read(&answers, &db, "{\"cmd\":\"type\",\"name\":\"x\"}")
-                .contains("\"type\":\"string\"")
-        );
+        let x = parse_flat_object("{\"cmd\":\"type\",\"name\":\"x\"}").expect("a flat object");
+        assert!(handle_snapshot_read(&answers, &db, &x).contains("\"type\":\"string\""));
     }
 
     #[test]

@@ -27,16 +27,21 @@
 //!   case is answered with an explicit unknown-outcome error instead.
 //! - **Drain.** `shutdown` (or SIGTERM via `urc --listen`) stops
 //!   admission, lets in-flight work finish or deadline out, closes the
-//!   pool (final checkpoints), and reports a final [`Summary`].
+//!   pool (final checkpoints), and reports a final [`Summary`]. The
+//!   acceptor blocks in `accept()`; the drain wakes it with a loopback
+//!   connect, and it exits, closing the listener.
+//!
+//! Each request line is decoded once, at admission; the decoded request
+//! travels with its job to the worker.
 
 use crate::counters::ServeCounters;
 use crate::pool::{Job, Pool};
-use crate::protocol::{self, MAX_REQUEST};
+use crate::protocol::{self, Request, MAX_REQUEST};
 use crate::reader::read_capped_line;
 use crate::{lock, ServeConfig};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -105,7 +110,6 @@ impl Server {
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let counters = Arc::new(ServeCounters::new());
         let pool = Pool::start(cfg, Arc::clone(&counters));
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -114,7 +118,7 @@ impl Server {
             let handlers = Arc::clone(&handlers);
             std::thread::Builder::new()
                 .name("ur-serve-accept".to_string())
-                .spawn(move || accept_loop(listener, pool, handlers))
+                .spawn(move || accept_loop(listener, addr, pool, handlers))
                 .ok()
         };
         Ok(Server {
@@ -138,7 +142,7 @@ impl Server {
     /// Begins graceful drain: stop admitting, finish or deadline-out
     /// in-flight work. Idempotent.
     pub fn start_drain(&self) {
-        self.pool.start_drain();
+        drain(&self.pool, self.addr);
     }
 
     /// True once a drain has begun (via [`Server::start_drain`] or a
@@ -177,8 +181,27 @@ impl Server {
     }
 }
 
+/// Begins the drain, then wakes the acceptor blocked in `accept()` on
+/// `addr` with a connect of its own (to loopback when `addr` is
+/// unspecified): the acceptor sees the flag and exits, closing the
+/// listener, so later connects are refused. Should that connect fail
+/// (say, the process is out of file descriptors), the acceptor exits on
+/// the next connection instead.
+fn drain(pool: &Pool, addr: SocketAddr) {
+    pool.start_drain();
+    let mut wake = addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+}
+
 fn accept_loop(
     listener: TcpListener,
+    addr: SocketAddr,
     pool: Arc<Pool>,
     handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
@@ -189,15 +212,16 @@ fn accept_loop(
     let per_ip: Arc<Mutex<HashMap<IpAddr, u64>>> = Arc::new(Mutex::new(HashMap::new()));
     let mut next_conn: u64 = 0;
     loop {
+        let accepted = listener.accept();
+        // The drain's wake-up connect, like any connection arriving after
+        // the drain began, is dropped uncounted.
         if pool.shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        let (stream, peer) = match listener.accept() {
+        let (stream, peer) = match accepted {
             Ok(s) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            }
+            // A real accept error (EMFILE and the like): back off instead
+            // of spinning.
             Err(_) => {
                 std::thread::sleep(Duration::from_millis(20));
                 continue;
@@ -235,7 +259,7 @@ fn accept_loop(
         let h = std::thread::Builder::new()
             .name(format!("ur-serve-conn-{conn}"))
             .spawn(move || {
-                handle_conn(&pool, conn, stream);
+                handle_conn(&pool, addr, conn, stream);
                 live.fetch_sub(1, Ordering::SeqCst);
                 let mut m = lock(&per_ip);
                 if let Some(n) = m.get_mut(&peer.ip()) {
@@ -270,11 +294,11 @@ fn shed_and_close(mut stream: TcpStream, retry_after_ms: u64) {
     let _ = writeln!(stream, "{}", protocol::overloaded_response(retry_after_ms, false));
 }
 
-fn handle_conn(pool: &Arc<Pool>, conn: u64, stream: TcpStream) {
+fn handle_conn(pool: &Arc<Pool>, addr: SocketAddr, conn: u64, stream: TcpStream) {
     if let Some(fp) = pool.shared.cfg.fp {
         failpoint::install(Some(fp));
     }
-    serve_conn(pool, conn, &stream);
+    serve_conn(pool, addr, conn, &stream);
     // Connection epilogue: release the worker-side session (bounded
     // best-effort — a full queue only delays the cleanup, and a global
     // durable session is never dropped) and this handler's fault
@@ -295,7 +319,7 @@ fn handle_conn(pool: &Arc<Pool>, conn: u64, stream: TcpStream) {
     lock(&pool.shared.faults).absorb(&c);
 }
 
-fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
+fn serve_conn(pool: &Arc<Pool>, addr: SocketAddr, conn: u64, stream: &TcpStream) {
     let cfg = &pool.shared.cfg;
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
@@ -324,10 +348,10 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
         if line.trim().is_empty() {
             continue;
         }
-        // Admission-level peek: malformed requests, quit, and shutdown
-        // are answered without spending a queue slot.
-        let req = parse_flat_object(&line);
-        let Some(req) = req else {
+        // The one decode of the line. Malformed requests, quit, and
+        // shutdown are answered here without spending a queue slot; the
+        // rest go to a worker decoded.
+        let Some(req) = parse_flat_object(&line) else {
             let _ = writeln!(writer, "{}", protocol::malformed_response());
             continue;
         };
@@ -337,7 +361,7 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
                 return;
             }
             Some("shutdown") => {
-                pool.start_drain();
+                drain(pool, addr);
                 let _ = writeln!(writer, "{{\"ok\":true,\"draining\":true}}");
                 continue;
             }
@@ -367,7 +391,7 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
         // the writer last acknowledged, instead of queueing behind the
         // writer. `stats` reports a session, so it goes to the writer.
         let read_only = protocol::is_snapshot_read(req.get("cmd").map(String::as_str));
-        let resp = shepherd(pool, conn, &line, deadline_ms, replayable, read_only);
+        let resp = shepherd(pool, conn, &req, deadline_ms, replayable, read_only);
         if failpoint::fire(Site::ServeWrite) {
             // Injected write failure after execution: effects (if any)
             // are applied but the ack is lost — the acked-vs-applied
@@ -386,7 +410,7 @@ fn serve_conn(pool: &Arc<Pool>, conn: u64, stream: &TcpStream) {
 fn shepherd(
     pool: &Arc<Pool>,
     conn: u64,
-    line: &str,
+    req: &Request,
     deadline_ms: u64,
     replayable: bool,
     read_only: bool,
@@ -399,8 +423,9 @@ fn shepherd(
         let (reply_tx, reply_rx) = sync_channel::<String>(1);
         match tx.try_send(Job::Request {
             conn,
-            line: line.to_string(),
+            req: req.clone(),
             deadline,
+            deadline_ms,
             reply: reply_tx,
         }) {
             Err(TrySendError::Full(_)) => {

@@ -236,6 +236,67 @@ fn shutdown_command_drains_and_summary_reports() {
 }
 
 #[test]
+fn a_client_shutdown_stops_the_acceptor_and_later_connects_are_refused() {
+    let server = Server::start(quick_cfg()).expect("start");
+    let addr = server.addr();
+    let mut c = Client::connect(addr);
+    let resp = c.roundtrip("{\"cmd\":\"shutdown\"}");
+    assert!(resp.contains("\"draining\":true"), "{resp}");
+    // The acceptor blocks in accept(); the drain must wake it, or wait()
+    // never returns.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(server.wait()));
+    let summary = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("wait() returns once a client's shutdown drains the server");
+    assert_eq!(
+        summary.accepted, 1,
+        "the wake-up connect is not counted: {summary:?}"
+    );
+    assert!(TcpStream::connect(addr).is_err(), "the listener is closed");
+}
+
+/// The slow load of `overload_sheds_with_structured_retry_hint`: it keeps
+/// a worker busy long enough for requests to queue behind it.
+fn slow_load() -> String {
+    let body = (0..4_000)
+        .map(|i| format!("F{i} = {i}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    format!("{{\"cmd\":\"load\",\"source\":\"val big = {{{body}}}\"}}")
+}
+
+#[test]
+fn a_request_expired_in_the_queue_reports_its_own_deadline() {
+    let cfg = ServeConfig {
+        workers: 1,
+        deadline_ms: 10_000,
+        ..ServeConfig::default()
+    };
+    let server = Server::start(cfg).expect("start");
+    let addr = server.addr();
+    let (slow, mut busy) = (slow_load(), Client::connect(addr));
+    let mut c = Client::connect(addr);
+    // Whether the 1 ms request expires in the queue depends on the
+    // schedule: retry until one does.
+    let mut expired = None;
+    for _ in 0..50 {
+        busy.send(&slow);
+        let resp = c.roundtrip("{\"cmd\":\"eval\",\"expr\":\"1 + 1\",\"deadline_ms\":1}");
+        assert!(busy.recv().contains("\"ok\":true"));
+        if resp.contains("\"error\":\"deadline_expired\"") {
+            expired = Some(resp);
+            break;
+        }
+    }
+    let resp = expired.expect("a 1 ms request queued behind a slow load expires");
+    assert!(resp.contains("\"deadline_ms\":1,"), "{resp}");
+    server.start_drain();
+    let summary = server.wait();
+    assert!(summary.deadline_expired >= 1, "{summary:?}");
+}
+
+#[test]
 fn durable_mode_snapshot_readers_see_acked_state() {
     let db_dir = std::env::temp_dir().join(format!(
         "ur-serve-e2e-db-{}",

@@ -10,10 +10,28 @@
 //!   the :: operator is such that it binds more tightly than any other").
 //! * In an application spine, `e [c]` is explicit constructor application
 //!   and `e !` discharges a disjointness guard.
+//!
+//! The parser runs on the caller's thread, so the stack one nesting level
+//! costs decides how deep an input fits. Nesting recurses only through
+//! `Parser::expr`, `Parser::con` and `Parser::kind`, which charge the
+//! [`MAX_PARSE_DEPTH`] budget, and a level passes through a handful of
+//! small frames:
+//!
+//! * binary operators are one precedence-climbing loop over a stack of
+//!   pending operands, not one function per precedence level;
+//! * right-nested chains (`fn`, `let` and `if` heads; `x :: K ->`
+//!   binders, type-level `fn`s, guards and arrows) are loops that charge
+//!   one budget level per link;
+//! * parentheses, records, parameter lists, `[c]`, `!`, `--` and the
+//!   error messages live in functions of their own, so their locals stay
+//!   out of the frames every level passes through;
+//! * nodes travel boxed between the functions on the nesting path, so
+//!   their frames hold pointers rather than whole nodes.
 
 use crate::ast::*;
 use crate::lex::{lex, LexError, SpannedTok, Tok};
 use std::fmt;
+use std::ops::Range;
 
 /// Parse errors, carrying the offending position.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,52 +70,14 @@ impl From<ParseError> for crate::diag::Diagnostic {
     }
 }
 
-/// Maximum nesting depth of the recursive-descent parser. Inputs nested
-/// deeper than this (e.g. ten thousand unbalanced `(`s) are rejected with
-/// a `ParseTooDeep` diagnostic instead of overflowing the stack. One
-/// nesting level costs several grammar-cascade stack frames (expression →
-/// binop chain → application → atom), each of which is kilobyte-sized in
-/// debug builds — tens of kilobytes of stack per level in the worst case.
-/// The entry points therefore run on a dedicated [`PARSER_STACK_BYTES`]
-/// thread, independent of the caller's stack, and 200 levels keep the
-/// worst case under ~1/3 of it.
+/// Maximum nesting depth of the parser. Inputs nested deeper than this
+/// (e.g. ten thousand unbalanced `(`s) are rejected with a `ParseTooDeep`
+/// diagnostic instead of overflowing the caller's stack: every recursive
+/// shape nested this deep fits in 1.5 MiB of stack in a debug build
+/// (`tests/parse_stack.rs`).
 pub const MAX_PARSE_DEPTH: usize = 200;
 
-/// Stack size of the dedicated parsing thread. The recursive-descent
-/// cascade costs up to ~25 KiB of stack per nesting level in debug
-/// builds, so [`MAX_PARSE_DEPTH`] levels fit with a ~3× margin.
-const PARSER_STACK_BYTES: usize = 16 * 1024 * 1024;
-
 const TOO_DEEP_MSG: &str = "nesting too deep";
-
-/// Runs `f` on a thread with a parser-sized stack, so the depth guard —
-/// not the caller's (possibly 2 MiB test-runner) stack — is what bounds
-/// recursion. Falls back to a structured error if the thread cannot be
-/// spawned or the parser panics; callers never see a panic.
-fn on_parser_stack<T, F>(f: F) -> PResult<T>
-where
-    T: Send,
-    F: FnOnce() -> PResult<T> + Send,
-{
-    std::thread::scope(|scope| {
-        let spawned = std::thread::Builder::new()
-            .name("ur-parse".into())
-            .stack_size(PARSER_STACK_BYTES)
-            .spawn_scoped(scope, f);
-        match spawned {
-            Ok(handle) => handle.join().unwrap_or_else(|_| {
-                Err(ParseError {
-                    span: Span::default(),
-                    message: "internal parser error".into(),
-                })
-            }),
-            Err(_) => Err(ParseError {
-                span: Span::default(),
-                message: "could not allocate parser stack".into(),
-            }),
-        }
-    })
-}
 
 type PResult<T> = Result<T, ParseError>;
 
@@ -107,15 +87,12 @@ type PResult<T> = Result<T, ParseError>;
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_program(src: &str) -> PResult<Program> {
-    on_parser_stack(|| {
-        let toks = lex(src)?;
-        let mut p = Parser { toks, pos: 0, depth: 0 };
-        let mut decls = Vec::new();
-        while p.peek() != &Tok::Eof {
-            decls.push(p.decl()?);
-        }
-        Ok(Program { decls })
-    })
+    let mut p = Parser::new(src)?;
+    let mut decls = Vec::new();
+    while *p.peek() != Tok::Eof {
+        decls.push(p.decl()?);
+    }
+    Ok(Program { decls })
 }
 
 /// Parses a single expression (useful for tests and the REPL example).
@@ -124,13 +101,10 @@ pub fn parse_program(src: &str) -> PResult<Program> {
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_expr(src: &str) -> PResult<SExpr> {
-    on_parser_stack(|| {
-        let toks = lex(src)?;
-        let mut p = Parser { toks, pos: 0, depth: 0 };
-        let e = p.expr()?;
-        p.expect(Tok::Eof)?;
-        Ok(e)
-    })
+    let mut p = Parser::new(src)?;
+    let e = p.expr()?;
+    p.expect(&Tok::Eof)?;
+    Ok(*e)
 }
 
 /// Parses a single constructor (type).
@@ -139,22 +113,89 @@ pub fn parse_expr(src: &str) -> PResult<SExpr> {
 ///
 /// Returns the first lexing or parsing error encountered.
 pub fn parse_con(src: &str) -> PResult<SCon> {
-    on_parser_stack(|| {
-        let toks = lex(src)?;
-        let mut p = Parser { toks, pos: 0, depth: 0 };
-        let c = p.con()?;
-        p.expect(Tok::Eof)?;
-        Ok(c)
+    let mut p = Parser::new(src)?;
+    let c = p.con()?;
+    p.expect(&Tok::Eof)?;
+    Ok(*c)
+}
+
+/// Binary operators by binding strength, loosest first.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Prec {
+    Or,
+    And,
+    Cmp,
+    Cat,
+    Add,
+    Mul,
+}
+
+fn binop(t: &Tok) -> Option<(&'static str, Prec)> {
+    Some(match t {
+        Tok::OrOr => ("||", Prec::Or),
+        Tok::AndAnd => ("&&", Prec::And),
+        Tok::EqEq => ("==", Prec::Cmp),
+        Tok::Ne => ("!=", Prec::Cmp),
+        Tok::Lt => ("<", Prec::Cmp),
+        Tok::Le => ("<=", Prec::Cmp),
+        Tok::Gt => (">", Prec::Cmp),
+        Tok::Ge => (">=", Prec::Cmp),
+        Tok::PlusPlus => ("++", Prec::Cat),
+        Tok::Plus => ("+", Prec::Add),
+        Tok::Minus => ("-", Prec::Add),
+        Tok::Caret => ("^", Prec::Add),
+        Tok::Star => ("*", Prec::Mul),
+        Tok::Slash => ("/", Prec::Mul),
+        Tok::Percent => ("%", Prec::Mul),
+        _ => return None,
     })
+}
+
+/// A left operand waiting for its operator's right operand.
+struct Pending {
+    span: Span,
+    lhs: Box<SExpr>,
+    op: &'static str,
+    prec: Prec,
+}
+
+/// A `fn`, `let` or `if` head waiting for the expression it scopes over.
+enum ExprLink {
+    Fn(Span, Vec<SParam>),
+    Let(Span, Vec<SDecl>),
+    If(Span, Box<SExpr>, Box<SExpr>),
+}
+
+/// A constructor prefix waiting for the constructor to its right.
+enum ConLink {
+    Poly(Span, String, SKind),
+    Lam(Span, Vec<(String, Option<SKind>)>),
+    Guard(Span, Box<SCon>, Box<SCon>),
+    Arrow(Span, Box<SCon>),
 }
 
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Nesting levels open on the current path.
     depth: usize,
+    /// Depth failures so far. Most end the parse; one that a guard probe
+    /// backtracks over ([`Parser::try_guard`]) stays charged against the
+    /// budget for the rest of the parse (docs/ROBUSTNESS.md §1, "The
+    /// parser").
+    spent: usize,
 }
 
 impl Parser {
+    fn new(src: &str) -> PResult<Parser> {
+        Ok(Parser {
+            toks: lex(src)?,
+            pos: 0,
+            depth: 0,
+            spent: 0,
+        })
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -167,16 +208,14 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
-    fn eat(&mut self, t: Tok) -> bool {
-        if *self.peek() == t {
+    fn eat(&mut self, t: &Tok) -> bool {
+        if self.peek() == t {
             self.bump();
             true
         } else {
@@ -184,14 +223,16 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: Tok) -> PResult<()> {
-        if self.eat(t.clone()) {
+    fn expect(&mut self, t: &Tok) -> PResult<()> {
+        if self.eat(t) {
             Ok(())
         } else {
-            Err(self.err(format!("expected `{t}`, found `{}`", self.peek())))
+            Err(self.expected(t))
         }
     }
 
+    #[cold]
+    #[inline(never)]
     fn err(&self, message: String) -> ParseError {
         ParseError {
             span: self.span(),
@@ -199,116 +240,148 @@ impl Parser {
         }
     }
 
+    #[cold]
+    #[inline(never)]
+    fn expected(&self, t: &Tok) -> ParseError {
+        self.err(format!("expected `{t}`, found `{}`", self.peek()))
+    }
+
+    /// The current token cannot start `what`.
+    #[cold]
+    #[inline(never)]
+    fn unexpected(&self, what: &str) -> ParseError {
+        self.err(format!("expected {what}, found `{}`", self.peek()))
+    }
+
+    /// Charges one nesting level; deeply nested inputs get a
+    /// `ParseTooDeep` error instead of a stack overflow. Errors abort the
+    /// parse, so only the successful path gives levels back
+    /// ([`Parser::ascend`]); the guard probe, the one place that
+    /// backtracks, restores the depth it saved.
+    fn descend(&mut self) -> PResult<()> {
+        if self.depth + self.spent < MAX_PARSE_DEPTH {
+            self.depth += 1;
+            Ok(())
+        } else {
+            self.spent += 1;
+            Err(self.too_deep())
+        }
+    }
+
+    fn ascend(&mut self, levels: usize) {
+        self.depth = self.depth.saturating_sub(levels);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn too_deep(&self) -> ParseError {
+        self.err(format!(
+            "{TOO_DEEP_MSG}: the parse-depth budget of {MAX_PARSE_DEPTH} \
+             nesting levels is exhausted"
+        ))
+    }
+
     fn ident(&mut self) -> PResult<String> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Ident(s) => {
+                let s = s.clone();
                 self.bump();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected identifier, found `{other}`"))),
+            _ => Err(self.unexpected("identifier")),
         }
     }
 
     /// An identifier in name-literal position (`#N`); the kind keywords
     /// `Type` and `Name` are acceptable names there.
     fn name_ident(&mut self) -> PResult<String> {
-        match self.peek().clone() {
-            Tok::Ident(s) => {
-                self.bump();
-                Ok(s)
-            }
-            Tok::KwType => {
-                self.bump();
-                Ok("Type".to_string())
-            }
-            Tok::KwName => {
-                self.bump();
-                Ok("Name".to_string())
-            }
-            other => Err(self.err(format!("expected a name, found `{other}`"))),
-        }
+        let name = match self.peek() {
+            Tok::Ident(s) => s.clone(),
+            Tok::KwType => "Type".to_string(),
+            Tok::KwName => "Name".to_string(),
+            _ => return Err(self.unexpected("a name")),
+        };
+        self.bump();
+        Ok(name)
     }
 
     // ---------------- declarations ----------------
 
     fn decl(&mut self) -> PResult<SDecl> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Con => {
-                self.bump();
-                let name = self.ident()?;
-                self.expect(Tok::DColon)?;
-                let k = self.kind()?;
-                if self.eat(Tok::Eq) {
-                    let c = self.con()?;
-                    Ok(SDecl::ConDef(span, name, Some(k), c))
-                } else {
-                    Ok(SDecl::ConAbs(span, name, k))
+        match self.peek() {
+            Tok::Con => self.decl_con(span),
+            Tok::Type => self.decl_type(span),
+            Tok::Val => self.decl_val(span),
+            Tok::Fun => self.decl_fun(span),
+            _ => Err(self.unexpected("a declaration")),
+        }
+    }
+
+    fn decl_con(&mut self, span: Span) -> PResult<SDecl> {
+        self.bump();
+        let name = self.ident()?;
+        self.expect(&Tok::DColon)?;
+        let k = self.kind()?;
+        if self.eat(&Tok::Eq) {
+            let c = self.con()?;
+            Ok(SDecl::ConDef(span, name, Some(k), *c))
+        } else {
+            Ok(SDecl::ConAbs(span, name, k))
+        }
+    }
+
+    fn decl_type(&mut self, span: Span) -> PResult<SDecl> {
+        self.bump();
+        let name = self.ident()?;
+        // Optional parameters: `(x :: K)` groups or bare idents.
+        let mut params = Vec::new();
+        loop {
+            match self.peek() {
+                Tok::Ident(x) => {
+                    params.push((x.clone(), None));
+                    self.bump();
                 }
+                Tok::LParen => params.push(self.paren_binder()?),
+                _ => break,
             }
-            Tok::Type => {
-                self.bump();
-                let name = self.ident()?;
-                // Optional parameters: `(x :: K)` groups or bare idents.
-                let mut params: Vec<(String, Option<SKind>)> = Vec::new();
-                loop {
-                    match self.peek().clone() {
-                        Tok::Ident(x) => {
-                            self.bump();
-                            params.push((x, None));
-                        }
-                        Tok::LParen => {
-                            self.bump();
-                            let x = self.ident()?;
-                            self.expect(Tok::DColon)?;
-                            let k = self.kind()?;
-                            self.expect(Tok::RParen)?;
-                            params.push((x, Some(k)));
-                        }
-                        _ => break,
-                    }
-                }
-                self.expect(Tok::Eq)?;
-                let mut body = self.con()?;
-                for (x, k) in params.into_iter().rev() {
-                    body = SCon::Lam(span, x, k, Box::new(body));
-                }
-                Ok(SDecl::ConDef(span, name, None, body))
+        }
+        self.expect(&Tok::Eq)?;
+        let body = self.con()?;
+        Ok(SDecl::ConDef(span, name, None, *lams(span, params, body)))
+    }
+
+    fn decl_val(&mut self, span: Span) -> PResult<SDecl> {
+        self.bump();
+        let name = self.ident()?;
+        let ann = self.annotation()?;
+        if self.eat(&Tok::Eq) {
+            let e = self.expr()?;
+            Ok(SDecl::Val(span, name, ann, *e))
+        } else {
+            match ann {
+                Some(t) => Ok(SDecl::ValAbs(span, name, t)),
+                None => Err(self.err("`val` without a body needs a type annotation".into())),
             }
-            Tok::Val => {
-                self.bump();
-                let name = self.ident()?;
-                let ann = if self.eat(Tok::Colon) {
-                    Some(self.con()?)
-                } else {
-                    None
-                };
-                if self.eat(Tok::Eq) {
-                    let e = self.expr()?;
-                    Ok(SDecl::Val(span, name, ann, e))
-                } else {
-                    match ann {
-                        Some(t) => Ok(SDecl::ValAbs(span, name, t)),
-                        None => Err(self.err(
-                            "`val` without a body needs a type annotation".into(),
-                        )),
-                    }
-                }
-            }
-            Tok::Fun => {
-                self.bump();
-                let name = self.ident()?;
-                let params = self.params()?;
-                let ann = if self.eat(Tok::Colon) {
-                    Some(self.con()?)
-                } else {
-                    None
-                };
-                self.expect(Tok::Eq)?;
-                let e = self.expr()?;
-                Ok(SDecl::Fun(span, name, params, ann, e))
-            }
-            other => Err(self.err(format!("expected a declaration, found `{other}`"))),
+        }
+    }
+
+    fn decl_fun(&mut self, span: Span) -> PResult<SDecl> {
+        self.bump();
+        let name = self.ident()?;
+        let params = self.params()?;
+        let ann = self.annotation()?;
+        self.expect(&Tok::Eq)?;
+        let e = self.expr()?;
+        Ok(SDecl::Fun(span, name, params, ann, *e))
+    }
+
+    /// An optional `: t`.
+    fn annotation(&mut self) -> PResult<Option<SCon>> {
+        if self.eat(&Tok::Colon) {
+            Ok(Some(*self.con()?))
+        } else {
+            Ok(None)
         }
     }
 
@@ -316,245 +389,191 @@ impl Parser {
     fn params(&mut self) -> PResult<Vec<SParam>> {
         let mut out = Vec::new();
         loop {
-            match self.peek().clone() {
+            let param = match self.peek() {
                 Tok::LBrack => {
                     self.bump();
-                    out.push(self.bracket_param()?);
+                    self.bracket_param()?
                 }
+                // `(x : t)`. Parameters only appear before `=`/`=>`, so a
+                // `(` here is always a typed value binder.
                 Tok::LParen => {
-                    // `(x : t)` — but avoid consuming `(` of an expression:
-                    // parameters only appear before `=`/`=>`, so a LParen
-                    // here is always a typed value binder.
                     self.bump();
-                    let x = match self.peek().clone() {
-                        Tok::Ident(x) => {
-                            self.bump();
-                            x
-                        }
-                        Tok::Under => {
-                            self.bump();
-                            "_".into()
-                        }
-                        other => {
-                            return Err(
-                                self.err(format!("expected parameter name, found `{other}`"))
-                            )
-                        }
-                    };
-                    self.expect(Tok::Colon)?;
-                    let t = self.con()?;
-                    self.expect(Tok::RParen)?;
-                    out.push(SParam::VParam(x, Some(t)));
+                    self.typed_param()?
                 }
                 Tok::Ident(x) => {
+                    let p = SParam::VParam(x.clone(), None);
                     self.bump();
-                    out.push(SParam::VParam(x, None));
+                    p
                 }
                 Tok::Under => {
                     self.bump();
-                    out.push(SParam::VParam("_".into(), None));
+                    SParam::VParam("_".into(), None)
                 }
                 _ => return Ok(out),
-            }
+            };
+            out.push(param);
         }
+    }
+
+    /// The rest of a `(x : t)` parameter, after the `(`.
+    fn typed_param(&mut self) -> PResult<SParam> {
+        let x = match self.peek() {
+            Tok::Ident(x) => x.clone(),
+            Tok::Under => "_".into(),
+            _ => return Err(self.unexpected("parameter name")),
+        };
+        self.bump();
+        self.expect(&Tok::Colon)?;
+        let t = self.con()?;
+        self.expect(&Tok::RParen)?;
+        Ok(SParam::VParam(x, Some(*t)))
     }
 
     /// Parses the interior of a `[...]` parameter: either a constructor
     /// binder `[a :: K]` / `[a]`, or a disjointness binder `[c1 ~ c2]`.
     fn bracket_param(&mut self) -> PResult<SParam> {
-        // `[[...] ~ ...]` — definitely a disjointness binder.
-        if *self.peek() == Tok::LBrack {
-            let c1 = self.con()?;
-            self.expect(Tok::Tilde)?;
-            let c2 = self.con()?;
-            self.expect(Tok::RBrack)?;
-            return Ok(SParam::DParam(c1, c2));
-        }
-        if let Tok::Ident(x) = self.peek().clone() {
-            match self.peek2().clone() {
-                Tok::RBrack => {
-                    self.bump();
-                    self.bump();
-                    return Ok(SParam::CParam(x, None));
-                }
-                Tok::DColon => {
-                    self.bump();
-                    self.bump();
-                    let k = self.kind()?;
-                    self.expect(Tok::RBrack)?;
-                    return Ok(SParam::CParam(x, Some(k)));
-                }
-                _ => {}
-            }
+        if let (Tok::Ident(x), next @ (Tok::RBrack | Tok::DColon)) = (self.peek(), self.peek2()) {
+            let (x, kinded) = (x.clone(), *next == Tok::DColon);
+            self.bump();
+            self.bump();
+            let k = if kinded {
+                let k = self.kind()?;
+                self.expect(&Tok::RBrack)?;
+                Some(k)
+            } else {
+                None
+            };
+            return Ok(SParam::CParam(x, k));
         }
         let c1 = self.con()?;
-        self.expect(Tok::Tilde)?;
+        self.expect(&Tok::Tilde)?;
         let c2 = self.con()?;
-        self.expect(Tok::RBrack)?;
-        Ok(SParam::DParam(c1, c2))
+        self.expect(&Tok::RBrack)?;
+        Ok(SParam::DParam(*c1, *c2))
     }
 
-    /// Charges one level of parser recursion; deeply nested inputs get a
-    /// `ParseTooDeep` error instead of a stack overflow.
-    fn descend(&mut self) -> PResult<()> {
-        self.depth += 1;
-        if self.depth > MAX_PARSE_DEPTH {
-            Err(self.err(format!(
-                "{TOO_DEEP_MSG}: the parse-depth budget of {MAX_PARSE_DEPTH} \
-                 nesting levels is exhausted"
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn ascend(&mut self) {
-        self.depth = self.depth.saturating_sub(1);
+    /// `(x :: K)`, starting at the `(`.
+    fn paren_binder(&mut self) -> PResult<(String, Option<SKind>)> {
+        self.bump();
+        let x = self.ident()?;
+        self.expect(&Tok::DColon)?;
+        let k = self.kind()?;
+        self.expect(&Tok::RParen)?;
+        Ok((x, Some(k)))
     }
 
     // ---------------- kinds ----------------
 
+    /// `k1 -> k2`, right-associative; each `->` charges one level.
     fn kind(&mut self) -> PResult<SKind> {
         self.descend()?;
-        let out = self.kind_inner();
-        self.ascend();
-        out
-    }
-
-    fn kind_inner(&mut self) -> PResult<SKind> {
-        let lhs = self.kind_pair()?;
-        if self.eat(Tok::Arrow) {
-            let rhs = self.kind()?;
-            Ok(SKind::Arrow(Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
+        let mut lhs = Vec::new();
+        let mut last = self.kind_pair()?;
+        while self.eat(&Tok::Arrow) {
+            self.descend()?;
+            lhs.push(last);
+            last = self.kind_pair()?;
         }
+        self.ascend(lhs.len() + 1);
+        while let Some(l) = lhs.pop() {
+            last = SKind::Arrow(Box::new(l), Box::new(last));
+        }
+        Ok(last)
     }
 
+    /// `k1 * k2 * ... * kn`, right-associative, in O(1) stack.
     fn kind_pair(&mut self) -> PResult<SKind> {
-        // Iterative right fold: `k1 * k2 * ... * kn` in O(1) stack.
-        let mut parts = vec![self.kind_atom()?];
-        while self.eat(Tok::Star) {
-            parts.push(self.kind_atom()?);
+        let mut lhs = Vec::new();
+        let mut last = self.kind_atom()?;
+        while self.eat(&Tok::Star) {
+            lhs.push(last);
+            last = self.kind_atom()?;
         }
-        let mut out = match parts.pop() {
-            Some(last) => last,
-            None => return Err(self.err("expected a kind".into())),
-        };
-        while let Some(lhs) = parts.pop() {
-            out = SKind::Pair(Box::new(lhs), Box::new(out));
+        while let Some(l) = lhs.pop() {
+            last = SKind::Pair(Box::new(l), Box::new(last));
         }
-        Ok(out)
+        Ok(last)
     }
 
     fn kind_atom(&mut self) -> PResult<SKind> {
-        match self.peek().clone() {
-            Tok::KwType => {
-                self.bump();
-                Ok(SKind::Type)
-            }
-            Tok::KwName => {
-                self.bump();
-                Ok(SKind::Name)
-            }
-            Tok::Under => {
-                self.bump();
-                Ok(SKind::Wild)
-            }
-            Tok::LBrace => {
-                self.bump();
-                let k = self.kind()?;
-                self.expect(Tok::RBrace)?;
-                Ok(SKind::Row(Box::new(k)))
-            }
-            Tok::LParen => {
-                self.bump();
-                let k = self.kind()?;
-                self.expect(Tok::RParen)?;
-                Ok(k)
-            }
-            other => Err(self.err(format!("expected a kind, found `{other}`"))),
-        }
+        let k = match self.peek() {
+            Tok::KwType => SKind::Type,
+            Tok::KwName => SKind::Name,
+            Tok::Under => SKind::Wild,
+            Tok::LBrace => return Ok(SKind::Row(Box::new(self.kind_group(&Tok::RBrace)?))),
+            Tok::LParen => return self.kind_group(&Tok::RParen),
+            _ => return Err(self.unexpected("a kind")),
+        };
+        self.bump();
+        Ok(k)
+    }
+
+    /// A kind between the current token and `close`.
+    fn kind_group(&mut self, close: &Tok) -> PResult<SKind> {
+        self.bump();
+        let k = self.kind()?;
+        self.expect(close)?;
+        Ok(k)
     }
 
     // ---------------- constructors ----------------
 
-    fn con(&mut self) -> PResult<SCon> {
+    /// A constructor: its right-nested prefixes (`x :: K ->` binders,
+    /// type-level `fn`s, guards and arrow left-hand sides) collected in a
+    /// loop, then closed around the constructor that ends the chain.
+    fn con(&mut self) -> PResult<Box<SCon>> {
         self.descend()?;
-        let out = self.con_inner();
-        self.ascend();
-        out
-    }
-
-    fn con_inner(&mut self) -> PResult<SCon> {
-        let span = self.span();
-        // Polymorphic type: IDENT :: K -> c. The binder kind parses
-        // without a top-level arrow (write `tf :: ({Type} -> Type) -> ...`
-        // for function kinds), so the `->` always belongs to the
-        // polymorphic type itself.
-        if let Tok::Ident(x) = self.peek().clone() {
-            if *self.peek2() == Tok::DColon {
-                self.bump();
-                self.bump();
-                let k = self.kind_pair()?;
-                self.expect(Tok::Arrow)?;
-                let body = self.con()?;
-                return Ok(SCon::Poly(span, x, k, Box::new(body)));
-            }
-        }
-        // `fn` constructor-level function.
-        if *self.peek() == Tok::Fn {
-            return self.con_fn();
-        }
-        // `[c1 ~ c2] => t` guard, or a row literal starting an arrow chain.
-        if *self.peek() == Tok::LBrack {
-            if let Some(guard) = self.try_guard(span)? {
-                return Ok(guard);
-            }
-        }
-        self.con_arrow()
-    }
-
-    /// After seeing `[`, determines whether this is a guard
-    /// `[c1 ~ c2] => t`. On success consumes through the body; otherwise
-    /// rewinds and returns `None`.
-    fn try_guard(&mut self, span: Span) -> PResult<Option<SCon>> {
-        let save = self.pos;
-        self.expect(Tok::LBrack)?;
-        let c1 = match self.con() {
-            Ok(c) => c,
-            Err(_) => {
-                self.pos = save;
-                return Ok(None);
-            }
+        let mut links = Vec::new();
+        let last = loop {
+            let span = self.span();
+            let link = match self.peek() {
+                // Polymorphic type `x :: K -> c`. The binder kind parses
+                // without a top-level arrow (write `tf :: ({Type} -> Type)
+                // -> ...` for function kinds), so the `->` always belongs
+                // to the polymorphic type itself.
+                Tok::Ident(_) if *self.peek2() == Tok::DColon => Some(self.poly_head(span)?),
+                Tok::Fn => Some(self.con_fn_head(span)?),
+                Tok::LBrack => self.try_guard(span)?,
+                _ => None,
+            };
+            let link = match link {
+                Some(link) => link,
+                None => {
+                    let lhs = self.con_cat()?;
+                    if !self.eat(&Tok::Arrow) {
+                        break lhs;
+                    }
+                    ConLink::Arrow(span, lhs)
+                }
+            };
+            links.push(link);
+            self.descend()?;
         };
-        if !self.eat(Tok::Tilde) {
-            self.pos = save;
-            return Ok(None);
-        }
-        let c2 = self.con()?;
-        self.expect(Tok::RBrack)?;
-        self.expect(Tok::DArrow)?;
-        let body = self.con()?;
-        Ok(Some(SCon::Guarded(
-            span,
-            Box::new(c1),
-            Box::new(c2),
-            Box::new(body),
-        )))
+        self.ascend(links.len() + 1);
+        Ok(close_con(links, last))
     }
 
-    fn con_fn(&mut self) -> PResult<SCon> {
-        let span = self.span();
-        self.expect(Tok::Fn)?;
+    /// `x :: K ->`.
+    fn poly_head(&mut self, span: Span) -> PResult<ConLink> {
+        let x = self.ident()?;
+        self.bump();
+        let k = self.kind_pair()?;
+        self.expect(&Tok::Arrow)?;
+        Ok(ConLink::Poly(span, x, k))
+    }
+
+    /// `fn binders =>` at type level.
+    fn con_fn_head(&mut self, span: Span) -> PResult<ConLink> {
+        self.bump();
         // Binders: `x`, `x :: K` (single, unparenthesized), or repeated
         // `(x :: K)` groups.
         let mut binders: Vec<(String, Option<SKind>)> = Vec::new();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Tok::Ident(x) => {
+                    let x = x.clone();
                     self.bump();
-                    if binders.is_empty() && self.eat(Tok::DColon) {
+                    if binders.is_empty() && self.eat(&Tok::DColon) {
                         let k = self.kind()?;
                         binders.push((x, Some(k)));
                         break;
@@ -565,166 +584,179 @@ impl Parser {
                     self.bump();
                     binders.push(("_".to_string(), None));
                 }
-                Tok::LParen => {
-                    self.bump();
-                    let x = self.ident()?;
-                    self.expect(Tok::DColon)?;
-                    let k = self.kind()?;
-                    self.expect(Tok::RParen)?;
-                    binders.push((x, Some(k)));
-                }
+                Tok::LParen => binders.push(self.paren_binder()?),
                 _ => break,
             }
         }
         if binders.is_empty() {
             return Err(self.err("`fn` at type level needs at least one binder".into()));
         }
-        self.expect(Tok::DArrow)?;
-        let mut body = self.con()?;
-        for (x, k) in binders.into_iter().rev() {
-            body = SCon::Lam(span, x, k, Box::new(body));
-        }
-        Ok(body)
+        self.expect(&Tok::DArrow)?;
+        Ok(ConLink::Lam(span, binders))
     }
 
-    fn con_arrow(&mut self) -> PResult<SCon> {
-        let span = self.span();
-        let lhs = self.con_cat()?;
-        if self.eat(Tok::Arrow) {
-            let rhs = self.con()?;
-            Ok(SCon::Arrow(span, Box::new(lhs), Box::new(rhs)))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn con_cat(&mut self) -> PResult<SCon> {
-        // Iterative right fold, like `e_cat`: wide `++` chains must not
-        // consume stack proportional to their length.
-        let span = self.span();
-        let mut parts = vec![self.con_app()?];
-        while self.eat(Tok::PlusPlus) {
-            parts.push(self.con_app()?);
-        }
-        let mut out = match parts.pop() {
-            Some(last) => last,
-            None => return Err(self.err("expected a constructor".into())),
+    /// At a `[`, determines whether a guard `[c1 ~ c2] =>` starts here. On
+    /// success consumes through the `=>`; otherwise rewinds and returns
+    /// `None`. The probe parses `c1` and backtracks over any error there,
+    /// restoring the position and depth it saved; a depth failure inside
+    /// it stays charged (`spent`).
+    fn try_guard(&mut self, span: Span) -> PResult<Option<ConLink>> {
+        let (pos, depth) = (self.pos, self.depth);
+        self.bump();
+        let c1 = match self.con() {
+            Ok(c) => c,
+            Err(_) => {
+                self.pos = pos;
+                self.depth = depth;
+                return Ok(None);
+            }
         };
-        while let Some(lhs) = parts.pop() {
-            out = SCon::Cat(span, Box::new(lhs), Box::new(out));
+        if !self.eat(&Tok::Tilde) {
+            self.pos = pos;
+            return Ok(None);
         }
+        let c2 = self.con()?;
+        self.expect(&Tok::RBrack)?;
+        self.expect(&Tok::DArrow)?;
+        Ok(Some(ConLink::Guard(span, c1, c2)))
+    }
+
+    /// `c1 ++ c2 ++ ...` over application spines `c c' ...`. `++` is
+    /// right-associative and every node of one chain spans from its first
+    /// operand; the chain is folded iteratively, so its width costs no
+    /// stack.
+    fn con_cat(&mut self) -> PResult<Box<SCon>> {
+        let span = self.span();
+        let mut lhs = Vec::new();
+        loop {
+            let app_span = self.span();
+            let mut app = self.con_atom()?;
+            while matches!(
+                self.peek(),
+                Tok::Ident(_)
+                    | Tok::Hash
+                    | Tok::Dollar
+                    | Tok::LParen
+                    | Tok::LBrace
+                    | Tok::LBrack
+                    | Tok::Under
+            ) {
+                let arg = self.con_atom()?;
+                app = Box::new(SCon::App(app_span, app, arg));
+            }
+            if !self.eat(&Tok::PlusPlus) {
+                let mut out = app;
+                while let Some(l) = lhs.pop() {
+                    out = Box::new(SCon::Cat(span, l, out));
+                }
+                return Ok(out);
+            }
+            lhs.push(app);
+        }
+    }
+
+    /// An atom after any `$` markers, with its `.1` / `.2` projections.
+    fn con_atom(&mut self) -> PResult<Box<SCon>> {
+        // `$` prefixes are counted, not recursed on.
+        let dollars = self.pos;
+        while *self.peek() == Tok::Dollar {
+            self.bump();
+        }
+        let dollars = dollars..self.pos;
+        let span = self.span();
+        let atom = match self.peek() {
+            Tok::LParen => self.con_paren(span)?,
+            Tok::LBrace => self.record_type(span)?,
+            Tok::LBrack => self.row_lit(span)?,
+            _ => self.con_leaf(span)?,
+        };
+        Ok(self.con_postfix(span, dollars, atom))
+    }
+
+    fn con_leaf(&mut self, span: Span) -> PResult<Box<SCon>> {
+        let leaf = match self.peek() {
+            Tok::Ident(x) => SCon::Var(span, x.clone()),
+            Tok::Under => SCon::Wild(span),
+            Tok::Hash => {
+                self.bump();
+                return Ok(Box::new(SCon::Name(span, self.name_ident()?)));
+            }
+            _ => return Err(self.unexpected("a type")),
+        };
+        self.bump();
+        Ok(Box::new(leaf))
+    }
+
+    /// Applies the projections after `atom`, then the `$`s before it.
+    fn con_postfix(&mut self, span: Span, dollars: Range<usize>, mut atom: Box<SCon>) -> Box<SCon> {
+        loop {
+            atom = match (self.peek(), self.peek2()) {
+                (Tok::Dot, Tok::Int(1)) => Box::new(SCon::Fst(span, atom)),
+                (Tok::Dot, Tok::Int(2)) => Box::new(SCon::Snd(span, atom)),
+                _ => break,
+            };
+            self.bump();
+            self.bump();
+        }
+        for at in dollars.rev() {
+            atom = Box::new(SCon::Record(self.toks[at].span, atom));
+        }
+        atom
+    }
+
+    /// `(c)` or the pair `(c1, c2)`.
+    fn con_paren(&mut self, span: Span) -> PResult<Box<SCon>> {
+        self.bump();
+        let first = self.con()?;
+        let out = if self.eat(&Tok::Comma) {
+            let second = self.con()?;
+            Box::new(SCon::Pair(span, first, second))
+        } else {
+            first
+        };
+        self.expect(&Tok::RParen)?;
         Ok(out)
     }
 
-    fn con_app(&mut self) -> PResult<SCon> {
-        let span = self.span();
-        let mut head = self.con_atom()?;
-        loop {
-            match self.peek() {
-                Tok::Ident(_)
-                | Tok::Hash
-                | Tok::Dollar
-                | Tok::LParen
-                | Tok::LBrace
-                | Tok::LBrack
-                | Tok::Under => {
-                    let arg = self.con_atom()?;
-                    head = SCon::App(span, Box::new(head), Box::new(arg));
+    /// `{A : t, ...}`.
+    fn record_type(&mut self, span: Span) -> PResult<Box<SCon>> {
+        self.bump();
+        let mut fields = Vec::new();
+        if !self.eat(&Tok::RBrace) {
+            loop {
+                let name = self.field_name()?;
+                self.expect(&Tok::Colon)?;
+                let t = self.con()?;
+                fields.push((name, *t));
+                if !self.eat(&Tok::Comma) {
+                    break;
                 }
-                _ => return Ok(head),
             }
+            self.expect(&Tok::RBrace)?;
         }
+        Ok(Box::new(SCon::RecordType(span, fields)))
     }
 
-    fn con_atom(&mut self) -> PResult<SCon> {
-        let span = self.span();
-        let mut atom = match self.peek().clone() {
-            Tok::Ident(x) => {
-                self.bump();
-                SCon::Var(span, x)
-            }
-            Tok::Under => {
-                self.bump();
-                SCon::Wild(span)
-            }
-            Tok::Hash => {
-                self.bump();
-                let n = self.name_ident()?;
-                SCon::Name(span, n)
-            }
-            Tok::Dollar => {
-                self.bump();
-                let inner = self.con_atom()?;
-                SCon::Record(span, Box::new(inner))
-            }
-            Tok::LParen => {
-                self.bump();
-                let first = self.con()?;
-                if self.eat(Tok::Comma) {
-                    let second = self.con()?;
-                    self.expect(Tok::RParen)?;
-                    SCon::Pair(span, Box::new(first), Box::new(second))
+    /// `[A = t, B, ...]`.
+    fn row_lit(&mut self, span: Span) -> PResult<Box<SCon>> {
+        self.bump();
+        let mut entries = Vec::new();
+        if !self.eat(&Tok::RBrack) {
+            loop {
+                let name = self.field_name()?;
+                let value = if self.eat(&Tok::Eq) {
+                    Some(*self.con()?)
                 } else {
-                    self.expect(Tok::RParen)?;
-                    first
+                    None
+                };
+                entries.push((name, value));
+                if !self.eat(&Tok::Comma) {
+                    break;
                 }
             }
-            Tok::LBrace => {
-                self.bump();
-                let mut fields = Vec::new();
-                if !self.eat(Tok::RBrace) {
-                    loop {
-                        let name = self.field_name()?;
-                        self.expect(Tok::Colon)?;
-                        let t = self.con()?;
-                        fields.push((name, t));
-                        if !self.eat(Tok::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(Tok::RBrace)?;
-                }
-                SCon::RecordType(span, fields)
-            }
-            Tok::LBrack => {
-                self.bump();
-                let mut entries = Vec::new();
-                if !self.eat(Tok::RBrack) {
-                    loop {
-                        let name = self.field_name()?;
-                        let value = if self.eat(Tok::Eq) {
-                            Some(self.con()?)
-                        } else {
-                            None
-                        };
-                        entries.push((name, value));
-                        if !self.eat(Tok::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(Tok::RBrack)?;
-                }
-                SCon::RowLit(span, entries)
-            }
-            other => return Err(self.err(format!("expected a type, found `{other}`"))),
-        };
-        // Postfix pair projections `.1` / `.2`.
-        while *self.peek() == Tok::Dot {
-            match self.peek2().clone() {
-                Tok::Int(1) => {
-                    self.bump();
-                    self.bump();
-                    atom = SCon::Fst(span, Box::new(atom));
-                }
-                Tok::Int(2) => {
-                    self.bump();
-                    self.bump();
-                    atom = SCon::Snd(span, Box::new(atom));
-                }
-                _ => break,
-            }
+            self.expect(&Tok::RBrack)?;
         }
-        Ok(atom)
+        Ok(Box::new(SCon::RowLit(span, entries)))
     }
 
     /// A field-name position: an identifier (resolved later: variable if
@@ -732,186 +764,139 @@ impl Parser {
     /// `Type` and `Name` are valid literal field names here.
     fn field_name(&mut self) -> PResult<SCon> {
         let span = self.span();
-        match self.peek().clone() {
-            Tok::Ident(x) => {
-                self.bump();
-                Ok(SCon::Var(span, x))
-            }
-            Tok::KwType => {
-                self.bump();
-                Ok(SCon::Name(span, "Type".to_string()))
-            }
-            Tok::KwName => {
-                self.bump();
-                Ok(SCon::Name(span, "Name".to_string()))
-            }
+        let c = match self.peek() {
+            Tok::Ident(x) => SCon::Var(span, x.clone()),
+            Tok::KwType => SCon::Name(span, "Type".to_string()),
+            Tok::KwName => SCon::Name(span, "Name".to_string()),
             Tok::Hash => {
                 self.bump();
-                let n = self.name_ident()?;
-                Ok(SCon::Name(span, n))
+                return Ok(SCon::Name(span, self.name_ident()?));
             }
-            other => Err(self.err(format!("expected a field name, found `{other}`"))),
-        }
+            _ => return Err(self.unexpected("a field name")),
+        };
+        self.bump();
+        Ok(c)
     }
 
     // ---------------- expressions ----------------
 
-    fn expr(&mut self) -> PResult<SExpr> {
+    /// An expression: its `fn`, `let` and `if` heads collected in a loop,
+    /// each charging one level for the expression it scopes over, then
+    /// closed around the operator expression that ends the chain.
+    fn expr(&mut self) -> PResult<Box<SExpr>> {
         self.descend()?;
-        let out = self.expr_inner();
-        self.ascend();
-        out
+        let mut links = Vec::new();
+        loop {
+            let span = self.span();
+            let link = match self.peek() {
+                Tok::Fn => self.fn_head(span)?,
+                Tok::Let => self.let_head(span)?,
+                Tok::If => self.if_head(span)?,
+                _ => break,
+            };
+            links.push(link);
+            self.descend()?;
+        }
+        let last = self.binary()?;
+        self.ascend(links.len() + 1);
+        self.close_expr(links, last)
     }
 
-    fn expr_inner(&mut self) -> PResult<SExpr> {
-        let span = self.span();
-        match self.peek().clone() {
-            Tok::Fn => {
-                self.bump();
-                let params = self.params()?;
-                if params.is_empty() {
-                    return Err(self.err("`fn` needs at least one parameter".into()));
-                }
-                self.expect(Tok::DArrow)?;
-                let body = self.expr()?;
-                Ok(SExpr::Fn(span, params, Box::new(body)))
-            }
-            Tok::Let => {
-                self.bump();
-                let mut decls = Vec::new();
-                while *self.peek() != Tok::In {
-                    decls.push(self.decl()?);
-                }
-                self.expect(Tok::In)?;
-                let body = self.expr()?;
-                self.expect(Tok::End)?;
-                Ok(SExpr::Let(span, decls, Box::new(body)))
-            }
-            Tok::If => {
-                self.bump();
-                let c = self.expr()?;
-                self.expect(Tok::Then)?;
-                let t = self.expr()?;
-                self.expect(Tok::Else)?;
-                let e = self.expr()?;
-                Ok(SExpr::If(span, Box::new(c), Box::new(t), Box::new(e)))
-            }
-            _ => self.e_or(),
-        }
-    }
-
-    fn e_or(&mut self) -> PResult<SExpr> {
-        let span = self.span();
-        let mut lhs = self.e_and()?;
-        while self.eat(Tok::OrOr) {
-            let rhs = self.e_and()?;
-            lhs = SExpr::BinOp(span, "||".into(), Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn e_and(&mut self) -> PResult<SExpr> {
-        let span = self.span();
-        let mut lhs = self.e_cmp()?;
-        while self.eat(Tok::AndAnd) {
-            let rhs = self.e_cmp()?;
-            lhs = SExpr::BinOp(span, "&&".into(), Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn e_cmp(&mut self) -> PResult<SExpr> {
-        let span = self.span();
-        let lhs = self.e_cat()?;
-        let op = match self.peek() {
-            Tok::EqEq => "==",
-            Tok::Ne => "!=",
-            Tok::Lt => "<",
-            Tok::Le => "<=",
-            Tok::Gt => ">",
-            Tok::Ge => ">=",
-            _ => return Ok(lhs),
-        }
-        .to_string();
+    /// `fn params =>`.
+    fn fn_head(&mut self, span: Span) -> PResult<ExprLink> {
         self.bump();
-        let rhs = self.e_cat()?;
-        Ok(SExpr::BinOp(span, op, Box::new(lhs), Box::new(rhs)))
+        let params = self.params()?;
+        if params.is_empty() {
+            return Err(self.err("`fn` needs at least one parameter".into()));
+        }
+        self.expect(&Tok::DArrow)?;
+        Ok(ExprLink::Fn(span, params))
     }
 
-    fn e_cat(&mut self) -> PResult<SExpr> {
-        // `++` is right-associative; collect the chain iteratively and
-        // fold from the right so a 10k-element concatenation costs O(1)
-        // stack instead of one frame per element.
-        let span = self.span();
-        let mut parts = vec![self.e_add()?];
-        while self.eat(Tok::PlusPlus) {
-            parts.push(self.e_add()?);
+    /// `let decls in`; [`Parser::close_expr`] takes the `end`.
+    fn let_head(&mut self, span: Span) -> PResult<ExprLink> {
+        self.bump();
+        let mut decls = Vec::new();
+        while *self.peek() != Tok::In {
+            decls.push(self.decl()?);
         }
-        let mut out = match parts.pop() {
-            Some(last) => last,
-            None => return Err(self.err("expected an expression".into())),
-        };
-        while let Some(lhs) = parts.pop() {
-            out = SExpr::Cat(span, Box::new(lhs), Box::new(out));
-        }
-        Ok(out)
+        self.bump();
+        Ok(ExprLink::Let(span, decls))
     }
 
-    fn e_add(&mut self) -> PResult<SExpr> {
-        let span = self.span();
-        let mut lhs = self.e_mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => "+",
-                Tok::Minus => "-",
-                Tok::Caret => "^",
-                _ => return Ok(lhs),
+    /// `if e1 then e2 else`.
+    fn if_head(&mut self, span: Span) -> PResult<ExprLink> {
+        self.bump();
+        let c = self.expr()?;
+        self.expect(&Tok::Then)?;
+        let t = self.expr()?;
+        self.expect(&Tok::Else)?;
+        Ok(ExprLink::If(span, c, t))
+    }
+
+    /// Closes `links`, innermost first, around `body`.
+    fn close_expr(&mut self, links: Vec<ExprLink>, mut body: Box<SExpr>) -> PResult<Box<SExpr>> {
+        for link in links.into_iter().rev() {
+            body = Box::new(match link {
+                ExprLink::Fn(span, params) => SExpr::Fn(span, params, body),
+                ExprLink::If(span, c, t) => SExpr::If(span, c, t, body),
+                ExprLink::Let(span, decls) => {
+                    self.expect(&Tok::End)?;
+                    SExpr::Let(span, decls, body)
+                }
+            });
+        }
+        Ok(body)
+    }
+
+    /// Binary operators by precedence climbing over a stack of pending
+    /// left operands. `||`, `&&`, `+ - ^` and `* / %` associate to the
+    /// left, every node spanning from its left operand. `++` associates
+    /// to the right, every node of one chain spanning from the chain's
+    /// first operand. Comparisons do not associate: a comparison is never
+    /// an operand of one, so `a < b < c` stops before the second `<`.
+    fn binary(&mut self) -> PResult<Box<SExpr>> {
+        let mut pending: Vec<Pending> = Vec::new();
+        let mut span = self.span();
+        let mut rhs = self.app()?;
+        while let Some((op, prec)) = binop(self.peek()) {
+            while let Some(top) = pending.pop_if(|top| {
+                top.prec > prec || (top.prec == prec && !matches!(prec, Prec::Cmp | Prec::Cat))
+            }) {
+                span = top.span;
+                rhs = combine(top, rhs);
             }
-            .to_string();
+            let start = match pending.last() {
+                Some(top) if top.prec == Prec::Cmp && prec == Prec::Cmp => break,
+                Some(top) if top.prec == Prec::Cat && prec == Prec::Cat => top.span,
+                _ => span,
+            };
+            pending.push(Pending {
+                span: start,
+                lhs: rhs,
+                op,
+                prec,
+            });
             self.bump();
-            let rhs = self.e_mul()?;
-            lhs = SExpr::BinOp(span, op, Box::new(lhs), Box::new(rhs));
+            span = self.span();
+            rhs = self.app()?;
         }
+        while let Some(top) = pending.pop() {
+            rhs = combine(top, rhs);
+        }
+        Ok(rhs)
     }
 
-    fn e_mul(&mut self) -> PResult<SExpr> {
+    /// An application spine with interleaved `[c]`, `!` and `-- c`, every
+    /// node spanning from the head.
+    fn app(&mut self) -> PResult<Box<SExpr>> {
         let span = self.span();
-        let mut lhs = self.e_app()?;
+        let mut head = self.postfix()?;
         loop {
-            let op = match self.peek() {
-                Tok::Star => "*",
-                Tok::Slash => "/",
-                Tok::Percent => "%",
-                _ => return Ok(lhs),
-            }
-            .to_string();
-            self.bump();
-            let rhs = self.e_app()?;
-            lhs = SExpr::BinOp(span, op, Box::new(lhs), Box::new(rhs));
-        }
-    }
-
-    /// Application spine with interleaved `[c]`, `!`, and trailing `-- c`.
-    fn e_app(&mut self) -> PResult<SExpr> {
-        let span = self.span();
-        let mut head = self.e_postfix()?;
-        loop {
-            match self.peek() {
-                Tok::LBrack => {
-                    self.bump();
-                    let c = self.con()?;
-                    self.expect(Tok::RBrack)?;
-                    head = SExpr::CApp(span, Box::new(head), c);
-                }
-                Tok::Bang => {
-                    self.bump();
-                    head = SExpr::Bang(span, Box::new(head));
-                }
-                Tok::MinusMinus => {
-                    self.bump();
-                    let c = self.field_name()?;
-                    head = SExpr::Cut(span, Box::new(head), c);
-                }
+            head = match self.peek() {
+                Tok::LBrack => self.con_arg(span, head)?,
+                Tok::Bang => self.bang(span, head),
+                Tok::MinusMinus => self.cut(span, head)?,
                 Tok::Ident(_)
                 | Tok::Int(_)
                 | Tok::Float(_)
@@ -921,93 +906,151 @@ impl Parser {
                 | Tok::LParen
                 | Tok::LBrace
                 | Tok::At => {
-                    let arg = self.e_postfix()?;
-                    head = SExpr::App(span, Box::new(head), Box::new(arg));
+                    let arg = self.postfix()?;
+                    Box::new(SExpr::App(span, head, arg))
                 }
                 _ => return Ok(head),
-            }
+            };
         }
     }
 
-    /// An atom with postfix projections `.field`.
-    fn e_postfix(&mut self) -> PResult<SExpr> {
+    /// `head [c]`.
+    fn con_arg(&mut self, span: Span, head: Box<SExpr>) -> PResult<Box<SExpr>> {
+        self.bump();
+        let c = self.con()?;
+        self.expect(&Tok::RBrack)?;
+        Ok(Box::new(SExpr::CApp(span, head, *c)))
+    }
+
+    /// `head !`.
+    fn bang(&mut self, span: Span, head: Box<SExpr>) -> Box<SExpr> {
+        self.bump();
+        Box::new(SExpr::Bang(span, head))
+    }
+
+    /// `head -- c`.
+    fn cut(&mut self, span: Span, head: Box<SExpr>) -> PResult<Box<SExpr>> {
+        self.bump();
+        let c = self.field_name()?;
+        Ok(Box::new(SExpr::Cut(span, head, c)))
+    }
+
+    /// An atom after any `@` markers, with its `.field` projections.
+    fn postfix(&mut self) -> PResult<Box<SExpr>> {
         let span = self.span();
-        let mut e = self.e_atom()?;
+        // `@` prefixes are counted, not recursed on.
+        let markers = self.pos;
+        while *self.peek() == Tok::At {
+            self.bump();
+        }
+        let markers = markers..self.pos;
+        let at = self.span();
+        let e = match self.peek() {
+            Tok::LParen => self.paren(at)?,
+            Tok::LBrace => self.record(at)?,
+            _ => self.leaf(at)?,
+        };
+        self.projections(span, markers, e)
+    }
+
+    fn leaf(&mut self, span: Span) -> PResult<Box<SExpr>> {
+        let leaf = match self.peek() {
+            Tok::Ident(x) => SExpr::Var(span, x.clone()),
+            Tok::Int(n) => SExpr::Lit(span, SLit::Int(*n)),
+            Tok::Float(x) => SExpr::Lit(span, SLit::Float(*x)),
+            Tok::Str(s) => SExpr::Lit(span, SLit::Str(s.clone())),
+            Tok::True => SExpr::Lit(span, SLit::Bool(true)),
+            Tok::False => SExpr::Lit(span, SLit::Bool(false)),
+            _ => return Err(self.unexpected("an expression")),
+        };
+        self.bump();
+        Ok(Box::new(leaf))
+    }
+
+    /// Applies the `@`s before `e`, then the `.field` projections after it.
+    fn projections(
+        &mut self,
+        span: Span,
+        markers: Range<usize>,
+        mut e: Box<SExpr>,
+    ) -> PResult<Box<SExpr>> {
+        for marker in markers.rev() {
+            e = Box::new(SExpr::Explicit(self.toks[marker].span, e));
+        }
         while *self.peek() == Tok::Dot {
             self.bump();
             let c = self.field_name()?;
-            e = SExpr::Proj(span, Box::new(e), c);
+            e = Box::new(SExpr::Proj(span, e, c));
         }
         Ok(e)
     }
 
-    fn e_atom(&mut self) -> PResult<SExpr> {
-        let span = self.span();
-        match self.peek().clone() {
-            Tok::At => {
-                self.bump();
-                let inner = self.e_atom()?;
-                Ok(SExpr::Explicit(span, Box::new(inner)))
-            }
-            Tok::Ident(x) => {
-                self.bump();
-                Ok(SExpr::Var(span, x))
-            }
-            Tok::Int(n) => {
-                self.bump();
-                Ok(SExpr::Lit(span, SLit::Int(n)))
-            }
-            Tok::Float(x) => {
-                self.bump();
-                Ok(SExpr::Lit(span, SLit::Float(x)))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(SExpr::Lit(span, SLit::Str(s)))
-            }
-            Tok::True => {
-                self.bump();
-                Ok(SExpr::Lit(span, SLit::Bool(true)))
-            }
-            Tok::False => {
-                self.bump();
-                Ok(SExpr::Lit(span, SLit::Bool(false)))
-            }
-            Tok::LParen => {
-                self.bump();
-                if self.eat(Tok::RParen) {
-                    return Ok(SExpr::Lit(span, SLit::Unit));
-                }
-                let e = self.expr()?;
-                if self.eat(Tok::Colon) {
-                    let t = self.con()?;
-                    self.expect(Tok::RParen)?;
-                    Ok(SExpr::Ann(span, Box::new(e), t))
-                } else {
-                    self.expect(Tok::RParen)?;
-                    Ok(e)
-                }
-            }
-            Tok::LBrace => {
-                self.bump();
-                let mut fields = Vec::new();
-                if !self.eat(Tok::RBrace) {
-                    loop {
-                        let name = self.field_name()?;
-                        self.expect(Tok::Eq)?;
-                        let e = self.expr()?;
-                        fields.push((name, e));
-                        if !self.eat(Tok::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(Tok::RBrace)?;
-                }
-                Ok(SExpr::Record(span, fields))
-            }
-            other => Err(self.err(format!("expected an expression, found `{other}`"))),
+    /// `()`, `(e)` or the ascription `(e : t)`.
+    fn paren(&mut self, span: Span) -> PResult<Box<SExpr>> {
+        self.bump();
+        if self.eat(&Tok::RParen) {
+            return Ok(Box::new(SExpr::Lit(span, SLit::Unit)));
         }
+        let e = self.expr()?;
+        let out = if self.eat(&Tok::Colon) {
+            let t = self.con()?;
+            Box::new(SExpr::Ann(span, e, *t))
+        } else {
+            e
+        };
+        self.expect(&Tok::RParen)?;
+        Ok(out)
     }
+
+    /// `{A = e, ...}`.
+    fn record(&mut self, span: Span) -> PResult<Box<SExpr>> {
+        self.bump();
+        let mut fields = Vec::new();
+        if !self.eat(&Tok::RBrace) {
+            loop {
+                let name = self.field_name()?;
+                self.expect(&Tok::Eq)?;
+                let e = self.expr()?;
+                fields.push((name, *e));
+                if !self.eat(&Tok::Comma) {
+                    break;
+                }
+            }
+            self.expect(&Tok::RBrace)?;
+        }
+        Ok(Box::new(SExpr::Record(span, fields)))
+    }
+}
+
+/// `fn x1 ... xn => body` at type level: one `Lam` per binder, all
+/// spanning from the `fn`.
+fn lams(span: Span, binders: Vec<(String, Option<SKind>)>, mut body: Box<SCon>) -> Box<SCon> {
+    for (x, k) in binders.into_iter().rev() {
+        body = Box::new(SCon::Lam(span, x, k, body));
+    }
+    body
+}
+
+/// Closes `links`, innermost first, around `body`.
+fn close_con(links: Vec<ConLink>, mut body: Box<SCon>) -> Box<SCon> {
+    for link in links.into_iter().rev() {
+        body = match link {
+            ConLink::Poly(span, x, k) => Box::new(SCon::Poly(span, x, k, body)),
+            ConLink::Lam(span, binders) => lams(span, binders, body),
+            ConLink::Guard(span, c1, c2) => Box::new(SCon::Guarded(span, c1, c2, body)),
+            ConLink::Arrow(span, lhs) => Box::new(SCon::Arrow(span, lhs, body)),
+        };
+    }
+    body
+}
+
+/// The node for a pending left operand and its right operand.
+fn combine(p: Pending, rhs: Box<SExpr>) -> Box<SExpr> {
+    Box::new(if p.prec == Prec::Cat {
+        SExpr::Cat(p.span, p.lhs, rhs)
+    } else {
+        SExpr::BinOp(p.span, p.op.to_string(), p.lhs, rhs)
+    })
 }
 
 #[cfg(test)]
