@@ -8,6 +8,8 @@
 //! checked under the least forgiving conditions, not hidden by a large
 //! main-thread stack. An overflow aborts the whole process, so it fails
 //! the run through the exit status rather than through a report line.
+//! Two scenarios are sized for release frames (see
+//! `RELEASE_SIZED_STACK`); a debug build runs them on a larger thread.
 //!
 //! Run with `cargo run -p ur-bench --bin stress --release`.
 
@@ -25,6 +27,16 @@ const TIME_BUDGET: Duration = Duration::from_secs(60);
 /// Test-runner-sized stack: scenarios must survive on 2 MiB.
 const SMALL_STACK: usize = 2 * 1024 * 1024;
 
+/// The stack of the scenarios whose recursion is bounded by a budget
+/// sized for release frames (evaluation depth) or by the input alone (a
+/// 1,000-long application spine): 2 MiB in release, and room for frames
+/// several times larger in a debug build.
+const RELEASE_SIZED_STACK: usize = if cfg!(debug_assertions) {
+    32 * 1024 * 1024
+} else {
+    SMALL_STACK
+};
+
 struct Outcome {
     name: &'static str,
     elapsed: Duration,
@@ -32,11 +44,19 @@ struct Outcome {
 }
 
 fn scenario(name: &'static str, f: impl FnOnce() -> Result<(), String> + Send) -> Outcome {
+    scenario_on(name, SMALL_STACK, f)
+}
+
+fn scenario_on(
+    name: &'static str,
+    stack: usize,
+    f: impl FnOnce() -> Result<(), String> + Send,
+) -> Outcome {
     let start = Instant::now();
     let result = std::thread::scope(|scope| {
         let h = std::thread::Builder::new()
             .name(name.into())
-            .stack_size(SMALL_STACK)
+            .stack_size(stack)
             .spawn_scoped(scope, f);
         match h {
             Ok(h) => h.join().unwrap_or_else(|_| Err("panicked".into())),
@@ -203,6 +223,103 @@ fn wide_concat_strict() -> Result<(), String> {
     }
 }
 
+// ---------------- shared ----------------
+//
+// Hash-consed types share subterms, so a type whose tree is exponential
+// can be a DAG of a few nodes. Every structural walk must visit a shared
+// node once.
+
+/// `id` applied 1,000 times: the type `id` is instantiated at doubles
+/// with every application.
+fn shared_id_spine() -> Result<(), String> {
+    let mut sess = Session::new().map_err(|e| e.to_string())?;
+    sess.run("val id = fn [a] (x : a) => x")
+        .map_err(|e| e.to_string())?;
+    let v = sess
+        .eval(&format!("{} 1", vec!["id"; 1_000].join(" ")))
+        .map_err(|e| format!("1,000-id spine must evaluate: {e}"))?;
+    expect(v.to_string() == "1", &format!("expected 1, got {v}"))
+}
+
+/// `f 1` where `f` nests a field-doubling `d` 30 deep: the record type
+/// is a tree of 2^30 leaves.
+fn shared_nested_records() -> Result<(), String> {
+    let mut sess = Session::new().map_err(|e| e.to_string())?;
+    let nest = format!("{}x{}", "d (".repeat(30), ")".repeat(30));
+    let src = format!(
+        "val d = fn [a] (x : a) => {{A = x, B = x}}\n\
+         val f = fn [t] (x : t) => {nest}\n\
+         val g = f 1"
+    );
+    let (vals, diags) = sess.run_all(&src);
+    expect(
+        diags.is_empty(),
+        &format!("nested records must load: {diags:?}"),
+    )?;
+    expect(vals.iter().any(|(n, _)| n == "g"), "g must evaluate")
+}
+
+// ---------------- deep evaluation ----------------
+
+/// `twice` applied to itself five times nests calls far past the
+/// evaluation depth budget; four times answers 65,536.
+fn deep_twice() -> Result<(), String> {
+    let mut sess = Session::new().map_err(|e| e.to_string())?;
+    sess.run(
+        "val twice = fn [a] (f : a -> a) (x : a) => f (f x)\n\
+         val inc = fn (n : int) => n + 1",
+    )
+    .map_err(|e| e.to_string())?;
+    match sess.eval("twice twice twice twice twice inc 0") {
+        Err(ur_web::SessionError::Eval(e)) => expect(
+            e.kind == ur_eval::EvalErrorKind::TooDeep,
+            &format!("expected the evaluation depth budget, got {e}"),
+        )?,
+        other => return Err(format!("expected a depth error, got {other:?}")),
+    }
+    let v = sess
+        .eval("twice twice twice twice inc 0")
+        .map_err(|e| format!("twice x4 must evaluate: {e}"))?;
+    expect(
+        v.to_string() == "65536",
+        &format!("expected 65536, got {v}"),
+    )
+}
+
+// ---------------- long chains ----------------
+
+/// A 1,000-term `1 + 1 + … + 1` nests its AST one node per link, so it
+/// is charged to the parse-depth budget like any other nesting.
+fn long_operator_chain() -> Result<(), String> {
+    let chain = format!("1{}", " + 1".repeat(999));
+    let mut sess = Session::new().map_err(|e| e.to_string())?;
+    match sess.eval(&chain) {
+        Err(ur_web::SessionError::Elab(e)) => expect(
+            e.code() == Code::ParseTooDeep,
+            "expected E0201 ParseTooDeep",
+        )?,
+        other => return Err(format!("expected E0201, got {other:?}")),
+    }
+    let (_, diags) = sess.run_all(&format!("fun f (x : int) = x + {chain}"));
+    expect(
+        diags.iter().any(|d| d.code == Code::ParseTooDeep),
+        "a load of the chain must report E0201",
+    )?;
+    expect(sess.eval("1 + 1").is_ok(), "session must survive")
+}
+
+/// 200,000 `$` prefixes: each wraps the atom in one more node.
+fn long_dollar_run() -> Result<(), String> {
+    let src = format!("{}int", "$".repeat(200_000));
+    match ur_syntax::parse_con(&src) {
+        Err(e) => expect(
+            ur_syntax::Diagnostic::from(e).code == Code::ParseTooDeep,
+            "expected E0201 ParseTooDeep",
+        ),
+        Ok(_) => Err("200,000 `$`s must be rejected".into()),
+    }
+}
+
 // ---------------- multi-error ----------------
 
 fn multi_error() -> Result<(), String> {
@@ -234,6 +351,11 @@ fn main() -> std::process::ExitCode {
         scenario("wide: 5k-field record literal", wide_record),
         scenario("wide: strict-limit concat -> E0900", wide_concat_strict),
         scenario("multi-error: 3 errors in one pass", multi_error),
+        scenario_on("shared: 1,000-id spine", RELEASE_SIZED_STACK, shared_id_spine),
+        scenario("shared: f 1 over 30 nested records", shared_nested_records),
+        scenario_on("deep eval: twice x5 -> depth budget", RELEASE_SIZED_STACK, deep_twice),
+        scenario("long chain: 1,000-term sum -> E0201", long_operator_chain),
+        scenario("long chain: 200,000 `$` -> E0201", long_dollar_run),
     ];
 
     println!("Adversarial stress harness (budget {TIME_BUDGET:?} per scenario, {SMALL_STACK} B stacks)");

@@ -37,7 +37,7 @@
 //! probing, and its buckets hold no node: a bucket is one `u64`, those 32
 //! hash bits above the within-shard index + 1 (0 is empty). A probe
 //! derefs a slot only when the bucket's hash bits match, then compares
-//! the shallow key (`ArenaVal::key_eq`); a miss moves the node into its
+//! the shallow key (the node's own `Eq`); a miss moves the node into its
 //! slot. Growth doubles the bucket array under the write lock and
 //! re-places every bucket from the hash bits it carries, reading no slot.
 //! The per-process key keeps inputs from choosing nodes that share one
@@ -240,114 +240,6 @@ impl Table {
     }
 }
 
-/// Values storable in a sharded intern store. `hash_key`/`key_eq` define
-/// the *shallow* structural key: children are already ids, so both are
-/// O(arity) and never walk the tree.
-pub(crate) trait ArenaVal: 'static {
-    /// Feeds the shallow key to `h`; keys that are `key_eq` feed equal
-    /// input.
-    fn hash_key<H: Hasher>(&self, h: &mut H);
-    fn key_eq(&self, other: &Self) -> bool;
-}
-
-impl ArenaVal for Con {
-    fn hash_key<H: Hasher>(&self, h: &mut H) {
-        self.hash(h);
-    }
-    fn key_eq(&self, other: &Con) -> bool {
-        self == other
-    }
-}
-
-impl ArenaVal for Expr {
-    fn hash_key<H: Hasher>(&self, h: &mut H) {
-        hash_expr_shallow(self, h);
-    }
-    fn key_eq(&self, other: &Expr) -> bool {
-        match (self, other) {
-            // Bit equality on float literals so the key is Eq-lawful
-            // (NaN == NaN here; -0.0 and 0.0 get distinct nodes).
-            (Expr::Lit(Lit::Float(a)), Expr::Lit(Lit::Float(b))) => a.to_bits() == b.to_bits(),
-            _ => self == other,
-        }
-    }
-}
-
-fn hash_expr_shallow<H: Hasher>(e: &Expr, h: &mut H) {
-    std::mem::discriminant(e).hash(h);
-    match e {
-        Expr::Var(s) => s.hash(h),
-        Expr::Lit(l) => {
-            match l {
-                Lit::Int(n) => {
-                    0u8.hash(h);
-                    n.hash(h);
-                }
-                Lit::Float(x) => {
-                    1u8.hash(h);
-                    x.to_bits().hash(h);
-                }
-                Lit::Str(s) => {
-                    2u8.hash(h);
-                    s.hash(h);
-                }
-                Lit::Bool(b) => {
-                    3u8.hash(h);
-                    b.hash(h);
-                }
-                Lit::Unit => 4u8.hash(h),
-            };
-        }
-        Expr::App(a, b) | Expr::RecCat(a, b) => {
-            a.hash(h);
-            b.hash(h);
-        }
-        Expr::Lam(s, t, b) => {
-            s.hash(h);
-            t.hash(h);
-            b.hash(h);
-        }
-        Expr::CApp(e1, c) => {
-            e1.hash(h);
-            c.hash(h);
-        }
-        Expr::CLam(s, k, b) => {
-            s.hash(h);
-            k.hash(h);
-            b.hash(h);
-        }
-        Expr::RecNil | Expr::DApp(_) => {
-            if let Expr::DApp(e1) = e {
-                e1.hash(h);
-            }
-        }
-        Expr::RecOne(c, e1) => {
-            c.hash(h);
-            e1.hash(h);
-        }
-        Expr::Proj(e1, c) | Expr::Cut(e1, c) => {
-            e1.hash(h);
-            c.hash(h);
-        }
-        Expr::DLam(c1, c2, b) => {
-            c1.hash(h);
-            c2.hash(h);
-            b.hash(h);
-        }
-        Expr::Let(s, t, e1, e2) => {
-            s.hash(h);
-            t.hash(h);
-            e1.hash(h);
-            e2.hash(h);
-        }
-        Expr::If(c, t, f) => {
-            c.hash(h);
-            t.hash(h);
-            f.hash(h);
-        }
-    }
-}
-
 /// Locate within-shard index `idx` as `(segment, offset)`.
 #[inline]
 fn locate(idx: u32) -> (usize, usize) {
@@ -357,7 +249,10 @@ fn locate(idx: u32) -> (usize, usize) {
     (seg, off)
 }
 
-struct Store<T: ArenaVal> {
+/// A sharded intern store. A node value is its own *shallow* key:
+/// children are already ids, so hashing and comparing it are O(arity)
+/// and never walk the tree.
+struct Store<T: Hash + Eq + 'static> {
     shards: Vec<Shard<T>>,
     /// Keys every node hash; drawn once, when the store is created.
     keys: RandomState,
@@ -366,7 +261,7 @@ struct Store<T: ArenaVal> {
     contention: AtomicU64,
 }
 
-impl<T: ArenaVal> Store<T> {
+impl<T: Hash + Eq + 'static> Store<T> {
     fn new() -> Store<T> {
         let shards = (0..NUM_SHARDS)
             .map(|_| Shard {
@@ -392,14 +287,12 @@ impl<T: ArenaVal> Store<T> {
     /// Interns `val` (with caller-computed `flags`), returning its global
     /// id. Read-locks on the hit path; write-locks only on a miss.
     fn intern(&self, val: T, flags: u8) -> u32 {
-        let mut h = self.keys.build_hasher();
-        val.hash_key(&mut h);
-        let full = h.finish();
+        let full = self.keys.hash_one(&val);
         let si = Store::<T>::shard_of(full);
         let shard = &self.shards[si];
         // The shard came from the top bits; the table keeps the low 32.
         let hash = full as u32;
-        let is_val = |idx: u32| shard.slot(idx).is_some_and(|s| s.val.key_eq(&val));
+        let is_val = |idx: u32| shard.slot(idx).is_some_and(|s| s.val == val);
         {
             let table = match shard.table.try_read() {
                 Ok(g) => g,

@@ -260,13 +260,6 @@ impl ConId {
         args.reverse();
         (cur, args)
     }
-
-    /// The canonical intern-arena handle for this constructor — the handle
-    /// *is* its own id now; kept for source compatibility with the
-    /// `Rc`-era API.
-    pub fn intern_id(self) -> ConId {
-        self
-    }
 }
 
 impl fmt::Display for Con {

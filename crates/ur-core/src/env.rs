@@ -104,11 +104,6 @@ impl Env {
         &self.facts
     }
 
-    /// Number of value bindings (used by tests).
-    pub fn val_count(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Iterates over all value bindings.
     pub fn vals(&self) -> impl Iterator<Item = (&Sym, &RCon)> {
         self.vals.iter()

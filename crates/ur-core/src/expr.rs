@@ -16,6 +16,7 @@ use crate::con::RCon;
 use crate::kind::Kind;
 use crate::sym::Sym;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 pub use crate::arena::ExprId;
 
@@ -23,13 +24,43 @@ pub use crate::arena::ExprId;
 pub type RExpr = ExprId;
 
 /// Literal constants.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Debug)]
 pub enum Lit {
     Int(i64),
     Float(f64),
     Str(IStr),
     Bool(bool),
     Unit,
+}
+
+/// Floats compare and hash by their bits, so a literal is a lawful
+/// intern key: `NaN` equals itself and `-0.0` is not `0.0`.
+impl PartialEq for Lit {
+    fn eq(&self, other: &Lit) -> bool {
+        match (self, other) {
+            (Lit::Float(a), Lit::Float(b)) => a.to_bits() == b.to_bits(),
+            (Lit::Int(a), Lit::Int(b)) => a == b,
+            (Lit::Str(a), Lit::Str(b)) => a == b,
+            (Lit::Bool(a), Lit::Bool(b)) => a == b,
+            (Lit::Unit, Lit::Unit) => true,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Lit {}
+
+impl Hash for Lit {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Lit::Int(n) => n.hash(h),
+            Lit::Float(x) => x.to_bits().hash(h),
+            Lit::Str(s) => s.hash(h),
+            Lit::Bool(b) => b.hash(h),
+            Lit::Unit => {}
+        }
+    }
 }
 
 impl fmt::Display for Lit {
@@ -46,7 +77,7 @@ impl fmt::Display for Lit {
 
 /// A core expression, produced by elaboration and consumed by the type
 /// checker ([`crate::typing`]) and the evaluator (`ur-eval`).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Expr {
     /// Variable occurrence.
     Var(Sym),

@@ -50,10 +50,6 @@ impl Fnv64 {
         }
     }
 
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
     pub fn write_u32(&mut self, v: u32) {
         self.write(&v.to_le_bytes());
     }

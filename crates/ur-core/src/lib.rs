@@ -40,7 +40,6 @@
 //! ```
 
 pub mod arena;
-pub mod codec;
 pub mod con;
 pub mod defeq;
 pub mod disjoint;
@@ -63,6 +62,7 @@ pub mod stats;
 pub mod subst;
 pub mod sym;
 pub mod typing;
+pub mod walk;
 
 pub use limits::{Fuel, Limits, ResourceKind};
 use meta::MetaCx;

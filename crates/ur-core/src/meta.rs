@@ -6,8 +6,10 @@
 //! [`MetaCx::resolve`] follows solution chains (path compression is not
 //! needed at our scale; chains are short).
 
+use crate::arena::Flags;
 use crate::con::{Con, MetaId, RCon};
 use crate::kind::{KMetaId, Kind};
+use crate::walk::{Step, Walk, Walker};
 
 /// One constructor metavariable: its kind and, once solved, its value.
 #[derive(Clone, Debug)]
@@ -214,32 +216,15 @@ impl MetaCx {
     /// Fully substitutes solved metavariables (constructor and kind)
     /// throughout `c`.
     pub fn zonk(&self, c: &RCon) -> RCon {
-        // Precomputed-flag fast path: a term with no Con::Meta and no
-        // Kind::Meta anywhere cannot be changed by zonking.
-        {
-            let f = c.flags();
-            if !f.has_meta() && !f.has_kmeta() {
-                return *c;
-            }
-        }
-        let c = self.resolve(c);
-        match &*c {
-            Con::Var(_) | Con::Meta(_) | Con::Prim(_) | Con::Name(_) => c,
-            Con::Arrow(a, b) => Con::arrow(self.zonk(a), self.zonk(b)),
-            Con::Poly(s, k, t) => Con::poly(*s, self.zonk_kind(k), self.zonk(t)),
-            Con::Guarded(a, b, t) => Con::guarded(self.zonk(a), self.zonk(b), self.zonk(t)),
-            Con::Lam(s, k, t) => Con::lam(*s, self.zonk_kind(k), self.zonk(t)),
-            Con::App(f, a) => Con::app(self.zonk(f), self.zonk(a)),
-            Con::Record(r) => Con::record(self.zonk(r)),
-            Con::RowNil(k) => Con::row_nil(self.zonk_kind(k)),
-            Con::RowOne(n, v) => Con::row_one(self.zonk(n), self.zonk(v)),
-            Con::RowCat(a, b) => Con::row_cat(self.zonk(a), self.zonk(b)),
-            Con::Map(k1, k2) => Con::map_c(self.zonk_kind(k1), self.zonk_kind(k2)),
-            Con::Folder(k) => Con::folder(self.zonk_kind(k)),
-            Con::Pair(a, b) => Con::pair(self.zonk(a), self.zonk(b)),
-            Con::Fst(a) => Con::fst(self.zonk(a)),
-            Con::Snd(a) => Con::snd(self.zonk(a)),
-        }
+        let Ok(out) = Walk::new(self.zonker(|k| self.zonk_kind(k))).con(*c);
+        out
+    }
+
+    /// The walker behind [`MetaCx::zonk`], rewriting each kind annotation
+    /// with `kind` (elaboration's finalization also defaults unsolved
+    /// kind metavariables there).
+    pub fn zonker<F: FnMut(&Kind) -> Kind>(&self, kind: F) -> Zonk<'_, F> {
+        Zonk { metas: self, kind }
     }
 
     /// Number of allocated constructor metavariables.
@@ -264,28 +249,41 @@ impl MetaCx {
     /// True if `c` contains an occurrence of `id` (after resolving solved
     /// metas). Used as the occurs check.
     pub fn occurs(&self, id: MetaId, c: &RCon) -> bool {
-        // Fast path: `occurs` only resolves metas that occur syntactically,
-        // so a term whose flags say "no Con::Meta" cannot contain `id`.
-        if !c.flags().has_meta() {
-            return false;
+        struct Occurs<'a>(&'a MetaCx, MetaId);
+        impl Walker for Occurs<'_> {
+            type Stop = ();
+            fn enters(&self, f: Flags) -> bool {
+                f.has_meta()
+            }
+            fn con(&mut self, c: RCon) -> Result<Step, ()> {
+                let r = self.0.resolve(&c);
+                match &*r {
+                    Con::Meta(m) if *m == self.1 => Err(()),
+                    _ => Ok(Step::Into(r)),
+                }
+            }
         }
-        let c = self.resolve(c);
-        match &*c {
-            Con::Meta(m) => *m == id,
-            Con::Var(_) | Con::Prim(_) | Con::Name(_) | Con::Map(_, _) | Con::Folder(_) => {
-                false
-            }
-            Con::Arrow(a, b) | Con::RowCat(a, b) | Con::RowOne(a, b) | Con::Pair(a, b) => {
-                self.occurs(id, a) || self.occurs(id, b)
-            }
-            Con::App(a, b) => self.occurs(id, a) || self.occurs(id, b),
-            Con::Poly(_, _, t) | Con::Lam(_, _, t) => self.occurs(id, t),
-            Con::Guarded(a, b, t) => {
-                self.occurs(id, a) || self.occurs(id, b) || self.occurs(id, t)
-            }
-            Con::Record(r) | Con::Fst(r) | Con::Snd(r) => self.occurs(id, r),
-            Con::RowNil(_) => false,
-        }
+        Walk::new(Occurs(self, id)).con(*c).is_err()
+    }
+}
+
+/// Zonking as a [`Walker`]: resolves solved metavariables at every node
+/// and rewrites kind annotations that mention kind metavariables.
+pub struct Zonk<'a, F> {
+    metas: &'a MetaCx,
+    kind: F,
+}
+
+impl<F: FnMut(&Kind) -> Kind> Walker for Zonk<'_, F> {
+    type Stop = std::convert::Infallible;
+    fn enters(&self, f: Flags) -> bool {
+        f.has_meta() || f.has_kmeta()
+    }
+    fn con(&mut self, c: RCon) -> Result<Step, Self::Stop> {
+        Ok(Step::Into(self.metas.resolve(&c)))
+    }
+    fn kind(&mut self, k: &Kind) -> Option<Kind> {
+        (!k.is_ground()).then(|| (self.kind)(k))
     }
 }
 

@@ -373,7 +373,10 @@ pub fn is_identity(env: &Env, cx: &mut Cx, f: &RCon) -> bool {
 
 /// Produces an unambiguous canonical string for a constructor, used only
 /// for deterministic ordering of normal-form components (never shown to
-/// users).
+/// users). Symbol ids are zero-padded, so symbols order by creation
+/// whatever their decimal length: unpadded, `v99999` sorted after
+/// `v100000`, and a row's order depended on how many symbols the process
+/// (other sessions and threads included) had minted before it.
 pub fn canon_con(c: &RCon) -> String {
     let mut s = String::new();
     canon_into(c, &mut s);
@@ -384,7 +387,7 @@ fn canon_into(c: &RCon, out: &mut String) {
     use std::fmt::Write;
     match &**c {
         Con::Var(v) => {
-            let _ = write!(out, "v{}:{}", v.id(), v.name());
+            let _ = write!(out, "v{:010}:{}", v.id(), v.name());
         }
         Con::Meta(m) => {
             let _ = write!(out, "?{}", m.0);
@@ -401,12 +404,12 @@ fn canon_into(c: &RCon, out: &mut String) {
         Con::RowCat(a, b) => bin(out, "++", a, b),
         Con::Pair(a, b) => bin(out, ",", a, b),
         Con::Poly(s, k, t) => {
-            let _ = write!(out, "all(v{}::{k}.", s.id());
+            let _ = write!(out, "all(v{:010}::{k}.", s.id());
             canon_into(t, out);
             out.push(')');
         }
         Con::Lam(s, k, t) => {
-            let _ = write!(out, "lam(v{}::{k}.", s.id());
+            let _ = write!(out, "lam(v{:010}::{k}.", s.id());
             canon_into(t, out);
             out.push(')');
         }

@@ -5,135 +5,111 @@
 //! constructors into types (for `e [c]` and beta reduction during
 //! normalization).
 
+use crate::arena::Flags;
 use crate::con::{Con, RCon};
 use crate::sym::Sym;
+use crate::walk::{Step, Walk, Walker};
 use std::collections::HashSet;
+use std::convert::Infallible;
 
-/// Collects the free constructor variables of `c` into `out`.
-pub fn free_vars(c: &RCon, out: &mut HashSet<Sym>) {
-    match &**c {
-        Con::Var(s) => {
-            out.insert(*s);
+/// The variables of `c`, free or bound, each once.
+pub fn vars(c: &RCon) -> Vec<Sym> {
+    struct Vars(Vec<Sym>);
+    impl Walker for Vars {
+        type Stop = Infallible;
+        fn enters(&self, f: Flags) -> bool {
+            f.has_var()
         }
-        Con::Meta(_)
-        | Con::Prim(_)
-        | Con::Name(_)
-        | Con::Map(_, _)
-        | Con::Folder(_)
-        | Con::RowNil(_) => {}
-        Con::Arrow(a, b)
-        | Con::App(a, b)
-        | Con::RowOne(a, b)
-        | Con::RowCat(a, b)
-        | Con::Pair(a, b) => {
-            free_vars(a, out);
-            free_vars(b, out);
+        fn con(&mut self, c: RCon) -> Result<Step, Infallible> {
+            if let Con::Var(s) = &*c {
+                self.0.push(*s);
+            }
+            Ok(Step::Into(c))
         }
-        Con::Poly(s, _, t) | Con::Lam(s, _, t) => {
-            let mut inner = HashSet::new();
-            free_vars(t, &mut inner);
-            inner.remove(s);
-            out.extend(inner);
-        }
-        Con::Guarded(a, b, t) => {
-            free_vars(a, out);
-            free_vars(b, out);
-            free_vars(t, out);
-        }
-        Con::Record(r) | Con::Fst(r) | Con::Snd(r) => free_vars(r, out),
     }
+    let mut walk = Walk::new(Vars(Vec::new()));
+    let Ok(_) = walk.con(*c);
+    walk.w.0
 }
 
 /// Returns the free constructor variables of `c`.
 pub fn fv(c: &RCon) -> HashSet<Sym> {
-    let mut out = HashSet::new();
-    free_vars(c, &mut out);
-    out
+    vars(c).into_iter().filter(|v| is_free(*v, c)).collect()
+}
+
+/// True when `v` occurs free in `c`.
+pub fn is_free(v: Sym, c: &RCon) -> bool {
+    struct FreeIn(Sym);
+    impl Walker for FreeIn {
+        type Stop = ();
+        fn enters(&self, f: Flags) -> bool {
+            f.has_var()
+        }
+        fn con(&mut self, c: RCon) -> Result<Step, ()> {
+            match &*c {
+                Con::Var(s) if *s == self.0 => Err(()),
+                _ => Ok(Step::Into(c)),
+            }
+        }
+        /// A binder of `v` shadows it.
+        fn binder(walk: &mut Walk<Self>, s: Sym, body: RCon) -> Result<(Sym, RCon), ()> {
+            Ok((s, if s == walk.w.0 { body } else { walk.con(body)? }))
+        }
+    }
+    Walk::new(FreeIn(v)).con(*c).is_err()
 }
 
 /// Substitutes `repl` for free occurrences of `target` in `c`,
 /// alpha-renaming binders when they would capture free variables of `repl`.
+/// Returns `c` itself when `target` is not free in it.
 pub fn subst(c: &RCon, target: &Sym, repl: &RCon) -> RCon {
-    // O(1) fast path: the interner precomputes a has-var bit, so a term with
-    // no variables at all (bound or free) cannot mention `target`.
-    if !c.flags().has_var() {
-        return *c;
+    struct Subst(Sym, RCon);
+    impl Walker for Subst {
+        type Stop = Infallible;
+        fn enters(&self, f: Flags) -> bool {
+            f.has_var()
+        }
+        fn con(&mut self, c: RCon) -> Result<Step, Infallible> {
+            Ok(match &*c {
+                Con::Var(s) if *s == self.0 => Step::Done(self.1),
+                _ => Step::Into(c),
+            })
+        }
+        /// A binder that shadows the target stops the substitution; one
+        /// that would capture a free variable of the replacement is
+        /// renamed first, when the target occurs beneath it.
+        fn binder(walk: &mut Walk<Self>, s: Sym, body: RCon) -> Result<(Sym, RCon), Infallible> {
+            let Subst(target, repl) = walk.w;
+            if s == target {
+                return Ok((s, body));
+            }
+            if is_free(s, &repl) && is_free(target, &body) {
+                let fresh = s.rename();
+                return Ok((fresh, walk.con(subst(&body, &s, &Con::var(&fresh)))?));
+            }
+            Ok((s, walk.con(body)?))
+        }
     }
-    // Fast path: nothing to do if `target` is not free in `c`.
-    if !fv(c).contains(target) {
-        return *c;
-    }
-    let repl_fv = fv(repl);
-    go(c, target, repl, &repl_fv)
+    let Ok(out) = Walk::new(Subst(*target, *repl)).con(*c);
+    out
 }
 
-fn go(c: &RCon, target: &Sym, repl: &RCon, repl_fv: &HashSet<Sym>) -> RCon {
-    // Variable-free subtrees are returned as-is without traversal.
-    if !c.flags().has_var() {
-        return *c;
-    }
-    match &**c {
-        Con::Var(s) => {
-            if s == target {
-                *repl
-            } else {
-                *c
+/// Resolves the constructor variables `lookup` binds in `c`: free
+/// variables, then one [`subst`] per bound variable, until nothing
+/// changes. Both evaluation engines resolve runtime constructor bindings
+/// with it.
+pub fn resolve_bound(c: RCon, lookup: impl Fn(Sym) -> Option<RCon>) -> RCon {
+    let mut out = c;
+    loop {
+        let before = out;
+        for v in fv(&out) {
+            if let Some(repl) = lookup(v) {
+                out = subst(&out, &v, &repl);
             }
         }
-        Con::Meta(_)
-        | Con::Prim(_)
-        | Con::Name(_)
-        | Con::Map(_, _)
-        | Con::Folder(_)
-        | Con::RowNil(_) => *c,
-        Con::Arrow(a, b) => Con::arrow(go(a, target, repl, repl_fv), go(b, target, repl, repl_fv)),
-        Con::App(a, b) => Con::app(go(a, target, repl, repl_fv), go(b, target, repl, repl_fv)),
-        Con::RowOne(a, b) => {
-            Con::row_one(go(a, target, repl, repl_fv), go(b, target, repl, repl_fv))
+        if out == before {
+            return out;
         }
-        Con::RowCat(a, b) => {
-            Con::row_cat(go(a, target, repl, repl_fv), go(b, target, repl, repl_fv))
-        }
-        Con::Pair(a, b) => Con::pair(go(a, target, repl, repl_fv), go(b, target, repl, repl_fv)),
-        Con::Poly(s, k, t) => {
-            let (s, t) = under_binder(s, t, target, repl, repl_fv);
-            Con::poly(s, k.clone(), t)
-        }
-        Con::Lam(s, k, t) => {
-            let (s, t) = under_binder(s, t, target, repl, repl_fv);
-            Con::lam(s, k.clone(), t)
-        }
-        Con::Guarded(a, b, t) => Con::guarded(
-            go(a, target, repl, repl_fv),
-            go(b, target, repl, repl_fv),
-            go(t, target, repl, repl_fv),
-        ),
-        Con::Record(r) => Con::record(go(r, target, repl, repl_fv)),
-        Con::Fst(r) => Con::fst(go(r, target, repl, repl_fv)),
-        Con::Snd(r) => Con::snd(go(r, target, repl, repl_fv)),
-    }
-}
-
-/// Handles substitution under a binder `s`, renaming it if it shadows the
-/// target or would capture a free variable of the replacement.
-fn under_binder(
-    s: &Sym,
-    body: &RCon,
-    target: &Sym,
-    repl: &RCon,
-    repl_fv: &HashSet<Sym>,
-) -> (Sym, RCon) {
-    if s == target {
-        // The binder shadows the substitution target; stop here.
-        return (*s, (*body));
-    }
-    if repl_fv.contains(s) {
-        // Rename the binder to avoid capturing a free variable of `repl`.
-        let fresh = s.rename();
-        let renamed = go(body, s, &Con::var(&fresh), &HashSet::new());
-        (fresh, go(&renamed, target, repl, repl_fv))
-    } else {
-        (*s, go(body, target, repl, repl_fv))
     }
 }
 

@@ -56,23 +56,9 @@ impl Sym {
         self.name.as_str()
     }
 
-    /// The interned name handle.
-    pub fn name_istr(&self) -> IStr {
-        self.name
-    }
-
     /// The unique id.
     pub fn id(&self) -> u32 {
         self.id
-    }
-
-    /// Reassembles a symbol from parts produced by [`Sym::name_istr`] and
-    /// [`Sym::id`] — for same-process codecs (e.g. the bytecode chunk
-    /// round-trip in `ur-eval`). The id must have been minted by
-    /// [`Sym::fresh`]/[`Sym::rename`] in this process, or uniqueness is
-    /// forfeited.
-    pub fn from_raw(name: IStr, id: u32) -> Sym {
-        Sym { name, id }
     }
 }
 

@@ -758,12 +758,6 @@ impl Db {
         self.read_only
     }
 
-    /// The committed-state epoch of this handle — what a published
-    /// snapshot pins, bumped by every committed change.
-    pub fn snapshot_epoch(&self) -> u64 {
-        self.mvcc.epoch
-    }
-
     /// Plans the access path for a statement, honoring the planner
     /// toggle.
     fn plan_for(&self, table: &str, t: &Table, pred: &SqlExpr) -> Plan {
@@ -1016,12 +1010,6 @@ impl Db {
     /// How many earlier statements the log dropped to stay bounded.
     pub fn log_dropped(&self) -> u64 {
         self.log_dropped
-    }
-
-    /// Clears the query log.
-    pub fn clear_log(&mut self) {
-        self.log.clear();
-        self.log_dropped = 0;
     }
 
     fn log_sql(&mut self, sql: String) {

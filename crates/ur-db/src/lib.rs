@@ -41,6 +41,7 @@
 //! # Ok::<(), ur_db::DbError>(())
 //! ```
 
+pub mod codec;
 pub mod db;
 pub mod error;
 pub mod expr;

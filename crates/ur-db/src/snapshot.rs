@@ -11,6 +11,7 @@
 //! failed snapshot write leaves the previous snapshot and the full WAL
 //! in place: no committed data is ever lost to checkpointing.
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::error::DbError;
 use crate::table::Table;
 use crate::wal::{get_row, get_schema, put_row, put_schema};
@@ -18,7 +19,6 @@ use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
-use ur_core::codec::{ByteReader, ByteWriter};
 use ur_core::failpoint::{self, Site};
 use ur_core::fingerprint::hash_bytes;
 
@@ -281,7 +281,7 @@ mod tests {
         write(&dir, &tables, &seqs, 3, false).unwrap();
         // Rewrite the file as the v2 format: v2 magic, no index section.
         let path = dir.join(SNAPSHOT_FILE);
-        let mut w = ur_core::codec::ByteWriter::new();
+        let mut w = crate::codec::ByteWriter::new();
         w.put_u64(3);
         w.put_u64(1);
         w.put_str("t");

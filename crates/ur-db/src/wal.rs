@@ -24,13 +24,13 @@
 //! Under `UR_DB_CRASH=abort` (the kill-point crash harness) injected
 //! faults abort the process mid-write instead, simulating power loss.
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::error::DbError;
 use crate::table::Schema;
 use crate::value::{ColTy, DbVal};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-use ur_core::codec::{ByteReader, ByteWriter};
 use ur_core::failpoint::{self, Site};
 use ur_core::fingerprint::hash_bytes;
 

@@ -26,6 +26,9 @@ pub enum EvalErrorKind {
     UnresolvedName,
     /// A database builtin failed (`ur_db::DbError`).
     Db,
+    /// Evaluation nested deeper than [`crate::interp::MAX_EVAL_DEPTH`]
+    /// (a resource limit, E0900 in a load's diagnostics).
+    TooDeep,
 }
 
 /// A runtime error. Since elaborated programs are statically typed, these

@@ -8,13 +8,14 @@ use ur_core::con::{Con, RCon};
 use ur_core::env::Env;
 use ur_core::expr::{Expr, Lit, RExpr};
 use ur_core::hnf::hnf;
-use ur_core::subst::{fv, subst};
+use ur_core::subst::resolve_bound;
 use ur_core::sym::Sym;
 use ur_core::Cx;
 
 /// Mutable world state visible to effectful builtins. `Clone` backs
-/// `Session::snapshot`/`rollback`: a rolled-back batch restores the
-/// whole world (database, sequences, SQL log, debug output) bit for bit.
+/// `Session::reelaborate`, which restores the world its first call
+/// captured (database, sequences, SQL log, debug output) before every
+/// rebuild.
 #[derive(Clone, Default)]
 pub struct World {
     /// The database backing the SQL builtins.
@@ -56,6 +57,29 @@ pub struct Interp<'a> {
     /// enters thousands of chunks, and reusing the buffers keeps the
     /// dispatch loop off the allocator entirely for calls.
     pub(crate) vec_pool: Vec<Vec<Value>>,
+    /// Recursive entries (`eval`, `apply`, the VM's `exec`) open on this
+    /// evaluation, against [`MAX_EVAL_DEPTH`].
+    depth: usize,
+}
+
+/// The evaluation depth budget: nested [`Interp::eval`], [`Interp::apply`]
+/// and VM `exec` entries one evaluation may have open. Evaluation runs
+/// on the caller's thread, and the deepest admitted evaluation fits a
+/// 2 MiB thread in a release build: one level costs at most about 1 KiB
+/// of stack there (docs/ROBUSTNESS.md §1). Past the budget,
+/// evaluation fails with [`EvalErrorKind::TooDeep`] instead of
+/// overflowing the stack.
+pub const MAX_EVAL_DEPTH: usize = 1_000;
+
+/// The literal field name a resolved constructor must be.
+pub(crate) fn field_name(c: RCon) -> Result<Rc<str>, EvalError> {
+    match &*c {
+        Con::Name(n) => Ok(Rc::from(n.as_str())),
+        other => Err(EvalError::of_kind(
+            EvalErrorKind::UnresolvedName,
+            format!("field name did not reduce to a literal: {other}"),
+        )),
+    }
 }
 
 /// Bound on [`Interp::resolve_memo`]: adversarial workloads that keep
@@ -78,7 +102,28 @@ impl<'a> Interp<'a> {
             resolve_memo: HashMap::new(),
             builtin_vals: HashMap::new(),
             vec_pool: Vec::new(),
+            depth: 0,
         }
+    }
+
+    /// Charges one level of [`MAX_EVAL_DEPTH`]; [`Interp::leave`] gives
+    /// it back.
+    pub(crate) fn enter(&mut self) -> Result<(), EvalError> {
+        if self.depth >= MAX_EVAL_DEPTH {
+            return Err(EvalError::of_kind(
+                EvalErrorKind::TooDeep,
+                format!(
+                    "evaluation nested too deep: the depth budget of \
+                     {MAX_EVAL_DEPTH} nested calls is exhausted"
+                ),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    pub(crate) fn leave(&mut self) {
+        self.depth -= 1;
     }
 
     /// A cleared scratch buffer from the pool (or a fresh one).
@@ -133,34 +178,14 @@ impl<'a> Interp<'a> {
     /// Substitutes the runtime constructor bindings of `venv` into `c` and
     /// head-normalizes.
     pub fn resolve_con(&mut self, venv: &VEnv, c: &RCon) -> RCon {
-        let mut out = *c;
-        loop {
-            let vars = fv(&out);
-            let mut changed = false;
-            for v in vars {
-                if let Some(repl) = venv.cons.get(&v) {
-                    out = subst(&out, &v, repl);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        let out = resolve_bound(*c, |v| venv.cons.get(&v).copied());
         hnf(self.genv, &mut self.cx, &out)
     }
 
     /// Resolves a constructor expected to be a field name to the literal
     /// name string.
     pub fn resolve_name(&mut self, venv: &VEnv, c: &RCon) -> Result<Rc<str>, EvalError> {
-        let c = self.resolve_con(venv, c);
-        match &*c {
-            Con::Name(n) => Ok(Rc::from(n.as_str())),
-            other => Err(EvalError::of_kind(
-                EvalErrorKind::UnresolvedName,
-                format!("field name did not reduce to a literal: {other}"),
-            )),
-        }
+        field_name(self.resolve_con(venv, c))
     }
 
     /// Evaluates an expression in an environment.
@@ -170,6 +195,13 @@ impl<'a> Interp<'a> {
     /// Returns an [`EvalError`] on builtin failures or interpreter
     /// invariant violations (the latter indicate elaborator bugs).
     pub fn eval(&mut self, venv: &VEnv, e: &RExpr) -> Result<Value, EvalError> {
+        self.enter()?;
+        let r = self.eval_node(venv, e);
+        self.leave();
+        r
+    }
+
+    fn eval_node(&mut self, venv: &VEnv, e: &RExpr) -> Result<Value, EvalError> {
         match &**e {
             Expr::Var(x) => {
                 if let Some(v) = venv.vals.get(x) {
@@ -288,6 +320,13 @@ impl<'a> Interp<'a> {
     /// VM — so values from either engine mix freely (higher-order
     /// builtins apply whatever the program handed them).
     pub fn apply(&mut self, f: Value, arg: Value) -> Result<Value, EvalError> {
+        self.enter()?;
+        let r = self.apply_value(f, arg);
+        self.leave();
+        r
+    }
+
+    fn apply_value(&mut self, f: Value, arg: Value) -> Result<Value, EvalError> {
         match f {
             Value::Closure(c) => {
                 let env2 = c.env.with_val(c.param, arg);

@@ -32,7 +32,7 @@ pub mod vm;
 
 pub use compile::{compile, Chunk, Op};
 pub use error::{EvalError, EvalErrorKind};
-pub use interp::{Interp, World};
+pub use interp::{Interp, World, MAX_EVAL_DEPTH};
 pub use value::{Builtin, BuiltinApp, VEnv, Value, XmlVal};
 pub use vm::EvalStats;
 

@@ -11,6 +11,7 @@ use crate::error::{EvalError, EvalErrorKind};
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
+use std::mem::take;
 use std::rc::Rc;
 use ur_core::con::RCon;
 use ur_core::expr::RExpr;
@@ -64,6 +65,51 @@ pub struct CClosure {
 pub struct DSusp {
     pub env: VEnv,
     pub body: RExpr,
+}
+
+impl Drop for Closure {
+    fn drop(&mut self) {
+        drop_flat(self.env.vals.drain().map(|(_, v)| v));
+    }
+}
+
+impl Drop for CClosure {
+    fn drop(&mut self) {
+        drop_flat(self.env.vals.drain().map(|(_, v)| v));
+    }
+}
+
+impl Drop for DSusp {
+    fn drop(&mut self) {
+        drop_flat(self.env.vals.drain().map(|(_, v)| v));
+    }
+}
+
+/// Drops values without recursing through the closures they own: a
+/// closure that holds the last reference to another closure hands that
+/// one's captured values to this loop, so the nested closure drops with
+/// nothing left to drop. An evaluation can build closure chains far
+/// longer than its depth budget (`twice twice twice twice twice inc 0`
+/// does before the budget stops it), and dropping such a chain
+/// recursively would overflow the stack.
+pub(crate) fn drop_flat(vals: impl Iterator<Item = Value>) {
+    let mut stack: Vec<Value> = vals.filter(Value::owns_closure).collect();
+    while let Some(v) = stack.pop() {
+        let env = match v {
+            Value::Closure(rc) => Rc::try_unwrap(rc).ok().map(|mut c| take(&mut c.env.vals)),
+            Value::CClosure(rc) => Rc::try_unwrap(rc).ok().map(|mut c| take(&mut c.env.vals)),
+            Value::DSusp(rc) => Rc::try_unwrap(rc).ok().map(|mut c| take(&mut c.env.vals)),
+            Value::VmClosure(rc) | Value::VmCClosure(rc) | Value::VmDSusp(rc) => {
+                if let Ok(mut f) = Rc::try_unwrap(rc) {
+                    stack.extend(f.take_captured().filter(Value::owns_closure));
+                }
+                None
+            }
+            _ => None,
+        };
+        let captured = env.into_iter().flat_map(HashMap::into_values);
+        stack.extend(captured.filter(Value::owns_closure));
+    }
 }
 
 /// A library primitive: `arity` counts *value* arguments and `con_arity`
@@ -228,6 +274,20 @@ pub enum Value {
 impl Value {
     pub fn str(s: impl Into<Rc<str>>) -> Value {
         Value::Str(s.into())
+    }
+
+    /// True for a closure this value holds the last reference to: one
+    /// that dropping this value drops (see [`drop_flat`]).
+    fn owns_closure(&self) -> bool {
+        match self {
+            Value::Closure(rc) => Rc::strong_count(rc) == 1,
+            Value::CClosure(rc) => Rc::strong_count(rc) == 1,
+            Value::DSusp(rc) => Rc::strong_count(rc) == 1,
+            Value::VmClosure(rc) | Value::VmCClosure(rc) | Value::VmDSusp(rc) => {
+                Rc::strong_count(rc) == 1
+            }
+            _ => false,
+        }
     }
 
     /// Extracts an `i64`, or errors.

@@ -30,10 +30,10 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 use ur_core::arena::IStr;
-use ur_core::con::{Con, RCon};
+use ur_core::con::RCon;
 use ur_core::expr::Lit;
 use ur_core::hnf::hnf;
-use ur_core::subst::{fv, subst};
+use ur_core::subst::resolve_bound;
 use ur_core::sym::Sym;
 
 /// Counters a VM dispatch loop accumulates on its [`Interp`]; the
@@ -147,7 +147,18 @@ fn curried_inner(chunk: &Chunk) -> Option<CurriedInner> {
     })
 }
 
+impl Drop for VmFn {
+    fn drop(&mut self) {
+        crate::value::drop_flat(self.take_captured());
+    }
+}
+
 impl VmFn {
+    /// Moves the captured values out, leaving none.
+    pub(crate) fn take_captured(&mut self) -> std::vec::IntoIter<Value> {
+        std::mem::take(&mut self.captured).into_vec().into_iter()
+    }
+
     fn new(chunk: Arc<Chunk>, captured: Box<[Value]>, cons: ConsEnv, globals: Rc<VEnv>) -> VmFn {
         let name_cache = RefCell::new(vec![None; chunk.names.len()].into_boxed_slice());
         let curried = curried_inner(&chunk);
@@ -244,34 +255,14 @@ fn resolve_con(interp: &mut Interp<'_>, cons: &ConsEnv, c: RCon) -> RCon {
     if let Some((_, out)) = interp.resolve_memo.get(&key) {
         return *out;
     }
-    let mut out = c;
-    loop {
-        let vars = fv(&out);
-        let mut changed = false;
-        for v in vars {
-            if let Some(repl) = cons_lookup(cons, v) {
-                out = subst(&out, &v, &repl);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    out = hnf(interp.genv, &mut interp.cx, &out);
+    let out = resolve_bound(c, |v| cons_lookup(cons, v));
+    let out = hnf(interp.genv, &mut interp.cx, &out);
     interp.memo_resolution(key, cons.clone(), out);
     out
 }
 
 fn resolve_name(interp: &mut Interp<'_>, cons: &ConsEnv, c: RCon) -> Result<Rc<str>, EvalError> {
-    let c = resolve_con(interp, cons, c);
-    match &*c {
-        Con::Name(n) => Ok(Rc::from(n.as_str())),
-        other => Err(EvalError::of_kind(
-            EvalErrorKind::UnresolvedName,
-            format!("field name did not reduce to a literal: {other}"),
-        )),
-    }
+    crate::interp::field_name(resolve_con(interp, cons, c))
 }
 
 fn lit_value(l: &Lit) -> Value {
@@ -430,6 +421,7 @@ fn exec(
     globals: &Rc<VEnv>,
     name_cache: &RefCell<Box<[Option<Rc<str>>]>>,
 ) -> Result<Value, EvalError> {
+    interp.enter()?;
     let mut ops_run = 0u64;
     let mut frame = interp.take_vec();
     let mut stack = interp.take_vec();
@@ -440,6 +432,7 @@ fn exec(
     interp.give_vec(frame);
     interp.give_vec(stack);
     interp.eval_stats.vm_ops = interp.eval_stats.vm_ops.saturating_add(ops_run);
+    interp.leave();
     r
 }
 
@@ -712,6 +705,7 @@ mod tests {
     use crate::interp::World;
     use crate::value::Builtin;
     use std::collections::HashMap;
+    use ur_core::con::Con;
     use ur_core::env::Env;
     use ur_core::expr::{Expr, RExpr};
     use ur_core::kind::Kind;

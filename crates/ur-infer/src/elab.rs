@@ -16,6 +16,8 @@ use crate::error::{ElabError, EResult};
 use crate::unify::{unify, unify_kind, Unify};
 pub use ur_core::folder::{gen_folder, unfold_folder};
 use std::collections::HashSet;
+use std::convert::Infallible;
+use ur_core::arena::Flags;
 use ur_core::con::{Con, MetaId, RCon};
 use ur_core::disjoint::{prove, ProveResult};
 use ur_core::env::Env;
@@ -25,6 +27,7 @@ use ur_core::kind::Kind;
 use ur_core::row::{normalize_row, FieldKey};
 use ur_core::subst::subst;
 use ur_core::sym::Sym;
+use ur_core::walk::{Step, Walk, Walker};
 use ur_core::Cx;
 use ur_syntax::ast::{SCon, SDecl, SExpr, SKind, SLit, SParam, Span};
 use ur_syntax::Program;
@@ -2084,154 +2087,92 @@ pub fn finalize_kind(cx: &Cx, k: &Kind) -> Kind {
 
 /// Zonks and kind-defaults a constructor.
 pub fn finalize_con(cx: &Cx, c: &RCon) -> RCon {
-    let c = cx.metas.resolve(c);
-    match &*c {
-        Con::Var(_) | Con::Meta(_) | Con::Prim(_) | Con::Name(_) => c,
-        Con::Arrow(a, b) => Con::arrow(finalize_con(cx, a), finalize_con(cx, b)),
-        Con::Poly(s, k, t) => {
-            Con::poly(*s, finalize_kind(cx, k), finalize_con(cx, t))
-        }
-        Con::Guarded(a, b, t) => Con::guarded(
-            finalize_con(cx, a),
-            finalize_con(cx, b),
-            finalize_con(cx, t),
-        ),
-        Con::Lam(s, k, t) => Con::lam(*s, finalize_kind(cx, k), finalize_con(cx, t)),
-        Con::App(f, a) => Con::app(finalize_con(cx, f), finalize_con(cx, a)),
-        Con::Record(r) => Con::record(finalize_con(cx, r)),
-        Con::RowNil(k) => Con::row_nil(finalize_kind(cx, k)),
-        Con::RowOne(n, v) => Con::row_one(finalize_con(cx, n), finalize_con(cx, v)),
-        Con::RowCat(a, b) => Con::row_cat(finalize_con(cx, a), finalize_con(cx, b)),
-        Con::Map(k1, k2) => Con::map_c(finalize_kind(cx, k1), finalize_kind(cx, k2)),
-        Con::Folder(k) => Con::folder(finalize_kind(cx, k)),
-        Con::Pair(a, b) => Con::pair(finalize_con(cx, a), finalize_con(cx, b)),
-        Con::Fst(a) => Con::fst(finalize_con(cx, a)),
-        Con::Snd(a) => Con::snd(finalize_con(cx, a)),
-    }
+    let Ok(out) = Walk::new(cx.metas.zonker(|k| finalize_kind(cx, k))).con(*c);
+    out
 }
 
 /// Zonks and kind-defaults every constructor inside an expression.
 pub fn finalize_expr(cx: &Cx, e: &RExpr) -> RExpr {
-    match &**e {
-        Expr::Var(_) | Expr::Lit(_) | Expr::RecNil => *e,
-        Expr::App(a, b) => Expr::app(finalize_expr(cx, a), finalize_expr(cx, b)),
-        Expr::Lam(x, t, b) => Expr::lam(*x, finalize_con(cx, t), finalize_expr(cx, b)),
-        Expr::CApp(a, c) => Expr::capp(finalize_expr(cx, a), finalize_con(cx, c)),
-        Expr::CLam(a, k, b) => {
-            Expr::clam(*a, finalize_kind(cx, k), finalize_expr(cx, b))
+    let Ok(out) = Walk::new(cx.metas.zonker(|k| finalize_kind(cx, k))).expr(*e);
+    out
+}
+
+/// The search behind [`find_meta_con`] and [`find_meta_expr`].
+struct FindMeta;
+
+impl Walker for FindMeta {
+    type Stop = MetaId;
+    fn enters(&self, f: Flags) -> bool {
+        f.has_meta()
+    }
+    fn con(&mut self, c: RCon) -> Result<Step, MetaId> {
+        match &*c {
+            Con::Meta(m) => Err(*m),
+            _ => Ok(Step::Into(c)),
         }
-        Expr::RecOne(n, v) => Expr::rec_one(finalize_con(cx, n), finalize_expr(cx, v)),
-        Expr::RecCat(a, b) => Expr::rec_cat(finalize_expr(cx, a), finalize_expr(cx, b)),
-        Expr::Proj(a, c) => Expr::proj(finalize_expr(cx, a), finalize_con(cx, c)),
-        Expr::Cut(a, c) => Expr::cut(finalize_expr(cx, a), finalize_con(cx, c)),
-        Expr::DLam(c1, c2, b) => Expr::dlam(
-            finalize_con(cx, c1),
-            finalize_con(cx, c2),
-            finalize_expr(cx, b),
-        ),
-        Expr::DApp(a) => Expr::dapp(finalize_expr(cx, a)),
-        Expr::Let(x, t, bound, body) => Expr::let_(
-            *x,
-            finalize_con(cx, t),
-            finalize_expr(cx, bound),
-            finalize_expr(cx, body),
-        ),
-        Expr::If(c, t, el) => Expr::if_(
-            finalize_expr(cx, c),
-            finalize_expr(cx, t),
-            finalize_expr(cx, el),
-        ),
     }
 }
 
 /// Finds any remaining metavariable in a constructor.
 pub fn find_meta_con(c: &RCon) -> Option<MetaId> {
-    match &**c {
-        Con::Meta(m) => Some(*m),
-        Con::Var(_) | Con::Prim(_) | Con::Name(_) | Con::Map(_, _) | Con::Folder(_)
-        | Con::RowNil(_) => None,
-        Con::Arrow(a, b)
-        | Con::App(a, b)
-        | Con::RowOne(a, b)
-        | Con::RowCat(a, b)
-        | Con::Pair(a, b) => find_meta_con(a).or_else(|| find_meta_con(b)),
-        Con::Poly(_, _, t) | Con::Lam(_, _, t) => find_meta_con(t),
-        Con::Guarded(a, b, t) => find_meta_con(a)
-            .or_else(|| find_meta_con(b))
-            .or_else(|| find_meta_con(t)),
-        Con::Record(r) | Con::Fst(r) | Con::Snd(r) => find_meta_con(r),
-    }
+    Walk::new(FindMeta).con(*c).err()
 }
 
 /// Finds any remaining metavariable in an expression's constructors.
 pub fn find_meta_expr(e: &RExpr) -> Option<MetaId> {
-    match &**e {
-        Expr::Var(_) | Expr::Lit(_) | Expr::RecNil => None,
-        Expr::App(a, b) | Expr::RecCat(a, b) => {
-            find_meta_expr(a).or_else(|| find_meta_expr(b))
-        }
-        Expr::Lam(_, t, b) => find_meta_con(t).or_else(|| find_meta_expr(b)),
-        Expr::CApp(a, c) => find_meta_expr(a).or_else(|| find_meta_con(c)),
-        Expr::CLam(_, _, b) => find_meta_expr(b),
-        Expr::RecOne(n, v) => find_meta_con(n).or_else(|| find_meta_expr(v)),
-        Expr::Proj(a, c) | Expr::Cut(a, c) => {
-            find_meta_expr(a).or_else(|| find_meta_con(c))
-        }
-        Expr::DLam(c1, c2, b) => find_meta_con(c1)
-            .or_else(|| find_meta_con(c2))
-            .or_else(|| find_meta_expr(b)),
-        Expr::DApp(a) => find_meta_expr(a),
-        Expr::Let(_, t, bound, body) => find_meta_con(t)
-            .or_else(|| find_meta_expr(bound))
-            .or_else(|| find_meta_expr(body)),
-        Expr::If(c, t, el) => find_meta_expr(c)
-            .or_else(|| find_meta_expr(t))
-            .or_else(|| find_meta_expr(el)),
-    }
+    Walk::new(FindMeta).expr(*e).err()
 }
 
 /// Substitutes a closed expression for a variable (used to fill folder
 /// holes; `repl` is closed, so no capture is possible).
 pub fn replace_var(e: &RExpr, target: &Sym, repl: &RExpr) -> RExpr {
-    match &**e {
-        Expr::Var(x) => {
-            if x == target {
-                *repl
-            } else {
-                *e
-            }
+    struct Replace(Sym, RExpr);
+    impl Walker for Replace {
+        type Stop = Infallible;
+        fn enters(&self, _: Flags) -> bool {
+            false
         }
-        Expr::Lit(_) | Expr::RecNil => *e,
-        Expr::App(a, b) => Expr::app(replace_var(a, target, repl), replace_var(b, target, repl)),
-        Expr::Lam(x, t, b) => Expr::lam(
-            *x,
-            *t,
-            replace_var(b, target, repl),
-        ),
-        Expr::CApp(a, c) => Expr::capp(replace_var(a, target, repl), *c),
-        Expr::CLam(a, k, b) => Expr::clam(*a, k.clone(), replace_var(b, target, repl)),
-        Expr::RecOne(n, v) => Expr::rec_one(*n, replace_var(v, target, repl)),
-        Expr::RecCat(a, b) => {
-            Expr::rec_cat(replace_var(a, target, repl), replace_var(b, target, repl))
+        fn expr(&mut self, e: RExpr) -> Result<Option<RExpr>, Infallible> {
+            Ok(match &*e {
+                Expr::Var(x) if *x == self.0 => Some(self.1),
+                _ => None,
+            })
         }
-        Expr::Proj(a, c) => Expr::proj(replace_var(a, target, repl), *c),
-        Expr::Cut(a, c) => Expr::cut(replace_var(a, target, repl), *c),
-        Expr::DLam(c1, c2, b) => Expr::dlam(
-            *c1,
-            *c2,
-            replace_var(b, target, repl),
-        ),
-        Expr::DApp(a) => Expr::dapp(replace_var(a, target, repl)),
-        Expr::Let(x, t, bound, body) => Expr::let_(
-            *x,
-            *t,
-            replace_var(bound, target, repl),
-            replace_var(body, target, repl),
-        ),
-        Expr::If(c, t, el) => Expr::if_(
-            replace_var(c, target, repl),
-            replace_var(t, target, repl),
-            replace_var(el, target, repl),
-        ),
+    }
+    let Ok(out) = Walk::new(Replace(*target, *repl)).expr(*e);
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The finalization clients of the walk on a constructor and an
+    /// expression whose trees have 2^40 nodes: each level is shared twice.
+    #[test]
+    fn finalization_is_linear_on_shared_terms() {
+        let mut cx = Cx::new();
+        let m = cx.metas.fresh(Kind::Type, "m");
+        cx.metas.solve(m, Con::int());
+        let u = cx.metas.fresh(Kind::Type, "u");
+        let k = cx.metas.fresh_kind();
+        let (a, f, hole) = (Sym::fresh("a"), Sym::fresh("f"), Sym::fresh("hole"));
+        let mut c = Con::poly(a, k, Con::arrow(Con::meta(m), Con::var(&a)));
+        let mut e = Expr::app(Expr::capp(Expr::var(&f), c), Expr::var(&hole));
+        for _ in 0..40 {
+            c = Con::arrow(c, c);
+            e = Expr::app(e, e);
+        }
+        let fc = finalize_con(&cx, &c);
+        assert!(!fc.flags().has_meta() && !fc.flags().has_kmeta(), "{fc}");
+        assert_eq!(find_meta_con(&c), Some(m));
+        assert_eq!(find_meta_con(&fc), None);
+        assert_eq!(find_meta_con(&Con::arrow(fc, Con::meta(u))), Some(u));
+        let fe = finalize_expr(&cx, &e);
+        assert_eq!(find_meta_expr(&e), Some(m));
+        assert_eq!(find_meta_expr(&fe), None);
+        let filled = replace_var(&fe, &hole, &Expr::rec_nil());
+        assert_ne!(filled, fe);
+        assert_eq!(replace_var(&filled, &hole, &Expr::rec_nil()), filled);
     }
 }

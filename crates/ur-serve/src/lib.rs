@@ -80,9 +80,6 @@ pub struct ServeConfig {
     pub watchdog_ms: u64,
     /// Backoff hint included in shed responses.
     pub retry_after_ms: u64,
-    /// How long [`Server::wait`] lets stragglers finish after drain
-    /// begins (handlers also deadline out on their own).
-    pub drain_ms: u64,
     /// Shared durable database directory (single-writer pool mode).
     pub db_dir: Option<PathBuf>,
     /// Has no effect (sessions share one in-memory live-outcome layer);
@@ -107,7 +104,6 @@ impl Default for ServeConfig {
             deadline_ms: 2_000,
             watchdog_ms: 500,
             retry_after_ms: 50,
-            drain_ms: 2_000,
             db_dir: None,
             cache_dir: None,
             engine: None,

@@ -22,6 +22,11 @@
 //! * right-nested chains (`fn`, `let` and `if` heads; `x :: K ->`
 //!   binders, type-level `fn`s, guards and arrows) are loops that charge
 //!   one budget level per link;
+//! * so are left-associative operator chains and `$`/`@` prefix runs,
+//!   whose ASTs nest one node per link although the parser does not
+//!   recurse on them: a later pass that walks the AST recursively (drop,
+//!   elaboration) must not meet a chain deeper than the budget. `++`
+//!   chains and application spines stay uncharged;
 //! * parentheses, records, parameter lists, `[c]`, `!`, `--` and the
 //!   error messages live in functions of their own, so their locals stay
 //!   out of the frames every level passes through;
@@ -179,11 +184,6 @@ struct Parser {
     pos: usize,
     /// Nesting levels open on the current path.
     depth: usize,
-    /// Depth failures so far. Most end the parse; one that a guard probe
-    /// backtracks over ([`Parser::try_guard`]) stays charged against the
-    /// budget for the rest of the parse (docs/ROBUSTNESS.md §1, "The
-    /// parser").
-    spent: usize,
 }
 
 impl Parser {
@@ -192,7 +192,6 @@ impl Parser {
             toks: lex(src)?,
             pos: 0,
             depth: 0,
-            spent: 0,
         })
     }
 
@@ -257,13 +256,13 @@ impl Parser {
     /// `ParseTooDeep` error instead of a stack overflow. Errors abort the
     /// parse, so only the successful path gives levels back
     /// ([`Parser::ascend`]); the guard probe, the one place that
-    /// backtracks, restores the depth it saved.
+    /// backtracks, restores the depth it saved, and never backtracks
+    /// over a depth failure.
     fn descend(&mut self) -> PResult<()> {
-        if self.depth + self.spent < MAX_PARSE_DEPTH {
+        if self.depth < MAX_PARSE_DEPTH {
             self.depth += 1;
             Ok(())
         } else {
-            self.spent += 1;
             Err(self.too_deep())
         }
     }
@@ -597,14 +596,14 @@ impl Parser {
 
     /// At a `[`, determines whether a guard `[c1 ~ c2] =>` starts here. On
     /// success consumes through the `=>`; otherwise rewinds and returns
-    /// `None`. The probe parses `c1` and backtracks over any error there,
-    /// restoring the position and depth it saved; a depth failure inside
-    /// it stays charged (`spent`).
+    /// `None`. The probe parses `c1` and backtracks over any error there
+    /// but a depth failure, restoring the position and depth it saved.
     fn try_guard(&mut self, span: Span) -> PResult<Option<ConLink>> {
         let (pos, depth) = (self.pos, self.depth);
         self.bump();
         let c1 = match self.con() {
             Ok(c) => c,
+            Err(e) if e.message.contains(TOO_DEEP_MSG) => return Err(e),
             Err(_) => {
                 self.pos = pos;
                 self.depth = depth;
@@ -657,9 +656,11 @@ impl Parser {
 
     /// An atom after any `$` markers, with its `.1` / `.2` projections.
     fn con_atom(&mut self) -> PResult<Box<SCon>> {
-        // `$` prefixes are counted, not recursed on.
+        // `$` prefixes are counted, not recursed on; each charges the
+        // level of the `Record` node it wraps around the atom.
         let dollars = self.pos;
         while *self.peek() == Tok::Dollar {
+            self.descend()?;
             self.bump();
         }
         let dollars = dollars..self.pos;
@@ -670,6 +671,7 @@ impl Parser {
             Tok::LBrack => self.row_lit(span)?,
             _ => self.con_leaf(span)?,
         };
+        self.ascend(dollars.len());
         Ok(self.con_postfix(span, dollars, atom))
     }
 
@@ -855,8 +857,15 @@ impl Parser {
     /// to the right, every node of one chain spanning from the chain's
     /// first operand. Comparisons do not associate: a comparison is never
     /// an operand of one, so `a < b < c` stops before the second `<`.
+    ///
+    /// Every operator but `++` charges one nesting level until the
+    /// expression ends: a left-associative chain nests its first operand
+    /// one node deeper per link, so `1 + 1 + …` is as deep as it is long.
+    /// `++` stays exempt: a long record concatenation is bounded by the
+    /// disjointness fuel instead (2,000 links end in E0900).
     fn binary(&mut self) -> PResult<Box<SExpr>> {
         let mut pending: Vec<Pending> = Vec::new();
+        let mut links = 0;
         let mut span = self.span();
         let mut rhs = self.app()?;
         while let Some((op, prec)) = binop(self.peek()) {
@@ -871,6 +880,10 @@ impl Parser {
                 Some(top) if top.prec == Prec::Cat && prec == Prec::Cat => top.span,
                 _ => span,
             };
+            if prec != Prec::Cat {
+                self.descend()?;
+                links += 1;
+            }
             pending.push(Pending {
                 span: start,
                 lhs: rhs,
@@ -881,6 +894,7 @@ impl Parser {
             span = self.span();
             rhs = self.app()?;
         }
+        self.ascend(links);
         while let Some(top) = pending.pop() {
             rhs = combine(top, rhs);
         }
@@ -938,9 +952,11 @@ impl Parser {
     /// An atom after any `@` markers, with its `.field` projections.
     fn postfix(&mut self) -> PResult<Box<SExpr>> {
         let span = self.span();
-        // `@` prefixes are counted, not recursed on.
+        // `@` prefixes are counted, not recursed on; each charges the
+        // level of the `Explicit` node it wraps around the atom.
         let markers = self.pos;
         while *self.peek() == Tok::At {
+            self.descend()?;
             self.bump();
         }
         let markers = markers..self.pos;
@@ -950,6 +966,7 @@ impl Parser {
             Tok::LBrace => self.record(at)?,
             _ => self.leaf(at)?,
         };
+        self.ascend(markers.len());
         self.projections(span, markers, e)
     }
 

@@ -9,13 +9,6 @@
 use crate::ast::*;
 use std::fmt::Write;
 
-/// Prints a kind.
-pub fn kind_to_string(k: &SKind) -> String {
-    let mut s = String::new();
-    kind(&mut s, k, 0);
-    s
-}
-
 /// Prints a constructor as parseable source.
 pub fn con_to_string(c: &SCon) -> String {
     let mut s = String::new();

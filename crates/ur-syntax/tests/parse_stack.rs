@@ -61,6 +61,16 @@ const SHAPES: &[Shape] = &[
     ("row type", con, |d| wrap("[A = ", "int", "]", d - 1)),
     ("record type", con, |d| wrap("{A : ", "int", "}", d - 1)),
     ("guard", con, |d| wrap("[a ~ b] => ", "int", "", d - 1)),
+    ("$ prefix run", con, |d| wrap("$", "r", "", d - 1)),
+    ("@ prefix run", expr, |d| wrap("@", "f", "", d - 1)),
+    ("left-associative chain", expr, |d| {
+        wrap("", "1", " + 1", d - 1)
+    }),
+    ("mixed operator chain", expr, |d| {
+        (1..d).fold("1".to_string(), |s, i| {
+            s + if i % 2 == 0 { " * 2" } else { " - 3" }
+        })
+    }),
     (":: polymorphism", con, |d| {
         wrap("a :: Type -> ", "int", "", d - 1)
     }),
@@ -101,16 +111,7 @@ fn every_shape_fits_its_depth_budget_in_a_small_stack() {
             panic!("{name}: {} levels must be rejected", MAX_PARSE_DEPTH + 1);
         };
         let d = Diagnostic::from(e);
-        if name == "guard" {
-            // One level too deep, the guard probe's `c1` runs out of
-            // budget, so the probe gives up and the brackets are read as a
-            // row literal, which fails at the `~` (the guard exception in
-            // docs/ROBUSTNESS.md §1, "The parser").
-            assert_eq!(d.code, Code::Parse, "{name}: {d}");
-            assert!(d.message.contains("expected `]`, found `~`"), "{name}: {d}");
-        } else {
-            assert_eq!(d.code, Code::ParseTooDeep, "{name}: {d}");
-        }
+        assert_eq!(d.code, Code::ParseTooDeep, "{name}: {d}");
     }
 }
 

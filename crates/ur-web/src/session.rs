@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use ur_core::con::RCon;
 use ur_core::expr::RExpr;
 use ur_core::sym::Sym;
-use ur_eval::{Builtin, Chunk, EvalEngine, EvalError, Interp, VEnv, Value, World};
+use ur_eval::{Builtin, Chunk, EvalEngine, EvalError, EvalErrorKind, Interp, VEnv, Value, World};
 use ur_infer::{ElabDecl, ElabError, ElabSnapshot, Elaborator};
 
 /// Errors from running a program in a session.
@@ -114,18 +114,6 @@ struct IncrState {
     last_report: ur_query::RunReport,
 }
 
-/// A point-in-time capture of a whole session, for rolling back an
-/// unwanted batch: elaborator state, runtime world (database + debug
-/// log), top-level value environment, and name table. Created by
-/// [`Session::snapshot`], consumed by [`Session::rollback`]. Builtins
-/// are immutable and not captured.
-pub struct SessionSnapshot {
-    elab: ElabSnapshot,
-    world: World,
-    top: VEnv,
-    by_name: HashMap<String, Sym>,
-}
-
 /// An Ur/Web session: elaborate-and-run programs against a persistent
 /// world.
 ///
@@ -163,9 +151,9 @@ pub struct Session {
     /// re-evaluated declaration (incremental rebuilds, repeated source)
     /// reuses its chunk instead of re-lowering. Chunks bake in
     /// `genv`-dependent normalization (static field names, pre-reduced
-    /// constructor arguments), so any wholesale environment restore —
-    /// [`Session::reelaborate`]'s base restore, [`Session::rollback`] —
-    /// clears the cache; size is bounded by [`CHUNK_CACHE_CAP`].
+    /// constructor arguments), so a wholesale environment restore
+    /// ([`Session::reelaborate`]'s base restore) clears the cache; size
+    /// is bounded by [`CHUNK_CACHE_CAP`].
     chunk_cache: HashMap<RExpr, Arc<Chunk>>,
     /// Shared snapshot of `top` for VM runs (`Rc` of the globals plus
     /// the root constructor list), rebuilt lazily after any top-level
@@ -380,7 +368,10 @@ impl Session {
                     }
                     Err(e) => diags.push(ur_syntax::Diagnostic::new(
                         ur_syntax::Span::default(),
-                        ur_syntax::Code::Eval,
+                        match e.kind {
+                            EvalErrorKind::TooDeep => ur_syntax::Code::ResourceExhausted,
+                            _ => ur_syntax::Code::Eval,
+                        },
                         format!("runtime error evaluating {name}: {e}"),
                     )),
                 }
@@ -638,35 +629,6 @@ impl Session {
         );
         s
     }
-
-    /// Captures the whole session (elaborator, world, environment) so a
-    /// later [`Session::rollback`] can undo everything a batch did.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            elab: self.elab.snapshot(),
-            world: self.world.clone(),
-            top: self.top.clone(),
-            by_name: self.by_name.clone(),
-        }
-    }
-
-    /// Restores the session to a previous [`Session::snapshot`]: env,
-    /// folder cache, memo tables, stats, database, debug log, and
-    /// top-level values all return to the captured point.
-    pub fn rollback(&mut self, snap: SessionSnapshot) {
-        self.elab.restore(snap.elab);
-        self.world = snap.world;
-        // Rolling the world back abandons everything the batch appended
-        // to the WAL; re-anchor durability on the restored state so a
-        // crash right after rollback recovers it, not the aborted batch.
-        self.world.db.persist_rebase();
-        self.top = snap.top;
-        self.vm_globals = None;
-        // `genv` just rewound; chunks compiled against the rolled-back
-        // environment must not be served to post-rollback evaluations.
-        self.chunk_cache.clear();
-        self.by_name = snap.by_name;
-    }
 }
 
 /// A human-readable database summary: durability mode, open
@@ -887,28 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_clears_the_chunk_cache() {
-        let mut sess = Session::new().unwrap();
-        sess.run("val a = 40 + 2").unwrap();
-        let snap = sess.snapshot();
-        sess.run("val b = 40 + 2").unwrap();
-        assert!(sess.stats().eval_chunk_hits > 0, "{}", sess.stats());
-        sess.rollback(snap);
-        // Same hash-consed body, but the environment was rewound: the
-        // chunk must be recompiled, not served from the stale cache.
-        let hits = sess.stats().eval_chunk_hits;
-        let compiled = sess.stats().eval_chunks_compiled;
-        sess.run("val c = 40 + 2").unwrap();
-        assert_eq!(
-            sess.stats().eval_chunk_hits,
-            hits,
-            "stale chunk served after rollback"
-        );
-        assert!(sess.stats().eval_chunks_compiled > compiled);
-        assert_eq!(sess.get_int("c").unwrap(), 42);
-    }
-
-    #[test]
     fn reelaborate_clears_the_chunk_cache() {
         let mut sess = Session::new().unwrap();
         let (_, d1) = sess.reelaborate("val a = 40 + 2");
@@ -1065,6 +1005,40 @@ mod xml_typing_tests {
 mod recovery_tests {
     use super::*;
 
+    /// An evaluation nested past `MAX_EVAL_DEPTH` is a resource error on
+    /// both engines (E0900 in a load's diagnostics), the declarations
+    /// around it still bind, and a shallower one still answers. Debug
+    /// frames are several times the release ones the budget is sized
+    /// for, so this runs on a larger thread.
+    #[test]
+    fn evaluation_past_the_depth_budget_is_e0900_on_both_engines() {
+        let run = || {
+            for engine in [EvalEngine::Vm, EvalEngine::Interp] {
+                let mut sess = Session::new().unwrap();
+                sess.engine = engine;
+                let (vals, diags) = sess.run_all(
+                    "val twice = fn [a] (f : a -> a) (x : a) => f (f x)\n\
+                     val inc = fn (n : int) => n + 1\n\
+                     val deep = twice twice twice twice twice inc 0\n\
+                     val ok = twice twice twice twice inc 0",
+                );
+                assert_eq!(diags.len(), 1, "{engine:?}: {diags:?}");
+                assert_eq!(diags[0].code, ur_syntax::Code::ResourceExhausted, "{engine:?}");
+                assert!(diags[0].message.contains("nested too deep"), "{engine:?}");
+                assert!(vals.iter().all(|(n, _)| n != "deep"));
+                assert_eq!(sess.get_int("ok").unwrap(), 65_536, "{engine:?}");
+            }
+        };
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(64 << 20)
+                .spawn_scoped(s, run)
+                .unwrap()
+                .join()
+                .unwrap();
+        });
+    }
+
     /// A failed declaration must not poison the session: stale folder
     /// holes and constraints are discarded (regression test).
     #[test]
@@ -1111,62 +1085,6 @@ mod recovery_tests {
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert_eq!(defs.len(), 1);
         assert_eq!(sess.get_int("ok").unwrap(), 42);
-    }
-
-    /// `snapshot`/`rollback` must undo *everything* a batch did — env
-    /// bindings, database tables, debug output, and stats (including
-    /// the disjointness-prover and memo counters a row metaprogram
-    /// drives) — even when the batch partially failed, leaving the
-    /// session bit-identical to its pre-batch state.
-    #[test]
-    fn snapshot_rollback_restores_env_db_and_stats() {
-        let mut sess = Session::new().unwrap();
-        sess.run("val base = 10").unwrap();
-        let stats_before = sess.stats().clone();
-        let log_before = sess.world.out.clone();
-        let snap = sess.snapshot();
-
-        // A messy batch: new bindings, a row metaprogram, a new table,
-        // debug output, and a failing declaration in the middle.
-        let (defs, diags) = sess.run_all(
-            "val good = base + 1\n\
-             fun proj [nm :: Name] [t :: Type] [r :: {Type}] [[nm] ~ r] \
-                (x : $([nm = t] ++ r)) = x.nm\n\
-             val p = proj [#A] {A = base, B = \"x\", C = 2.5}\n\
-             val t = createTable \"snapped\" {K = sqlInt}\n\
-             val u = insert t {K = const 7}\n\
-             val bad = 1 + \"two\"\n\
-             val d = debug \"noise\"",
-        );
-        assert!(!diags.is_empty());
-        assert!(!defs.is_empty());
-        assert!(sess.get("good").is_some());
-        assert_eq!(sess.get_int("p").unwrap(), 10);
-        assert!(sess.stats().disjoint_prover_calls > stats_before.disjoint_prover_calls);
-        assert_eq!(sess.world.db.row_count("snapped").unwrap(), 1);
-
-        sess.rollback(snap);
-        assert!(sess.get("good").is_none(), "binding survived rollback");
-        assert!(
-            sess.get("p").is_none(),
-            "metaprogram binding survived rollback"
-        );
-        assert!(sess.get("t").is_none(), "table binding survived rollback");
-        assert!(
-            sess.world.db.row_count("snapped").is_err(),
-            "database table survived rollback"
-        );
-        assert_eq!(sess.world.out, log_before, "debug log survived rollback");
-        assert_eq!(sess.get_int("base").unwrap(), 10);
-        assert_eq!(
-            *sess.stats(),
-            stats_before,
-            "stats drifted across snapshot/rollback"
-        );
-
-        // The rolled-back session is fully usable.
-        sess.run("val after = base + 32").unwrap();
-        assert_eq!(sess.get_int("after").unwrap(), 42);
     }
 
     /// `reelaborate` is whole-program-replace: a no-op rebuild is fully
@@ -1257,30 +1175,6 @@ mod recovery_tests {
         let mut db = ur_db::Db::open(&dir).unwrap();
         assert_eq!(db.row_count("people").unwrap(), 2);
         assert_eq!(db.nextval("ids").unwrap(), 2, "sequence position survives");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Rollback on a durable world re-anchors the WAL: a reopen after
-    /// rollback recovers the pre-batch state, not the aborted batch.
-    #[test]
-    fn rollback_on_durable_world_discards_batch_from_disk() {
-        let dir = std::env::temp_dir().join(format!("ur-sess-rollbk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let mut sess = Session::new().unwrap();
-            *sess.db() = ur_db::Db::open(&dir).unwrap();
-            sess.run("val t = createTable \"keep\" {K = sqlInt}").unwrap();
-            let snap = sess.snapshot();
-            sess.run(
-                "val t2 = createTable \"doomed\" {K = sqlInt}\n\
-                 val u = insert t2 {K = const 1}",
-            )
-            .unwrap();
-            sess.rollback(snap);
-        }
-        let db = ur_db::Db::open(&dir).unwrap();
-        assert_eq!(db.row_count("keep").unwrap(), 0);
-        assert!(db.row_count("doomed").is_err(), "aborted batch reached disk");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

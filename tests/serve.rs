@@ -258,9 +258,17 @@ fn db_lock_contention_retries_with_bounded_backoff() {
 /// Spawns `urc --listen 127.0.0.1:0` and returns the child plus the
 /// resolved address parsed from the `{"listening":…}` banner.
 fn spawn_listen(extra: &[&str]) -> (Child, std::net::SocketAddr, impl Iterator<Item = String>) {
+    spawn_listen_env(extra, &[])
+}
+
+fn spawn_listen_env(
+    extra: &[&str],
+    env: &[(&str, &str)],
+) -> (Child, std::net::SocketAddr, impl Iterator<Item = String>) {
     let mut child = Command::new(urc())
         .args(["--listen", "127.0.0.1:0"])
         .args(extra)
+        .envs(env.iter().copied())
         .stdin(Stdio::null())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -327,4 +335,113 @@ fn listen_drains_gracefully_on_sigterm() {
     let fin = lines.next().expect("final line after SIGTERM");
     assert!(fin.contains("\"event\":\"final\""), "{fin}");
     assert!(child.wait().unwrap().success(), "SIGTERM must exit 0");
+}
+
+/// Hostile requests, one `urc --listen` process: types that are
+/// exponential trees over a few shared nodes, an evaluation that nests
+/// past its depth budget, and ASTs as deep as the input is long. Each is
+/// answered, within its deadline or with a structured error; no worker
+/// is lost, and a new connection is served afterwards.
+#[test]
+fn listen_answers_hostile_requests_without_losing_a_worker() {
+    // The evaluation depth budget and the 1,000-long application spine
+    // are sized for release frames; a debug build's frames are several
+    // times larger, so its workers get the stacks to match.
+    let env: &[(&str, &str)] = if cfg!(debug_assertions) {
+        &[("RUST_MIN_STACK", "33554432")]
+    } else {
+        &[]
+    };
+    let (mut child, addr, mut lines) = spawn_listen_env(&["--pool", "1"], env);
+    let connect = || {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        (BufReader::new(stream.try_clone().expect("clone")), stream)
+    };
+    let roundtrip =
+        |(reader, writer): &mut (BufReader<std::net::TcpStream>, std::net::TcpStream),
+         req: &str|
+         -> String {
+            writeln!(writer, "{req}").expect("write");
+            let mut out = String::new();
+            reader.read_line(&mut out).expect("read");
+            assert!(
+                !out.contains("lost to a worker restart"),
+                "{req:.80}: {out}"
+            );
+            out.trim_end().to_string()
+        };
+    let ids = |n: usize| vec!["id"; n].join(" ");
+    let nest = format!("{}x{}", "d (".repeat(30), ")".repeat(30));
+    let mut conn = connect();
+    let resp = roundtrip(
+        &mut conn,
+        &format!(
+            "{{\"cmd\":\"load\",\"source\":\"val id = fn [a] (x : a) => x\\n\
+             val d = fn [a] (x : a) => {{A = x, B = x}}\\n\
+             val f = fn [t] (x : t) => {nest}\\nval g = f 1\\n\
+             val twice = fn [a] (f : a -> a) (x : a) => f (f x)\\n\
+             val inc = fn (n : int) => n + 1\"}}"
+        ),
+    );
+    assert!(
+        resp.contains("\"red\":6") && resp.contains("\"diagnostics\":[]"),
+        "{resp}"
+    );
+    let resp = roundtrip(
+        &mut conn,
+        &format!(
+            "{{\"cmd\":\"eval\",\"expr\":\"{} 1\",\"deadline_ms\":100}}",
+            ids(50)
+        ),
+    );
+    assert_eq!(resp, "{\"ok\":true,\"value\":\"1\"}");
+    let resp = roundtrip(
+        &mut conn,
+        &format!("{{\"cmd\":\"eval\",\"expr\":\"{} 1\"}}", ids(1_000)),
+    );
+    assert!(
+        resp == "{\"ok\":true,\"value\":\"1\"}" || resp.contains("E0900"),
+        "{resp}"
+    );
+    let resp = roundtrip(
+        &mut conn,
+        "{\"cmd\":\"eval\",\"expr\":\"twice twice twice twice twice inc 0\"}",
+    );
+    assert!(
+        resp.contains("\"ok\":false") && resp.contains("nested too deep"),
+        "{resp}"
+    );
+    let resp = roundtrip(
+        &mut conn,
+        "{\"cmd\":\"eval\",\"expr\":\"twice twice twice twice inc 0\"}",
+    );
+    assert_eq!(resp, "{\"ok\":true,\"value\":\"65536\"}");
+    let chain = format!("1{}", " + 1".repeat(999));
+    let resp = roundtrip(
+        &mut conn,
+        &format!("{{\"cmd\":\"eval\",\"expr\":\"{chain}\"}}"),
+    );
+    assert!(
+        resp.contains("\"ok\":false") && resp.contains("nesting too deep"),
+        "{resp}"
+    );
+    let dollars = "$".repeat(200_000);
+    let resp = roundtrip(
+        &mut conn,
+        &format!("{{\"cmd\":\"eval\",\"expr\":\"(1 : {dollars}int)\"}}"),
+    );
+    assert!(
+        resp.contains("\"ok\":false") && resp.contains("nesting too deep"),
+        "{resp}"
+    );
+    drop(conn);
+
+    let mut fresh = connect();
+    let resp = roundtrip(&mut fresh, "{\"cmd\":\"eval\",\"expr\":\"1 + 2\"}");
+    assert_eq!(resp, "{\"ok\":true,\"value\":\"3\"}");
+    let resp = roundtrip(&mut fresh, "{\"cmd\":\"shutdown\"}");
+    assert!(resp.contains("\"draining\":true"), "{resp}");
+    let fin = lines.next().expect("final line");
+    assert!(fin.contains("\"worker_restarts\":0"), "{fin}");
+    assert!(child.wait().unwrap().success());
 }
