@@ -1,6 +1,6 @@
 //! Chaos differential benchmark: seeded fault schedules
 //! (`ur_core::failpoint`) storm the durability layer (`wal_havoc`) and
-//! the supervised TCP serving layer (`serve_havoc`). The invariant is
+//! the TCP serving layer (`serve_havoc`). The invariant is
 //! answer-correctness: degradation may shed, tear, or expire requests,
 //! but a delivered OK answer must match the oracle, and a failed commit
 //! must leave no trace.
@@ -26,18 +26,16 @@ use ur_core::failpoint::{self, draw, FpConfig, FpCounters, Site};
 
 const MATRIX_SEEDS: &[u64] = &[0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
 
-/// Serve-layer havoc: dropped accepts, torn reads, lost writes, and
-/// wedged workers at the TCP front door. Supervision may cost restarts,
-/// replays, and structured shed/lost answers; it must never produce a
-/// *wrong* answer.
+/// Serve-layer havoc: dropped accepts, torn reads and lost writes at
+/// the TCP front door. Faults may cost structured shed/lost answers and
+/// torn connections; they must never produce a *wrong* answer.
 ///
-/// Failpoint draws are per-thread and every handler/worker thread
-/// replays the same stream, so a raw seed whose *first* read, write, or
-/// wedge consult fires would tear every fresh connection (or kill every
-/// fresh worker) at the same spot — zero throughput, or a wedge per
-/// request. The schedule therefore *derives* a seed whose hit-0 draws
-/// pass and whose streams provably fire at hit indexes a surviving
-/// connection reaches. One more wrinkle: a connection tears at
+/// Failpoint draws are per-thread and every handler thread replays the
+/// same stream, so a raw seed whose *first* read or write consult fires
+/// would tear every fresh connection at the same spot — zero
+/// throughput. The schedule therefore *derives* a seed whose hit-0
+/// draws pass and whose streams provably fire at hit indexes a
+/// surviving connection reaches. One more wrinkle: a connection tears at
 /// whichever of read (consulted before the answer) and write (after it)
 /// fires first, so a single seed can only ever exercise one of the two
 /// — `read_first` picks which, and the matrix alternates it.
@@ -46,15 +44,13 @@ fn serve_havoc(seed: u64, read_first: bool) -> FpConfig {
     loop {
         let first = |site: Site, rate: u16| (1..=8u64).find(|&h| draw(seed, site, h, rate));
         let (r, w) = (first(Site::ServeRead, 200), first(Site::ServeWrite, 200));
-        let hit0_pass = !draw(seed, Site::ServeRead, 0, 200)
-            && !draw(seed, Site::ServeWrite, 0, 200)
-            && !draw(seed, Site::ServeWedge, 0, 150);
+        let hit0_pass = !draw(seed, Site::ServeRead, 0, 200) && !draw(seed, Site::ServeWrite, 0, 200);
         let tear_ok = if read_first {
             r.is_some() && w.is_none_or(|w| r.unwrap_or(u64::MAX) <= w)
         } else {
             w.is_some() && r.is_none_or(|r| w.unwrap_or(u64::MAX) < r)
         };
-        if hit0_pass && tear_ok && (1..=6).any(|h| draw(seed, Site::ServeWedge, h, 150)) {
+        if hit0_pass && tear_ok {
             break;
         }
         seed = seed.wrapping_add(1);
@@ -64,7 +60,6 @@ fn serve_havoc(seed: u64, read_first: bool) -> FpConfig {
         .with_rate(Site::ServeAccept, 250)
         .with_rate(Site::ServeRead, 200)
         .with_rate(Site::ServeWrite, 200)
-        .with_rate(Site::ServeWedge, 150)
 }
 
 /// One serve chaos pass: an in-process `ur-serve` front door under
@@ -81,7 +76,6 @@ fn run_serve_havoc(cfg: FpConfig) -> (f64, FpCounters, bool) {
     let server = Server::start(ServeConfig {
         workers: 2,
         deadline_ms: 250,
-        watchdog_ms: 50,
         fp: Some(cfg),
         ..ServeConfig::default()
     })
@@ -288,9 +282,9 @@ fn main() {
             diverged,
         });
     }
-    // Serve-layer havoc against the supervised TCP front door: torn
-    // connections and wedged workers may shed or lose requests, but a
-    // delivered OK answer must never be wrong.
+    // Serve-layer havoc against the TCP front door: torn connections
+    // may shed or lose requests, but a delivered OK answer must never be
+    // wrong.
     for (ix, &seed) in MATRIX_SEEDS.iter().enumerate() {
         let cfg = serve_havoc(seed, ix % 2 == 0);
         let (ms, injected, diverged) = run_serve_havoc(cfg);

@@ -6,20 +6,15 @@
 //!    answer is compared against a clean sequential oracle (the same
 //!    [`ur_serve::protocol::handle_line`] run on a local session).
 //!    Gates: zero wrong answers, ≥99% non-shed availability.
-//! 2. **fault storm** — a seeded schedule over all four serve sites
-//!    (dropped accepts, torn reads, lost writes, wedged workers).
-//!    Structured degradation (shed / lost / torn / E0900) is legal;
-//!    a wrong OK answer is not. Gate: zero wrong answers.
-//! 3. **durable kill storm** — a growing script of durable inserts while
-//!    a derived-seed schedule wedges the worker repeatedly. After drain
-//!    the store is reopened from disk. Gate: zero acked-write loss
-//!    (disk rows ≥ the highest acknowledged script, and the supervisor
-//!    demonstrably restarted at least one worker).
-//! 4. **read fan-out** — durable reads (`db` reports) under concurrent
+//! 2. **fault storm** — a seeded schedule over the three serve sites
+//!    (dropped accepts, torn reads, lost writes). Structured degradation
+//!    (shed / lost / torn / E0900) is legal; a wrong OK answer is not.
+//!    Gate: zero wrong answers.
+//! 3. **read fan-out** — durable reads (`db` reports) under concurrent
 //!    durable write load, single-worker vs snapshot-reader fan-out.
 //!    Gate: fan-out read throughput beats the single-worker baseline
 //!    (reads no longer serialise behind the writer).
-//! 5. **overload** — 2× oversubscription against a deliberately tiny
+//! 4. **overload** — 2× oversubscription against a deliberately tiny
 //!    queue. Gates: shedding actually observed (`overloaded` +
 //!    `retry_after_ms`), and p99 latency of delivered answers bounded
 //!    by `3 × deadline × (queue_depth + 1)`.
@@ -217,32 +212,28 @@ struct StormResult {
     torn: u64,
     degraded: u64,
     wrong: u64,
-    worker_restarts: u64,
-    injected: [u64; 4],
+    injected: [u64; 3],
 }
 
-/// Seeded storm over all four serve sites. The client knows every
+/// Seeded storm over the three serve sites. The client knows every
 /// expected answer (`val v = i` / `v + 1` → `i + 1`), so a wrong OK
 /// answer is detected without an oracle pass.
 fn phase_fault_storm(base_seed: u64) -> StormResult {
     const ACCEPT_RATE: u16 = 250;
     const READ_RATE: u16 = 200;
     const WRITE_RATE: u16 = 200;
-    const WEDGE_RATE: u16 = 150;
 
-    // Failpoint draws are per-thread and every handler/worker thread
-    // replays the same stream, so a seed whose *first* read, write, or
-    // wedge consult fires would tear every fresh connection (or kill
-    // every fresh worker) at the same spot, and the storm would measure
-    // nothing. Derive a seed whose read/write draws pass for the first
-    // request pair (hits 0 and 1 — one load + one eval per connection)
-    // and whose wedge draw passes at hit 0; later hits fire at the
-    // configured rates as connections live longer, so every connection
-    // delivers at least one full answer pair before a fault tears it.
+    // Failpoint draws are per-thread and every handler thread replays
+    // the same stream, so a seed whose *first* read or write consult
+    // fires would tear every fresh connection at the same spot, and the
+    // storm would measure nothing. Derive a seed whose read/write draws
+    // pass for the first request pair (hits 0 and 1 — one load + one
+    // eval per connection); later hits fire at the configured rates as
+    // connections live longer, so every connection delivers at least one
+    // full answer pair before a fault tears it.
     let mut seed = base_seed ^ 0xBAD_5EED;
     while (0..=1).any(|h| draw(seed, Site::ServeRead, h, READ_RATE))
         || (0..=1).any(|h| draw(seed, Site::ServeWrite, h, WRITE_RATE))
-        || draw(seed, Site::ServeWedge, 0, WEDGE_RATE)
     {
         seed = seed.wrapping_add(1);
     }
@@ -251,12 +242,10 @@ fn phase_fault_storm(base_seed: u64) -> StormResult {
         .with_max_per_site(6)
         .with_rate(Site::ServeAccept, ACCEPT_RATE)
         .with_rate(Site::ServeRead, READ_RATE)
-        .with_rate(Site::ServeWrite, WRITE_RATE)
-        .with_rate(Site::ServeWedge, WEDGE_RATE);
+        .with_rate(Site::ServeWrite, WRITE_RATE);
     let server = Server::start(ServeConfig {
         workers: 2,
         deadline_ms: 400,
-        watchdog_ms: 100,
         fp: Some(fp),
         ..ServeConfig::default()
     })
@@ -322,108 +311,11 @@ fn phase_fault_storm(base_seed: u64) -> StormResult {
         torn,
         degraded,
         wrong,
-        worker_restarts: summary.worker_restarts,
         injected: [
             summary.faults.injected[Site::ServeAccept.index()],
             summary.faults.injected[Site::ServeRead.index()],
             summary.faults.injected[Site::ServeWrite.index()],
-            summary.faults.injected[Site::ServeWedge.index()],
         ],
-    }
-}
-
-// ---------------------------------------------------------------- phase 3
-
-struct DurableResult {
-    seed: u64,
-    submitted: u64,
-    acked: u64,
-    disk_rows: u64,
-    worker_restarts: u64,
-    lost_acked_writes: u64,
-}
-
-/// Durable kill storm: a growing script of inserts against a shared
-/// durable store while a derived wedge schedule kills the worker. Every
-/// acknowledged script must survive to disk across the restarts.
-fn phase_durable_kill(base_seed: u64) -> DurableResult {
-    const WEDGE_RATE: u16 = 250;
-    const SCRIPTS: u64 = 8;
-
-    // Derive a seed whose wedge stream (a) lets the first consult pass,
-    // so a fresh worker can always make progress (the stream is
-    // per-thread, so every replacement replays it), and (b) fires at
-    // least once in the next five consults, so the kill storm actually
-    // storms no matter what UR_SERVE_SEED was.
-    let mut seed = base_seed ^ 0xD00D_F00D;
-    while draw(seed, Site::ServeWedge, 0, WEDGE_RATE)
-        || !(1..=5).any(|h| draw(seed, Site::ServeWedge, h, WEDGE_RATE))
-    {
-        seed = seed.wrapping_add(1);
-    }
-
-    let db_dir = tmp_dir("durable-db");
-    let server = Server::start(ServeConfig {
-        deadline_ms: 500,
-        watchdog_ms: 50,
-        db_dir: Some(db_dir.clone()),
-        fp: Some(
-            FpConfig::new(seed)
-                .with_rate(Site::ServeWedge, WEDGE_RATE)
-                .with_max_per_site(8),
-        ),
-        ..ServeConfig::default()
-    })
-    .expect("serve bind");
-    let addr = server.addr();
-
-    // The script grows monotonically: script k creates the table and
-    // inserts rows r1..rk, so an acked script k means k rows are
-    // adopted on disk and any *later* state can only have more.
-    let mut acked = 0u64;
-    let mut client: Option<Client> = None;
-    for k in 1..=SCRIPTS {
-        let mut src = String::from("val t = createTable \"people\" {Name = sqlString}");
-        for j in 1..=k {
-            let _ = write!(src, " val u{j} = insert t {{Name = const \"r{j}\"}}");
-        }
-        let req = load_req(&src);
-        for _attempt in 0..8 {
-            let c = match client.as_mut() {
-                Some(c) => c,
-                None => match Client::connect(addr) {
-                    Ok(c) => client.insert(c),
-                    Err(_) => continue,
-                },
-            };
-            match c.roundtrip(&req) {
-                None => client = None, // torn: reconnect and retry
-                Some(resp) if resp.contains("\"ok\":true") && resp.contains("\"diagnostics\":[]") => {
-                    acked = k;
-                    break;
-                }
-                Some(_) => {} // lost / shed / E0900: same connection, retry
-            }
-        }
-    }
-    server.start_drain();
-    let summary = server.wait();
-
-    // Reopen the store from disk — with retry, since an abandoned wedged
-    // worker may still hold the flock for the tail of its stall.
-    let db = ur_db::Db::open_with_retry(&db_dir, ur_db::RetryConfig::with_wait_ms(15_000))
-        .expect("reopen durable store");
-    let disk_rows = db.row_count("people").unwrap_or(0) as u64;
-    drop(db);
-    let _ = std::fs::remove_dir_all(&db_dir);
-
-    DurableResult {
-        seed,
-        submitted: SCRIPTS,
-        acked,
-        disk_rows,
-        worker_restarts: summary.worker_restarts,
-        lost_acked_writes: acked.saturating_sub(disk_rows),
     }
 }
 
@@ -450,7 +342,6 @@ fn phase_overload() -> OverloadResult {
         workers: 2,
         queue_depth: QUEUE_DEPTH,
         deadline_ms: DEADLINE_MS,
-        watchdog_ms: 100,
         retry_after_ms: 5,
         ..ServeConfig::default()
     })
@@ -515,7 +406,7 @@ fn phase_overload() -> OverloadResult {
     }
 }
 
-// ---------------------------------------------------------------- phase 5
+// ---------------------------------------------------------------- phase 3
 
 struct ReadFanoutResult {
     single_rps: f64,
@@ -661,29 +552,14 @@ fn main() {
     let storm = phase_fault_storm(seed);
     println!(
         "storm:     seed {} — {}/{} ok, {} torn, {} degraded, {} wrong, \
-         {} restarts, injected accept/read/write/wedge {:?}  ({:.1}s)",
+         injected accept/read/write {:?}  ({:.1}s)",
         storm.seed,
         storm.ok,
         storm.requests,
         storm.torn,
         storm.degraded,
         storm.wrong,
-        storm.worker_restarts,
         storm.injected,
-        t.elapsed().as_secs_f64()
-    );
-
-    let t = Instant::now();
-    let durable = phase_durable_kill(seed);
-    println!(
-        "durable:   seed {} — {}/{} scripts acked, {} rows on disk, \
-         {} restarts, {} acked writes lost  ({:.1}s)",
-        durable.seed,
-        durable.acked,
-        durable.submitted,
-        durable.disk_rows,
-        durable.worker_restarts,
-        durable.lost_acked_writes,
         t.elapsed().as_secs_f64()
     );
 
@@ -732,31 +608,17 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"fault_storm\": {{\"seed\": {}, \"requests\": {}, \"ok\": {}, \"torn\": {}, \
-         \"degraded\": {}, \"wrong\": {}, \"worker_restarts\": {}, \
-         \"injected\": {{\"serve_accept\": {}, \"serve_read\": {}, \"serve_write\": {}, \
-         \"serve_wedge\": {}}}}},",
+         \"degraded\": {}, \"wrong\": {}, \
+         \"injected\": {{\"serve_accept\": {}, \"serve_read\": {}, \"serve_write\": {}}}}},",
         storm.seed,
         storm.requests,
         storm.ok,
         storm.torn,
         storm.degraded,
         storm.wrong,
-        storm.worker_restarts,
         storm.injected[0],
         storm.injected[1],
-        storm.injected[2],
-        storm.injected[3]
-    );
-    let _ = writeln!(
-        json,
-        "    \"durable_kill\": {{\"seed\": {}, \"submitted\": {}, \"acked\": {}, \
-         \"disk_rows\": {}, \"worker_restarts\": {}, \"lost_acked_writes\": {}}},",
-        durable.seed,
-        durable.submitted,
-        durable.acked,
-        durable.disk_rows,
-        durable.worker_restarts,
-        durable.lost_acked_writes
+        storm.injected[2]
     );
     let _ = writeln!(
         json,
@@ -780,10 +642,9 @@ fn main() {
     let _ = write!(
         json,
         "  \"gates\": {{\"wrong_answers\": {wrong_answers}, \
-         \"acked_write_loss\": {}, \"nominal_availability\": {:.4}, \
+         \"nominal_availability\": {:.4}, \
          \"overload_shed\": {}, \"overload_p99_bounded\": {}, \
          \"read_fanout_improvement\": {:.3}}}\n}}\n",
-        durable.lost_acked_writes,
         nominal.availability,
         overload.shed,
         overload.p99_ms <= overload.p99_bound_ms,
@@ -801,25 +662,7 @@ fn main() {
         "fault storm delivered no answers (seed {})",
         storm.seed
     );
-    // Hard gate 2: no acked durable write is lost across worker kills —
-    // and the kills demonstrably happened.
-    assert_eq!(
-        durable.lost_acked_writes, 0,
-        "acked durable writes lost across worker kills (acked {}, disk {})",
-        durable.acked, durable.disk_rows
-    );
-    assert!(
-        durable.acked > 0 && durable.disk_rows <= durable.submitted,
-        "durable phase made no progress or overshot: acked {}, disk {}",
-        durable.acked,
-        durable.disk_rows
-    );
-    assert!(
-        durable.worker_restarts >= 1,
-        "durable kill storm killed no workers (seed {})",
-        durable.seed
-    );
-    // Hard gate 3: ≥99% non-shed availability at nominal load.
+    // Hard gate 2: ≥99% non-shed availability at nominal load.
     assert!(
         nominal.availability >= 0.99,
         "nominal availability {:.2}% below 99%",
@@ -849,8 +692,8 @@ fn main() {
         fanout.fanout_rps,
         fanout.improvement
     );
-    // Hard gate 4: overload sheds instead of queueing without bound, and
-    // what is answered is answered within the patience envelope.
+    // Hard gate 3: overload sheds instead of queueing without bound, and
+    // what is answered is answered within the latency bound.
     assert!(overload.shed > 0, "overload phase never shed");
     assert!(
         overload.p99_ms <= overload.p99_bound_ms,

@@ -28,8 +28,8 @@ const TIME_BUDGET: Duration = Duration::from_secs(60);
 const SMALL_STACK: usize = 2 * 1024 * 1024;
 
 /// The stack of the scenarios whose recursion is bounded by a budget
-/// sized for release frames (evaluation depth) or by the input alone (a
-/// 1,000-long application spine): 2 MiB in release, and room for frames
+/// sized for release frames (evaluation depth, and the parse depth that
+/// bounds an application spine): 2 MiB in release, and room for frames
 /// several times larger in a debug build.
 const RELEASE_SIZED_STACK: usize = if cfg!(debug_assertions) {
     32 * 1024 * 1024
@@ -229,15 +229,15 @@ fn wide_concat_strict() -> Result<(), String> {
 // can be a DAG of a few nodes. Every structural walk must visit a shared
 // node once.
 
-/// `id` applied 1,000 times: the type `id` is instantiated at doubles
-/// with every application.
+/// `id` applied 190 times, a spine just inside the parse-depth budget:
+/// the type `id` is instantiated at doubles with every application.
 fn shared_id_spine() -> Result<(), String> {
     let mut sess = Session::new().map_err(|e| e.to_string())?;
     sess.run("val id = fn [a] (x : a) => x")
         .map_err(|e| e.to_string())?;
     let v = sess
-        .eval(&format!("{} 1", vec!["id"; 1_000].join(" ")))
-        .map_err(|e| format!("1,000-id spine must evaluate: {e}"))?;
+        .eval(&format!("{} 1", vec!["id"; 190].join(" ")))
+        .map_err(|e| format!("190-id spine must evaluate: {e}"))?;
     expect(v.to_string() == "1", &format!("expected 1, got {v}"))
 }
 
@@ -308,6 +308,20 @@ fn long_operator_chain() -> Result<(), String> {
     expect(sess.eval("1 + 1").is_ok(), "session must survive")
 }
 
+/// A 6,000-long `id id … id 1` nests its AST one application per link,
+/// so it is charged to the parse-depth budget.
+fn long_id_spine() -> Result<(), String> {
+    let mut sess = Session::new().map_err(|e| e.to_string())?;
+    match sess.eval(&format!("{} 1", vec!["id"; 6_000].join(" "))) {
+        Err(ur_web::SessionError::Elab(e)) => expect(
+            e.code() == Code::ParseTooDeep,
+            "expected E0201 ParseTooDeep",
+        )?,
+        other => return Err(format!("expected E0201, got {other:?}")),
+    }
+    expect(sess.eval("1 + 1").is_ok(), "session must survive")
+}
+
 /// 200,000 `$` prefixes: each wraps the atom in one more node.
 fn long_dollar_run() -> Result<(), String> {
     let src = format!("{}int", "$".repeat(200_000));
@@ -351,10 +365,11 @@ fn main() -> std::process::ExitCode {
         scenario("wide: 5k-field record literal", wide_record),
         scenario("wide: strict-limit concat -> E0900", wide_concat_strict),
         scenario("multi-error: 3 errors in one pass", multi_error),
-        scenario_on("shared: 1,000-id spine", RELEASE_SIZED_STACK, shared_id_spine),
+        scenario_on("shared: 190-id spine", RELEASE_SIZED_STACK, shared_id_spine),
         scenario("shared: f 1 over 30 nested records", shared_nested_records),
         scenario_on("deep eval: twice x5 -> depth budget", RELEASE_SIZED_STACK, deep_twice),
         scenario("long chain: 1,000-term sum -> E0201", long_operator_chain),
+        scenario("long chain: 6,000-id spine -> E0201", long_id_spine),
         scenario("long chain: 200,000 `$` -> E0201", long_dollar_run),
     ];
 

@@ -264,13 +264,13 @@ impl ConId {
 
 impl fmt::Display for Con {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::pretty::fmt_con(self, f, 0)
+        crate::pretty::capped(f, |f| crate::pretty::fmt_con(self, f, 0))
     }
 }
 
 impl fmt::Display for ConId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::pretty::fmt_con(self, f, 0)
+        crate::pretty::capped(f, |f| crate::pretty::fmt_con(self, f, 0))
     }
 }
 

@@ -208,13 +208,13 @@ impl Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::pretty::fmt_expr(self, f, 0)
+        crate::pretty::capped(f, |f| crate::pretty::fmt_expr(self, f, 0))
     }
 }
 
 impl fmt::Display for ExprId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        crate::pretty::fmt_expr(self, f, 0)
+        crate::pretty::capped(f, |f| crate::pretty::fmt_expr(self, f, 0))
     }
 }
 

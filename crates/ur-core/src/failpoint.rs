@@ -1,15 +1,15 @@
 //! Deterministic fault injection ("failpoints").
 //!
 //! Recovery paths for the faults real deployments see — torn WAL
-//! writes, failed fsyncs, dying checkpoints, torn connections,
-//! wedged workers — are unreachable from well-behaved inputs, so nothing
-//! in an ordinary test run ever executes them. This module provides
+//! writes, failed fsyncs, dying checkpoints, torn connections — are
+//! unreachable from well-behaved inputs, so nothing in an ordinary test
+//! run ever executes them. This module provides
 //! *named fault sites* that those layers consult, plus a seeded PRNG
 //! schedule deciding which consultations actually inject a fault:
 //!
 //! * **Named sites** ([`Site`]): WAL append/sync/corrupt/rotate +
 //!   snapshot write in `ur-db`'s durability layer, and the `ur-serve`
-//!   front door (accept/read/write/worker-wedge).
+//!   front door (accept/read/write).
 //! * **Seeded activation**: each site draws from a splitmix64 stream
 //!   keyed by `(seed, site, hit index)`, so a given configuration
 //!   produces the same fault schedule on every run — chaos tests print
@@ -31,7 +31,7 @@
 use std::fmt;
 
 /// Number of named sites (length of [`Site::ALL`]).
-pub const NSITES: usize = 9;
+pub const NSITES: usize = 8;
 
 /// A named fault-injection site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -66,10 +66,6 @@ pub enum Site {
     /// was already executed — the classic acked-vs-applied ambiguity the
     /// durable-write gate in `ur-bench serve` has to survive.
     ServeWrite,
-    /// A pool worker wedges (bounded stall past the watchdog budget);
-    /// the supervisor must replace it and restore its sessions without
-    /// wrong answers or acked-write loss.
-    ServeWedge,
 }
 
 impl Site {
@@ -83,7 +79,6 @@ impl Site {
         Site::ServeAccept,
         Site::ServeRead,
         Site::ServeWrite,
-        Site::ServeWedge,
     ];
 
     /// Stable index of this site.
@@ -97,7 +92,6 @@ impl Site {
             Site::ServeAccept => 5,
             Site::ServeRead => 6,
             Site::ServeWrite => 7,
-            Site::ServeWedge => 8,
         }
     }
 
@@ -112,7 +106,6 @@ impl Site {
             Site::ServeAccept => "serve_accept",
             Site::ServeRead => "serve_read",
             Site::ServeWrite => "serve_write",
-            Site::ServeWedge => "serve_wedge",
         }
     }
 

@@ -50,7 +50,10 @@ impl fmt::Display for ResourceKind {
 pub struct Limits {
     /// Maximum recursion depth for the core judgments.
     pub max_depth: usize,
-    /// Maximum total normalization steps between [`Fuel::reset`]s.
+    /// Maximum total normalization steps between [`Fuel::reset`]s; also
+    /// the step ceiling of one top-level evaluation (`ur_eval::Interp`
+    /// charges one step per application, and builtins one per element
+    /// they copy).
     pub max_norm_steps: u64,
     /// Maximum disjointness piece-pair checks between resets.
     pub max_prover_pairs: u64,
@@ -102,9 +105,10 @@ impl Limits {
     /// The conversion is deliberately conservative
     /// ([`DEADLINE_STEPS_PER_MS`] is a low-end steps/ms figure): a tight
     /// deadline must *reliably* exhaust rather than occasionally sneak
-    /// through on a fast machine, because the supervisor treats the fuel
-    /// ceiling — not wall-clock preemption, which Rust threads don't
-    /// have — as the mechanism that keeps workers responsive. Depth is
+    /// through on a fast machine, because the fuel ceiling — not
+    /// wall-clock preemption, which Rust threads don't have — is what
+    /// keeps serve workers responsive, in elaboration and evaluation
+    /// alike. Depth is
     /// never scaled below [`Limits::strict`]'s (it guards the stack, not
     /// time), and no budget ever exceeds the [`Limits::default`] one.
     pub fn for_deadline_ms(deadline_ms: u64) -> Limits {

@@ -8,6 +8,51 @@ use crate::con::Con;
 use crate::expr::Expr;
 use std::fmt;
 
+/// Bytes one `Display` of a constructor, a core term or a runtime value
+/// writes before it ends in `…`. A hash-consed type is a DAG whose tree
+/// can be exponentially larger (`d (d (… 1))` nested n deep has 2^n
+/// leaves), and so is a value whose fields share one record; rendering
+/// stops at the cap instead of paying for the whole tree.
+pub const RENDER_CAP: usize = 1 << 20;
+
+/// Writes what `body` formats into `f`, cut off with `…` once it has
+/// written [`RENDER_CAP`] bytes. Every write past the cap fails, so a
+/// `body` that propagates each write's error with `?` stops descending
+/// there. Output below the cap is exactly `body`'s.
+pub fn capped(
+    f: &mut fmt::Formatter<'_>,
+    body: impl Fn(&mut fmt::Formatter<'_>) -> fmt::Result,
+) -> fmt::Result {
+    let mut w = Capped {
+        out: f,
+        left: RENDER_CAP,
+    };
+    match fmt::write(&mut w, format_args!("{}", fmt::from_fn(body))) {
+        // A write that reached past the cap left nothing.
+        Err(_) if w.left == 0 => w.out.write_str("…"),
+        r => r,
+    }
+}
+
+/// The writer behind [`capped`]: passes writes on until the cap, then
+/// fails them.
+struct Capped<'a, 'b> {
+    out: &'a mut fmt::Formatter<'b>,
+    left: usize,
+}
+
+impl fmt::Write for Capped<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if s.len() <= self.left {
+            self.left -= s.len();
+            return self.out.write_str(s);
+        }
+        let end = s.floor_char_boundary(std::mem::take(&mut self.left));
+        self.out.write_str(&s[..end])?;
+        Err(fmt::Error)
+    }
+}
+
 /// Formats a constructor at the given ambient precedence.
 pub fn fmt_con(c: &Con, f: &mut fmt::Formatter<'_>, prec: u8) -> fmt::Result {
     match c {
@@ -270,6 +315,19 @@ mod tests {
         let sub = Con::arrow(Con::int(), Con::int());
         let c = Con::pair(sub, sub);
         assert_eq!(c.to_string(), "(int -> int, int -> int)");
+    }
+
+    #[test]
+    fn rendering_stops_at_the_cap() {
+        // A pair nested 24 deep over one shared leaf: 2^24 leaves.
+        let mut c = Con::int();
+        for _ in 0..24 {
+            c = Con::pair(c, c);
+        }
+        let s = c.to_string();
+        assert!(s.ends_with('…'), "{}", &s[s.len() - 20..]);
+        assert_eq!(s.len(), super::RENDER_CAP + '…'.len_utf8());
+        assert!(s.starts_with("((((((((((((((((((((((((int, int), "));
     }
 
     #[test]

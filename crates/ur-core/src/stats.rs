@@ -190,6 +190,11 @@ telemetry! {
         /// Top-level evaluations executed by the tree-walking interpreter
         /// (the differential oracle).
         eval_interp_runs: counter " interp_runs={}",
+        /// Applications charged against evaluation fuel (one per
+        /// application of a value to an argument, a constructor or `!`),
+        /// summed over top-level evaluations; both engines charge the
+        /// same steps for the same program.
+        eval_steps: counter " steps={}",
         /// Bytecode instructions dispatched by the VM (including closure
         /// bodies invoked from builtins during interpreter runs).
         eval_vm_ops: counter " ops={}",
@@ -211,9 +216,6 @@ telemetry! {
         /// Requests whose wall-clock deadline expired before or during
         /// execution (answered with a structured E0900-style degradation).
         srv_deadline_expired: counter " deadline_expired={}",
-        /// Pool workers killed and replaced by the supervisor (wedge or
-        /// panic), each restored from snapshot + replay.
-        srv_worker_restarts: counter " restarts={}",
         /// In-flight requests completed during graceful drain.
         srv_drained: counter " drained={}]",
         /// Storage-engine statements executed through an index probe
@@ -326,15 +328,15 @@ mod tests {
             red_recomputed: v(33),
             eval_vm_runs: v(34),
             eval_interp_runs: v(35),
-            eval_vm_ops: v(36),
-            eval_chunks_compiled: v(37),
-            eval_chunk_hits: v(38),
-            eval_dispatch_ns: v(39),
-            srv_accepted: v(40),
-            srv_requests: v(41),
-            srv_shed: v(42),
-            srv_deadline_expired: v(43),
-            srv_worker_restarts: v(44),
+            eval_steps: v(36),
+            eval_vm_ops: v(37),
+            eval_chunks_compiled: v(38),
+            eval_chunk_hits: v(39),
+            eval_dispatch_ns: v(40),
+            srv_accepted: v(41),
+            srv_requests: v(42),
+            srv_shed: v(43),
+            srv_deadline_expired: v(44),
             srv_drained: v(45),
             db_index_probes: v(46),
             db_full_scans: v(47),
@@ -358,8 +360,9 @@ mod tests {
              arena[bytes=22 shard_max=23 shard_min=24 contention=25 hit_rate=48.7%] \
              faults[injected=30] \
              incr[queries=31 green=32 red=33] \
-             eval[vm_runs=34 interp_runs=35 ops=36 chunks=37 chunk_hits=38 dispatch_ns=39] \
-             serve[accepted=40 requests=41 shed=42 deadline_expired=43 restarts=44 drained=45] \
+             eval[vm_runs=34 interp_runs=35 steps=36 ops=37 chunks=38 chunk_hits=39 \
+             dispatch_ns=40] \
+             serve[accepted=41 requests=42 shed=43 deadline_expired=44 drained=45] \
              db[probes=46 scans=47 fallbacks=48 snap_reads=49 gcd=50]"
         );
     }
@@ -505,6 +508,7 @@ mod tests {
         for key in [
             "eval[vm_runs=",
             "interp_runs=",
+            "steps=",
             "ops=",
             "chunks=",
             "chunk_hits=",
@@ -549,7 +553,6 @@ mod tests {
             "requests=",
             "shed=",
             "deadline_expired=",
-            "restarts=",
             "drained=",
         ] {
             assert!(s.contains(key), "missing {key} in {s}");
@@ -566,19 +569,17 @@ mod tests {
         b.srv_requests = 9;
         b.srv_shed = 10;
         b.srv_deadline_expired = 3;
-        b.srv_worker_restarts = 4;
         b.srv_drained = 6;
         a.absorb(&b);
         assert_eq!(a.srv_accepted, 7);
         assert_eq!(a.srv_requests, 9);
         assert_eq!(a.srv_shed, u64::MAX, "saturating add");
         assert_eq!(a.srv_deadline_expired, 3);
-        assert_eq!(a.srv_worker_restarts, 4);
         assert_eq!(a.srv_drained, 6);
 
         let d = a.since(&b);
         assert_eq!(d.srv_accepted, 5);
-        assert_eq!(d.srv_worker_restarts, 0);
+        assert_eq!(d.srv_drained, 0);
         let d2 = b.since(&a);
         assert_eq!(d2.srv_accepted, 0, "saturating sub");
     }

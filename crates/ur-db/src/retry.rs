@@ -5,15 +5,10 @@
 //! holder is alive fails fast with [`DbError::Locked`]. That is the
 //! right *default* — two long-lived writers on one directory is a
 //! deployment bug — but two callers legitimately race for the lock
-//! during handoff windows:
+//! during a handoff window: `urc --db-dir` started while a previous
+//! invocation is still checkpointing on exit.
 //!
-//! * `ur-serve`'s supervisor replacing a wedged worker: the abandoned
-//!   thread still holds the lock until its bounded stall finishes and
-//!   its `Db` drops, while the replacement is already trying to open.
-//! * `urc --db-dir` started while a previous invocation is still
-//!   checkpointing on exit.
-//!
-//! [`Db::open_with_retry`] serves those windows: jittered exponential
+//! [`Db::open_with_retry`] serves that window: jittered exponential
 //! backoff under a hard wall-clock budget, retrying **only**
 //! [`DbError::Locked`] — corruption or I/O errors surface immediately.
 //! The jitter is seeded from the process id and attempt number
@@ -22,7 +17,6 @@
 
 use crate::db::Db;
 use crate::error::DbError;
-use crate::txn::DurabilityConfig;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use ur_core::fingerprint::splitmix64;
@@ -99,19 +93,6 @@ impl Db {
     /// [`DbError::Locked`] when the budget expires with the lock still
     /// held; otherwise as [`Db::open`].
     pub fn open_with_retry(dir: impl AsRef<Path>, cfg: RetryConfig) -> Result<Db, DbError> {
-        Db::open_with_retry_and(dir, DurabilityConfig::default(), cfg)
-    }
-
-    /// [`Db::open_with_retry`] with explicit durability tunables.
-    ///
-    /// # Errors
-    ///
-    /// As [`Db::open_with_retry`].
-    pub fn open_with_retry_and(
-        dir: impl AsRef<Path>,
-        durability: DurabilityConfig,
-        cfg: RetryConfig,
-    ) -> Result<Db, DbError> {
         let dir = dir.as_ref();
         let start = Instant::now();
         let seed = u64::from(std::process::id())
@@ -119,7 +100,7 @@ impl Db {
             ^ 0x5EED_5EED_5EED_5EED;
         let mut attempt: u32 = 0;
         loop {
-            match Db::open_with(dir, durability) {
+            match Db::open(dir) {
                 Err(DbError::Locked(who)) => {
                     let elapsed = start.elapsed();
                     if elapsed >= cfg.wait {

@@ -29,6 +29,10 @@ pub enum EvalErrorKind {
     /// Evaluation nested deeper than [`crate::interp::MAX_EVAL_DEPTH`]
     /// (a resource limit, E0900 in a load's diagnostics).
     TooDeep,
+    /// Evaluation charged more steps than its ceiling allows
+    /// ([`crate::Interp::max_steps`]; a resource limit, E0900 in a load's
+    /// diagnostics).
+    OutOfFuel,
 }
 
 /// A runtime error. Since elaborated programs are statically typed, these

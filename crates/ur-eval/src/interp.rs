@@ -60,6 +60,16 @@ pub struct Interp<'a> {
     /// Recursive entries (`eval`, `apply`, the VM's `exec`) open on this
     /// evaluation, against [`MAX_EVAL_DEPTH`].
     depth: usize,
+    /// Steps charged since the last top-level run, against
+    /// [`Interp::max_steps`]: one per application of a value to an
+    /// argument, to a constructor or to `!`, on either engine, and one
+    /// per element a builtin copies or produces ([`Interp::charge`]).
+    pub steps: u64,
+    /// The step ceiling. Embedders set the `max_norm_steps` of the limits
+    /// in force, so a request's deadline bounds its evaluation the way it
+    /// bounds its elaboration; past it, evaluation fails with
+    /// [`EvalErrorKind::OutOfFuel`].
+    pub max_steps: u64,
 }
 
 /// The evaluation depth budget: nested [`Interp::eval`], [`Interp::apply`]
@@ -103,7 +113,37 @@ impl<'a> Interp<'a> {
             builtin_vals: HashMap::new(),
             vec_pool: Vec::new(),
             depth: 0,
+            steps: 0,
+            max_steps: ur_core::limits::Limits::default().max_norm_steps,
         }
+    }
+
+    /// Charges `n` steps against [`Interp::max_steps`]. The engines
+    /// charge one per application; a builtin whose native work grows with
+    /// its input charges one per element it copies or produces, before
+    /// doing that work, so no step does unbounded work.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalErrorKind::OutOfFuel`] once the ceiling is passed.
+    #[inline]
+    pub fn charge(&mut self, n: u64) -> Result<(), EvalError> {
+        self.steps = self.steps.saturating_add(n);
+        if self.steps > self.max_steps {
+            return Err(self.out_of_fuel());
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn out_of_fuel(&self) -> EvalError {
+        EvalError::of_kind(
+            EvalErrorKind::OutOfFuel,
+            format!(
+                "evaluation ran out of fuel: the step budget of {} steps is exhausted",
+                self.max_steps
+            ),
+        )
     }
 
     /// Charges one level of [`MAX_EVAL_DEPTH`]; [`Interp::leave`] gives
@@ -290,6 +330,7 @@ impl<'a> Interp<'a> {
             }))),
             Expr::DApp(e) => {
                 let v = self.eval(venv, e)?;
+                self.charge(1)?;
                 match v {
                     Value::DSusp(s) => {
                         let env = s.env.clone();
@@ -320,6 +361,7 @@ impl<'a> Interp<'a> {
     /// VM — so values from either engine mix freely (higher-order
     /// builtins apply whatever the program handed them).
     pub fn apply(&mut self, f: Value, arg: Value) -> Result<Value, EvalError> {
+        self.charge(1)?;
         self.enter()?;
         let r = self.apply_value(f, arg);
         self.leave();
@@ -356,6 +398,7 @@ impl<'a> Interp<'a> {
 
     /// Applies a value to a constructor argument.
     pub fn capply(&mut self, f: Value, c: RCon) -> Result<Value, EvalError> {
+        self.charge(1)?;
         match f {
             Value::CClosure(cl) => {
                 let env2 = cl.env.with_con(cl.param, c);

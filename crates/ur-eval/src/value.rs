@@ -163,41 +163,32 @@ impl XmlVal {
     /// escaped.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        // Writing to a `String` cannot fail.
+        let _ = self.render_into(&mut out);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// [`XmlVal::render`] into `out`, stopping at the first failed write.
+    fn render_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            XmlVal::Empty => {}
-            XmlVal::Text(t) => out.push_str(&escape_text(t)),
+            XmlVal::Empty => Ok(()),
+            XmlVal::Text(t) => out.write_str(&escape_text(t)),
             XmlVal::Tag {
                 name,
                 attrs,
                 children,
             } => {
-                out.push('<');
-                out.push_str(name);
+                write!(out, "<{name}")?;
                 for (k, v) in attrs {
-                    out.push(' ');
-                    out.push_str(k);
-                    out.push_str("=\"");
-                    out.push_str(&escape_attr(v));
-                    out.push('"');
+                    write!(out, " {k}=\"{}\"", escape_attr(v))?;
                 }
-                out.push('>');
+                out.write_char('>')?;
                 for c in children {
-                    c.render_into(out);
+                    c.render_into(out)?;
                 }
-                out.push_str("</");
-                out.push_str(name);
-                out.push('>');
+                write!(out, "</{name}>")
             }
-            XmlVal::Seq(items) => {
-                for i in items {
-                    i.render_into(out);
-                }
-            }
+            XmlVal::Seq(items) => items.iter().try_for_each(|i| i.render_into(out)),
         }
     }
 }
@@ -360,8 +351,17 @@ impl Value {
     }
 }
 
+/// Renders through [`ur_core::pretty::capped`]: a value whose fields
+/// share one record is a DAG whose tree can be exponentially larger.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        ur_core::pretty::capped(f, |f| self.fmt_tree(f))
+    }
+}
+
+impl Value {
+    /// The uncapped rendering, every write propagated so a cap stops it.
+    fn fmt_tree(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(n) => write!(f, "{n}"),
             Value::Float(x) => write!(f, "{x:?}"),
@@ -374,7 +374,8 @@ impl fmt::Display for Value {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{k} = {v}")?;
+                    write!(f, "{k} = ")?;
+                    v.fmt_tree(f)?;
                 }
                 write!(f, "}}")
             }
@@ -388,13 +389,16 @@ impl fmt::Display for Value {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt_tree(f)?;
                 }
                 write!(f, "]")
             }
             Value::Opt(None) => write!(f, "None"),
-            Value::Opt(Some(v)) => write!(f, "Some {v}"),
-            Value::Xml(x) => write!(f, "{}", x.render()),
+            Value::Opt(Some(v)) => {
+                write!(f, "Some ")?;
+                v.fmt_tree(f)
+            }
+            Value::Xml(x) => x.render_into(f),
             Value::SqlExp(e) => write!(f, "{e}"),
             Value::SqlTable(t) => write!(f, "<table {t}>"),
             Value::SqlType(t) => write!(f, "<sql_type {t}>"),

@@ -44,6 +44,8 @@ pub struct EvalStats {
     pub vm_ops: u64,
     /// Wall-clock nanoseconds inside top-level [`run`] calls.
     pub dispatch_ns: u64,
+    /// Steps charged by top-level [`run`] calls, summed.
+    pub steps: u64,
 }
 
 /// One runtime constructor binding (introduced by constructor
@@ -184,11 +186,12 @@ fn corrupt(chunk: &Chunk, what: &str) -> EvalError {
     EvalError::new(format!("corrupt chunk {}: {what}", chunk.label))
 }
 
-/// Applies `f` to two arguments at once ([`Op::Call2`]). A builtin that
-/// exactly these two arguments saturate runs directly — no intermediate
-/// partial-application value is built — which is where curried
-/// arithmetic spends its time. Everything else (closures, unsaturated
-/// or over-applied builtins) falls back to two ordinary applications.
+/// Applies `f` to two arguments at once ([`Op::Call2`]), charging the two
+/// steps its two applications would. A builtin that exactly these two
+/// arguments saturate runs directly — no intermediate partial-application
+/// value is built — which is where curried arithmetic spends its time.
+/// Everything else (closures, unsaturated or over-applied builtins) falls
+/// back to two ordinary applications.
 pub(crate) fn call2(
     interp: &mut Interp<'_>,
     f: Value,
@@ -197,6 +200,7 @@ pub(crate) fn call2(
 ) -> Result<Value, EvalError> {
     if let Value::VmClosure(vf) = &f {
         if let Some(inner) = &vf.curried {
+            interp.charge(2)?;
             // `fn x => fn y => e` applied to both arguments at once: run
             // the inner chunk directly. The outer body would only have
             // built the intermediate closure, so skipping it is
@@ -224,6 +228,7 @@ pub(crate) fn call2(
     }
     if let Value::Builtin(app) = &f {
         if app.cons.len() >= app.spec.con_arity && app.args.len() + 2 == app.spec.arity {
+            interp.charge(2)?;
             let spec = Rc::clone(&app.spec);
             if app.args.is_empty() {
                 return (spec.run)(interp, &app.cons, &[a, b]);
@@ -299,8 +304,9 @@ fn static_name(
 }
 
 /// Runs a chunk as a top-level expression against the global value
-/// environment (the session's accumulated `val` bindings). Times the
-/// whole dispatch into [`EvalStats::dispatch_ns`].
+/// environment (the session's accumulated `val` bindings), with its step
+/// count starting from zero. Times the whole dispatch into
+/// [`EvalStats::dispatch_ns`].
 ///
 /// # Errors
 ///
@@ -346,10 +352,12 @@ pub fn run_shared(
     cons: &ConsEnv,
 ) -> Result<Value, EvalError> {
     let t0 = std::time::Instant::now();
+    interp.steps = 0;
     let cache = RefCell::new(vec![None; chunk.names.len()].into_boxed_slice());
     let r = exec(interp, chunk, None, &[], cons, globals, &cache);
     let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
     interp.eval_stats.dispatch_ns = interp.eval_stats.dispatch_ns.saturating_add(ns);
+    interp.eval_stats.steps = interp.eval_stats.steps.saturating_add(interp.steps);
     r
 }
 
@@ -594,6 +602,7 @@ fn dispatch(
             }
             Op::Force => {
                 let v = pop!();
+                interp.charge(1)?;
                 let forced = match v {
                     Value::VmDSusp(s) => force(interp, &s)?,
                     Value::DSusp(s) => {

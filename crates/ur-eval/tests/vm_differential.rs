@@ -14,21 +14,41 @@ use ur_core::sym::Sym;
 use ur_core::Cx;
 use ur_eval::{compile, vm, Builtin, EvalError, EvalErrorKind, Interp, VEnv, Value, World};
 
-/// Runs `e` on both engines with the given builtins and returns
-/// (vm result, interpreter result).
-fn run_both_with(
+/// One engine's result and the steps it charged.
+type Run = (Result<Value, EvalError>, u64);
+
+/// Runs `e` on both engines under a step ceiling of `max_steps` and
+/// returns (vm run, interpreter run).
+fn run_both_capped(
     e: &RExpr,
     builtins: &HashMap<Sym, Rc<Builtin>>,
-) -> (Result<Value, EvalError>, Result<Value, EvalError>) {
+    max_steps: u64,
+) -> (Run, Run) {
     let genv = Env::new();
     let mut cx = Cx::new();
     let chunk = compile(&genv, &mut cx, e, "diff");
     let mut world = World::new();
     let mut interp = Interp::new(&mut world, &genv, builtins);
+    interp.max_steps = max_steps;
     let from_vm = vm::run(&mut interp, &chunk, &VEnv::new());
     let mut world2 = World::new();
     let mut interp2 = Interp::new(&mut world2, &genv, builtins);
+    interp2.max_steps = max_steps;
     let from_tree = interp2.eval(&VEnv::new(), e);
+    ((from_vm, interp.steps), (from_tree, interp2.steps))
+}
+
+/// Runs `e` on both engines with the given builtins and returns
+/// (vm result, interpreter result). Engines that both succeed must have
+/// charged the same steps.
+fn run_both_with(
+    e: &RExpr,
+    builtins: &HashMap<Sym, Rc<Builtin>>,
+) -> (Result<Value, EvalError>, Result<Value, EvalError>) {
+    let ((from_vm, vm_steps), (from_tree, tree_steps)) = run_both_capped(e, builtins, u64::MAX);
+    if from_vm.is_ok() && from_tree.is_ok() {
+        assert_eq!(vm_steps, tree_steps, "the engines charged different steps");
+    }
     (from_vm, from_tree)
 }
 
@@ -234,6 +254,47 @@ fn fold_over_a_real_row_crosses_the_engine_boundary() {
     );
 }
 
+/// Both engines charge one step per application to an argument, a
+/// constructor or `!` (the VM's `Call2` two), so every ceiling cuts them
+/// at the same application: below a program's step count both exhaust
+/// their fuel, at it both finish.
+#[test]
+fn a_step_ceiling_cuts_both_engines_at_the_same_application() {
+    let (builtins, fold) = fold_fields_builtins();
+    let (n, v, a, t) = (Sym::fresh("n"), Sym::fresh("v"), Sym::fresh("a"), Sym::fresh("t"));
+    // A curried closure a builtin applies across the engine boundary.
+    let bump = Expr::lam(
+        n,
+        Con::string(),
+        Expr::lam(v, Con::int(), Expr::lam(a, Con::int(), Expr::var(&a))),
+    );
+    let rec = Expr::record(vec![(Con::name("A"), int(1)), (Con::name("B"), int(2))]);
+    let folded = Expr::app(Expr::app(Expr::app(Expr::var(&fold), bump), int(0)), rec);
+    // `Call2` on a curried closure, a constructor application and a
+    // forced guard.
+    let pick = Expr::lam(n, Con::int(), Expr::lam(v, Con::int(), Expr::var(&n)));
+    let poly = Expr::clam(t, ur_core::kind::Kind::Type, Expr::app(Expr::app(pick, int(41)), int(1)));
+    let guarded = Expr::dlam(
+        Con::row_nil(ur_core::kind::Kind::Type),
+        Con::row_nil(ur_core::kind::Kind::Type),
+        Expr::capp(poly, Con::int()),
+    );
+    for e in [folded, Expr::dapp(guarded)] {
+        let ((vm, steps), (tree, tree_steps)) = run_both_capped(&e, &builtins, u64::MAX);
+        assert!(vm.is_ok() && tree.is_ok(), "{vm:?} / {tree:?}");
+        assert_eq!(steps, tree_steps);
+        for ceiling in 0..=steps {
+            let ((vm, _), (tree, _)) = run_both_capped(&e, &builtins, ceiling);
+            if ceiling == steps {
+                assert_eq!(vm.unwrap().to_string(), tree.unwrap().to_string());
+            } else {
+                assert_eq!(vm.unwrap_err().kind, EvalErrorKind::OutOfFuel, "at {ceiling}");
+                assert_eq!(tree.unwrap_err().kind, EvalErrorKind::OutOfFuel, "at {ceiling}");
+            }
+        }
+    }
+}
+
 /// 300 singleton records concatenated left-nested:
 /// `((r0 ++ r1) ++ r2) ++ …`. Field names are distinct so the result
 /// has 300 fields; the chain stresses compile recursion and the
@@ -316,10 +377,12 @@ fn run_both_with_worlds(
     let mut world = World::new();
     let mut interp = Interp::new(&mut world, &genv, builtins);
     let from_vm = vm::run(&mut interp, &chunk, &VEnv::new());
+    let vm_steps = interp.steps;
     drop(interp);
     let mut world2 = World::new();
     let mut interp2 = Interp::new(&mut world2, &genv, builtins);
     let from_tree = interp2.eval(&VEnv::new(), e);
+    assert_eq!(vm_steps, interp2.steps, "the engines charged different steps");
     drop(interp2);
     ((from_vm, world.out), (from_tree, world2.out))
 }

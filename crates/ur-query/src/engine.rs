@@ -33,9 +33,8 @@
 //! nothing is decoded and nothing is re-interned, and a long-lived
 //! session's rebuilds do not grow the shared intern arena. Every engine
 //! in the process reads and fills the same map: a second connection's
-//! session, a worker the supervisor replaced and a restarted durable
-//! writer all seed from memory what another session elaborated, as a
-//! no-op rebuild does.
+//! session and a session rebuilt after a contained panic both seed from
+//! memory what another session elaborated, as a no-op rebuild does.
 //!
 //! The map belongs to one intern-arena generation. A run that sees a new
 //! generation clears it first (its ids named the drained arena), and the

@@ -1,7 +1,7 @@
 //! Cross-thread serve counters.
 //!
 //! The serve layer spans many threads (acceptor, connection handlers,
-//! pool workers, supervisor) while [`ur_core::stats::Stats`] is a plain
+//! pool workers) while [`ur_core::stats::Stats`] is a plain
 //! struct owned by whichever session snapshots it. [`ServeCounters`] is
 //! the bridge: lock-free atomics every serve thread bumps, folded into
 //! a `Stats` snapshot at observation points (`stats` responses, the
@@ -26,8 +26,6 @@ pub struct ServeCounters {
     pub shed: AtomicU64,
     /// Requests answered with a deadline-expiry degradation.
     pub deadline_expired: AtomicU64,
-    /// Workers killed and replaced by the supervisor.
-    pub worker_restarts: AtomicU64,
     /// In-flight requests completed during graceful drain.
     pub drained: AtomicU64,
 }
@@ -45,9 +43,8 @@ impl ServeCounters {
             requests: load(&self.requests),
             shed: load(&self.shed),
             deadline_expired: load(&self.deadline_expired),
-            worker_restarts: load(&self.worker_restarts),
             drained: load(&self.drained),
-            faults: Default::default(),
+            ..Summary::default()
         }
     }
 
@@ -59,7 +56,6 @@ impl ServeCounters {
         stats.srv_requests = s.requests;
         stats.srv_shed = s.shed;
         stats.srv_deadline_expired = s.deadline_expired;
-        stats.srv_worker_restarts = s.worker_restarts;
         stats.srv_drained = s.drained;
     }
 }
@@ -76,7 +72,6 @@ mod tests {
             (&c.requests, 3),
             (&c.shed, 4),
             (&c.deadline_expired, 5),
-            (&c.worker_restarts, 6),
             (&c.drained, 7),
         ] {
             counter.fetch_add(n, Ordering::Relaxed);
@@ -88,7 +83,6 @@ mod tests {
         assert_eq!(s.srv_requests, 3);
         assert_eq!(s.srv_shed, 4);
         assert_eq!(s.srv_deadline_expired, 5);
-        assert_eq!(s.srv_worker_restarts, 6);
         assert_eq!(s.srv_drained, 7);
         assert!(s.to_string().contains("serve[accepted=2"));
     }

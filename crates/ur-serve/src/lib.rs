@@ -2,9 +2,9 @@
 //!
 //! `ur-serve` puts a multi-client TCP front door (`urc --listen ADDR`)
 //! on the same line-delimited JSON protocol as `urc --serve`, backed by
-//! a supervised pool of [`ur_web::Session`] workers. The paper's
-//! metaprogramming pipeline is expensive and occasionally adversarial
-//! (deep type-level computation, injected faults), so the serving layer
+//! a pool of [`ur_web::Session`] workers. The paper's metaprogramming
+//! pipeline is expensive and occasionally adversarial (deep type-level
+//! computation, long evaluations, injected faults), so the serving layer
 //! is built around four explicit policies rather than best-effort
 //! threads:
 //!
@@ -13,24 +13,23 @@
 //!   `{"error":"overloaded","retry_after_ms":N}` answer, never buffered
 //!   without bound.
 //! - **Deadlines** ([`protocol`]): a per-request wall-clock budget maps
-//!   onto the elaborator's fuel ceilings
-//!   ([`ur_core::limits::Limits::for_deadline_ms`]), so over-budget
-//!   work degrades to a structured E0900 diagnostic instead of
-//!   wedging a worker.
-//! - **Supervision** ([`pool`]): wedged or panicked workers are
-//!   detected by watchdog timeouts, replaced (generation-checked), and
-//!   their sessions rebuilt deterministically from the last
-//!   acknowledged script — with a shared durable `ur-db` store healed
-//!   via checkpoint-retry and adopted state, never double-applied.
+//!   onto fuel ceilings ([`ur_core::limits::Limits::for_deadline_ms`])
+//!   that elaboration and evaluation both charge, so over-budget work
+//!   ends in a structured E0900 on its worker instead of occupying it.
+//! - **Containment** ([`pool`]): every job runs under `catch_unwind`; a
+//!   panic drops the session it hit, which the next request rebuilds
+//!   deterministically from the last acknowledged script — with a shared
+//!   durable `ur-db` store healed via checkpoint-retry and adopted
+//!   state, never double-applied.
 //! - **Drain** ([`server::Server::wait`]): SIGTERM or a `shutdown`
 //!   request stops admission, completes or deadlines-out in-flight
 //!   work, checkpoints the store, and reports a final [`Summary`].
 //!
 //! The serve gauges surface through the same [`ur_core::stats::Stats`]
 //! schema as the REPL's `:stats` and `urc --stats` (the `srv_*`
-//! fields), and four failpoint sites (`serve_accept`, `serve_read`,
-//! `serve_write`, `serve_wedge`) make the whole front door part of the
-//! deterministic chaos surface.
+//! fields), and three failpoint sites (`serve_accept`, `serve_read`,
+//! `serve_write`) make the front door part of the deterministic chaos
+//! surface.
 
 #![cfg_attr(
     not(test),
@@ -76,8 +75,6 @@ pub struct ServeConfig {
     /// Default per-request wall-clock budget (a request's own
     /// `deadline_ms` can only tighten it).
     pub deadline_ms: u64,
-    /// Watchdog patience increment (see [`server::patience_ms`]).
-    pub watchdog_ms: u64,
     /// Backoff hint included in shed responses.
     pub retry_after_ms: u64,
     /// Shared durable database directory (single-writer pool mode).
@@ -102,7 +99,6 @@ impl Default for ServeConfig {
             max_conns: 64,
             max_conns_per_client: 64,
             deadline_ms: 2_000,
-            watchdog_ms: 500,
             retry_after_ms: 50,
             db_dir: None,
             cache_dir: None,

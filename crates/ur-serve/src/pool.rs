@@ -1,4 +1,4 @@
-//! The supervised session pool.
+//! The session pool.
 //!
 //! Each worker is a dedicated OS thread owning its [`Session`]s
 //! (sessions are `Rc`-based and deliberately not `Send`; only `Send`
@@ -7,22 +7,26 @@
 //! Connections are routed stickily (`conn % workers`) so a client's
 //! requests land on the session holding its state.
 //!
-//! ## Supervision and deterministic restore
+//! ## Containment and deterministic restore
 //!
-//! A worker that wedges or panics is *replaced*, never joined from the
-//! hot path: [`Pool::report_failed`] is generation-checked (idempotent
-//! under racing reporters), bumps the slot's generation, and spawns a
-//! fresh worker. Session state is rebuilt deterministically from the
-//! *last acknowledged script* — [`Session::reelaborate`] makes session
-//! state a function of (pristine base, last source, its fuel ceiling),
-//! so replaying the script under the ceiling it was acknowledged under
-//! reproduces exactly what was acked.
+//! Fuel bounds every job: a request's deadline scales the ceiling of its
+//! elaboration and of its evaluation alike, so an over-budget request
+//! ends in a structured E0900 on its worker. Every job runs under
+//! `catch_unwind` (the writer's snapshot publication and start-up
+//! session build too), so a worker thread never exits while its queue
+//! is open, and [`Pool::start`] fails rather than run with a worker it
+//! could not spawn. A panic drops the session it hit, and the next
+//! request rebuilds it from the *last acknowledged script* —
+//! [`Session::reelaborate`] makes session state a function of (pristine
+//! base, last source, its fuel ceiling), so replaying the script under
+//! the ceiling it was acknowledged under reproduces exactly what was
+//! acked.
 //!
 //! ## Durable grafting (shared `--db-dir` mode)
 //!
 //! With a shared durable database worker 0 is the **single writer**
 //! owning the global session: durable handles are single-writer, and
-//! funneling every mutation through one session is what makes restarts
+//! funneling every mutation through one session is what makes rebuilds
 //! safe to reason about. Workers 1..n are **snapshot readers** and hold
 //! no session: they never open the store and never elaborate. The
 //! writer publishes to the [`SnapshotHub`] an MVCC snapshot after every
@@ -37,10 +41,10 @@
 //! rebuild replays declarations into a scratch in-memory world; the
 //! durable store then *adopts* that world ([`Db::adopt_state`]) instead
 //! of having the replay appended on top of history — the
-//! double-apply-on-restart trap. The invariant threaded through
+//! double-apply-on-rebuild trap. The invariant threaded through
 //! restore: **a scripts-map entry exists only after its effects are on
-//! disk**, so a restored worker replays the script for elaborator state
-//! only and installs the recovered durable handle without re-adopting.
+//! disk**, so a rebuilt session replays the script for elaborator state
+//! only and installs the durable handle without re-adopting.
 
 use crate::counters::ServeCounters;
 use crate::protocol::{self, Answers, ReqCtx, Request};
@@ -52,9 +56,9 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use ur_core::failpoint::{self, FpCounters, Site};
+use ur_core::failpoint::{self, FpCounters};
 use ur_core::limits::Limits;
-use ur_db::{Db, DbSnapshot, RetryConfig};
+use ur_db::{Db, DbSnapshot};
 use ur_web::Session;
 
 /// Session key for the single shared session in durable mode.
@@ -67,16 +71,14 @@ const GLOBAL_KEY: u64 = u64::MAX;
 /// The writer publishes a snapshot after every request (cheap — `Db`
 /// caches the snapshot per committed epoch, so an unchanged state
 /// republishes the same `Arc` and the sequence does not move). Readers
-/// compare `seq` — **not** the snapshot's own epoch, which restarts and
-/// adopt-state rebuilds can rewind — and swap in a fresh read-only
-/// handle when it moved.
+/// compare `seq` — **not** the snapshot's own epoch, which adopt-state
+/// rebuilds can rewind — and swap in a fresh read-only handle when it
+/// moved.
 ///
 /// The answers change only when a load or edit is acknowledged. The
-/// first writer publishes them once it has opened the store; the hub
-/// outlives worker restarts, so a restarted writer, whose replay runs
-/// under the acknowledged load's fuel ceiling and so rebuilds the same
-/// program, keeps the answers it finds. Readers wait for the first
-/// publication ([`SnapshotHub::answers_by`]).
+/// writer publishes them once it has opened the store and after every
+/// acknowledged rebuild; readers wait for the first publication
+/// ([`SnapshotHub::answers_by`]).
 pub struct SnapshotHub {
     snap: Mutex<Option<Arc<DbSnapshot>>>,
     seq: AtomicU64,
@@ -116,11 +118,6 @@ impl SnapshotHub {
     pub fn publish_answers(&self, a: Answers) {
         *lock(&self.answers) = Some(Arc::new(a));
         self.answered.notify_all();
-    }
-
-    /// Whether any writer has published answers yet.
-    pub fn has_answers(&self) -> bool {
-        lock(&self.answers).is_some()
     }
 
     /// The published answers, waiting until `deadline` for the first
@@ -169,9 +166,6 @@ pub struct PoolShared {
     pub scripts: Mutex<HashMap<u64, AckedScript>>,
     /// Set during graceful drain: workers count completions as drained.
     pub draining: AtomicBool,
-    /// Current generation per worker slot; a worker that discovers its
-    /// generation superseded exits without touching shared state.
-    pub gens: Vec<AtomicU64>,
     /// Durable mode's writer→readers snapshot handoff (unused, but
     /// present, in memory-only mode).
     pub hub: SnapshotHub,
@@ -190,13 +184,11 @@ pub struct AckedScript {
 }
 
 struct WorkerSlot {
-    gen: u64,
     tx: SyncSender<Job>,
     join: Option<JoinHandle<()>>,
 }
 
-/// The supervised pool: sticky routing, generation-checked restarts,
-/// bounded per-worker queues.
+/// The pool: sticky routing over bounded per-worker queues.
 pub struct Pool {
     pub shared: Arc<PoolShared>,
     slots: Mutex<Vec<WorkerSlot>>,
@@ -208,7 +200,12 @@ impl Pool {
     /// holds its flock); every other worker is a **snapshot reader**
     /// answering snapshot reads from what the writer published to the
     /// hub, concurrent with the writer.
-    pub fn start(cfg: ServeConfig, counters: Arc<ServeCounters>) -> Arc<Pool> {
+    ///
+    /// # Errors
+    ///
+    /// Fails when a worker thread cannot be spawned, after stopping the
+    /// workers already started: a pool never runs with a dead slot.
+    pub fn start(cfg: ServeConfig, counters: Arc<ServeCounters>) -> std::io::Result<Arc<Pool>> {
         let workers = cfg.workers.max(1);
         let shared = Arc::new(PoolShared {
             cfg,
@@ -216,37 +213,36 @@ impl Pool {
             faults: Mutex::new(FpCounters::default()),
             scripts: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
-            gens: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             hub: SnapshotHub::new(),
         });
-        let mut slots = Vec::with_capacity(workers);
-        for wid in 0..workers {
-            slots.push(spawn_worker(&shared, wid, 0));
-        }
-        Arc::new(Pool {
+        let pool = Pool {
             shared,
-            slots: Mutex::new(slots),
-        })
+            slots: Mutex::new(Vec::with_capacity(workers)),
+        };
+        for wid in 0..workers {
+            match spawn_worker(&pool.shared, wid) {
+                Ok(slot) => lock(&pool.slots).push(slot),
+                Err(e) => {
+                    pool.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(Arc::new(pool))
     }
 
     pub fn workers(&self) -> usize {
-        self.shared.gens.len()
+        self.shared.cfg.workers.max(1)
     }
 
-    /// The worker a connection routes to, with the slot's current
-    /// generation and queue handle. Equivalent to
-    /// [`Pool::handle_for_routed`] with `read_only = false`.
-    pub fn handle_for(&self, conn: u64) -> (usize, u64, SyncSender<Job>) {
-        self.handle_for_routed(conn, false)
-    }
-
-    /// Routing with read-only awareness. Memory mode is sticky
-    /// (`conn % workers`, sessions are per-connection). Durable mode
-    /// sends every other request to the writer (worker 0) and fans
-    /// snapshot reads ([`protocol::is_snapshot_read`]) across the
-    /// snapshot readers (workers 1..n), falling back to the writer when
-    /// the pool has no readers.
-    pub fn handle_for_routed(&self, conn: u64, read_only: bool) -> (usize, u64, SyncSender<Job>) {
+    /// The worker a connection's request routes to, with its queue
+    /// handle. Memory mode is sticky (`conn % workers`, sessions are
+    /// per-connection). Durable mode sends every other request to the
+    /// writer (worker 0) and fans snapshot reads
+    /// ([`protocol::is_snapshot_read`]) across the snapshot readers
+    /// (workers 1..n), falling back to the writer when the pool has no
+    /// readers.
+    pub fn handle_for_routed(&self, conn: u64, read_only: bool) -> (usize, SyncSender<Job>) {
         let n = self.workers();
         let wid = if self.shared.cfg.db_dir.is_some() {
             if read_only && n > 1 {
@@ -257,30 +253,7 @@ impl Pool {
         } else {
             (conn as usize) % n
         };
-        let slots = lock(&self.slots);
-        (wid, slots[wid].gen, slots[wid].tx.clone())
-    }
-
-    /// Replaces worker `wid` if it is still at generation `gen`.
-    /// Idempotent: racing reporters observe the bumped generation and
-    /// return `false` (the slot is already fresh — just resubmit).
-    pub fn report_failed(&self, wid: usize, gen: u64) -> bool {
-        let mut slots = lock(&self.slots);
-        if slots[wid].gen != gen {
-            return false;
-        }
-        let next = gen + 1;
-        self.shared.gens[wid].store(next, Ordering::SeqCst);
-        // The wedged worker's thread cannot be force-killed; it is
-        // abandoned (its queue dies with its receiver) and exits on its
-        // own once it wakes and sees the superseded generation. Dropping
-        // the old slot detaches the JoinHandle.
-        slots[wid] = spawn_worker(&self.shared, wid, next);
-        self.shared
-            .counters
-            .worker_restarts
-            .fetch_add(1, Ordering::Relaxed);
-        true
+        (wid, lock(&self.slots)[wid].tx.clone())
     }
 
     /// Flags drain: workers count subsequent completions as drained.
@@ -288,9 +261,9 @@ impl Pool {
         self.shared.draining.store(true, Ordering::SeqCst);
     }
 
-    /// Closes every queue and joins the current-generation workers.
-    /// Bounded: a wedged worker's stall is bounded by its wedge sleep,
-    /// after which it observes the closed queue and exits.
+    /// Closes every queue and joins the workers. Bounded: each worker
+    /// answers the jobs still queued, each within its fuel, then sees its
+    /// queue closed and exits after its final checkpoint.
     pub fn shutdown(&self) {
         let joins: Vec<Option<JoinHandle<()>>> = {
             let mut slots = lock(&self.slots);
@@ -313,14 +286,16 @@ impl Pool {
     }
 }
 
-fn spawn_worker(shared: &Arc<PoolShared>, wid: usize, gen: u64) -> WorkerSlot {
+fn spawn_worker(shared: &Arc<PoolShared>, wid: usize) -> std::io::Result<WorkerSlot> {
     let (tx, rx) = sync_channel::<Job>(shared.cfg.queue_depth.max(1));
     let shared = Arc::clone(shared);
     let join = std::thread::Builder::new()
-        .name(format!("ur-serve-worker-{wid}.{gen}"))
-        .spawn(move || worker_main(shared, wid, gen, rx))
-        .ok();
-    WorkerSlot { gen, tx, join }
+        .name(format!("ur-serve-worker-{wid}"))
+        .spawn(move || worker_main(shared, wid, rx))?;
+    Ok(WorkerSlot {
+        tx,
+        join: Some(join),
+    })
 }
 
 /// Per-worker session table entry.
@@ -340,65 +315,54 @@ struct ReaderState {
     db: Db,
 }
 
-fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>) {
+fn worker_main(shared: Arc<PoolShared>, wid: usize, rx: Receiver<Job>) {
     if let Some(fp) = shared.cfg.fp {
         failpoint::install(Some(fp));
     }
     let durable_mode = shared.cfg.db_dir.is_some();
     let is_reader = durable_mode && wid > 0;
-    // The durable handle is writer-owned (it is not Send, and the store
-    // is single-writer) and opened with bounded-backoff retry: a
-    // predecessor wedged past the watchdog still holds the directory
-    // flock until it wakes and exits, which is bounded by its wedge
-    // sleep — so the budget covers that plus slack. Readers never open
-    // the store; they serve the hub's published snapshots.
+    // The durable handle is writer-owned: it is not Send, and a second
+    // writer on the directory is a deployment bug, refused by the store's
+    // lock. Readers never open the store; they serve the hub's published
+    // snapshots.
     let mut durable: Option<Db> = None;
-    if let Some(dir) = &shared.cfg.db_dir {
-        if wid == 0 {
-            let budget = wedge_sleep_ms(&shared.cfg) + 2_000;
-            match Db::open_with_retry(dir, RetryConfig::with_wait_ms(budget)) {
-                Ok(mut db) => {
-                    // Publish the recovered state before serving anything,
-                    // so readers never answer from pre-recovery emptiness.
-                    shared.hub.publish(db.publish_snapshot());
-                    durable = Some(db);
-                }
-                Err(e) => {
-                    // Without the store this worker cannot serve safely;
-                    // park until superseded or shut down, refusing requests.
-                    refuse_all(&shared, &rx, &e.to_string());
-                    return;
-                }
+    if let (Some(dir), 0) = (&shared.cfg.db_dir, wid) {
+        match Db::open(dir) {
+            Ok(mut db) => {
+                // Publish the recovered state before serving anything,
+                // so readers never answer from pre-recovery emptiness.
+                shared.hub.publish(db.publish_snapshot());
+                durable = Some(db);
+            }
+            Err(e) => {
+                // Without the store this worker cannot serve safely.
+                refuse_all(&shared, &rx, &e.to_string());
+                return;
             }
         }
     }
     let mut sessions: HashMap<u64, Slot> = HashMap::new();
     if durable.is_some() {
         // The writer builds its session before serving, so readers can
-        // answer the prelude's types before the first load (a failed
-        // build is retried, and reported, by the first request). Only
-        // the first writer publishes here (see `SnapshotHub`).
-        if let Ok(slot) = build_session(&shared, durable.as_ref(), GLOBAL_KEY) {
-            if !shared.hub.has_answers() {
+        // answer the prelude's types before the first load (a failed or
+        // panicking build is retried, and reported, by the first request).
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(slot) = build_session(&shared, durable.as_ref(), GLOBAL_KEY) {
                 shared
                     .hub
                     .publish_answers(Answers::of(&slot.sess, slot.ctx.last_diags.clone()));
+                sessions.insert(GLOBAL_KEY, slot);
             }
-            sessions.insert(GLOBAL_KEY, slot);
-        }
+        }));
     }
     let mut reader = is_reader.then(|| ReaderState {
         seq: u64::MAX,
         db: Db::new(),
     });
-    loop {
-        let job = match rx.recv() {
-            Ok(j) => j,
-            Err(_) => break,
-        };
+    while let Ok(job) = rx.recv() {
         match job {
             Job::Close { conn } => {
-                if shared.cfg.db_dir.is_none() {
+                if !durable_mode {
                     sessions.remove(&conn);
                 }
             }
@@ -409,31 +373,6 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
                 deadline_ms,
                 reply,
             } => {
-                if failpoint::fire(Site::ServeWedge) {
-                    // Wedge: stall past the watchdog's patience, then
-                    // retire. The supervisor replaces this worker, and
-                    // the replacement models a kill + respawn — which is
-                    // why the durable handle is released *first*: the OS
-                    // would release a killed process's flock, and holding
-                    // it through the stall would convoy the replacement
-                    // past every replay deadline (the flock is held for
-                    // `wedge_sleep_ms` but a replayed request expires at
-                    // patience + deadline, which is strictly sooner). The
-                    // injection counter also ships before the stall: the
-                    // final summary may be taken while this abandoned
-                    // thread is still asleep. Serving after waking is
-                    // never safe — the replacement may have replayed the
-                    // request already — so the thread exits either way;
-                    // if somehow not yet superseded, the dropped receiver
-                    // surfaces as Disconnected and the next shepherd
-                    // replaces us.
-                    drop(durable.take());
-                    sessions.clear();
-                    ship_faults(&shared);
-                    std::thread::sleep(Duration::from_millis(wedge_sleep_ms(&shared.cfg)));
-                    let _ = (wid, gen);
-                    return;
-                }
                 let now = Instant::now();
                 if now >= deadline {
                     shared
@@ -441,29 +380,37 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
                         .deadline_expired
                         .fetch_add(1, Ordering::Relaxed);
                     let _ = reply.send(protocol::deadline_expired_response(deadline_ms));
-                    ship_faults(&shared);
                     continue;
                 }
-                let resp = match &mut reader {
+                let outcome = catch_unwind(AssertUnwindSafe(|| match &mut reader {
                     Some(r) => serve_read(&shared, r, &req, deadline, deadline_ms),
                     None => {
                         let budget_ms = (deadline - now).as_millis() as u64;
-                        serve_one(&shared, &mut sessions, &mut durable, conn, req, budget_ms)
+                        let resp =
+                            serve_one(&shared, &mut sessions, &mut durable, conn, req, budget_ms);
+                        if durable_mode {
+                            // Publish after every request: cheap when nothing
+                            // changed (the per-epoch cache republishes the same
+                            // `Arc` and the hub's sequence does not move).
+                            if let Some(slot) = sessions.get_mut(&GLOBAL_KEY) {
+                                shared.hub.publish(slot.sess.db().publish_snapshot());
+                            }
+                        }
+                        resp
                     }
-                };
-                if durable_mode && wid == 0 {
-                    // Publish after every request: cheap when nothing
-                    // changed (the per-epoch cache republishes the same
-                    // `Arc` and the hub's sequence does not move).
-                    if let Some(slot) = sessions.get_mut(&GLOBAL_KEY) {
-                        shared.hub.publish(slot.sess.db().publish_snapshot());
-                    }
-                }
+                }));
+                let resp = outcome.unwrap_or_else(|_| {
+                    // The panic was contained but the session's invariants
+                    // are unknown: drop it. The next request rebuilds it
+                    // from the last acknowledged script — deterministic,
+                    // nothing half-applied.
+                    sessions.remove(&session_key(&shared, conn));
+                    protocol::internal_error_response()
+                });
                 if shared.draining.load(Ordering::SeqCst) {
                     shared.counters.drained.fetch_add(1, Ordering::Relaxed);
                 }
                 let _ = reply.send(resp);
-                ship_faults(&shared);
             }
         }
     }
@@ -477,6 +424,16 @@ fn worker_main(shared: Arc<PoolShared>, wid: usize, gen: u64, rx: Receiver<Job>)
     ship_faults(&shared);
 }
 
+/// The session a connection's requests run against: the one global
+/// session in durable mode, the connection's own otherwise.
+fn session_key(shared: &PoolShared, conn: u64) -> u64 {
+    if shared.cfg.db_dir.is_some() {
+        GLOBAL_KEY
+    } else {
+        conn
+    }
+}
+
 /// Handles one request against the (lazily built) session for `conn`.
 fn serve_one(
     shared: &Arc<PoolShared>,
@@ -486,11 +443,7 @@ fn serve_one(
     req: Request,
     budget_ms: u64,
 ) -> String {
-    let key = if shared.cfg.db_dir.is_some() {
-        GLOBAL_KEY
-    } else {
-        conn
-    };
+    let key = session_key(shared, conn);
     if let std::collections::hash_map::Entry::Vacant(vacant) = sessions.entry(key) {
         match build_session(shared, durable.as_ref(), key) {
             Ok(slot) => {
@@ -507,23 +460,9 @@ fn serve_one(
     let Some(slot) = sessions.get_mut(&key) else {
         return protocol::internal_error_response();
     };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        protocol::handle_request(&mut slot.sess, &mut slot.ctx, req, Some(budget_ms))
-    }));
-    let (resp, _ctl) = match outcome {
-        Ok(r) => r,
-        Err(_) => {
-            // The panic was contained but the session's invariants are
-            // unknown: drop it. The next request rebuilds from the last
-            // acknowledged script — deterministic, nothing half-applied.
-            sessions.remove(&key);
-            return protocol::internal_error_response();
-        }
-    };
+    let (resp, _ctl) =
+        protocol::handle_request(&mut slot.sess, &mut slot.ctx, req, Some(budget_ms));
     // A load or edit that ran leaves the source it rebuilt.
-    let Some(slot) = sessions.get_mut(&key) else {
-        return resp;
-    };
     let Some(src) = slot.ctx.last_source.take() else {
         return resp;
     };
@@ -608,7 +547,7 @@ fn serve_read(
 /// scripts-map invariant. Fuel resets per declaration and the limits are
 /// part of the engine's environment fingerprint, so the replay binds
 /// exactly what the acknowledged rebuild bound, and it seeds from the
-/// process-wide live-outcome layer what the replaced session elaborated.
+/// process-wide live-outcome layer what the dropped session elaborated.
 fn build_session(
     shared: &Arc<PoolShared>,
     durable: Option<&Db>,
@@ -638,11 +577,10 @@ fn build_session(
     Ok(Slot { sess, ctx })
 }
 
-/// Fallback loop for a worker that could not open the shared store:
-/// answer every request with a structured refusal until shut down or
-/// superseded. Keeping the thread alive keeps the failure observable
-/// (clients get errors, not hangs) while the supervisor's next restart
-/// retries the open.
+/// Fallback loop for a writer that could not open the shared store:
+/// answer every request with a structured refusal until shut down.
+/// Keeping the thread alive keeps the failure observable: clients get
+/// errors, not hangs.
 fn refuse_all(shared: &Arc<PoolShared>, rx: &Receiver<Job>, why: &str) {
     let resp = format!(
         "{{\"ok\":false,\"error\":\"shared database unavailable: {}\"}}",
@@ -661,16 +599,6 @@ fn refuse_all(shared: &Arc<PoolShared>, rx: &Receiver<Job>, why: &str) {
 fn ship_faults(shared: &Arc<PoolShared>) {
     let c = failpoint::take_counters();
     lock(&shared.faults).absorb(&c);
-}
-
-/// How long an injected wedge stalls a worker. Chosen to outlast the
-/// front door's first-attempt patience
-/// ([`crate::server::patience_ms`] at attempt 0), so a wedge reliably
-/// trips the supervisor instead of degrading into a late deadline
-/// answer — and bounded, so abandoned threads exit (releasing the
-/// durable flock) soon after being superseded.
-pub fn wedge_sleep_ms(cfg: &ServeConfig) -> u64 {
-    3 * cfg.deadline_ms + 3 * cfg.watchdog_ms
 }
 
 #[cfg(test)]
@@ -708,7 +636,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         hub.publish_answers(Answers::of(&Session::new().unwrap(), Vec::new()));
         assert!(waiter.join().unwrap(), "publishing wakes a waiting reader");
-        assert!(hub.has_answers());
+        assert!(hub.answers_by(Instant::now()).is_some());
     }
 
     #[test]
@@ -736,7 +664,6 @@ mod tests {
             faults: Mutex::new(FpCounters::default()),
             scripts: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
-            gens: Vec::new(),
             hub: SnapshotHub::new(),
         });
         let acked = AckedScript {
@@ -761,11 +688,11 @@ mod tests {
             workers: 3,
             ..ServeConfig::default()
         };
-        let pool = Pool::start(cfg, Arc::new(ServeCounters::new()));
+        let pool = Pool::start(cfg, Arc::new(ServeCounters::new())).expect("pool");
         for conn in 0..9_u64 {
-            let (wid, _, _) = pool.handle_for_routed(conn, false);
+            let (wid, _) = pool.handle_for_routed(conn, false);
             assert_eq!(wid, (conn as usize) % 3);
-            let (wid_ro, _, _) = pool.handle_for_routed(conn, true);
+            let (wid_ro, _) = pool.handle_for_routed(conn, true);
             assert_eq!(wid_ro, wid, "memory mode ignores read_only");
         }
         pool.shutdown();
@@ -783,12 +710,12 @@ mod tests {
             db_dir: Some(dir.clone()),
             ..ServeConfig::default()
         };
-        let pool = Pool::start(cfg, Arc::new(ServeCounters::new()));
+        let pool = Pool::start(cfg, Arc::new(ServeCounters::new())).expect("pool");
         let mut reader_wids = std::collections::HashSet::new();
         for conn in 0..12_u64 {
-            let (wid, _, _) = pool.handle_for_routed(conn, false);
+            let (wid, _) = pool.handle_for_routed(conn, false);
             assert_eq!(wid, 0, "mutations go to the writer");
-            let (wid_ro, _, _) = pool.handle_for_routed(conn, true);
+            let (wid_ro, _) = pool.handle_for_routed(conn, true);
             assert!(wid_ro >= 1, "reads never queue behind the writer");
             reader_wids.insert(wid_ro);
         }
@@ -809,8 +736,8 @@ mod tests {
             db_dir: Some(dir.clone()),
             ..ServeConfig::default()
         };
-        let pool = Pool::start(cfg, Arc::new(ServeCounters::new()));
-        let (wid, _, _) = pool.handle_for_routed(7, true);
+        let pool = Pool::start(cfg, Arc::new(ServeCounters::new())).expect("pool");
+        let (wid, _) = pool.handle_for_routed(7, true);
         assert_eq!(wid, 0);
         pool.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

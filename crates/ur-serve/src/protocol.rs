@@ -19,9 +19,9 @@
 //!
 //! `deadline_ms` caps the request's wall-clock budget; the remaining
 //! budget is converted to a fuel ceiling
-//! ([`ur_core::limits::Limits::for_deadline_ms`]) so an over-budget
-//! elaboration degrades to a structured E0900 diagnostic instead of
-//! wedging its worker. Overload and failure answers are structured too
+//! ([`ur_core::limits::Limits::for_deadline_ms`]) that elaboration and
+//! evaluation both charge, so over-budget work ends in a structured
+//! E0900 instead of occupying its worker. Overload and failure answers are structured too
 //! (`overloaded` + `retry_after_ms`, `deadline_expired`, lost in-flight
 //! requests) — see the response builders below.
 //!
@@ -125,11 +125,11 @@ pub fn deadline_expired_response(deadline_ms: u64) -> String {
     )
 }
 
-/// Response for a request whose worker was killed mid-flight and whose
-/// effects cannot be safely replayed: the outcome is unknown.
+/// Response for a request whose worker stopped before answering it:
+/// the outcome is unknown.
 pub fn lost_request_response() -> String {
-    "{\"ok\":false,\"error\":\"in-flight request lost to a worker restart; \
-     outcome unknown\"}"
+    "{\"ok\":false,\"error\":\"in-flight request lost: its worker stopped \
+     before answering; outcome unknown\"}"
         .to_string()
 }
 
@@ -229,10 +229,10 @@ pub fn handle_snapshot_read(answers: &Answers, db: &Db, req: &Request) -> String
     }
 }
 
-/// Runs `f` with the session's fuel ceilings scaled to `budget_ms` of
-/// wall clock (when given), restoring the previous limits after. Only
-/// correct for operations that do *not* restore the session base
-/// (evaluation); rebuilds must go through
+/// Runs `f` with the session's fuel ceilings, evaluation's step ceiling
+/// included, scaled to `budget_ms` of wall clock (when given), restoring
+/// the previous limits after. Only correct for operations that do *not*
+/// restore the session base (evaluation); rebuilds must go through
 /// [`Session::reelaborate_limited`], which installs the ceiling after
 /// the base restore.
 fn with_deadline_fuel<T>(

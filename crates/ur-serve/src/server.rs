@@ -1,10 +1,10 @@
-//! The TCP front door: admission control, per-request watchdogs, and
-//! graceful drain over the supervised pool.
+//! The TCP front door: admission control, deadlines, and graceful drain
+//! over the session pool.
 //!
 //! Every connection gets a handler thread that reads line-delimited
 //! JSON requests (same schema as `urc --serve`), applies the admission
-//! policy, and shepherds admitted requests through a worker queue with
-//! a watchdog. The policies, all explicit and bounded:
+//! policy, and hands admitted requests to a worker queue, waiting for
+//! the worker's answer. The policies, all explicit and bounded:
 //!
 //! - **Admission.** A global connection cap and a per-client (per peer
 //!   IP) cap shed excess connections with a structured `overloaded`
@@ -13,18 +13,11 @@
 //!   new. Nothing in the front door buffers without bound.
 //! - **Deadlines.** Each request carries an absolute deadline fixed at
 //!   admission (`min(server default, request's deadline_ms)`). Workers
-//!   convert the remaining budget into a fuel ceiling, so over-budget
-//!   work degrades to a structured E0900 diagnostic; requests that
-//!   expire in the queue get `deadline_expired` answers.
-//! - **Watchdog + supervision.** The handler waits [`patience_ms`] for
-//!   a reply (escalating once on retry). A timeout or a dead queue
-//!   means the worker wedged or died: the handler reports it
-//!   ([`Pool::report_failed`], generation-checked), and *replays* the
-//!   request on the replacement when replay is safe — load/edit are
-//!   idempotent by construction (a rebuild restores the pristine base
-//!   and replays the script), eval against the shared durable store is
-//!   not (the lost attempt may or may not have committed), so that one
-//!   case is answered with an explicit unknown-outcome error instead.
+//!   convert the remaining budget into a fuel ceiling that bounds both
+//!   elaboration and evaluation, so over-budget work ends in a
+//!   structured E0900 on the same worker; requests that expire in the
+//!   queue get `deadline_expired` answers. Fuel bounds every request, so
+//!   the handler waits for its answer without a timer.
 //! - **Drain.** `shutdown` (or SIGTERM via `urc --listen`) stops
 //!   admission, lets in-flight work finish or deadline out, closes the
 //!   pool (final checkpoints), and reports a final [`Summary`]. The
@@ -43,22 +36,12 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, TrySendError};
+use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use ur_core::failpoint::{self, FpCounters, Site};
 use ur_query::json::parse_flat_object;
-
-/// How long a connection handler waits for a worker's reply on the
-/// given attempt before declaring the worker wedged. The base covers a
-/// full deadline of queue overhang plus the request's own deadline
-/// (queued-behind requests answer quickly once their deadlines lapse);
-/// the escalation doubles the watchdog share on the retry, so a slow
-/// machine gets patience before a second restart.
-pub fn patience_ms(cfg: &ServeConfig, attempt: u32) -> u64 {
-    2 * cfg.deadline_ms + cfg.watchdog_ms * (1_u64 << attempt.min(4))
-}
 
 /// Final serving report, returned by [`Server::wait`].
 #[derive(Clone, Debug, Default)]
@@ -67,6 +50,8 @@ pub struct Summary {
     pub requests: u64,
     pub shed: u64,
     pub deadline_expired: u64,
+    /// Always 0: no worker is ever replaced. Kept, with its field in
+    /// [`Summary::to_json`], because the repository benchmark reads it.
     pub worker_restarts: u64,
     pub drained: u64,
     /// Fault-injection totals across acceptor, handlers, and workers
@@ -106,12 +91,12 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, and the failure to spawn a worker.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let counters = Arc::new(ServeCounters::new());
-        let pool = Pool::start(cfg, Arc::clone(&counters));
+        let pool = Pool::start(cfg, Arc::clone(&counters))?;
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let pool = Arc::clone(&pool);
@@ -304,7 +289,7 @@ fn handle_conn(pool: &Arc<Pool>, addr: SocketAddr, conn: u64, stream: TcpStream)
     // durable session is never dropped) and this handler's fault
     // counters.
     if pool.shared.cfg.db_dir.is_none() {
-        let (_wid, _gen, tx) = pool.handle_for(conn);
+        let (_wid, tx) = pool.handle_for_routed(conn, false);
         for _ in 0..5 {
             match tx.try_send(Job::Close { conn }) {
                 Ok(()) | Err(TrySendError::Disconnected(_)) => break,
@@ -380,18 +365,12 @@ fn serve_conn(pool: &Arc<Pool>, addr: SocketAddr, conn: u64, stream: &TcpStream)
             .get("deadline_ms")
             .and_then(|v| v.trim().parse::<u64>().ok())
             .map_or(cfg.deadline_ms, |d| d.min(cfg.deadline_ms));
-        // Replay safety: a rebuild is idempotent (restore + replay);
-        // everything stateless is trivially replayable; eval against the
-        // shared durable store is the one case where the lost attempt
-        // may have committed.
-        let replayable = cfg.db_dir.is_none()
-            || !matches!(req.get("cmd").map(String::as_str), Some("eval"));
         // In durable mode `type`, `diagnostics` and `db` fan out to the
         // snapshot readers, which answer them without a session from what
         // the writer last acknowledged, instead of queueing behind the
         // writer. `stats` reports a session, so it goes to the writer.
         let read_only = protocol::is_snapshot_read(req.get("cmd").map(String::as_str));
-        let resp = shepherd(pool, conn, &req, deadline_ms, replayable, read_only);
+        let resp = shepherd(pool, conn, req, deadline_ms, read_only);
         if failpoint::fire(Site::ServeWrite) {
             // Injected write failure after execution: effects (if any)
             // are applied but the ack is lost — the acked-vs-applied
@@ -404,62 +383,41 @@ fn serve_conn(pool: &Arc<Pool>, addr: SocketAddr, conn: u64, stream: &TcpStream)
     }
 }
 
-/// Submits one admitted request and supervises it to an answer:
-/// bounded-queue shed, deadline accounting, watchdog timeout, worker
-/// replacement, and at most one replay.
+/// Submits one admitted request and waits for its answer. A full queue
+/// sheds it. A worker answers every job it dequeues, so a queue or reply
+/// channel that closes unanswered means the worker stopped, and the
+/// outcome is unknown.
 fn shepherd(
     pool: &Arc<Pool>,
     conn: u64,
-    req: &Request,
+    req: Request,
     deadline_ms: u64,
-    replayable: bool,
     read_only: bool,
 ) -> String {
-    let cfg = &pool.shared.cfg;
-    let mut attempt: u32 = 0;
-    loop {
-        let (wid, gen, tx) = pool.handle_for_routed(conn, read_only);
-        let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-        let (reply_tx, reply_rx) = sync_channel::<String>(1);
-        match tx.try_send(Job::Request {
-            conn,
-            req: req.clone(),
-            deadline,
-            deadline_ms,
-            reply: reply_tx,
-        }) {
-            Err(TrySendError::Full(_)) => {
-                pool.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return protocol::overloaded_response(retry_hint_ms(pool), false);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                // The worker died before we could enqueue. Replacing it
-                // is always safe here — nothing of ours was in flight.
-                pool.report_failed(wid, gen);
-                attempt += 1;
-                if attempt > 2 {
-                    return protocol::lost_request_response();
-                }
-                continue;
-            }
-            Ok(()) => {}
+    let (_wid, tx) = pool.handle_for_routed(conn, read_only);
+    let (reply_tx, reply_rx) = sync_channel::<String>(1);
+    let job = Job::Request {
+        conn,
+        req,
+        deadline: Instant::now() + Duration::from_millis(deadline_ms),
+        deadline_ms,
+        reply: reply_tx,
+    };
+    match tx.try_send(job) {
+        Ok(()) => {}
+        Err(TrySendError::Full(_)) => {
+            pool.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+            return protocol::overloaded_response(retry_hint_ms(pool), false);
         }
-        pool.shared
-            .counters
-            .requests
-            .fetch_add(1, Ordering::Relaxed);
-        match reply_rx.recv_timeout(Duration::from_millis(patience_ms(cfg, attempt))) {
-            Ok(resp) => return resp,
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                pool.report_failed(wid, gen);
-                attempt += 1;
-                if replayable && attempt <= 1 {
-                    continue;
-                }
-                return protocol::lost_request_response();
-            }
-        }
+        Err(TrySendError::Disconnected(_)) => return protocol::lost_request_response(),
     }
+    pool.shared
+        .counters
+        .requests
+        .fetch_add(1, Ordering::Relaxed);
+    reply_rx
+        .recv()
+        .unwrap_or_else(|_| protocol::lost_request_response())
 }
 
 #[cfg(test)]

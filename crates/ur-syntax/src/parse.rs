@@ -22,11 +22,15 @@
 //! * right-nested chains (`fn`, `let` and `if` heads; `x :: K ->`
 //!   binders, type-level `fn`s, guards and arrows) are loops that charge
 //!   one budget level per link;
-//! * so are left-associative operator chains and `$`/`@` prefix runs,
-//!   whose ASTs nest one node per link although the parser does not
-//!   recurse on them: a later pass that walks the AST recursively (drop,
-//!   elaboration) must not meet a chain deeper than the budget. `++`
-//!   chains and application spines stay uncharged;
+//! * so are `$`/`@` prefix runs, whose ASTs nest one node per link
+//!   although the parser does not recurse on them: a later pass that
+//!   walks the AST recursively (drop, elaboration) must not meet a chain
+//!   deeper than the budget;
+//! * left-nested chains (operator chains but `++`, application spines,
+//!   `.field` and `.1`/`.2` runs) put their head one node deeper per
+//!   link, after the head is parsed, so each link raises the chain's
+//!   *peak* (the deepest level anything in it reaches) instead
+//!   (`Parser::link`): a spine of spines costs the sum of its links;
 //! * parentheses, records, parameter lists, `[c]`, `!`, `--` and the
 //!   error messages live in functions of their own, so their locals stay
 //!   out of the frames every level passes through;
@@ -184,6 +188,9 @@ struct Parser {
     pos: usize,
     /// Nesting levels open on the current path.
     depth: usize,
+    /// The deepest level anything parsed in the innermost open
+    /// left-nested chain reaches, its links included.
+    peak: usize,
 }
 
 impl Parser {
@@ -192,6 +199,7 @@ impl Parser {
             toks: lex(src)?,
             pos: 0,
             depth: 0,
+            peak: 0,
         })
     }
 
@@ -256,11 +264,12 @@ impl Parser {
     /// `ParseTooDeep` error instead of a stack overflow. Errors abort the
     /// parse, so only the successful path gives levels back
     /// ([`Parser::ascend`]); the guard probe, the one place that
-    /// backtracks, restores the depth it saved, and never backtracks
-    /// over a depth failure.
+    /// backtracks, restores the depth and peak it saved, and never
+    /// backtracks over a depth failure.
     fn descend(&mut self) -> PResult<()> {
         if self.depth < MAX_PARSE_DEPTH {
             self.depth += 1;
+            self.peak = self.peak.max(self.depth);
             Ok(())
         } else {
             Err(self.too_deep())
@@ -269,6 +278,35 @@ impl Parser {
 
     fn ascend(&mut self, levels: usize) {
         self.depth = self.depth.saturating_sub(levels);
+    }
+
+    /// Opens a left-nested chain (an operator chain, an application
+    /// spine, a projection run) before its head is parsed, returning the
+    /// enclosing chain's peak for [`Parser::close_chain`].
+    fn open_chain(&mut self) -> usize {
+        std::mem::replace(&mut self.peak, self.depth)
+    }
+
+    /// Charges one more link of the open chain, before its argument is
+    /// parsed: the link nests everything parsed so far in the chain (its
+    /// head, deeper chains inside the head, the earlier arguments) one
+    /// node deeper, so a spine whose head is a spine costs both. Links
+    /// are not held while the argument parses: an argument nests under
+    /// one node of its chain, not under all of them, so a right-nested
+    /// `cons x (cons y …)` still costs one level per element.
+    fn link(&mut self) -> PResult<()> {
+        self.peak += 1;
+        if self.peak <= MAX_PARSE_DEPTH {
+            Ok(())
+        } else {
+            Err(self.too_deep())
+        }
+    }
+
+    /// Closes a chain [`Parser::open_chain`] opened: what it reached
+    /// counts toward the enclosing chain.
+    fn close_chain(&mut self, outer: usize) {
+        self.peak = self.peak.max(outer);
     }
 
     #[cold]
@@ -597,21 +635,21 @@ impl Parser {
     /// At a `[`, determines whether a guard `[c1 ~ c2] =>` starts here. On
     /// success consumes through the `=>`; otherwise rewinds and returns
     /// `None`. The probe parses `c1` and backtracks over any error there
-    /// but a depth failure, restoring the position and depth it saved.
+    /// but a depth failure, restoring the position, depth and peak it
+    /// saved.
     fn try_guard(&mut self, span: Span) -> PResult<Option<ConLink>> {
-        let (pos, depth) = (self.pos, self.depth);
+        let (pos, depth, peak) = (self.pos, self.depth, self.peak);
         self.bump();
         let c1 = match self.con() {
             Ok(c) => c,
             Err(e) if e.message.contains(TOO_DEEP_MSG) => return Err(e),
             Err(_) => {
-                self.pos = pos;
-                self.depth = depth;
+                (self.pos, self.depth, self.peak) = (pos, depth, peak);
                 return Ok(None);
             }
         };
         if !self.eat(&Tok::Tilde) {
-            self.pos = pos;
+            (self.pos, self.peak) = (pos, peak);
             return Ok(None);
         }
         let c2 = self.con()?;
@@ -623,12 +661,14 @@ impl Parser {
     /// `c1 ++ c2 ++ ...` over application spines `c c' ...`. `++` is
     /// right-associative and every node of one chain spans from its first
     /// operand; the chain is folded iteratively, so its width costs no
-    /// stack.
+    /// stack. Each argument of a spine is one of its links
+    /// ([`Parser::link`]).
     fn con_cat(&mut self) -> PResult<Box<SCon>> {
         let span = self.span();
         let mut lhs = Vec::new();
         loop {
             let app_span = self.span();
+            let outer = self.open_chain();
             let mut app = self.con_atom()?;
             while matches!(
                 self.peek(),
@@ -640,9 +680,11 @@ impl Parser {
                     | Tok::LBrack
                     | Tok::Under
             ) {
+                self.link()?;
                 let arg = self.con_atom()?;
                 app = Box::new(SCon::App(app_span, app, arg));
             }
+            self.close_chain(outer);
             if !self.eat(&Tok::PlusPlus) {
                 let mut out = app;
                 while let Some(l) = lhs.pop() {
@@ -656,6 +698,7 @@ impl Parser {
 
     /// An atom after any `$` markers, with its `.1` / `.2` projections.
     fn con_atom(&mut self) -> PResult<Box<SCon>> {
+        let outer = self.open_chain();
         // `$` prefixes are counted, not recursed on; each charges the
         // level of the `Record` node it wraps around the atom.
         let dollars = self.pos;
@@ -672,7 +715,9 @@ impl Parser {
             _ => self.con_leaf(span)?,
         };
         self.ascend(dollars.len());
-        Ok(self.con_postfix(span, dollars, atom))
+        let atom = self.con_postfix(span, dollars, atom)?;
+        self.close_chain(outer);
+        Ok(atom)
     }
 
     fn con_leaf(&mut self, span: Span) -> PResult<Box<SCon>> {
@@ -689,8 +734,14 @@ impl Parser {
         Ok(Box::new(leaf))
     }
 
-    /// Applies the projections after `atom`, then the `$`s before it.
-    fn con_postfix(&mut self, span: Span, dollars: Range<usize>, mut atom: Box<SCon>) -> Box<SCon> {
+    /// Applies the projections after `atom`, each a link of one chain
+    /// ([`Parser::link`]), then the `$`s before it.
+    fn con_postfix(
+        &mut self,
+        span: Span,
+        dollars: Range<usize>,
+        mut atom: Box<SCon>,
+    ) -> PResult<Box<SCon>> {
         loop {
             atom = match (self.peek(), self.peek2()) {
                 (Tok::Dot, Tok::Int(1)) => Box::new(SCon::Fst(span, atom)),
@@ -699,11 +750,12 @@ impl Parser {
             };
             self.bump();
             self.bump();
+            self.link()?;
         }
         for at in dollars.rev() {
             atom = Box::new(SCon::Record(self.toks[at].span, atom));
         }
-        atom
+        Ok(atom)
     }
 
     /// `(c)` or the pair `(c1, c2)`.
@@ -858,14 +910,14 @@ impl Parser {
     /// first operand. Comparisons do not associate: a comparison is never
     /// an operand of one, so `a < b < c` stops before the second `<`.
     ///
-    /// Every operator but `++` charges one nesting level until the
-    /// expression ends: a left-associative chain nests its first operand
-    /// one node deeper per link, so `1 + 1 + …` is as deep as it is long.
-    /// `++` stays exempt: a long record concatenation is bounded by the
-    /// disjointness fuel instead (2,000 links end in E0900).
+    /// Every operator but `++` is one link of the chain ([`Parser::link`]):
+    /// a left-associative chain nests its first operand one node deeper
+    /// per link, so `1 + 1 + …` is as deep as it is long. `++` stays
+    /// exempt: a long record concatenation is bounded by the disjointness
+    /// fuel instead (2,000 links end in E0900).
     fn binary(&mut self) -> PResult<Box<SExpr>> {
         let mut pending: Vec<Pending> = Vec::new();
-        let mut links = 0;
+        let outer = self.open_chain();
         let mut span = self.span();
         let mut rhs = self.app()?;
         while let Some((op, prec)) = binop(self.peek()) {
@@ -881,8 +933,7 @@ impl Parser {
                 _ => span,
             };
             if prec != Prec::Cat {
-                self.descend()?;
-                links += 1;
+                self.link()?;
             }
             pending.push(Pending {
                 span: start,
@@ -894,7 +945,7 @@ impl Parser {
             span = self.span();
             rhs = self.app()?;
         }
-        self.ascend(links);
+        self.close_chain(outer);
         while let Some(top) = pending.pop() {
             rhs = combine(top, rhs);
         }
@@ -902,14 +953,16 @@ impl Parser {
     }
 
     /// An application spine with interleaved `[c]`, `!` and `-- c`, every
-    /// node spanning from the head.
+    /// node spanning from the head. Each argument, `[c]`, `!` and `-- c`
+    /// is one link of the spine ([`Parser::link`]).
     fn app(&mut self) -> PResult<Box<SExpr>> {
         let span = self.span();
+        let outer = self.open_chain();
         let mut head = self.postfix()?;
         loop {
             head = match self.peek() {
                 Tok::LBrack => self.con_arg(span, head)?,
-                Tok::Bang => self.bang(span, head),
+                Tok::Bang => self.bang(span, head)?,
                 Tok::MinusMinus => self.cut(span, head)?,
                 Tok::Ident(_)
                 | Tok::Int(_)
@@ -920,16 +973,20 @@ impl Parser {
                 | Tok::LParen
                 | Tok::LBrace
                 | Tok::At => {
+                    self.link()?;
                     let arg = self.postfix()?;
                     Box::new(SExpr::App(span, head, arg))
                 }
-                _ => return Ok(head),
+                _ => break,
             };
         }
+        self.close_chain(outer);
+        Ok(head)
     }
 
     /// `head [c]`.
     fn con_arg(&mut self, span: Span, head: Box<SExpr>) -> PResult<Box<SExpr>> {
+        self.link()?;
         self.bump();
         let c = self.con()?;
         self.expect(&Tok::RBrack)?;
@@ -937,13 +994,15 @@ impl Parser {
     }
 
     /// `head !`.
-    fn bang(&mut self, span: Span, head: Box<SExpr>) -> Box<SExpr> {
+    fn bang(&mut self, span: Span, head: Box<SExpr>) -> PResult<Box<SExpr>> {
+        self.link()?;
         self.bump();
-        Box::new(SExpr::Bang(span, head))
+        Ok(Box::new(SExpr::Bang(span, head)))
     }
 
     /// `head -- c`.
     fn cut(&mut self, span: Span, head: Box<SExpr>) -> PResult<Box<SExpr>> {
+        self.link()?;
         self.bump();
         let c = self.field_name()?;
         Ok(Box::new(SExpr::Cut(span, head, c)))
@@ -952,6 +1011,7 @@ impl Parser {
     /// An atom after any `@` markers, with its `.field` projections.
     fn postfix(&mut self) -> PResult<Box<SExpr>> {
         let span = self.span();
+        let outer = self.open_chain();
         // `@` prefixes are counted, not recursed on; each charges the
         // level of the `Explicit` node it wraps around the atom.
         let markers = self.pos;
@@ -967,7 +1027,9 @@ impl Parser {
             _ => self.leaf(at)?,
         };
         self.ascend(markers.len());
-        self.projections(span, markers, e)
+        let e = self.projections(span, markers, e)?;
+        self.close_chain(outer);
+        Ok(e)
     }
 
     fn leaf(&mut self, span: Span) -> PResult<Box<SExpr>> {
@@ -984,7 +1046,8 @@ impl Parser {
         Ok(Box::new(leaf))
     }
 
-    /// Applies the `@`s before `e`, then the `.field` projections after it.
+    /// Applies the `@`s before `e`, then the `.field` projections after
+    /// it, each a link of one chain ([`Parser::link`]).
     fn projections(
         &mut self,
         span: Span,
@@ -998,6 +1061,7 @@ impl Parser {
             self.bump();
             let c = self.field_name()?;
             e = Box::new(SExpr::Proj(span, e, c));
+            self.link()?;
         }
         Ok(e)
     }

@@ -33,13 +33,29 @@ fn wrap(open: &str, leaf: &str, close: &str, n: usize) -> String {
 
 // The entry point's own `expr`/`con` is level 1, so `d` levels take
 // `d - 1` nestings; a kind starts one level below its binder's `con`.
+// Every argument, `[c]`, `!`, `-- c` and projection is one link of its
+// left-nested chain, and a chain's links count from the level where it
+// starts: the innermost `cons 1 (nil)` is two links at its level.
 const SHAPES: &[Shape] = &[
     ("parenthesised expression", expr, |d| {
         wrap("(", "1", ")", d - 1)
     }),
     ("application argument", expr, |d| {
-        wrap("cons 1 (", "nil", ")", d - 1)
+        wrap("cons 1 (", "nil", ")", d - 2)
     }),
+    ("application spine", expr, |d| wrap("", "id", " id", d - 1)),
+    ("spine of [c], ! and --", expr, |d| {
+        (1..d).fold("f".to_string(), |s, i| {
+            s + [" x", " [int]", " !", " -- A"][i % 4]
+        })
+    }),
+    ("projection run", expr, |d| wrap("", "x", ".A", d - 1)),
+    // A spine whose head is a parenthesised spine nests the inner
+    // spine's head one node deeper per outer link: each nesting costs
+    // its parenthesis and its link.
+    ("spine of spines", expr, |d| wrap("(", "id", " id)", (d - 1) / 2)),
+    ("chain of chains", expr, |d| wrap("(", "1", " + 1)", (d - 1) / 2)),
+    ("projection run of runs", expr, |d| wrap("(", "x", ".A)", (d - 1) / 2)),
     ("record", expr, |d| wrap("{A = ", "1", "}", d - 1)),
     ("fn chain", expr, |d| wrap("fn x => ", "x", "", d - 1)),
     ("if-else chain", expr, |d| {
@@ -54,9 +70,12 @@ const SHAPES: &[Shape] = &[
     ("let declaration", expr, |d| {
         wrap("let val x = ", "1", " in x end", d - 1)
     }),
-    ("e [c] spine", expr, |d| wrap("f [int] (", "1", ")", d - 1)),
+    ("e [c] spine", expr, |d| wrap("f [int] (", "1", ")", d - 2)),
     ("annotation", expr, |d| wrap("(", "1", " : int)", d - 1)),
     ("type arrow", con, |d| wrap("int -> ", "int", "", d - 1)),
+    ("type application spine", con, |d| wrap("", "int", " int", d - 1)),
+    ("pair projection run", con, |d| wrap("", "p", ".1 ", d - 1)),
+    ("type spine of spines", con, |d| wrap("(", "f", " int)", (d - 1) / 2)),
     ("parenthesised type", con, |d| wrap("(", "int", ")", d - 1)),
     ("row type", con, |d| wrap("[A = ", "int", "]", d - 1)),
     ("record type", con, |d| wrap("{A : ", "int", "}", d - 1)),

@@ -1,10 +1,18 @@
 //! Implementations of the standard-library primitives declared in
 //! [`crate::prelude`].
+//!
+//! The engines charge one step per application; a primitive whose native
+//! work grows with its input charges one step per element it copies,
+//! scans or produces ([`Interp::charge`]) before doing that work: list
+//! items, XML and SQL expression nodes, table rows times the expression
+//! nodes evaluated on each, and [`BYTES_PER_STEP`] bytes of string data.
+//! So every step does bounded work, and the step ceiling bounds an
+//! evaluation's time and memory.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 use ur_core::con::RCon;
-use ur_db::{ColTy, DbVal, Schema, SqlExpr};
+use ur_db::{ColTy, Db, DbError, DbVal, Schema, SqlExpr};
 use ur_eval::value::XmlVal;
 use ur_eval::{Builtin, EvalError, Interp, Value};
 
@@ -64,16 +72,107 @@ pub fn db_to_value(v: &DbVal, ty: &ColTy) -> Value {
     }
 }
 
-fn xml1(v: &Value) -> Result<XmlVal, EvalError> {
-    Ok(v.as_xml()?.clone())
+/// Bytes of string data one step pays to copy or scan.
+const BYTES_PER_STEP: usize = 64;
+
+fn byte_steps(bytes: usize) -> u64 {
+    (bytes / BYTES_PER_STEP) as u64
+}
+
+/// String argument `v`, charged for a scan of its bytes.
+fn text(interp: &mut Interp<'_>, v: &Value) -> Result<Rc<str>, EvalError> {
+    let s = v.as_str()?;
+    interp.charge(byte_steps(s.len()))?;
+    Ok(s)
+}
+
+/// List argument `v`, charged one step per item.
+fn items<'v>(interp: &mut Interp<'_>, v: &'v Value) -> Result<&'v [Value], EvalError> {
+    let l = v.as_list()?;
+    interp.charge(l.len() as u64)?;
+    Ok(l)
+}
+
+/// Steps to copy or render `x`: one per node, plus its strings' bytes.
+fn xml_weight(x: &XmlVal) -> u64 {
+    let sum = |xs: &[XmlVal]| xs.iter().fold(1u64, |w, c| w.saturating_add(xml_weight(c)));
+    match x {
+        XmlVal::Empty => 1,
+        XmlVal::Text(t) => 1 + byte_steps(t.len()),
+        XmlVal::Tag {
+            attrs, children, ..
+        } => {
+            let bytes = attrs.iter().map(|(k, v)| k.len() + v.len()).sum();
+            sum(children).saturating_add(byte_steps(bytes))
+        }
+        XmlVal::Seq(items) => sum(items),
+    }
+}
+
+/// Steps to copy `e` or evaluate it on one row: one per node, plus its
+/// strings' bytes.
+fn sql_weight(e: &SqlExpr) -> u64 {
+    match e {
+        SqlExpr::Const(DbVal::Str(s)) => 1 + byte_steps(s.len()),
+        SqlExpr::Const(_) => 1,
+        SqlExpr::Column(c) => 1 + byte_steps(c.len()),
+        SqlExpr::Not(a) | SqlExpr::IsNull(a) => 1 + sql_weight(a),
+        SqlExpr::Eq(a, b)
+        | SqlExpr::Lt(a, b)
+        | SqlExpr::Le(a, b)
+        | SqlExpr::And(a, b)
+        | SqlExpr::Or(a, b)
+        | SqlExpr::Add(a, b)
+        | SqlExpr::Mul(a, b) => 1 + sql_weight(a).saturating_add(sql_weight(b)),
+    }
+}
+
+/// A copy of XML argument `v`, charged by its weight.
+fn xml1(interp: &mut Interp<'_>, v: &Value) -> Result<XmlVal, EvalError> {
+    let x = v.as_xml()?;
+    interp.charge(xml_weight(x))?;
+    Ok(x.clone())
+}
+
+/// A copy of SQL expression argument `v`, charged by its weight.
+fn sql1(interp: &mut Interp<'_>, v: &Value) -> Result<SqlExpr, EvalError> {
+    let e = v.as_sql_exp()?;
+    interp.charge(sql_weight(e))?;
+    Ok(e.clone())
+}
+
+/// Charges a statement that evaluates `per_row` expression nodes on each
+/// row of `table`.
+fn charge_scan(interp: &mut Interp<'_>, table: &str, per_row: u64) -> Result<(), EvalError> {
+    let rows = interp.world.db.row_count(table).map_err(EvalError::from)?;
+    interp.charge((rows as u64).saturating_mul(per_row))
+}
+
+/// Runs query `select` over `table`, charged for a scan that evaluates
+/// `pred` and copies every column of each row, and returns its rows as
+/// records.
+fn select_records(
+    interp: &mut Interp<'_>,
+    table: &str,
+    pred: &SqlExpr,
+    select: impl FnOnce(&mut Db) -> Result<Vec<Vec<DbVal>>, DbError>,
+) -> Result<Value, EvalError> {
+    let schema = interp.world.db.schema(table).map_err(EvalError::from)?.clone();
+    charge_scan(interp, table, sql_weight(pred) + schema.len() as u64)?;
+    let rows = select(&mut interp.world.db).map_err(EvalError::from)?;
+    let records = rows.iter().map(|row| {
+        let cols = schema.columns().iter().zip(row);
+        Value::record(cols.map(|((c, ty), v)| (Rc::from(c.as_str()), db_to_value(v, ty))).collect())
+    });
+    Ok(Value::List(Rc::new(records.collect())))
 }
 
 fn tag(map: &mut HashMap<String, Rc<Builtin>>, builtin: &str, element: &'static str) {
-    bi(map, builtin, 0, 1, move |_, _, args| {
+    bi(map, builtin, 0, 1, move |interp, _, args| {
         Ok(Value::Xml(Rc::new(XmlVal::Tag {
             name: element.to_string(),
             attrs: vec![],
-            children: vec![xml1(&args[0])?],
+            children: vec![xml1(interp, &args[0])?],
         })))
     });
 }
@@ -150,13 +249,13 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     });
 
     // ---------- strings ----------
-    bi(&mut m, "strcat", 0, 2, |_, _, a| {
-        let mut s = a[0].as_str()?.to_string();
-        s.push_str(&a[1].as_str()?);
+    bi(&mut m, "strcat", 0, 2, |interp, _, a| {
+        let mut s = text(interp, &a[0])?.to_string();
+        s.push_str(&text(interp, &a[1])?);
         Ok(Value::str(s))
     });
-    bi(&mut m, "eqString", 0, 2, |_, _, a| {
-        Ok(Value::Bool(a[0].as_str()? == a[1].as_str()?))
+    bi(&mut m, "eqString", 0, 2, |interp, _, a| {
+        Ok(Value::Bool(text(interp, &a[0])? == text(interp, &a[1])?))
     });
     bi(&mut m, "showInt", 0, 1, |_, _, a| {
         Ok(Value::str(a[0].as_int()?.to_string()))
@@ -167,23 +266,23 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     bi(&mut m, "showBool", 0, 1, |_, _, a| {
         Ok(Value::str(if a[0].as_bool()? { "True" } else { "False" }))
     });
-    bi(&mut m, "parseInt", 0, 1, |_, _, a| {
-        Ok(Value::Int(a[0].as_str()?.trim().parse().unwrap_or(0)))
+    bi(&mut m, "parseInt", 0, 1, |interp, _, a| {
+        Ok(Value::Int(text(interp, &a[0])?.trim().parse().unwrap_or(0)))
     });
-    bi(&mut m, "parseFloat", 0, 1, |_, _, a| {
-        Ok(Value::Float(a[0].as_str()?.trim().parse().unwrap_or(0.0)))
+    bi(&mut m, "parseFloat", 0, 1, |interp, _, a| {
+        Ok(Value::Float(text(interp, &a[0])?.trim().parse().unwrap_or(0.0)))
     });
-    bi(&mut m, "parseBool", 0, 1, |_, _, a| {
-        let s = a[0].as_str()?;
+    bi(&mut m, "parseBool", 0, 1, |interp, _, a| {
+        let s = text(interp, &a[0])?;
         Ok(Value::Bool(s.trim() == "True" || s.trim() == "true"))
     });
 
     // ---------- control ----------
-    bi(&mut m, "error", 1, 1, |_, _, a| {
-        Err(EvalError::new(format!("error: {}", a[0].as_str()?)))
+    bi(&mut m, "error", 1, 1, |interp, _, a| {
+        Err(EvalError::new(format!("error: {}", text(interp, &a[0])?)))
     });
     bi(&mut m, "debug", 0, 1, |interp, _, a| {
-        let msg = a[0].as_str()?.to_string();
+        let msg = text(interp, &a[0])?.to_string();
         interp.world.out.push(msg);
         Ok(Value::Unit)
     });
@@ -194,10 +293,10 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     bi(&mut m, "nil", 1, 0, |_, _, _| {
         Ok(Value::List(Rc::new(vec![])))
     });
-    bi(&mut m, "cons", 1, 2, |_, _, a| {
-        let mut items = vec![a[0].clone()];
-        items.extend(a[1].as_list()?.iter().cloned());
-        Ok(Value::List(Rc::new(items)))
+    bi(&mut m, "cons", 1, 2, |interp, _, a| {
+        let mut out = vec![a[0].clone()];
+        out.extend(items(interp, &a[1])?.iter().cloned());
+        Ok(Value::List(Rc::new(out)))
     });
     bi(&mut m, "foldList", 2, 3, |interp, _, a| {
         let f = a[0].clone();
@@ -225,9 +324,9 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
         }
         Ok(Value::List(Rc::new(out)))
     });
-    bi(&mut m, "appendList", 1, 2, |_, _, a| {
-        let mut out = a[0].as_list()?.to_vec();
-        out.extend(a[1].as_list()?.iter().cloned());
+    bi(&mut m, "appendList", 1, 2, |interp, _, a| {
+        let mut out = items(interp, &a[0])?.to_vec();
+        out.extend(items(interp, &a[1])?.iter().cloned());
         Ok(Value::List(Rc::new(out)))
     });
     bi(&mut m, "lengthList", 1, 1, |_, _, a| {
@@ -236,24 +335,22 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     bi(&mut m, "nullList", 1, 1, |_, _, a| {
         Ok(Value::Bool(a[0].as_list()?.is_empty()))
     });
-    bi(&mut m, "revList", 1, 1, |_, _, a| {
-        let mut out = a[0].as_list()?.to_vec();
+    bi(&mut m, "revList", 1, 1, |interp, _, a| {
+        let mut out = items(interp, &a[0])?.to_vec();
         out.reverse();
         Ok(Value::List(Rc::new(out)))
     });
-    bi(&mut m, "takeL", 1, 2, |_, _, a| {
-        let n = a[0].as_int()?.max(0) as usize;
-        let items = a[1].as_list()?;
-        Ok(Value::List(Rc::new(
-            items.iter().take(n).cloned().collect(),
-        )))
+    bi(&mut m, "takeL", 1, 2, |interp, _, a| {
+        let l = a[1].as_list()?;
+        let n = (a[0].as_int()?.max(0) as usize).min(l.len());
+        interp.charge(n as u64)?;
+        Ok(Value::List(Rc::new(l[..n].to_vec())))
     });
-    bi(&mut m, "dropL", 1, 2, |_, _, a| {
-        let n = a[0].as_int()?.max(0) as usize;
-        let items = a[1].as_list()?;
-        Ok(Value::List(Rc::new(
-            items.iter().skip(n).cloned().collect(),
-        )))
+    bi(&mut m, "dropL", 1, 2, |interp, _, a| {
+        let l = a[1].as_list()?;
+        let n = (a[0].as_int()?.max(0) as usize).min(l.len());
+        interp.charge((l.len() - n) as u64)?;
+        Ok(Value::List(Rc::new(l[n..].to_vec())))
     });
     bi(&mut m, "sortByInt", 1, 2, |interp, _, a| {
         let f = a[0].clone();
@@ -267,14 +364,16 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
             keyed.into_iter().map(|(_, v)| v).collect(),
         )))
     });
-    bi(&mut m, "joinStrings", 0, 2, |_, _, a| {
+    bi(&mut m, "joinStrings", 0, 2, |interp, _, a| {
         let sep = a[0].as_str()?;
-        let parts: Result<Vec<String>, EvalError> = a[1]
-            .as_list()?
+        let parts: Result<Vec<String>, EvalError> = items(interp, &a[1])?
             .iter()
             .map(|v| v.as_str().map(|s| s.to_string()))
             .collect();
-        Ok(Value::str(parts?.join(&sep)))
+        let parts = parts?;
+        let bytes = parts.iter().map(|p| p.len() + sep.len()).sum();
+        interp.charge(byte_steps(bytes))?;
+        Ok(Value::str(parts.join(&sep)))
     });
 
     // ---------- options ----------
@@ -293,16 +392,16 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     });
 
     // ---------- XML ----------
-    bi(&mut m, "cdata", 1, 1, |_, _, a| {
-        Ok(Value::Xml(Rc::new(XmlVal::Text(a[0].as_str()?.to_string()))))
+    bi(&mut m, "cdata", 1, 1, |interp, _, a| {
+        Ok(Value::Xml(Rc::new(XmlVal::Text(text(interp, &a[0])?.to_string()))))
     });
     bi(&mut m, "xempty", 1, 0, |_, _, _| {
         Ok(Value::Xml(Rc::new(XmlVal::Empty)))
     });
-    bi(&mut m, "xcat", 1, 2, |_, _, a| {
+    bi(&mut m, "xcat", 1, 2, |interp, _, a| {
         Ok(Value::Xml(Rc::new(XmlVal::Seq(vec![
-            xml1(&a[0])?,
-            xml1(&a[1])?,
+            xml1(interp, &a[0])?,
+            xml1(interp, &a[1])?,
         ]))))
     });
     tag(&mut m, "tagTable", "table");
@@ -317,29 +416,33 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     tag(&mut m, "tagLi", "li");
     tag(&mut m, "tagSpan", "span");
     tag(&mut m, "tagB", "b");
-    bi(&mut m, "inputText", 0, 1, |_, _, a| {
+    bi(&mut m, "inputText", 0, 1, |interp, _, a| {
         Ok(Value::Xml(Rc::new(XmlVal::Tag {
             name: "input".into(),
             attrs: vec![
                 ("type".into(), "text".into()),
-                ("name".into(), a[0].as_str()?.to_string()),
+                ("name".into(), text(interp, &a[0])?.to_string()),
             ],
             children: vec![],
         })))
     });
-    bi(&mut m, "button", 0, 1, |_, _, a| {
+    bi(&mut m, "button", 0, 1, |interp, _, a| {
         Ok(Value::Xml(Rc::new(XmlVal::Tag {
             name: "button".into(),
             attrs: vec![],
-            children: vec![XmlVal::Text(a[0].as_str()?.to_string())],
+            children: vec![XmlVal::Text(text(interp, &a[0])?.to_string())],
         })))
     });
-    bi(&mut m, "renderXml", 1, 1, |_, _, a| {
-        Ok(Value::str(a[0].as_xml()?.render()))
+    bi(&mut m, "renderXml", 1, 1, |interp, _, a| {
+        let x = a[0].as_xml()?;
+        interp.charge(xml_weight(x))?;
+        Ok(Value::str(x.render()))
     });
-    bi(&mut m, "page", 0, 2, |_, _, a| {
-        let title = ur_eval::value::escape_text(&a[0].as_str()?);
-        let body = a[1].as_xml()?.render();
+    bi(&mut m, "page", 0, 2, |interp, _, a| {
+        let title = ur_eval::value::escape_text(&text(interp, &a[0])?);
+        let x = a[1].as_xml()?;
+        interp.charge(xml_weight(x))?;
+        let body = x.render();
         Ok(Value::str(format!(
             "<html><head><title>{title}</title></head><body>{body}</body></html>"
         )))
@@ -363,7 +466,7 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
 
     // ---------- DDL ----------
     bi(&mut m, "createTable", 1, 2, |interp, _, a| {
-        let name = a[0].as_str()?;
+        let name = text(interp, &a[0])?;
         let rec = a[1].as_record()?;
         let mut cols = Vec::new();
         for (col, v) in rec {
@@ -385,67 +488,67 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
         Ok(Value::SqlTable(name))
     });
     bi(&mut m, "createSequence", 0, 1, |interp, _, a| {
-        interp.world.db.create_sequence(&a[0].as_str()?);
+        let name = text(interp, &a[0])?;
+        interp.world.db.create_sequence(&name);
         Ok(Value::Unit)
     });
     bi(&mut m, "nextval", 0, 1, |interp, _, a| {
+        let name = text(interp, &a[0])?;
         Ok(Value::Int(
             interp
                 .world
                 .db
-                .nextval(&a[0].as_str()?)
+                .nextval(&name)
                 .map_err(EvalError::from)?,
         ))
     });
 
     // ---------- SQL expressions ----------
-    bi(&mut m, "const", 2, 1, |_, _, a| {
-        Ok(Value::SqlExp(Rc::new(SqlExpr::Const(value_to_db(&a[0])?))))
+    bi(&mut m, "const", 2, 1, |interp, _, a| {
+        let e = SqlExpr::Const(value_to_db(&a[0])?);
+        interp.charge(sql_weight(&e))?;
+        Ok(Value::SqlExp(Rc::new(e)))
     });
     bi(&mut m, "column", 3, 0, |interp, cons, _| {
         let venv = ur_eval::VEnv::new();
         let name = interp.resolve_name(&venv, &cons[0])?;
         Ok(Value::SqlExp(Rc::new(SqlExpr::col(name.to_string()))))
     });
-    bi(&mut m, "sqlEq", 2, 2, |_, _, a| {
+    bi(&mut m, "sqlEq", 2, 2, |interp, _, a| {
         Ok(Value::SqlExp(Rc::new(SqlExpr::eq(
-            a[0].as_sql_exp()?.clone(),
-            a[1].as_sql_exp()?.clone(),
+            sql1(interp, &a[0])?,
+            sql1(interp, &a[1])?,
         ))))
     });
-    bi(&mut m, "sqlLt", 1, 2, |_, _, a| {
+    bi(&mut m, "sqlLt", 1, 2, |interp, _, a| {
         Ok(Value::SqlExp(Rc::new(SqlExpr::Lt(
-            Box::new(a[0].as_sql_exp()?.clone()),
-            Box::new(a[1].as_sql_exp()?.clone()),
+            Box::new(sql1(interp, &a[0])?),
+            Box::new(sql1(interp, &a[1])?),
         ))))
     });
-    bi(&mut m, "sqlLe", 1, 2, |_, _, a| {
+    bi(&mut m, "sqlLe", 1, 2, |interp, _, a| {
         Ok(Value::SqlExp(Rc::new(SqlExpr::Le(
-            Box::new(a[0].as_sql_exp()?.clone()),
-            Box::new(a[1].as_sql_exp()?.clone()),
+            Box::new(sql1(interp, &a[0])?),
+            Box::new(sql1(interp, &a[1])?),
         ))))
     });
-    bi(&mut m, "sqlAnd", 1, 2, |_, _, a| {
+    bi(&mut m, "sqlAnd", 1, 2, |interp, _, a| {
         Ok(Value::SqlExp(Rc::new(SqlExpr::and(
-            a[0].as_sql_exp()?.clone(),
-            a[1].as_sql_exp()?.clone(),
+            sql1(interp, &a[0])?,
+            sql1(interp, &a[1])?,
         ))))
     });
-    bi(&mut m, "sqlOr", 1, 2, |_, _, a| {
+    bi(&mut m, "sqlOr", 1, 2, |interp, _, a| {
         Ok(Value::SqlExp(Rc::new(SqlExpr::or(
-            a[0].as_sql_exp()?.clone(),
-            a[1].as_sql_exp()?.clone(),
+            sql1(interp, &a[0])?,
+            sql1(interp, &a[1])?,
         ))))
     });
-    bi(&mut m, "sqlNot", 1, 1, |_, _, a| {
-        Ok(Value::SqlExp(Rc::new(SqlExpr::not(
-            a[0].as_sql_exp()?.clone(),
-        ))))
+    bi(&mut m, "sqlNot", 1, 1, |interp, _, a| {
+        Ok(Value::SqlExp(Rc::new(SqlExpr::not(sql1(interp, &a[0])?))))
     });
-    bi(&mut m, "sqlIsNull", 2, 1, |_, _, a| {
-        Ok(Value::SqlExp(Rc::new(SqlExpr::is_null(
-            a[0].as_sql_exp()?.clone(),
-        ))))
+    bi(&mut m, "sqlIsNull", 2, 1, |interp, _, a| {
+        Ok(Value::SqlExp(Rc::new(SqlExpr::is_null(sql1(interp, &a[0])?))))
     });
     bi(&mut m, "sqlTrue", 1, 0, |_, _, _| {
         Ok(Value::SqlExp(Rc::new(SqlExpr::lit(DbVal::Bool(true)))))
@@ -460,7 +563,7 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
         let rec = a[1].as_record()?;
         let mut values = Vec::new();
         for (col, v) in rec {
-            values.push((col.to_string(), v.as_sql_exp()?.clone()));
+            values.push((col.to_string(), sql1(interp, v)?));
         }
         interp
             .world
@@ -471,6 +574,7 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     });
     bi(&mut m, "deleteRows", 1, 2, |interp, _, a| {
         let table = table_name(&a[0])?;
+        charge_scan(interp, &table, sql_weight(a[1].as_sql_exp()?))?;
         let n = interp
             .world
             .db
@@ -482,9 +586,13 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
         let table = table_name(&a[0])?;
         let rec = a[1].as_record()?;
         let mut changes = Vec::new();
+        let mut per_row = sql_weight(a[2].as_sql_exp()?);
         for (col, v) in rec {
-            changes.push((col.to_string(), v.as_sql_exp()?.clone()));
+            let e = sql1(interp, v)?;
+            per_row = per_row.saturating_add(sql_weight(&e));
+            changes.push((col.to_string(), e));
         }
+        charge_scan(interp, &table, per_row)?;
         let n = interp
             .world
             .db
@@ -494,53 +602,19 @@ pub fn registry() -> HashMap<String, Rc<Builtin>> {
     });
     bi(&mut m, "selectAll", 1, 2, |interp, _, a| {
         let table = table_name(&a[0])?;
-        let schema = interp
-            .world
-            .db
-            .schema(&table)
-            .map_err(EvalError::from)?
-            .clone();
-        let rows = interp
-            .world
-            .db
-            .select(&table, a[1].as_sql_exp()?)
-            .map_err(EvalError::from)?;
-        let mut out = Vec::new();
-        for row in rows {
-            let mut rec = BTreeMap::new();
-            for ((col, ty), v) in schema.columns().iter().zip(&row) {
-                rec.insert(Rc::from(col.as_str()), db_to_value(v, ty));
-            }
-            out.push(Value::record(rec));
-        }
-        Ok(Value::List(Rc::new(out)))
+        let pred = a[1].as_sql_exp()?;
+        select_records(interp, &table, pred, |db| db.select(&table, pred))
     });
     bi(&mut m, "selectOrdered", 3, 4, |interp, cons, a| {
         let venv = ur_eval::VEnv::new();
         let order_col = interp.resolve_name(&venv, &cons[0])?;
         let table = table_name(&a[0])?;
+        let pred = a[1].as_sql_exp()?;
         let offset = a[2].as_int()?.max(0) as usize;
         let limit = a[3].as_int()?.max(0) as usize;
-        let schema = interp
-            .world
-            .db
-            .schema(&table)
-            .map_err(EvalError::from)?
-            .clone();
-        let rows = interp
-            .world
-            .db
-            .select_ordered(&table, a[1].as_sql_exp()?, &order_col, offset, limit)
-            .map_err(EvalError::from)?;
-        let mut out = Vec::new();
-        for row in rows {
-            let mut rec = BTreeMap::new();
-            for ((col, ty), v) in schema.columns().iter().zip(&row) {
-                rec.insert(Rc::from(col.as_str()), db_to_value(v, ty));
-            }
-            out.push(Value::record(rec));
-        }
-        Ok(Value::List(Rc::new(out)))
+        select_records(interp, &table, pred, |db| {
+            db.select_ordered(&table, pred, &order_col, offset, limit)
+        })
     });
     bi(&mut m, "rowCount", 1, 1, |interp, _, a| {
         let table = table_name(&a[0])?;

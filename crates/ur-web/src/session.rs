@@ -272,8 +272,19 @@ impl Session {
     fn fold_vm_stats(&mut self, es: ur_eval::vm::EvalStats, runs: u64) {
         let st = &mut self.elab.cx.stats;
         st.eval_vm_runs = st.eval_vm_runs.saturating_add(runs);
+        st.eval_steps = st.eval_steps.saturating_add(es.steps);
         st.eval_vm_ops = st.eval_vm_ops.saturating_add(es.vm_ops);
         st.eval_dispatch_ns = st.eval_dispatch_ns.saturating_add(es.dispatch_ns);
+    }
+
+    /// An interpreter over the session's world whose step ceiling is the
+    /// `max_norm_steps` of the limits in force: a request's deadline
+    /// ceiling while a budgeted request runs, the standing limits
+    /// otherwise.
+    fn interp(&mut self) -> Interp<'_> {
+        let mut interp = Interp::new(&mut self.world, &self.elab.genv, &self.builtins);
+        interp.max_steps = self.elab.cx.fuel.limits.max_norm_steps;
+        interp
     }
 
     /// Evaluates one elaborated body on the configured engine, folding
@@ -288,17 +299,21 @@ impl Session {
                         .get_or_insert_with(|| ur_eval::vm::share_globals(&self.top));
                     (Rc::clone(&g.0), g.1.clone())
                 };
-                let mut interp = Interp::new(&mut self.world, &self.elab.genv, &self.builtins);
+                let mut interp = self.interp();
                 let r = ur_eval::vm::run_shared(&mut interp, &chunk, &globals, &cons);
                 let es = interp.eval_stats;
                 self.fold_vm_stats(es, 1);
                 r
             }
             EvalEngine::Interp => {
+                // Built in place rather than by `Session::interp`: the
+                // run borrows `top` beside the world.
                 let mut interp = Interp::new(&mut self.world, &self.elab.genv, &self.builtins);
+                interp.max_steps = self.elab.cx.fuel.limits.max_norm_steps;
                 let r = interp.eval(&self.top, body);
-                self.elab.cx.stats.eval_interp_runs =
-                    self.elab.cx.stats.eval_interp_runs.saturating_add(1);
+                let st = &mut self.elab.cx.stats;
+                st.eval_interp_runs = st.eval_interp_runs.saturating_add(1);
+                st.eval_steps = st.eval_steps.saturating_add(interp.steps);
                 r
             }
         }
@@ -369,7 +384,9 @@ impl Session {
                     Err(e) => diags.push(ur_syntax::Diagnostic::new(
                         ur_syntax::Span::default(),
                         match e.kind {
-                            EvalErrorKind::TooDeep => ur_syntax::Code::ResourceExhausted,
+                            EvalErrorKind::TooDeep | EvalErrorKind::OutOfFuel => {
+                                ur_syntax::Code::ResourceExhausted
+                            }
                             _ => ur_syntax::Code::Eval,
                         },
                         format!("runtime error evaluating {name}: {e}"),
@@ -517,7 +534,7 @@ impl Session {
                         .get_or_insert_with(|| ur_eval::vm::share_globals(&self.top));
                     (Rc::clone(&g.0), g.1.clone())
                 };
-                let mut interp = Interp::new(&mut self.world, &self.elab.genv, &self.builtins);
+                let mut interp = self.interp();
                 let t0 = std::time::Instant::now();
                 let mut runs = 1u64;
                 let mut out = ur_eval::vm::run_shared(&mut interp, &chunk, &globals, &cons);
@@ -594,7 +611,7 @@ impl Session {
     ///
     /// Propagates runtime errors.
     pub fn apply(&mut self, f: &Value, args: &[Value]) -> Result<Value, SessionError> {
-        let mut interp = Interp::new(&mut self.world, &self.elab.genv, &self.builtins);
+        let mut interp = self.interp();
         let mut v = f.clone();
         for a in args {
             v = interp.apply(v, a.clone())?;
@@ -1037,6 +1054,68 @@ mod recovery_tests {
                 .join()
                 .unwrap();
         });
+    }
+
+    /// Evaluation charges the standing fuel ceiling: a declaration whose
+    /// evaluation needs more applications than `max_norm_steps` is a
+    /// resource error on both engines (E0900 naming the budget), the
+    /// declarations around it still bind, and both engines charge the
+    /// same steps for what they evaluated.
+    #[test]
+    fn evaluation_past_its_step_ceiling_is_e0900_on_both_engines() {
+        let mut steps = Vec::new();
+        for engine in [EvalEngine::Vm, EvalEngine::Interp] {
+            let mut sess = Session::new().unwrap();
+            sess.engine = engine;
+            sess.elab.cx.fuel.limits.max_norm_steps = 50_000;
+            let (vals, diags) = sess.run_all(
+                "val twice = fn [a] (f : a -> a) (x : a) => f (f x)\n\
+                 val inc = fn (n : int) => n + 1\n\
+                 val long = twice twice twice twice inc 0\n\
+                 val ok = twice twice twice inc 0",
+            );
+            assert_eq!(diags.len(), 1, "{engine:?}: {diags:?}");
+            assert_eq!(diags[0].code, ur_syntax::Code::ResourceExhausted, "{engine:?}");
+            assert!(diags[0].message.contains("step budget of 50000"), "{diags:?}");
+            assert!(vals.iter().all(|(n, _)| n != "long"));
+            assert_eq!(sess.get_int("ok").unwrap(), 16, "{engine:?}");
+            steps.push(sess.stats().eval_steps);
+        }
+        assert_eq!(steps[0], steps[1], "the engines charged different steps");
+    }
+
+    /// Builtins charge the elements they copy, so a few applications over
+    /// a big list cannot do unbounded native work: at a 50,000-step
+    /// ceiling, 16 reversals of a 4,096-item list (65,536 copies) and a
+    /// `cons` fold over it (about 8 million copies) are E0900 on both
+    /// engines, while one reversal binds.
+    #[test]
+    fn builtins_charge_the_elements_they_copy() {
+        let mut steps = Vec::new();
+        for engine in [EvalEngine::Vm, EvalEngine::Interp] {
+            let mut sess = Session::new().unwrap();
+            sess.engine = engine;
+            sess.elab.cx.fuel.limits.max_norm_steps = 50_000;
+            let (vals, diags) = sess.run_all(
+                "val twice = fn [a] (f : a -> a) (x : a) => f (f x)\n\
+                 val dbl = fn (l : list int) => appendList l l\n\
+                 val big = dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl (dbl \
+                   (cons 1 nil))))))))))))\n\
+                 val revs = lengthList (twice twice twice (fn (l : list int) => revList l) big)\n\
+                 val folded = lengthList \
+                   (foldList (fn (x : int) (acc : list int) => cons x acc) nil big)\n\
+                 val one = lengthList (revList big)",
+            );
+            assert_eq!(diags.len(), 2, "{engine:?}: {diags:?}");
+            assert!(
+                diags.iter().all(|d| d.code == ur_syntax::Code::ResourceExhausted),
+                "{engine:?}: {diags:?}"
+            );
+            assert!(vals.iter().all(|(n, _)| n != "revs" && n != "folded"));
+            assert_eq!(sess.get_int("one").unwrap(), 4_096, "{engine:?}");
+            steps.push(sess.stats().eval_steps);
+        }
+        assert_eq!(steps[0], steps[1], "the engines charged different steps");
     }
 
     /// A failed declaration must not poison the session: stale folder

@@ -46,14 +46,15 @@
 //!                      clients (e.g. 127.0.0.1:7788; port 0 picks a
 //!                      free port, reported on the first stdout line as
 //!                      {"listening":"HOST:PORT"}). Backed by a
-//!                      supervised session pool with bounded queues:
-//!                      excess load is shed with a structured
-//!                      "overloaded" answer, wedged workers are replaced
-//!                      and their sessions rebuilt, SIGTERM or a
-//!                      "shutdown" request drains gracefully and prints
-//!                      a final summary line.
-//!   --pool N           worker sessions for --listen (default 4; forced
-//!                      to 1 with --db-dir: the store is single-writer)
+//!                      session pool with bounded queues: excess load is
+//!                      shed with a structured "overloaded" answer, work
+//!                      past a request's deadline fuel ends in E0900 on
+//!                      its worker, SIGTERM or a "shutdown" request
+//!                      drains gracefully and prints a final summary
+//!                      line.
+//!   --pool N           workers for --listen (default 4; with --db-dir,
+//!                      worker 0 is the store's single writer and the
+//!                      rest answer snapshot reads)
 //!   --queue-depth N    per-worker bounded queue for --listen (default 16)
 //!   --max-conns N      live-connection cap for --listen (default 64)
 //!   --deadline-ms N    default per-request budget for --listen
@@ -106,8 +107,8 @@ fn usage() -> &'static str {
      change; --serve speaks line-delimited JSON (load/edit/type/eval/\n\
      diagnostics/stats/db/quit) on stdin/stdout, one request per line, 8 MiB\n\
      cap; --listen ADDR serves the same protocol to concurrent TCP clients\n\
-     through a supervised session pool (bounded queues shed overload, wedged\n\
-     workers are replaced, SIGTERM or \"shutdown\" drains gracefully)."
+     through a session pool (bounded queues shed overload, deadline fuel\n\
+     bounds every request, SIGTERM or \"shutdown\" drains gracefully)."
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
@@ -423,7 +424,7 @@ fn serve(sess: &mut Session) -> Result<(), String> {
 }
 
 /// `--listen ADDR`: the same JSON protocol as `--serve`, served to
-/// concurrent TCP clients through the supervised session pool. Prints
+/// concurrent TCP clients through the session pool. Prints
 /// `{"listening":"HOST:PORT"}` once bound (drivers parse the resolved
 /// port), drains gracefully on SIGTERM or a client `shutdown`, and
 /// prints the final summary line before exiting 0.

@@ -36,7 +36,7 @@
 //! * [`web`] — the Ur/Web standard library and [`Session`] runtime (§5);
 //! * [`db`] — the in-memory relational substrate;
 //! * [`serve`] — the resilient serving layer (`urc --serve`/`--listen`):
-//!   supervised session pool, deadlines, overload shedding, drain;
+//!   session pool, deadline fuel, overload shedding, drain;
 //! * [`studies`] — the §6 case studies, written in Ur.
 
 pub use ur_core as core;

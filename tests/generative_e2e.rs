@@ -212,7 +212,8 @@ fn session_with(engine: EvalEngine) -> Session {
 
 /// The eval-heavy tier: random programs full of shadowed `let`s,
 /// capturing closures, folds, and record algebra, run through BOTH
-/// engines declaration-by-declaration. Any divergence is a bug in the
+/// engines declaration-by-declaration. Any divergence — in a value, or
+/// in the evaluation steps the program charged — is a bug in the
 /// bytecode compiler or VM (the tree-walking interpreter is the
 /// oracle); the failing seed is in the panic message.
 #[test]
@@ -246,6 +247,12 @@ fn eval_heavy_programs_agree_across_engines() {
                 prog.source
             );
         }
+        assert_eq!(
+            vm.stats().eval_steps,
+            oracle.stats().eval_steps,
+            "seed {seed:#x}: engines charged different steps\nprogram:\n{}",
+            prog.source
+        );
     }
 }
 
